@@ -10,7 +10,9 @@ from pathlib import Path
 
 from twqp import ExperimentConfig, make_synthetic, run_experiment, write_collection
 
-work = Path(tempfile.mkdtemp(prefix="twqp-demo-"))
+# The directory and everything in it are removed at the end (or at exit).
+tmp = tempfile.TemporaryDirectory(prefix="twqp-demo-")
+work = Path(tmp.name)
 
 # The generator plants topic terms into on-topic documents, so relevance
 # judgments and useful expansion terms exist by construction.
@@ -43,3 +45,5 @@ for method, block in report["methods"].items():
     print(f"  {method:18s} {block['aggregates']['ap']:.4f}")
 
 print("\n" + (out / "report.txt").read_text())
+
+tmp.cleanup()

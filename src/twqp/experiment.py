@@ -144,7 +144,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     cfg = RerankConfig(mu=best_mu, rerank_depth=config.rerank_depth, k=config.k)
-    params = WeightingParams(mu=best_mu, k=config.k)
+    params = WeightingParams(mu=best_mu, k=config.k, predictor_m=config.qpp_m)
     runs: dict[str, dict[str, RankedList]] = {label: {} for label in METHOD_ORDER}
     for q in live_queries:
         base = initial[q.query_id]

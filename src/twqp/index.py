@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .analysis import AnalyzerConfig, analyze
 
 SNAPSHOT_MAGIC = "#twqp-index"
@@ -47,6 +49,7 @@ class Index:
         self.collection_tf = {w: sum(p.values()) for w, p in postings.items()}
         self.total_tokens = sum(doc_lengths.values())
         self._forward: dict[str, dict[str, int]] | None = None
+        self._columns: DocColumns | None = None
 
     @property
     def doc_count(self) -> int:
@@ -88,6 +91,13 @@ class Index:
             return self._forward[doc_id]
         except KeyError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
+
+    @property
+    def columns(self) -> "DocColumns":
+        """Columnar view for vectorised scoring, built on first use."""
+        if self._columns is None:
+            self._columns = DocColumns(self)
+        return self._columns
 
     # ------------------------------------------------------------------
     # Snapshot format: a magic + version header line, then one JSON object.
@@ -132,6 +142,45 @@ class Index:
             for w, pl in payload["postings"].items()
         }
         return cls(postings, {d: int(n) for d, n in payload["doc_lengths"].items()}, analyzer)
+
+
+class DocColumns:
+    """Numbered documents and per-term postings arrays over one index.
+
+    Documents are numbered in ascending doc-id order, so ascending number is
+    the retrieval tie-break.  lengths[n] is the length of document n.  A
+    term's (doc numbers, tfs) arrays are built the first time the term is
+    scored and kept for the life of the index; doc numbers ascend and end in
+    the sentinel doc_count (tf 0), so a searchsorted position is always a
+    valid index.
+    """
+
+    def __init__(self, index: Index) -> None:
+        self._postings = index.postings
+        self.doc_ids = sorted(index.doc_lengths)
+        self._numbers = {d: n for n, d in enumerate(self.doc_ids)}
+        self.lengths = np.array([index.doc_lengths[d] for d in self.doc_ids], dtype=np.int64)
+        self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def doc_numbers(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """Document numbers of the given doc ids, in the order given."""
+        try:
+            return np.fromiter(map(self._numbers.__getitem__, doc_ids), dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
+
+    def term(self, w: str) -> tuple[np.ndarray, np.ndarray]:
+        """(doc numbers, tfs) of w's postings plus the sentinel entry."""
+        cols = self._terms.get(w)
+        if cols is None:
+            # Postings are in ascending doc-id order, hence in number order.
+            postings = self._postings.get(w, {})
+            nums = np.append(self.doc_numbers(postings), len(self.doc_ids))
+            tfs = np.append(np.fromiter(postings.values(), dtype=np.int64), 0)
+            cols = (nums, tfs)
+            if postings:
+                self._terms[w] = cols
+        return cols
 
 
 def build_index(corpus: Iterable[Document], config: AnalyzerConfig | None = None) -> Index:

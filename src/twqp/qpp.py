@@ -115,11 +115,16 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
     return sigma / abs(denom)
 
 
-def predict_score_ratio(lst: RankedList) -> float:
-    """First-to-last likelihood ratio, exp(score_1 - score_last); always >= 1."""
+def score_gap(lst: RankedList) -> float:
+    """score_1 - score_last: the log of the ScoreRatio, never overflowing."""
     if not lst.entries:
         raise ValueError("ScoreRatio is undefined on an empty ranked list")
-    gap = lst.entries[0][1] - lst.entries[-1][1]
+    return lst.entries[0][1] - lst.entries[-1][1]
+
+
+def predict_score_ratio(lst: RankedList) -> float:
+    """First-to-last likelihood ratio, exp(score_1 - score_last); always >= 1."""
+    gap = score_gap(lst)
     if gap > 700.0:
         return math.inf
     return math.exp(gap)

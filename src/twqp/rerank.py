@@ -12,11 +12,12 @@ the authoritative output of a re-ranked list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
+
+import numpy as np
 
 from .index import Index
 from .relevance import RelevanceModel
-from .retrieval import RankedList, smoothed_prob
+from .retrieval import RankedList, log_prob_matrix, rank_entries, weighted_sum
 from .weighting import TermWeightTable
 
 
@@ -38,31 +39,22 @@ class RerankConfig:
             raise ValueError(f"rerank requires mu > 0, got {self.mu}")
 
 
-def _rescore(
-    doc_id: str, weights: dict[str, float], mu: float, index: Index
-) -> float:
-    # Same summation order as query-likelihood scoring (sorted terms), so a
-    # table of term counts reproduces the QL score bit-for-bit.
-    score = 0.0
-    for w in sorted(weights):
-        weight = weights[w]
-        if weight == 0.0:
-            continue
-        p = smoothed_prob(w, doc_id, mu, index)
-        if p == 0.0:
-            raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
-        score += weight * math.log(p)
-    return score
-
-
 def _rerank(
     initial: RankedList, weights: dict[str, float], cfg: RerankConfig, index: Index
 ) -> RankedList:
+    # Same summation order as query-likelihood scoring (sorted terms), so a
+    # table of term counts reproduces the QL score bit-for-bit.
     head = initial.entries[: cfg.rerank_depth]
     tail = initial.entries[cfg.rerank_depth :]
-    rescored = [(doc_id, _rescore(doc_id, weights, cfg.mu, index)) for doc_id, _ in head]
-    rescored.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(initial.query_id, tuple(rescored) + tail, initial.k)
+    terms = [w for w in sorted(weights) if weights[w] != 0.0]
+    nums = np.sort(index.columns.doc_numbers(d for d, _ in head))
+    log_probs = log_prob_matrix(terms, nums, cfg.mu, index)
+    unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
+    if unindexed.size:
+        w = terms[unindexed[0]]
+        raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
+    scores = weighted_sum([weights[w] for w in terms], log_probs)
+    return RankedList(initial.query_id, rank_entries(nums, scores, index) + tail, initial.k)
 
 
 def rerank_twqp(

@@ -6,6 +6,12 @@ distinct terms in sorted order (count times the log probability), which fixes
 a canonical floating-point evaluation order; the re-ranking module uses the
 same order so that weighted sums that should equal a query-likelihood score
 do so bit-for-bit.
+
+``smoothed_prob`` and ``score_ql`` score one document at a time.  Retrieval
+and re-ranking score many documents at once with ``log_prob_matrix`` and
+``weighted_sum``, which repeat the scalar arithmetic exactly: the same
+association order for p, ``math.log`` (not ``np.log``, which differs in the
+last ulp on some inputs) for every log, and one term at a time accumulation.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .index import Index, collection_prob
 
@@ -89,6 +97,54 @@ def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
     return score
 
 
+def log_prob_matrix(
+    terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
+) -> np.ndarray:
+    """log p_d(w) for each term (row) and each document number (column).
+
+    Every value equals math.log(smoothed_prob(w, d, mu, index)) bit for bit,
+    or -inf where that probability is 0.  math.log runs once per distinct
+    probability: p repeats across documents with equal tf and length.
+    """
+    if mu < 0:
+        raise ValueError(f"mu must be >= 0, got {mu}")
+    cols = index.columns
+    lengths = cols.lengths[nums]
+    if terms and mu == 0 and not lengths.all():
+        empty = cols.doc_ids[int(nums[np.argmin(lengths)])]
+        raise ValueError(f"doc {empty!r} is empty and mu=0: probability undefined")
+    tf = np.zeros((len(terms), len(nums)), dtype=np.int64)
+    for row, w in zip(tf, terms):
+        post_nums, post_tfs = cols.term(w)
+        pos = post_nums.searchsorted(nums)
+        np.multiply(post_tfs[pos], post_nums[pos] == nums, out=row)
+    background = np.array([mu * collection_prob(w, index) for w in terms], dtype=float)
+    # Same association as smoothed_prob: (tf + mu * (cf / T)) / (len + mu).
+    p = (tf + background[:, None]) / (lengths + mu)
+    values, inverse = np.unique(p.ravel(), return_inverse=True)
+    logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
+    return np.array(logs, dtype=float)[inverse].reshape(p.shape)
+
+
+def weighted_sum(weights: Sequence[float], log_probs: np.ndarray) -> np.ndarray:
+    """Sum of weight * row over the rows of log_probs, one row at a time in
+    order, as the scalar loop adds one term at a time."""
+    acc = np.zeros(log_probs.shape[1])
+    for row in np.asarray(weights, dtype=float)[:, None] * log_probs:
+        acc += row
+    return acc
+
+
+def rank_entries(
+    nums: np.ndarray, scores: np.ndarray, index: Index, k: int | None = None
+) -> tuple[tuple[str, float], ...]:
+    """The top k (doc_id, score) entries, by descending score and then by
+    ascending doc id (document number order), as Python str and float."""
+    top = np.lexsort((nums, -scores))[:k]
+    doc_ids = map(index.columns.doc_ids.__getitem__, nums[top].tolist())
+    return tuple(zip(doc_ids, scores[top].tolist()))
+
+
 def retrieve_topk(q: Query, k: int, mu: float, index: Index) -> RankedList:
     """Top-k documents under query likelihood.
 
@@ -101,9 +157,12 @@ def retrieve_topk(q: Query, k: int, mu: float, index: Index) -> RankedList:
     if not q.terms:
         raise ValueError("cannot retrieve with an empty query")
     candidates = index.matching_docs(q.terms)
-    scored = [(doc_id, score_ql(q, doc_id, mu, index)) for doc_id in candidates]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(q.query_id, tuple(scored[:k]), k)
+    if not candidates:
+        return RankedList(q.query_id, (), k)
+    nums = np.sort(index.columns.doc_numbers(candidates))  # sorted keys search faster
+    terms, counts = zip(*sorted(q.term_counts().items()))
+    scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index))
+    return RankedList(q.query_id, rank_entries(nums, scores, index, k), k)
 
 
 def expand_query(q: Query, w: str) -> Query:

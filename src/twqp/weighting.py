@@ -29,6 +29,7 @@ from .qpp import (
     predict_quality,
     predict_score_ratio,
     predictor_minimum,
+    score_gap,
     sror_term,
 )
 from .retrieval import Query, RankedList, expand_query, retrieve_topk
@@ -103,6 +104,9 @@ def delta_p(
     base_quality skips re-predicting the base list (callers weighting many
     terms compute it once).  An empty expanded retrieval is scored at the
     predictor's minimum: a term that empties the result list cannot help.
+    When both ScoreRatios overflow to inf, the delta is +inf, -inf or 0 by
+    the sign of gap_expanded - gap_base, which is the sign of
+    exp(gap_expanded) - exp(gap_base); the weight is then 1.0, 0.0 or 0.5.
     """
     if base_quality is None:
         base_quality = predict_quality(predictor, base_list, q, mu, index)
@@ -112,6 +116,9 @@ def delta_p(
         expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index)
     else:
         expanded_quality = predictor_minimum(predictor.kind)
+    if expanded_quality == base_quality == math.inf:
+        gap_change = score_gap(expanded_list) - score_gap(base_list)
+        return gap_change * math.inf if gap_change else 0.0
     return expanded_quality - base_quality
 
 

@@ -115,6 +115,15 @@ class TestRunExperiment:
         for label in METHOD_ORDER:
             assert label in text
 
+    def test_qpp_m_reaches_the_twqp_predictor(self, small_experiment):
+        # WIG's default cutoff is 5; a set [qpp] m must change its weights.
+        config, result, root = small_experiment
+        cfg2 = replace(config, output_dir=str(root / "out-qpp-m"), qpp_m=2)
+        changed = run_experiment(cfg2)
+        assert changed.best_mu == result.best_mu and changed.best_m == result.best_m
+        assert changed.runs[QL_LABEL] == result.runs[QL_LABEL]
+        assert changed.runs["TWQP(WIG)"] != result.runs["TWQP(WIG)"]
+
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError, match="needs corpus"):
             run_experiment(ExperimentConfig())

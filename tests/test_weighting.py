@@ -10,7 +10,7 @@ import twqp.qpp
 import twqp.retrieval
 import twqp.weighting
 from twqp.index import Document, build_index
-from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio
+from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio, score_gap
 from twqp.relevance import build_rm3, top_n_terms
 from twqp.retrieval import Query, RankedList, expand_query, retrieve_topk
 from twqp.weighting import (
@@ -97,6 +97,39 @@ class TestDeltaP:
         )
         got = delta_p("banana", q, base, spec, 10, 10.0, fruit_index)
         assert got == 1.0 - base_quality
+
+
+class TestScoreRatioOverflow:
+    # d2 is long and holds "a" once, so the base and both expanded lists have
+    # first-to-last gaps above 700 nats and every ScoreRatio reads inf.
+    def _setup(self):
+        docs = [Document("d1", "a " * 50), Document("d2", "a " + "z " * 5000)]
+        index = build_index(docs, PLAIN)
+        q = Query("q", ("a",) * 100)
+        return index, q, retrieve_topk(q, 1000, 10, index)
+
+    def test_fixture_overflows_every_ratio(self):
+        index, q, base = self._setup()
+        for terms in (q.terms, q.terms + ("a",), q.terms + ("z",)):
+            assert predict_score_ratio(retrieve_topk(Query("q", terms), 1000, 10, index)) == math.inf
+
+    def test_weights_follow_the_sign_of_the_gap_change(self):
+        index, q, base = self._setup()
+        table = weigh_terms(
+            q, ["a", "z"], WeightingMethod.TWQP_SCORE_RATIO, WeightingParams(mu=10), index
+        )
+        expected = {}
+        for w in ("a", "z"):
+            change = score_gap(retrieve_topk(expand_query(q, w), 1000, 10, index)) - score_gap(base)
+            expected[w] = 1.0 if change > 0 else 0.0 if change < 0 else 0.5
+        assert table.weights == expected == {"a": 1.0, "z": 0.0}
+
+    def test_equal_gaps_give_half(self, monkeypatch):
+        index, q, base = self._setup()
+        spec = PredictorSpec(PredictorKind.SCORE_RATIO)
+        monkeypatch.setattr(twqp.weighting, "retrieve_topk", lambda *a, **kw: base)
+        delta = delta_p("a", q, base, spec, 1000, 10, index)
+        assert delta == 0.0 and twqp_weight(delta) == 0.5
 
 
 class TestRetrievalBudget:

@@ -31,14 +31,21 @@ from .qpp import (
     PredictorKind,
     PredictorSpec,
     nwig_term,
+    nwig_weights,
     predict_nqc,
     predict_quality,
     predict_score_ratio,
     predict_wig,
     sror_term,
 )
-from .relevance import RelevanceModel, build_rm3, restrict_top_n, top_n_terms
-from .rerank import RerankConfig, rerank_rm3, rerank_twqp
+from .relevance import (
+    RelevanceModel,
+    build_rm3,
+    build_rm3_grid,
+    restrict_top_n,
+    top_n_terms,
+)
+from .rerank import RerankConfig, rerank_many, rerank_rm3, rerank_twqp
 from .retrieval import (
     Query,
     RankedList,
@@ -56,6 +63,7 @@ from .weighting import (
     delta_p,
     query_indicator_table,
     twqp_weight,
+    weigh_queries,
     weigh_terms,
 )
 

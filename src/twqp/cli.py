@@ -30,7 +30,7 @@ from .relevance import build_rm3, restrict_top_n, top_n_terms
 from .rerank import RerankConfig, rerank_rm3, rerank_twqp
 from .retrieval import read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
-from .weighting import WeightingMethod, WeightingParams, dump_weight_tables, weigh_terms
+from .weighting import WeightingMethod, WeightingParams, dump_weight_tables, weigh_queries
 
 _TWQP_FOR_KIND = {
     PredictorKind.WIG: WeightingMethod.TWQP_WIG,
@@ -95,17 +95,11 @@ def _config_from(args) -> ExperimentConfig:
         k=getattr(args, "k", None),
         rerank_depth=getattr(args, "rerank_depth", None),
         qpp_m=getattr(args, "qpp_m", None),
-        qpp_kind=(
-            PredictorKind.from_string(args.qpp_kind)
-            if getattr(args, "qpp_kind", None)
-            else None
-        ),
         weighting_method=(
             WeightingMethod.from_string(args.method)
             if getattr(args, "method", None) and args.method != RM3_LABEL
             else None
         ),
-        seed=getattr(args, "seed", None),
     )
 
 
@@ -124,7 +118,8 @@ def _weight_tables(args, config: ExperimentConfig, index: Index, queries, mu: fl
     if method == RM3_LABEL:
         raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
     params = WeightingParams(mu=mu, k=config.k, predictor_m=config.qpp_m)
-    tables = []
+    retrieved = []
+    pairs = []
     for q in queries:
         initial = retrieve_topk(q, config.k, mu, index)
         if not initial.entries:
@@ -137,9 +132,10 @@ def _weight_tables(args, config: ExperimentConfig, index: Index, queries, mu: fl
             config.rm3_lambda,
             index,
         )
-        vocabulary = top_n_terms(rm, config.rm3_n)
-        tables.append((q, initial, rm, weigh_terms(q, vocabulary, method, params, index)))
-    return method, tables
+        retrieved.append((q, initial, rm))
+        pairs.append((q, top_n_terms(rm, config.rm3_n)))
+    weighed = weigh_queries(pairs, (method,), params, index)
+    return method, [(*r, tables[method]) for r, tables in zip(retrieved, weighed)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,20 @@ plain INI; command-line flags override file values field by field.
 from __future__ import annotations
 
 import configparser
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import DEFAULT_STOPWORDS, DEFAULT_TOKEN_PATTERN, AnalyzerConfig
 from .evaluation import MU_GRID, RM3_M_GRID
-from .qpp import PredictorKind
 from .weighting import WeightingMethod
+
+# Keys older config files may set that no longer select anything, and what
+# selects that behaviour now.
+_RETIRED_KEYS = {
+    ("qpp", "kind"): "[weighting] method (or the --qpp-kind flag)",
+    ("synthetic", "seed"): "the make-synthetic --seed flag",
+}
 
 
 @dataclass(frozen=True)
@@ -32,10 +39,8 @@ class ExperimentConfig:
     rm3_n: int = 100
     mu_grid: tuple[int, ...] = MU_GRID
     rm3_m_grid: tuple[int, ...] = RM3_M_GRID
-    qpp_kind: PredictorKind = PredictorKind.NQC
     qpp_m: int | None = None
     weighting_method: WeightingMethod = WeightingMethod.TWQP_NQC
-    seed: int = 32
 
 
 def _format_grid(grid: tuple[int, ...]) -> str:
@@ -74,12 +79,8 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
         "n": str(config.rm3_n),
         "m_grid": _format_grid(config.rm3_m_grid),
     }
-    parser["qpp"] = {
-        "kind": config.qpp_kind.value,
-        "m": "" if config.qpp_m is None else str(config.qpp_m),
-    }
+    parser["qpp"] = {"m": "" if config.qpp_m is None else str(config.qpp_m)}
     parser["weighting"] = {"method": config.weighting_method.value}
-    parser["synthetic"] = {"seed": str(config.seed)}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -90,6 +91,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not read:
         raise ValueError(f"cannot read config file {path}")
     defaults = ExperimentConfig()
+    for (section, key), replacement in _RETIRED_KEYS.items():
+        if parser.has_option(section, key):
+            warnings.warn(
+                f"{path}: [{section}] {key} is not read; use {replacement}", stacklevel=2
+            )
 
     def get(section: str, key: str, fallback: str) -> str:
         return parser.get(section, key, fallback=fallback)
@@ -116,12 +122,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         rm3_n=int(get("rm3", "n", str(defaults.rm3_n))),
         mu_grid=_parse_grid(get("retrieval", "mu_grid", _format_grid(defaults.mu_grid))),
         rm3_m_grid=_parse_grid(get("rm3", "m_grid", _format_grid(defaults.rm3_m_grid))),
-        qpp_kind=PredictorKind.from_string(get("qpp", "kind", defaults.qpp_kind.value)),
         qpp_m=int(qpp_m_raw) if qpp_m_raw else None,
         weighting_method=WeightingMethod.from_string(
             get("weighting", "method", defaults.weighting_method.value)
         ),
-        seed=int(get("synthetic", "seed", str(defaults.seed))),
     )
 
 

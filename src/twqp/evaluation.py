@@ -19,8 +19,8 @@ import numpy as np
 from scipy import stats
 
 from .index import Index
-from .relevance import build_rm3, restrict_top_n
-from .rerank import RerankConfig, rerank_rm3
+from .relevance import build_rm3_grid, restrict_top_n
+from .rerank import RerankConfig, rerank_many
 from .retrieval import Query, RankedList, retrieve_topk
 
 MU_GRID: tuple[int, ...] = tuple(range(100, 5001, 100))
@@ -314,17 +314,21 @@ def tune_rm3_m(
         raise ValueError("empty m grid")
     initial = {q.query_id: retrieve_topk(q, k, mu, index) for q in queries}
     cfg = RerankConfig(mu=mu, rerank_depth=rerank_depth, k=k)
+    ms = sorted(grid)
+    runs: list[list[RankedList]] = [[] for _ in ms]
+    for q in queries:
+        base = initial[q.query_id]
+        if not base.entries:
+            continue
+        depths = [min(m, len(base.entries)) for m in ms]
+        models = build_rm3_grid(q, base, depths, rm3_mu, rm3_lambda, index)
+        weight_maps = [restrict_top_n(rm, rm3_n).term_probs for rm in models]
+        for m_runs, run in zip(runs, rerank_many(base, weight_maps, cfg, index)):
+            m_runs.append(run)
     best_m = None
     best_ap = -1.0
-    for m in sorted(grid):
-        runs = []
-        for q in queries:
-            base = initial[q.query_id]
-            if not base.entries:
-                continue
-            rm = build_rm3(q, base, min(m, len(base.entries)), rm3_mu, rm3_lambda, index)
-            runs.append(rerank_rm3(base, restrict_top_n(rm, rm3_n), cfg, index))
-        ap = _mean_ap(runs, qrels, depth)
+    for m, m_runs in zip(ms, runs):
+        ap = _mean_ap(m_runs, qrels, depth)
         if ap > best_ap:
             best_ap = ap
             best_m = m

@@ -7,7 +7,8 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
   3. retrieve the initial lists (QLOpt-init);
   4. tune the feedback depth over the m grid, build per-query relevance
      models, re-rank (RM3Opt), and extract the candidate vocabulary V;
-  5. weigh terms under each weighting method and re-rank the initial lists;
+  5. weigh terms under every weighting method in one pass that shares the
+     retrievals, and re-rank the initial lists;
   6. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
@@ -38,7 +39,7 @@ from .index import Index, build_index, read_corpus
 from .relevance import build_rm3, restrict_top_n, top_n_terms
 from .rerank import RerankConfig, rerank_rm3, rerank_twqp
 from .retrieval import Query, RankedList, format_run, retrieve_topk
-from .weighting import WeightingMethod, WeightingParams, weigh_terms
+from .weighting import WeightingMethod, WeightingParams, weigh_queries
 
 QL_LABEL = "QLOpt-init"
 RM3_LABEL = "RM3Opt"
@@ -146,19 +147,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cfg = RerankConfig(mu=best_mu, rerank_depth=config.rerank_depth, k=config.k)
     params = WeightingParams(mu=best_mu, k=config.k, predictor_m=config.qpp_m)
     runs: dict[str, dict[str, RankedList]] = {label: {} for label in METHOD_ORDER}
+    pairs = []
     for q in live_queries:
         base = initial[q.query_id]
         rm = build_rm3(
             q, base, min(best_m, len(base.entries)), config.rm3_mu, config.rm3_lambda, index
         )
-        vocabulary = top_n_terms(rm, config.rm3_n)
+        pairs.append((q, top_n_terms(rm, config.rm3_n)))
         runs[QL_LABEL][q.query_id] = base
         runs[RM3_LABEL][q.query_id] = rerank_rm3(
             base, restrict_top_n(rm, config.rm3_n), cfg, index
         )
-        for method in _WEIGHTING_METHODS:
-            table = weigh_terms(q, vocabulary, method, params, index)
-            runs[method.value][q.query_id] = rerank_twqp(base, table, cfg, index)
+    for (q, _), tables in zip(pairs, weigh_queries(pairs, _WEIGHTING_METHODS, params, index)):
+        for method, table in tables.items():
+            runs[method.value][q.query_id] = rerank_twqp(initial[q.query_id], table, cfg, index)
 
     report = build_report(runs, qrels, baseline=RM3_LABEL, cutoff=10, depth=config.k)
     written = write_outputs(config.output_dir, best_mu, best_m, runs, report, tuple(skipped))

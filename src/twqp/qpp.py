@@ -17,11 +17,12 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import Query, RankedList, retrieve_topk, smoothed_prob
+from .retrieval import Query, RankedList, log_prob_matrix, retrieve_topk, smoothed_prob
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -147,29 +148,47 @@ def predictor_minimum(kind: PredictorKind) -> float:
     return 1.0 if kind is PredictorKind.SCORE_RATIO else 0.0
 
 
-def nwig_term(w: str, lst: RankedList, m: int, mu: float, index: Index) -> float:
-    """Per-term information-gain weight over the top-m docs of a list.
+def nwig_weights(
+    terms: Sequence[str], lst: RankedList, m: int, mu: float, index: Index
+) -> dict[str, float]:
+    """Per-term information-gain weights over the top-m docs of a list.
 
         [ (1/m) sum_{d in top-m} log p_d(w)  -  log p_D(w) ] / ( -log p_D(w) )
 
     Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
-    with a warning, since the denominator is undefined.
+    with a warning, since the denominator is undefined.  The logs come from
+    one log_prob_matrix over every term, added up one document at a time in
+    rank order, as the one-term sum does.
     """
     if not lst.entries:
         raise ValueError("nWIG is undefined on an empty ranked list")
     m = min(m, len(lst.entries))
-    p_collection = collection_prob(w, index)
-    if p_collection == 0.0:
-        warnings.warn(f"nWIG: term {w!r} out of vocabulary; weight 0", stacklevel=2)
-        return 0.0
-    log_pd = math.log(p_collection)
-    if log_pd == 0.0:
-        warnings.warn(f"nWIG: term {w!r} has collection probability 1; weight 0", stacklevel=2)
-        return 0.0
-    mean_log = (
-        sum(math.log(smoothed_prob(w, doc_id, mu, index)) for doc_id, _ in lst.entries[:m]) / m
-    )
-    return (mean_log - log_pd) / (-log_pd)
+    weights: dict[str, float] = {}
+    log_pds: dict[str, float] = {}
+    for w in terms:
+        weights[w] = 0.0
+        p_collection = collection_prob(w, index)
+        if p_collection == 0.0:
+            warnings.warn(f"nWIG: term {w!r} out of vocabulary; weight 0", stacklevel=2)
+            continue
+        log_pd = math.log(p_collection)
+        if log_pd == 0.0:
+            warnings.warn(f"nWIG: term {w!r} has collection probability 1; weight 0", stacklevel=2)
+            continue
+        log_pds[w] = log_pd
+    scored = list(log_pds)
+    nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
+    totals = np.zeros(len(scored))
+    for column in log_prob_matrix(scored, nums, mu, index).T:
+        totals += column
+    for w, total in zip(scored, totals.tolist()):
+        weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
+    return weights
+
+
+def nwig_term(w: str, lst: RankedList, m: int, mu: float, index: Index) -> float:
+    """nWIG weight of one term; see nwig_weights."""
+    return nwig_weights((w,), lst, m, mu, index)[w]
 
 
 def sror_term(

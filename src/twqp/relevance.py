@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import TextIO
+from typing import Sequence, TextIO
+
+import numpy as np
 
 from .index import Index
-from .retrieval import Query, RankedList, score_ql
+from .retrieval import Query, RankedList, log_prob_matrix, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -48,48 +51,84 @@ def build_rm3(
     is an error.  Document weights are query likelihoods at this mu, which
     need not be the mu the initial list was retrieved with.
     """
+    return build_rm3_grid(q, initial, (m,), mu, lam, index)[0]
+
+
+def build_rm3_grid(
+    q: Query,
+    initial: RankedList,
+    ms: Sequence[int],
+    mu: float,
+    lam: float,
+    index: Index,
+) -> list[RelevanceModel]:
+    """One RM3 model per feedback depth in ms, each equal to build_rm3's.
+
+    The top max(ms) documents are scored once and their tf/len vectors are
+    gathered once; each depth then weighs its first m documents by
+    renormalized likelihood and adds them up one document at a time in rank
+    order, as a per-document dictionary update would.
+    """
     if not initial.entries:
         raise ValueError("cannot build a relevance model from an empty ranked list")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
-    if m < 1:
-        raise ValueError(f"feedback depth m must be >= 1, got {m}")
-    if m > len(initial.entries):
-        warnings.warn(
-            f"feedback depth {m} exceeds list length {len(initial.entries)}; clamping",
-            stacklevel=2,
-        )
-        m = len(initial.entries)
+    depths = []
+    for m in ms:
+        if m < 1:
+            raise ValueError(f"feedback depth m must be >= 1, got {m}")
+        if m > len(initial.entries):
+            warnings.warn(
+                f"feedback depth {m} exceeds list length {len(initial.entries)}; clamping",
+                stacklevel=2,
+            )
+            m = len(initial.entries)
+        depths.append(m)
 
-    feedback_docs = [doc_id for doc_id, _ in initial.entries[:m]]
-    log_scores = [score_ql(q, d, mu, index) for d in feedback_docs]
-    top = max(log_scores)
-    raw = [math.exp(s - top) for s in log_scores]
-    z = sum(raw)
-    doc_weights = [r / z for r in raw]
+    feedback_docs = [doc_id for doc_id, _ in initial.entries[: max(depths)]]
+    terms, counts = zip(*sorted(q.term_counts().items()))
+    nums = index.columns.doc_numbers(feedback_docs)
+    log_scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index)).tolist()
 
-    feedback: dict[str, float] = {}
-    for d, wd in zip(feedback_docs, doc_weights):
+    vectors = [index.doc_vector(d) for d in feedback_docs]
+    vocab = sorted(set(q.terms).union(*vectors))
+    column = {w: i for i, w in enumerate(vocab)}
+    doc_probs = np.zeros((len(feedback_docs), len(vocab)))
+    for row, d, vector in zip(doc_probs, feedback_docs, vectors):
         length = index.doc_length(d)
-        if length == 0:
-            continue
-        for w, tf in index.doc_vector(d).items():
-            feedback[w] = feedback.get(w, 0.0) + wd * (tf / length)
-
-    counts = q.term_counts()
+        row[[column[w] for w in vector]] = [tf / length for tf in vector.values()]
+    # A term is in the depth-m support when one of the first m docs holds it.
+    held = doc_probs > 0.0
+    first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(feedback_docs))
+    query_counts = q.term_counts()
     qlen = len(q.terms)
-    term_probs: dict[str, float] = {}
-    for w in sorted(set(feedback) | set(counts)):
-        term_probs[w] = lam * (counts.get(w, 0) / qlen) + (1.0 - lam) * feedback.get(w, 0.0)
-    return RelevanceModel(q.query_id, term_probs, m, mu, lam)
+    query_probs = np.array([query_counts.get(w, 0) / qlen for w in vocab])
+    is_query_term = query_probs > 0.0
+
+    models = []
+    for m in depths:
+        top = max(log_scores[:m])
+        raw = [math.exp(s - top) for s in log_scores[:m]]
+        z = sum(raw)
+        feedback = np.zeros(len(vocab))
+        for r, row in zip(raw, doc_probs):
+            feedback += (r / z) * row
+        support = first_doc < m
+        keep = support | is_query_term
+        probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
+        term_probs = dict(zip(compress(vocab, keep.tolist()), probs[keep].tolist()))
+        models.append(RelevanceModel(q.query_id, term_probs, m, mu, lam))
+    return models
 
 
 def top_n_terms(rm: RelevanceModel, n: int) -> list[str]:
     """The n highest-probability terms; ties broken lexicographically."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ranked = sorted(rm.term_probs.items(), key=lambda e: (-e[1], e[0]))
-    return [w for w, _ in ranked[:n]]
+    # Python's sort is stable, also in reverse, so sorting the terms by
+    # probability after sorting them by name breaks ties by name.
+    by_name = sorted(rm.term_probs)
+    return sorted(by_name, key=rm.term_probs.__getitem__, reverse=True)[:n]
 
 
 def restrict_top_n(rm: RelevanceModel, n: int) -> RelevanceModel:

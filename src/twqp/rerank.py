@@ -12,6 +12,7 @@ the authoritative output of a re-ranked list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,29 +40,44 @@ class RerankConfig:
             raise ValueError(f"rerank requires mu > 0, got {self.mu}")
 
 
-def _rerank(
-    initial: RankedList, weights: dict[str, float], cfg: RerankConfig, index: Index
-) -> RankedList:
+def rerank_many(
+    initial: RankedList,
+    weight_maps: Sequence[dict[str, float]],
+    cfg: RerankConfig,
+    index: Index,
+) -> list[RankedList]:
+    """The initial list re-ranked once per term -> weight map.
+
+    One head x term log matrix over the union of the maps' non-zero terms
+    serves every map: each cell depends only on its term and document.
+    """
     # Same summation order as query-likelihood scoring (sorted terms), so a
     # table of term counts reproduces the QL score bit-for-bit.
     head = initial.entries[: cfg.rerank_depth]
     tail = initial.entries[cfg.rerank_depth :]
-    terms = [w for w in sorted(weights) if weights[w] != 0.0]
+    map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
+    terms = sorted(set().union(*map_terms))
     nums = np.sort(index.columns.doc_numbers(d for d, _ in head))
     log_probs = log_prob_matrix(terms, nums, cfg.mu, index)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
         w = terms[unindexed[0]]
         raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
-    scores = weighted_sum([weights[w] for w in terms], log_probs)
-    return RankedList(initial.query_id, rank_entries(nums, scores, index) + tail, initial.k)
+    row = {w: i for i, w in enumerate(terms)}
+    reranked = []
+    for weights, present in zip(weight_maps, map_terms):
+        rows = log_probs[[row[w] for w in present]]
+        scores = weighted_sum([weights[w] for w in present], rows)
+        entries = rank_entries(nums, scores, index) + tail
+        reranked.append(RankedList(initial.query_id, entries, initial.k))
+    return reranked
 
 
 def rerank_twqp(
     initial: RankedList, table: TermWeightTable, cfg: RerankConfig, index: Index
 ) -> RankedList:
     """Score(d) = sum_w weight(w) * log p_d(w) over the table's terms."""
-    return _rerank(initial, table.weights, cfg, index)
+    return rerank_many(initial, [table.weights], cfg, index)[0]
 
 
 def rerank_rm3(
@@ -72,4 +88,4 @@ def rerank_rm3(
     The model is used as passed; clip it to its top-n support first when the
     candidate-vocabulary protocol calls for that.
     """
-    return _rerank(initial, rm.term_probs, cfg, index)
+    return rerank_many(initial, [rm.term_probs], cfg, index)[0]

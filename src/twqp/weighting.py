@@ -7,7 +7,8 @@ terms predicted to help get weight > 0.5 and terms predicted to hurt get
 weight < 0.5.
 
 For a candidate vocabulary V this costs exactly 1 + |V| retrievals per query:
-the base quality is computed once and reused for every w.  All retrievals go
+the base quality is computed once and reused for every w, and the TWQP
+predictors weighed together share those retrievals.  All retrievals go
 through this module's ``retrieve_topk`` name so the count can be instrumented.
 """
 
@@ -25,7 +26,7 @@ from .qpp import (
     NWIG_DEFAULT_M,
     PredictorKind,
     PredictorSpec,
-    nwig_term,
+    nwig_weights,
     predict_quality,
     predict_score_ratio,
     predictor_minimum,
@@ -112,6 +113,21 @@ def delta_p(
         base_quality = predict_quality(predictor, base_list, q, mu, index)
     expanded = expand_query(q, w)
     expanded_list = retrieve_topk(expanded, k, mu, index)
+    return _quality_delta(
+        predictor, base_list, base_quality, expanded, expanded_list, mu, index
+    )
+
+
+def _quality_delta(
+    predictor: PredictorSpec,
+    base_list: RankedList,
+    base_quality: float,
+    expanded: Query,
+    expanded_list: RankedList,
+    mu: float,
+    index: Index,
+) -> float:
+    """delta_p for an expanded list already retrieved."""
     if expanded_list.entries:
         expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index)
     else:
@@ -145,45 +161,89 @@ def weigh_terms(
     ScoreRatio weights come from one single-term retrieval per candidate,
     sum-normalized; an empty single-term retrieval contributes 0.
     """
-    if method is WeightingMethod.SROR:
-        base = retrieve_topk(q, params.k, params.mu, index)
-        weights = {
-            t: sror_term(t, q, params.k, params.mu, index, base_list=base)
-            for t in sorted(set(q.terms))
-        }
-        return TermWeightTable(q.query_id, method, weights)
+    return weigh_queries([(q, vocabulary)], (method,), params, index)[0][method]
 
-    if not vocabulary:
+
+def weigh_queries(
+    pairs: Sequence[tuple[Query, Sequence[str]]],
+    methods: Sequence[WeightingMethod],
+    params: WeightingParams,
+    index: Index,
+) -> list[dict[WeightingMethod, TermWeightTable]]:
+    """One {method: table} per (query, vocabulary) pair, sharing retrievals.
+
+    Each table equals the one weigh_terms gives for its method alone.  Per
+    query, one base retrieval serves nWIG, SROR and every TWQP method, and
+    each q+w list is retrieved once and scored by every TWQP predictor.  A
+    single-term ScoreRatio depends only on (w, mu, k), so each distinct w
+    is retrieved once for all the queries of the call.
+    """
+    single_ratios: dict[str, float] = {}
+    return [
+        _weigh_query(q, vocabulary, methods, params, index, single_ratios)
+        for q, vocabulary in pairs
+    ]
+
+
+def _weigh_query(
+    q: Query,
+    vocabulary: Sequence[str],
+    methods: Sequence[WeightingMethod],
+    params: WeightingParams,
+    index: Index,
+    single_ratios: dict[str, float],
+) -> dict[WeightingMethod, TermWeightTable]:
+    k, mu = params.k, params.mu
+    if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
         raise ValueError("candidate vocabulary is empty")
+    candidates = list(dict.fromkeys(vocabulary))
+    needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
+    if needs_list or WeightingMethod.SROR in methods:
+        base = retrieve_topk(q, k, mu, index)
+        if needs_list and not base.entries:
+            raise ValueError(
+                f"query {q.query_id!r} retrieved nothing; {needs_list[0].value} undefined"
+            )
 
-    if method is WeightingMethod.SCORE_RATIO_NORM:
+    weights: dict[WeightingMethod, dict[str, float]] = {}
+    if WeightingMethod.SROR in methods:
+        weights[WeightingMethod.SROR] = {
+            t: sror_term(t, q, k, mu, index, base_list=base) for t in sorted(set(q.terms))
+        }
+    if WeightingMethod.SCORE_RATIO_NORM in methods:
         raw: dict[str, float] = {}
-        for w in vocabulary:
-            single = retrieve_topk(Query(q.query_id, (w,)), params.k, params.mu, index)
-            raw[w] = predict_score_ratio(single) if single.entries else 0.0
+        for w in candidates:
+            if w not in single_ratios:
+                single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index)
+                single_ratios[w] = predict_score_ratio(single) if single.entries else 0.0
+            raw[w] = single_ratios[w]
         total = sum(raw.values())
         if total == 0.0:
-            warnings.warn("ScoreRatio: all candidate retrievals empty; zero table", stacklevel=2)
-            return TermWeightTable(q.query_id, method, raw)
-        return TermWeightTable(q.query_id, method, {w: v / total for w, v in raw.items()})
+            warnings.warn("ScoreRatio: all candidate retrievals empty; zero table", stacklevel=3)
+        else:
+            raw = {w: v / total for w, v in raw.items()}
+        weights[WeightingMethod.SCORE_RATIO_NORM] = raw
+    if WeightingMethod.NWIG in methods:
+        weights[WeightingMethod.NWIG] = nwig_weights(candidates, base, params.nwig_m, mu, index)
 
-    if method is WeightingMethod.NWIG:
-        base = retrieve_topk(q, params.k, params.mu, index)
-        if not base.entries:
-            raise ValueError(f"query {q.query_id!r} retrieved nothing; nWIG undefined")
-        weights = {w: nwig_term(w, base, params.nwig_m, params.mu, index) for w in vocabulary}
-        return TermWeightTable(q.query_id, method, weights)
-
-    predictor = PredictorSpec(_TWQP_PREDICTOR[method], params.predictor_m)
-    base = retrieve_topk(q, params.k, params.mu, index)
-    if not base.entries:
-        raise ValueError(f"query {q.query_id!r} retrieved nothing; {method.value} undefined")
-    base_quality = predict_quality(predictor, base, q, params.mu, index)
-    weights = {}
-    for w in vocabulary:
-        delta = delta_p(w, q, base, predictor, params.k, params.mu, index, base_quality)
-        weights[w] = twqp_weight(delta)
-    return TermWeightTable(q.query_id, method, weights)
+    predictors = {
+        m: PredictorSpec(_TWQP_PREDICTOR[m], params.predictor_m)
+        for m in methods
+        if m in _TWQP_PREDICTOR
+    }
+    if predictors:
+        base_quality = {m: predict_quality(p, base, q, mu, index) for m, p in predictors.items()}
+        for m in predictors:
+            weights[m] = {}
+        for w in candidates:
+            expanded = expand_query(q, w)
+            expanded_list = retrieve_topk(expanded, k, mu, index)
+            for m, predictor in predictors.items():
+                delta = _quality_delta(
+                    predictor, base, base_quality[m], expanded, expanded_list, mu, index
+                )
+                weights[m][w] = twqp_weight(delta)
+    return {m: TermWeightTable(q.query_id, m, weights[m]) for m in methods}
 
 
 def query_indicator_table(q: Query) -> TermWeightTable:

@@ -1,7 +1,10 @@
 """Shared fixtures: hand-sized corpora with exact integer statistics."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from twqp.analysis import AnalyzerConfig
 from twqp.index import Document, build_index
@@ -51,3 +54,24 @@ def random_query(rng, index, query_id="q0", max_terms=4, allow_duplicates=True):
     if not allow_duplicates:
         terms = sorted(set(terms))
     return Query(query_id, tuple(terms))
+
+
+# Vocabulary of the hypothesis corpora, and a term no corpus holds.
+VOCAB = ("a", "b", "c", "d", "e")
+UNINDEXED = "zz"
+POSITIVE_MUS = st.one_of(
+    st.sampled_from([1, 10, 100.0, 1000, 2500.0]),
+    st.floats(min_value=1e-3, max_value=5000.0, allow_nan=False),
+)
+
+
+@st.composite
+def corpora(draw, max_docs=12):
+    """1-max_docs documents of 1-300 tokens, each over its own subset of VOCAB."""
+    docs = []
+    for j in range(draw(st.integers(1, max_docs))):
+        rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+        words = rnd.sample(VOCAB, rnd.randint(1, len(VOCAB)))
+        length = draw(st.integers(1, 300))
+        docs.append(Document(f"d{j:02d}", " ".join(rnd.choices(words, k=length))))
+    return build_index(docs, PLAIN)

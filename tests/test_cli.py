@@ -154,6 +154,29 @@ class TestPipelineCommands:
             assert label == "TWQP(NQC)"
             assert 0.0 < float(weight) < 1.0
 
+    def _weigh_labels(self, workspace, *flags):
+        out_path = workspace / "labels.txt"
+        rc = main(
+            [
+                "weigh",
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", "1000",
+                "--out", str(out_path),
+                *flags,
+            ]
+        )
+        assert rc == 0
+        return {line.split()[1] for line in out_path.read_text().splitlines()}
+
+    def test_config_method_selects_weighter_and_stale_kind_warns(self, workspace, capsys):
+        ini = workspace / "wig.ini"
+        ini.write_text("[qpp]\nkind = NQC\n[weighting]\nmethod = TWQP(WIG)\n")
+        with pytest.warns(UserWarning, match=r"\[qpp\] kind is not read"):
+            assert self._weigh_labels(workspace, "--config", str(ini)) == {"TWQP(WIG)"}
+        assert self._weigh_labels(workspace, "--qpp-kind", "ScoreRatio") == {"TWQP(ScoreRatio)"}
+        capsys.readouterr()
+
     def test_rerank_writes_run(self, workspace, capsys):
         out_path = workspace / "nwig.run"
         rc = main(

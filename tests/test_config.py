@@ -4,7 +4,6 @@ import pytest
 
 from twqp.analysis import DEFAULT_STOPWORDS, AnalyzerConfig
 from twqp.config import ExperimentConfig, load_config, override, save_config
-from twqp.qpp import PredictorKind
 from twqp.weighting import WeightingMethod
 
 
@@ -18,10 +17,8 @@ class TestDefaults:
         assert cfg.rm3_n == 100
         assert cfg.mu_grid == tuple(range(100, 5001, 100))
         assert cfg.rm3_m_grid == tuple(range(5, 101, 5))
-        assert cfg.qpp_kind is PredictorKind.NQC
         assert cfg.qpp_m is None
         assert cfg.weighting_method is WeightingMethod.TWQP_NQC
-        assert cfg.seed == 32
         assert cfg.output_dir == "out"
         assert cfg.corpus is None and cfg.topics is None and cfg.qrels is None
 
@@ -56,10 +53,8 @@ class TestRoundTrip:
             rm3_n=40,
             mu_grid=(100, 200, 300),
             rm3_m_grid=(5, 15),
-            qpp_kind=PredictorKind.WIG,
             qpp_m=25,
             weighting_method=WeightingMethod.SROR,
-            seed=7,
         )
         path = tmp_path / "exp.ini"
         save_config(cfg, path)
@@ -83,6 +78,27 @@ class TestRoundTrip:
         assert cfg.mu_grid == tuple(range(100, 5001, 100))
         assert cfg.analyzer == AnalyzerConfig()
 
+    @pytest.mark.parametrize(
+        "section, key, replacement",
+        [("qpp", "kind", r"\[weighting\] method"), ("synthetic", "seed", "make-synthetic --seed")],
+    )
+    def test_retired_key_warns_and_names_its_replacement(
+        self, tmp_path, section, key, replacement
+    ):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = 7\n[retrieval]\nk = 250\n")
+        with pytest.warns(UserWarning, match=replacement):
+            cfg = load_config(path)
+        assert cfg == ExperimentConfig(k=250)
+
+    def test_saved_file_sets_no_retired_key(self, tmp_path, recwarn):
+        path = tmp_path / "exp.ini"
+        save_config(ExperimentConfig(), path)
+        text = path.read_text()
+        assert "kind" not in text and "[synthetic]" not in text
+        load_config(path)
+        assert not recwarn.list
+
     def test_grid_accepts_spaces_or_commas(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[retrieval]\nmu_grid = 100, 200 300\n")
@@ -92,12 +108,12 @@ class TestRoundTrip:
 class TestOverride:
     def test_none_values_keep_existing(self):
         cfg = ExperimentConfig(k=500)
-        assert override(cfg, k=None, seed=None) == cfg
+        assert override(cfg, k=None, qpp_m=None) == cfg
 
     def test_non_none_values_replace(self):
-        cfg = override(ExperimentConfig(), k=200, seed=9)
+        cfg = override(ExperimentConfig(), k=200, qpp_m=9)
         assert cfg.k == 200
-        assert cfg.seed == 9
+        assert cfg.qpp_m == 9
         assert cfg.rerank_depth == 100
 
     def test_no_changes_returns_equal_config(self):

@@ -6,7 +6,6 @@ Every comparison here is ==, never approximate.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,31 +23,12 @@ from twqp.retrieval import (
 )
 from twqp.weighting import TermWeightTable
 
-from conftest import PLAIN
-
-VOCAB = ("a", "b", "c", "d", "e")
-UNINDEXED = "zz"
+from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 
 MUS = st.one_of(
     st.sampled_from([0, 0.0, 1, 10, 100.0, 1000, 2500.0]),
     st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
 )
-POSITIVE_MUS = st.one_of(
-    st.sampled_from([1, 10, 100.0, 1000, 2500.0]),
-    st.floats(min_value=1e-3, max_value=5000.0, allow_nan=False),
-)
-
-
-@st.composite
-def corpora(draw):
-    """1-12 documents of 1-300 tokens, each over its own subset of VOCAB."""
-    docs = []
-    for j in range(draw(st.integers(1, 12))):
-        rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
-        words = rnd.sample(VOCAB, rnd.randint(1, len(VOCAB)))
-        length = draw(st.integers(1, 300))
-        docs.append(Document(f"d{j:02d}", " ".join(rnd.choices(words, k=length))))
-    return build_index(docs, PLAIN)
 
 
 def queries():

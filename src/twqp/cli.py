@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import ExperimentConfig, load_config, override, save_config
 from .evaluation import (
+    Qrels,
     average_precision,
     load_qrels,
     load_topics,
@@ -23,65 +23,42 @@ from .evaluation import (
     tune_mu,
     tune_rm3_m,
 )
-from .experiment import RM3_LABEL, make_queries, run_experiment
+from .experiment import (
+    RM3_LABEL,
+    expand_and_weigh,
+    make_queries,
+    rerank_queries,
+    run_experiment,
+)
 from .index import Index, build_index, read_corpus
 from .qpp import PredictorKind
-from .relevance import build_rm3, restrict_top_n, top_n_terms
-from .rerank import RerankConfig, rerank_rm3, rerank_twqp
+from .rerank import RerankConfig
 from .retrieval import read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
-from .weighting import WeightingMethod, WeightingParams, dump_weight_tables, weigh_queries
-
-_TWQP_FOR_KIND = {
-    PredictorKind.WIG: WeightingMethod.TWQP_WIG,
-    PredictorKind.NQC: WeightingMethod.TWQP_NQC,
-    PredictorKind.SCORE_RATIO: WeightingMethod.TWQP_SCORE_RATIO,
-}
-
-
-# ---------------------------------------------------------------------------
-# Command implementations (also the library-level entry points)
-# ---------------------------------------------------------------------------
-
-
-def cmd_index(corpus_path: str, config: ExperimentConfig, out_path: str) -> Path:
-    """Build an index from a corpus and write its snapshot."""
-    index = build_index(read_corpus(corpus_path), config.analyzer)
-    out = Path(out_path)
-    index.save(out)
-    return out
-
-
-def cmd_experiment(config: ExperimentConfig):
-    """Run the full protocol; returns the ExperimentResult."""
-    return run_experiment(config)
-
-
-def cmd_make_synthetic(
-    seed: int, n_docs: int, vocab_size: int, n_queries: int, out_dir: str
-) -> dict[str, Path]:
-    """Generate a synthetic collection and write its three files."""
-    collection = make_synthetic(seed, n_docs, vocab_size, n_queries)
-    return write_collection(collection, out_dir)
+from .weighting import WeightingMethod, dump_weight_tables
 
 
 def _load_index(args, config: ExperimentConfig) -> Index:
     if getattr(args, "snapshot", None):
         return Index.load(args.snapshot)
-    corpus = getattr(args, "corpus", None) or config.corpus
-    if not corpus:
+    if not config.corpus:
         raise ValueError("need --snapshot or --corpus")
-    return build_index(read_corpus(corpus), config.analyzer)
+    return build_index(read_corpus(config.corpus), config.analyzer)
 
 
-def _queries_for(args, config: ExperimentConfig, index: Index):
-    topics_path = getattr(args, "topics", None) or config.topics
-    if not topics_path:
+def _queries_for(config: ExperimentConfig, index: Index):
+    if not config.topics:
         raise ValueError("need --topics")
-    queries, _ = make_queries(load_topics(topics_path), index)
+    queries, _ = make_queries(load_topics(config.topics), index)
     if not queries:
         raise ValueError("no usable queries after analysis")
     return queries
+
+
+def _qrels_for(config: ExperimentConfig) -> Qrels:
+    if not config.qrels:
+        raise ValueError("need --qrels")
+    return load_qrels(config.qrels)
 
 
 def _config_from(args) -> ExperimentConfig:
@@ -104,38 +81,12 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _method_from(args, config: ExperimentConfig) -> WeightingMethod | str:
-    if getattr(args, "method", None):
-        if args.method == RM3_LABEL:
-            return RM3_LABEL
-        return WeightingMethod.from_string(args.method)
-    if getattr(args, "qpp_kind", None):
-        return _TWQP_FOR_KIND[PredictorKind.from_string(args.qpp_kind)]
+    if args.method == RM3_LABEL:
+        return RM3_LABEL
+    if args.qpp_kind and not args.method:
+        kind = PredictorKind.from_string(args.qpp_kind)
+        return WeightingMethod.from_string(f"TWQP({kind.value})")
     return config.weighting_method
-
-
-def _weight_tables(args, config: ExperimentConfig, index: Index, queries, mu: float):
-    method = _method_from(args, config)
-    if method == RM3_LABEL:
-        raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
-    params = WeightingParams(mu=mu, k=config.k, predictor_m=config.qpp_m)
-    retrieved = []
-    pairs = []
-    for q in queries:
-        initial = retrieve_topk(q, config.k, mu, index)
-        if not initial.entries:
-            continue
-        rm = build_rm3(
-            q,
-            initial,
-            min(args.rm3_m, len(initial.entries)),
-            config.rm3_mu,
-            config.rm3_lambda,
-            index,
-        )
-        retrieved.append((q, initial, rm))
-        pairs.append((q, top_n_terms(rm, config.rm3_n)))
-    weighed = weigh_queries(pairs, (method,), params, index)
-    return method, [(*r, tables[method]) for r, tables in zip(retrieved, weighed)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     config = _config_from(args)
     if args.command == "index":
-        corpus = args.corpus or config.corpus
-        if not corpus:
+        if not config.corpus:
             raise ValueError("need --corpus")
-        out = cmd_index(corpus, config, args.out)
-        print(f"indexed -> {out}")
+        build_index(read_corpus(config.corpus), config.analyzer).save(args.out)
+        print(f"indexed -> {args.out}")
         return 0
 
     if args.command == "make-synthetic":
-        paths = cmd_make_synthetic(args.seed, args.docs, args.vocab, args.queries, args.out_dir)
+        collection = make_synthetic(args.seed, args.docs, args.vocab, args.queries)
+        paths = write_collection(collection, args.out_dir)
         for kind in sorted(paths):
             print(f"{kind}: {paths[kind]}")
         return 0
@@ -249,17 +200,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "experiment":
-        result = cmd_experiment(config)
+        result = run_experiment(config)
         print(f"tuned mu={result.best_mu:g} rm3_m={result.best_m}")
         for path in result.output_files:
             print(f"wrote {path}")
         return 0
 
     if args.command == "eval":
-        qrels_path = args.qrels or config.qrels
-        if not qrels_path:
-            raise ValueError("need --qrels")
-        qrels = load_qrels(qrels_path)
+        qrels = _qrels_for(config)
         runs = read_run(args.run)
         rows = []
         for qid in sorted(runs):
@@ -285,21 +233,21 @@ def _run(args) -> int:
     index = _load_index(args, config)
 
     if args.command == "tune-mu":
-        queries = _queries_for(args, config, index)
-        qrels = load_qrels(args.qrels or config.qrels)
+        qrels = _qrels_for(config)
+        queries = _queries_for(config, index)
         best = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
         print(f"best mu: {best:g}")
         return 0
 
     if args.command == "tune-rm3":
-        queries = _queries_for(args, config, index)
-        qrels = load_qrels(args.qrels or config.qrels)
+        qrels = _qrels_for(config)
+        queries = _queries_for(config, index)
         mu = args.mu
         if mu is None:
             mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
         best = tune_rm3_m(
             index,
-            queries,
+            [(q, retrieve_topk(q, config.k, mu, index)) for q in queries],
             qrels,
             mu,
             config.rm3_m_grid,
@@ -314,7 +262,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "search":
-        queries = _queries_for(args, config, index)
+        queries = _queries_for(config, index)
         if args.mu is None:
             raise ValueError("need --mu")
         lists = [retrieve_topk(q, config.k, args.mu, index) for q in queries]
@@ -322,44 +270,25 @@ def _run(args) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    if args.command == "weigh":
-        queries = _queries_for(args, config, index)
+    if args.command in ("weigh", "rerank"):
+        queries = _queries_for(config, index)
         if args.mu is None:
             raise ValueError("need --mu")
-        _, tables = _weight_tables(args, config, index, queries, args.mu)
-        dump_weight_tables([t for _, _, _, t in tables], args.out)
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "rerank":
-        queries = _queries_for(args, config, index)
-        if args.mu is None:
-            raise ValueError("need --mu")
-        depth = args.rerank_depth or config.rerank_depth
-        cfg = RerankConfig(mu=args.mu, rerank_depth=depth, k=config.k)
         method = _method_from(args, config)
-        reranked = []
-        if method == RM3_LABEL:
-            for q in queries:
-                initial = retrieve_topk(q, config.k, args.mu, index)
-                if not initial.entries:
-                    continue
-                rm = build_rm3(
-                    q,
-                    initial,
-                    min(args.rm3_m, len(initial.entries)),
-                    config.rm3_mu,
-                    config.rm3_lambda,
-                    index,
-                )
-                reranked.append(rerank_rm3(initial, restrict_top_n(rm, config.rm3_n), cfg, index))
-            tag = RM3_LABEL
+        if args.command == "rerank":  # reject a bad depth before the weighing work
+            RerankConfig(mu=args.mu, rerank_depth=config.rerank_depth, k=config.k)
+        elif method == RM3_LABEL:
+            raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
+        methods = () if method == RM3_LABEL else (method,)
+        lists = [(q, retrieve_topk(q, config.k, args.mu, index)) for q in queries]
+        lists = [(q, initial) for q, initial in lists if initial.entries]
+        weighed = expand_and_weigh(lists, args.rm3_m, methods, args.mu, config, index)
+        if args.command == "weigh":
+            dump_weight_tables([tables[method] for _, tables in weighed], args.out)
         else:
-            _, tables = _weight_tables(args, config, index, queries, args.mu)
-            for _, initial, _, table in tables:
-                reranked.append(rerank_twqp(initial, table, cfg, index))
-            tag = method.value
-        write_run(reranked, args.out, tag)
+            label = RM3_LABEL if method == RM3_LABEL else method.value
+            runs = rerank_queries(lists, weighed, args.mu, config, index).get(label, {})
+            write_run(list(runs.values()), args.out, label)
         print(f"wrote {args.out}")
         return 0
 

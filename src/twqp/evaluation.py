@@ -294,7 +294,7 @@ def tune_mu(
 
 def tune_rm3_m(
     index: Index,
-    queries: Sequence[Query],
+    lists: Sequence[tuple[Query, RankedList]],
     qrels: Qrels,
     mu: float,
     grid: Sequence[int] = RM3_M_GRID,
@@ -307,17 +307,16 @@ def tune_rm3_m(
 ) -> int:
     """Feedback depth maximizing mean AP of the re-ranked runs.
 
-    mu is the already-tuned retrieval smoothing; the relevance model uses
-    its own rm3_mu for document weights.
+    lists pairs each query with its depth-k retrieval at mu, the
+    already-tuned retrieval smoothing; queries with an empty list are
+    skipped.  The relevance model uses its own rm3_mu for document weights.
     """
     if not grid:
         raise ValueError("empty m grid")
-    initial = {q.query_id: retrieve_topk(q, k, mu, index) for q in queries}
     cfg = RerankConfig(mu=mu, rerank_depth=rerank_depth, k=k)
     ms = sorted(grid)
     runs: list[list[RankedList]] = [[] for _ in ms]
-    for q in queries:
-        base = initial[q.query_id]
+    for q, base in lists:
         if not base.entries:
             continue
         depths = [min(m, len(base.entries)) for m in ms]

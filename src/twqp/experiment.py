@@ -5,10 +5,11 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
   1. build the index and analyze the topic titles into queries;
   2. tune the smoothing mass over the mu grid (best mean AP);
   3. retrieve the initial lists (QLOpt-init);
-  4. tune the feedback depth over the m grid, build per-query relevance
-     models, re-rank (RM3Opt), and extract the candidate vocabulary V;
-  5. weigh terms under every weighting method in one pass that shares the
-     retrievals, and re-rank the initial lists;
+  4. tune the feedback depth over the m grid;
+  5. per query, build the relevance model and extract the candidate
+     vocabulary V, weigh V under every weighting method in one pass that
+     shares the retrievals (expand_and_weigh), and re-rank the head under
+     the model (RM3Opt) and every weight table (rerank_queries);
   6. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
@@ -23,6 +24,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .analysis import analyze
 from .config import ExperimentConfig
@@ -37,9 +39,9 @@ from .evaluation import (
 )
 from .index import Index, build_index, read_corpus
 from .relevance import build_rm3, restrict_top_n, top_n_terms
-from .rerank import RerankConfig, rerank_rm3, rerank_twqp
+from .rerank import RerankConfig, rerank_many
 from .retrieval import Query, RankedList, format_run, retrieve_topk
-from .weighting import WeightingMethod, WeightingParams, weigh_queries
+from .weighting import TermWeightTable, WeightingMethod, WeightingParams, weigh_queries
 
 QL_LABEL = "QLOpt-init"
 RM3_LABEL = "RM3Opt"
@@ -55,14 +57,7 @@ METHOD_ORDER: tuple[str, ...] = (
     WeightingMethod.TWQP_NQC.value,
 )
 
-_WEIGHTING_METHODS: tuple[WeightingMethod, ...] = (
-    WeightingMethod.NWIG,
-    WeightingMethod.SCORE_RATIO_NORM,
-    WeightingMethod.SROR,
-    WeightingMethod.TWQP_WIG,
-    WeightingMethod.TWQP_SCORE_RATIO,
-    WeightingMethod.TWQP_NQC,
-)
+_WEIGHTING_METHODS: tuple[WeightingMethod, ...] = tuple(map(WeightingMethod, METHOD_ORDER[2:]))
 
 
 @dataclass(frozen=True)
@@ -108,6 +103,54 @@ def run_label_slug(label: str) -> str:
     return slug.strip("-")
 
 
+def expand_and_weigh(
+    lists: Sequence[tuple[Query, RankedList]],
+    m: int,
+    methods: Sequence[WeightingMethod],
+    mu: float,
+    config: ExperimentConfig,
+    index: Index,
+) -> list[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]]:
+    """(RM3 weight map, {method: weight table}) for each (query, list) pair.
+
+    Each list is the query's non-empty depth-k retrieval at mu.  RM3 is
+    built from its top min(m, len) documents; the candidate vocabulary is
+    the model's top rm3_n terms in rank order (ScoreRatio normalizes in
+    that order), and the weight map is the model clipped to those terms.
+    """
+    models, pairs = [], []
+    for q, initial in lists:
+        rm = build_rm3(
+            q, initial, min(m, len(initial.entries)), config.rm3_mu, config.rm3_lambda, index
+        )
+        models.append(restrict_top_n(rm, config.rm3_n).term_probs)
+        pairs.append((q, top_n_terms(rm, config.rm3_n)))
+    params = WeightingParams(mu=mu, k=config.k, predictor_m=config.qpp_m)
+    return list(zip(models, weigh_queries(pairs, methods, params, index)))
+
+
+def rerank_queries(
+    lists: Sequence[tuple[Query, RankedList]],
+    weighed: Sequence[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]],
+    mu: float,
+    config: ExperimentConfig,
+    index: Index,
+) -> dict[str, dict[str, RankedList]]:
+    """label -> query id -> re-ranked list, for RM3Opt and each weighed method.
+
+    Each query's head is re-ranked under every weight map from one head
+    matrix (rerank_many).
+    """
+    cfg = RerankConfig(mu=mu, rerank_depth=config.rerank_depth, k=config.k)
+    runs: dict[str, dict[str, RankedList]] = {}
+    for (q, initial), (model, tables) in zip(lists, weighed):
+        labels = [RM3_LABEL, *(method.value for method in tables)]
+        maps = [model, *(table.weights for table in tables.values())]
+        for label, run in zip(labels, rerank_many(initial, maps, cfg, index)):
+            runs.setdefault(label, {})[q.query_id] = run
+    return runs
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (config.corpus and config.topics and config.qrels):
         raise ValueError("experiment needs corpus, topics and qrels paths")
@@ -121,18 +164,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("no query has relevance judgments; nothing to evaluate")
 
     best_mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
-    initial = {q.query_id: retrieve_topk(q, config.k, best_mu, index) for q in queries}
-    live_queries = [q for q in queries if initial[q.query_id].entries]
+    lists = []
     for q in queries:
-        if not initial[q.query_id].entries:
+        initial = retrieve_topk(q, config.k, best_mu, index)
+        if initial.entries:
+            lists.append((q, initial))
+        else:
             warnings.warn(f"query {q.query_id}: empty retrieval; dropped", stacklevel=2)
             skipped.append(q.query_id)
-    if not live_queries:
+    if not lists:
         raise ValueError("every query retrieved an empty list")
 
     best_m = tune_rm3_m(
         index,
-        live_queries,
+        lists,
         qrels,
         best_mu,
         config.rm3_m_grid,
@@ -143,24 +188,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         rm3_lambda=config.rm3_lambda,
         rm3_n=config.rm3_n,
     )
-
-    cfg = RerankConfig(mu=best_mu, rerank_depth=config.rerank_depth, k=config.k)
-    params = WeightingParams(mu=best_mu, k=config.k, predictor_m=config.qpp_m)
-    runs: dict[str, dict[str, RankedList]] = {label: {} for label in METHOD_ORDER}
-    pairs = []
-    for q in live_queries:
-        base = initial[q.query_id]
-        rm = build_rm3(
-            q, base, min(best_m, len(base.entries)), config.rm3_mu, config.rm3_lambda, index
-        )
-        pairs.append((q, top_n_terms(rm, config.rm3_n)))
-        runs[QL_LABEL][q.query_id] = base
-        runs[RM3_LABEL][q.query_id] = rerank_rm3(
-            base, restrict_top_n(rm, config.rm3_n), cfg, index
-        )
-    for (q, _), tables in zip(pairs, weigh_queries(pairs, _WEIGHTING_METHODS, params, index)):
-        for method, table in tables.items():
-            runs[method.value][q.query_id] = rerank_twqp(initial[q.query_id], table, cfg, index)
+    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, best_mu, config, index)
+    reranked = rerank_queries(lists, weighed, best_mu, config, index)
+    reranked[QL_LABEL] = {q.query_id: initial for q, initial in lists}
+    runs = {label: reranked[label] for label in METHOD_ORDER}
 
     report = build_report(runs, qrels, baseline=RM3_LABEL, cutoff=10, depth=config.k)
     written = write_outputs(config.output_dir, best_mu, best_m, runs, report, tuple(skipped))

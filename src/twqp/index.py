@@ -68,10 +68,6 @@ class Index:
         except KeyError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
 
-    def postings_list(self, w: str) -> list[tuple[str, int]]:
-        """(doc_id, tf) pairs in ascending doc_id order."""
-        return list(self.postings.get(w, {}).items())
-
     def matching_docs(self, terms: Iterable[str]) -> set[str]:
         """Doc ids containing at least one of the given terms."""
         docs: set[str] = set()

@@ -17,8 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -138,12 +137,3 @@ def restrict_top_n(rm: RelevanceModel, n: int) -> RelevanceModel:
         rm.query_id, {w: rm.term_probs[w] for w in sorted(keep)}, rm.m, rm.mu, rm.lam
     )
 
-
-def dump_relevance_model(rm: RelevanceModel, out: TextIO | str | Path) -> None:
-    """One `term probability` line per term, sorted, 10 decimal places."""
-    lines = [f"{w} {rm.term_probs[w]:.10f}" for w in sorted(rm.term_probs)]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(out, (str, Path)):
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        out.write(text)

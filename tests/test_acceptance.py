@@ -16,7 +16,6 @@ import twqp.qpp
 import twqp.retrieval
 import twqp.weighting
 from twqp.analysis import AnalyzerConfig
-from twqp.cli import cmd_experiment
 from twqp.config import ExperimentConfig
 from twqp.evaluation import (
     Qrels,
@@ -26,6 +25,7 @@ from twqp.evaluation import (
     reciprocal_rank,
     robustness_index,
 )
+from twqp.experiment import run_experiment
 from twqp.index import Document, build_index
 from twqp.qpp import (
     PredictorKind,
@@ -257,7 +257,7 @@ class TestAcceptance:
                     output_dir=str(tmp_path / name),
                 )
                 start = time.perf_counter()
-                cmd_experiment(config)
+                run_experiment(config)
                 assert time.perf_counter() - start < 60.0
             one = sorted(p for p in (tmp_path / "run1").rglob("*") if p.is_file())
             two = sorted(p for p in (tmp_path / "run2").rglob("*") if p.is_file())

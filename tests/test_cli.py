@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import twqp.cli
 from twqp.cli import main
 from twqp.config import ExperimentConfig, save_config
+from twqp.experiment import run_label_slug
 from twqp.index import Index
 from twqp.retrieval import read_run
 
@@ -221,6 +223,44 @@ class TestPipelineCommands:
         assert len(payload["methods"]) == 8
         assert (out_dir / "report.txt").exists()
 
+    @pytest.mark.parametrize("method", ["RM3Opt", "TWQP(NQC)"])
+    def test_rerank_reproduces_experiment_run(self, workspace, tmp_path, capsys, method):
+        config = str(workspace / "exp.ini")
+        assert main(["experiment", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        tuned = json.loads((tmp_path / "report.json").read_text())["tuned"]
+        out_path = tmp_path / "cli.run"
+        rc = main(
+            [
+                "rerank",
+                "--config", config,
+                "--snapshot", str(workspace / "index.snap"),
+                "--mu", str(tuned["mu"]),
+                "--rm3-m", str(tuned["rm3_m"]),
+                "--method", method,
+                "--out", str(out_path),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        expected = tmp_path / "runs" / f"{run_label_slug(method)}.run"
+        assert out_path.read_bytes() == expected.read_bytes()
+
+    def test_weigh_below_default_rerank_depth(self, workspace, capsys):
+        # weighing builds no re-ranking config, so k may be below rerank_depth
+        rc = main(
+            [
+                "weigh",
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--k", "50",
+                "--mu", "1000",
+                "--out", str(workspace / "k50.txt"),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert (workspace / "k50.txt").read_text()
+
 
 class TestErrors:
     def _stderr(self, capsys):
@@ -278,6 +318,24 @@ class TestErrors:
         assert rc == 1
         assert "not a term weighter" in self._stderr(capsys)
 
+    def test_rerank_depth_checked_before_weighing(self, workspace, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("weighed before checking the re-ranking depth")
+
+        monkeypatch.setattr(twqp.cli, "expand_and_weigh", unreachable)
+        rc = main(
+            [
+                "rerank",
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--k", "50",
+                "--mu", "1000",
+                "--out", str(workspace / "x.run"),
+            ]
+        )
+        assert rc == 1
+        assert "need 1 <= rerank_depth <= k" in self._stderr(capsys)
+
     def test_malformed_corpus_line_reported(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"doc_id": "d1", "text": "ok"}\nnot json\n')
@@ -287,6 +345,18 @@ class TestErrors:
 
     def test_eval_needs_qrels(self, workspace, capsys):
         rc = main(["eval", "--run", str(workspace / "ql.run")])
+        assert rc == 1
+        assert "need --qrels" in self._stderr(capsys)
+
+    @pytest.mark.parametrize("command", ["tune-mu", "tune-rm3"])
+    def test_tuning_needs_qrels(self, workspace, capsys, command):
+        rc = main(
+            [
+                command,
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+            ]
+        )
         assert rc == 1
         assert "need --qrels" in self._stderr(capsys)
 

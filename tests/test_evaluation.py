@@ -22,7 +22,7 @@ from twqp.evaluation import (
     tune_rm3_m,
 )
 from twqp.index import Document, build_index
-from twqp.retrieval import Query, RankedList
+from twqp.retrieval import Query, RankedList, retrieve_topk
 
 from conftest import PLAIN
 
@@ -366,24 +366,24 @@ class TestTuneRM3M:
             Document("d3", "c c c c"),
         ]
         index = build_index(docs, PLAIN)
-        queries = [Query("q1", ("w",))]
+        q = Query("q1", ("w",))
         qrels = Qrels({"q1": {"d1": 1, "d2": 1}})
-        return index, queries, qrels
+        return index, [(q, retrieve_topk(q, 1000, 1000.0, index))], qrels
 
     def test_singleton_grid(self):
-        index, queries, qrels = self._corpus()
-        assert tune_rm3_m(index, queries, qrels, mu=1000.0, grid=(5,)) == 5
+        index, lists, qrels = self._corpus()
+        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(5,)) == 5
 
     def test_tie_takes_smaller_value(self):
         # both docs are relevant, so every feedback depth gives AP 1.0
-        index, queries, qrels = self._corpus()
-        assert tune_rm3_m(index, queries, qrels, mu=1000.0, grid=(5, 10)) == 5
+        index, lists, qrels = self._corpus()
+        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(5, 10)) == 5
 
     def test_grid_order_does_not_matter(self):
-        index, queries, qrels = self._corpus()
-        assert tune_rm3_m(index, queries, qrels, mu=1000.0, grid=(10, 5)) == 5
+        index, lists, qrels = self._corpus()
+        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(10, 5)) == 5
 
     def test_empty_grid_rejected(self):
-        index, queries, qrels = self._corpus()
+        index, lists, qrels = self._corpus()
         with pytest.raises(ValueError, match="empty m grid"):
-            tune_rm3_m(index, queries, qrels, mu=1000.0, grid=())
+            tune_rm3_m(index, lists, qrels, mu=1000.0, grid=())

@@ -72,7 +72,7 @@ class TestAccessors:
     def test_postings_sorted_by_doc_id(self):
         docs = [Document(f"d{j}", "apple") for j in (3, 1, 2)]
         index = build_index(docs, PLAIN)
-        assert index.postings_list("apple") == [("d1", 1), ("d2", 1), ("d3", 1)]
+        assert list(index.postings["apple"].items()) == [("d1", 1), ("d2", 1), ("d3", 1)]
 
     def test_matching_docs_union(self, fruit_index):
         assert fruit_index.matching_docs(["apple"]) == {"d1"}

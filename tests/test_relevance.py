@@ -1,6 +1,5 @@
 """Feedback model estimation: normalization, interpolation, term extraction."""
 
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from twqp.index import Document, build_index
 from twqp.relevance import (
     RelevanceModel,
     build_rm3,
-    dump_relevance_model,
     restrict_top_n,
     top_n_terms,
 )
@@ -164,17 +162,3 @@ class TestTermExtraction:
         assert clipped.term_probs == {"apple": 0.4, "banana": 0.25}
         assert sum(clipped.term_probs.values()) < 1.0
         assert (clipped.m, clipped.mu, clipped.lam) == (2, 10.0, 0.5)
-
-
-class TestDump:
-    def test_format(self):
-        rm = RelevanceModel("q1", {"b": 0.25, "a": 0.75}, 1, 10.0, 0.5)
-        buf = io.StringIO()
-        dump_relevance_model(rm, buf)
-        assert buf.getvalue() == "a 0.7500000000\nb 0.2500000000\n"
-
-    def test_to_path(self, tmp_path):
-        rm = RelevanceModel("q1", {"x": 1.0}, 1, 10.0, 0.5)
-        path = tmp_path / "rm.txt"
-        dump_relevance_model(rm, path)
-        assert path.read_text(encoding="utf-8") == "x 1.0000000000\n"

@@ -10,11 +10,13 @@ gives: the same floats (compared with ==) and the same key order.
 import math
 import re
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import twqp.evaluation
 import twqp.experiment
 import twqp.qpp
 import twqp.relevance
@@ -257,14 +259,13 @@ class TestWorkCounts:
 
     def test_retrievals_and_head_matrices(self, tmp_path, monkeypatch):
         paths = write_collection(make_synthetic(32), tmp_path / "data")
-        counts = {"retrievals": 0, "relevance": 0, "rerank": 0}
+        counts = Counter()  # (what, while tuning) -> calls
         seen = {"pairs": None, "live": None}
         tuning = []
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
-                if key == "retrievals" or tuning:
-                    counts[key] += 1
+                counts[key, bool(tuning)] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -272,17 +273,20 @@ class TestWorkCounts:
         retrieve = counting("retrievals", twqp.weighting.retrieve_topk)
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", retrieve)
         monkeypatch.setattr(twqp.qpp, "retrieve_topk", retrieve)
+        monkeypatch.setattr(
+            twqp.evaluation, "retrieve_topk", counting("evaluation", twqp.evaluation.retrieve_topk)
+        )
         for module in (twqp.relevance, twqp.rerank):
             key = module.__name__.rpartition(".")[2]
             monkeypatch.setattr(module, "log_prob_matrix", counting(key, module.log_prob_matrix))
 
         real_tune, real_weigh = twqp.experiment.tune_rm3_m, twqp.experiment.weigh_queries
 
-        def tune(index, queries, *args, **kwargs):
-            seen["live"] = len(queries)
+        def tune(index, lists, *args, **kwargs):
+            seen["live"] = len(lists)
             tuning.append(True)
             try:
-                return real_tune(index, queries, *args, **kwargs)
+                return real_tune(index, lists, *args, **kwargs)
             finally:
                 tuning.clear()
 
@@ -300,9 +304,13 @@ class TestWorkCounts:
                 output_dir=str(tmp_path / "out"),
             )
         )
-        pairs = seen["pairs"]
+        pairs, live = seen["pairs"], seen["live"]
         assert pairs and all(len(q.terms) == 1 for q, _ in pairs)  # SROR retrieves nothing
         vocabularies = [v for _, v in pairs]
         expected = sum(1 + len(v) for v in vocabularies) + len(set().union(*vocabularies))
-        assert counts["retrievals"] == expected
-        assert counts["relevance"] == counts["rerank"] == seen["live"] > 0
+        assert counts["retrievals", False] + counts["retrievals", True] == expected
+        # tuning re-ranks the lists it is given; it retrieves nothing itself
+        assert counts["evaluation", True] == 0
+        assert counts["relevance", True] == counts["rerank", True] == live > 0
+        # outside tuning: one RM3 scoring and one head matrix per live query
+        assert counts["relevance", False] == counts["rerank", False] == live

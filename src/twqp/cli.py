@@ -21,7 +21,6 @@ from .evaluation import (
     precision_at,
     reciprocal_rank,
     tune_mu,
-    tune_rm3_m,
 )
 from .experiment import (
     RM3_LABEL,
@@ -29,6 +28,7 @@ from .experiment import (
     make_queries,
     rerank_queries,
     run_experiment,
+    tune,
 )
 from .index import Index, build_index, read_corpus
 from .qpp import PredictorKind
@@ -49,10 +49,7 @@ def _load_index(args, config: ExperimentConfig) -> Index:
 def _queries_for(config: ExperimentConfig, index: Index):
     if not config.topics:
         raise ValueError("need --topics")
-    queries, _ = make_queries(load_topics(config.topics), index)
-    if not queries:
-        raise ValueError("no usable queries after analysis")
-    return queries
+    return make_queries(load_topics(config.topics), index)[0]
 
 
 def _qrels_for(config: ExperimentConfig) -> Qrels:
@@ -235,29 +232,13 @@ def _run(args) -> int:
     if args.command == "tune-mu":
         qrels = _qrels_for(config)
         queries = _queries_for(config, index)
-        best = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
+        best = tune_mu(index, queries, qrels, config.mu_grid, k=config.k)
         print(f"best mu: {best:g}")
         return 0
 
     if args.command == "tune-rm3":
         qrels = _qrels_for(config)
-        queries = _queries_for(config, index)
-        mu = args.mu
-        if mu is None:
-            mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
-        best = tune_rm3_m(
-            index,
-            [(q, retrieve_topk(q, config.k, mu, index)) for q in queries],
-            qrels,
-            mu,
-            config.rm3_m_grid,
-            k=config.k,
-            depth=config.k,
-            rerank_depth=config.rerank_depth,
-            rm3_mu=config.rm3_mu,
-            rm3_lambda=config.rm3_lambda,
-            rm3_n=config.rm3_n,
-        )
+        mu, _, best = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
         print(f"best rm3 m: {best} (at mu={mu:g})")
         return 0
 
@@ -281,13 +262,12 @@ def _run(args) -> int:
             raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
         methods = () if method == RM3_LABEL else (method,)
         lists = [(q, retrieve_topk(q, config.k, args.mu, index)) for q in queries]
-        lists = [(q, initial) for q, initial in lists if initial.entries]
         weighed = expand_and_weigh(lists, args.rm3_m, methods, args.mu, config, index)
         if args.command == "weigh":
             dump_weight_tables([tables[method] for _, tables in weighed], args.out)
         else:
             label = RM3_LABEL if method == RM3_LABEL else method.value
-            runs = rerank_queries(lists, weighed, args.mu, config, index).get(label, {})
+            runs = rerank_queries(lists, weighed, args.mu, config, index)[label]
             write_run(list(runs.values()), args.out, label)
         print(f"wrote {args.out}")
         return 0

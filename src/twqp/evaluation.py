@@ -164,7 +164,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class QueryMeasures:
-    """p@cutoff, AP and RR for one query; AP/RR are None when the query has
+    """p@10, AP and RR for one query; AP/RR are None when the query has
     no relevant documents (it is excluded from those aggregates)."""
 
     p10: float
@@ -186,7 +186,6 @@ def build_report(
     runs: dict[str, dict[str, RankedList]],
     qrels: Qrels,
     baseline: str,
-    cutoff: int = 10,
     depth: int = 1000,
 ) -> EvalReport:
     """Per-query and aggregate measures for several methods over one query set.
@@ -216,7 +215,7 @@ def build_report(
             run = runs[method][qid]
             scorable = qrels.relevant_count(qid) > 0
             per_query[method][qid] = QueryMeasures(
-                p10=precision_at(run, qrels, cutoff),
+                p10=precision_at(run, qrels, 10),
                 ap=average_precision(run, qrels, depth) if scorable else None,
                 rr=reciprocal_rank(run, qrels) if scorable else None,
             )
@@ -276,16 +275,15 @@ def tune_mu(
     qrels: Qrels,
     grid: Sequence[float] = MU_GRID,
     k: int = 1000,
-    depth: int = 1000,
 ) -> float:
-    """Smoothing mass maximizing mean AP over the query set."""
+    """Smoothing mass maximizing mean AP of the depth-k runs."""
     if not grid:
         raise ValueError("empty mu grid")
     best_mu = None
     best_ap = -1.0
     for mu in sorted(grid):
         runs = [retrieve_topk(q, k, mu, index) for q in queries]
-        ap = _mean_ap(runs, qrels, depth)
+        ap = _mean_ap(runs, qrels, k)
         if ap > best_ap:
             best_ap = ap
             best_mu = mu
@@ -299,7 +297,6 @@ def tune_rm3_m(
     mu: float,
     grid: Sequence[int] = RM3_M_GRID,
     k: int = 1000,
-    depth: int = 1000,
     rerank_depth: int = 100,
     rm3_mu: float = 1000.0,
     rm3_lambda: float = 0.9,
@@ -327,7 +324,7 @@ def tune_rm3_m(
     best_m = None
     best_ap = -1.0
     for m, m_runs in zip(ms, runs):
-        ap = _mean_ap(m_runs, qrels, depth)
+        ap = _mean_ap(m_runs, qrels, k)
         if ap > best_ap:
             best_ap = ap
             best_m = m

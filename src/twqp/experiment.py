@@ -3,14 +3,14 @@
 One call runs the whole pipeline on a corpus + topics + qrels triple:
 
   1. build the index and analyze the topic titles into queries;
-  2. tune the smoothing mass over the mu grid (best mean AP);
-  3. retrieve the initial lists (QLOpt-init);
-  4. tune the feedback depth over the m grid;
-  5. per query, build the relevance model and extract the candidate
+  2. tune the smoothing mass over the mu grid (best mean AP), retrieve the
+     initial lists (QLOpt-init) and tune the feedback depth over the m grid
+     (tune);
+  3. per query, build the relevance model and extract the candidate
      vocabulary V, weigh V under every weighting method in one pass that
      shares the retrievals (expand_and_weigh), and re-rank the head under
      the model (RM3Opt) and every weight table (rerank_queries);
-  6. evaluate everything and emit run files plus a plain-text and a JSON
+  4. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
 All outputs are deterministic functions of the inputs: files are written in
@@ -75,14 +75,16 @@ def make_queries(
 ) -> tuple[list[Query], list[str]]:
     """Analyze topic titles against the index's analyzer.
 
-    Terms missing from the index are dropped with a warning; queries left
-    with no terms are skipped entirely (reported back to the caller).
+    Terms held by no document are dropped with a warning; queries left with
+    no terms are skipped entirely (reported back to the caller), and a topic
+    set left with no query is an error.  Every kept query therefore
+    retrieves a non-empty list at any k >= 1.
     """
     queries: list[Query] = []
     skipped: list[str] = []
     for qid, title in topics:
         tokens = analyze(title, index.analyzer)
-        kept = [t for t in tokens if t in index.postings]
+        kept = [t for t in tokens if index.postings.get(t)]
         for t in sorted(set(tokens) - set(kept)):
             warnings.warn(f"query {qid}: term {t!r} not in index; dropped", stacklevel=2)
         if not kept:
@@ -90,6 +92,8 @@ def make_queries(
             skipped.append(qid)
             continue
         queries.append(Query(qid, tuple(kept)))
+    if not queries:
+        raise ValueError("no usable queries after analysis")
     return queries, skipped
 
 
@@ -151,6 +155,37 @@ def rerank_queries(
     return runs
 
 
+def tune(
+    queries: Sequence[Query],
+    qrels: Qrels,
+    config: ExperimentConfig,
+    index: Index,
+    mu: float | None = None,
+) -> tuple[float, list[tuple[Query, RankedList]], int]:
+    """(mu, (query, initial list) pairs, feedback depth m) by best mean AP.
+
+    mu is tuned over config.mu_grid unless given; each query's depth-k list
+    is retrieved at that mu, and m is tuned over config.rm3_m_grid by
+    re-ranking those lists under RM3.
+    """
+    if mu is None:
+        mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k)
+    lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
+    m = tune_rm3_m(
+        index,
+        lists,
+        qrels,
+        mu,
+        config.rm3_m_grid,
+        k=config.k,
+        rerank_depth=config.rerank_depth,
+        rm3_mu=config.rm3_mu,
+        rm3_lambda=config.rm3_lambda,
+        rm3_n=config.rm3_n,
+    )
+    return mu, lists, m
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (config.corpus and config.topics and config.qrels):
         raise ValueError("experiment needs corpus, topics and qrels paths")
@@ -158,42 +193,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     topics = load_topics(config.topics)
     qrels = load_qrels(config.qrels)
     queries, skipped = make_queries(topics, index)
-    if not queries:
-        raise ValueError("no usable queries after analysis")
     if all(qrels.relevant_count(q.query_id) == 0 for q in queries):
         raise ValueError("no query has relevance judgments; nothing to evaluate")
 
-    best_mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k, depth=config.k)
-    lists = []
-    for q in queries:
-        initial = retrieve_topk(q, config.k, best_mu, index)
-        if initial.entries:
-            lists.append((q, initial))
-        else:
-            warnings.warn(f"query {q.query_id}: empty retrieval; dropped", stacklevel=2)
-            skipped.append(q.query_id)
-    if not lists:
-        raise ValueError("every query retrieved an empty list")
-
-    best_m = tune_rm3_m(
-        index,
-        lists,
-        qrels,
-        best_mu,
-        config.rm3_m_grid,
-        k=config.k,
-        depth=config.k,
-        rerank_depth=config.rerank_depth,
-        rm3_mu=config.rm3_mu,
-        rm3_lambda=config.rm3_lambda,
-        rm3_n=config.rm3_n,
-    )
+    best_mu, lists, best_m = tune(queries, qrels, config, index)
     weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, best_mu, config, index)
     reranked = rerank_queries(lists, weighed, best_mu, config, index)
     reranked[QL_LABEL] = {q.query_id: initial for q, initial in lists}
     runs = {label: reranked[label] for label in METHOD_ORDER}
 
-    report = build_report(runs, qrels, baseline=RM3_LABEL, cutoff=10, depth=config.k)
+    report = build_report(runs, qrels, baseline=RM3_LABEL, depth=config.k)
     written = write_outputs(config.output_dir, best_mu, best_m, runs, report, tuple(skipped))
     return ExperimentResult(best_mu, best_m, runs, report, tuple(sorted(skipped)), written)
 

@@ -22,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import Query, RankedList, log_prob_matrix, retrieve_topk, smoothed_prob
+from .retrieval import (
+    Query,
+    RankedList,
+    log_prob_matrix,
+    retrieve_topk,
+    smoothed_prob,
+    weighted_sum,
+)
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -158,7 +165,7 @@ def nwig_weights(
     Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
     with a warning, since the denominator is undefined.  The logs come from
     one log_prob_matrix over every term, added up one document at a time in
-    rank order, as the one-term sum does.
+    rank order by weighted_sum, as the one-term sum does.
     """
     if not lst.entries:
         raise ValueError("nWIG is undefined on an empty ranked list")
@@ -178,9 +185,7 @@ def nwig_weights(
         log_pds[w] = log_pd
     scored = list(log_pds)
     nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
-    totals = np.zeros(len(scored))
-    for column in log_prob_matrix(scored, nums, mu, index).T:
-        totals += column
+    totals = weighted_sum([1.0] * m, log_prob_matrix(scored, nums, mu, index).T)
     for w, total in zip(scored, totals.tolist()):
         weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
     return weights

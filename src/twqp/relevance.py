@@ -109,9 +109,7 @@ def build_rm3_grid(
         top = max(log_scores[:m])
         raw = [math.exp(s - top) for s in log_scores[:m]]
         z = sum(raw)
-        feedback = np.zeros(len(vocab))
-        for r, row in zip(raw, doc_probs):
-            feedback += (r / z) * row
+        feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
         support = first_doc < m
         keep = support | is_query_term
         probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import twqp.cli
+import twqp.experiment
 from twqp.cli import main
 from twqp.config import ExperimentConfig, save_config
 from twqp.experiment import run_label_slug
@@ -245,6 +246,27 @@ class TestPipelineCommands:
         expected = tmp_path / "runs" / f"{run_label_slug(method)}.run"
         assert out_path.read_bytes() == expected.read_bytes()
 
+    def test_tune_rm3_tunes_as_the_experiment_does(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        config = str(workspace / "exp.ini")
+        assert main(["experiment", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        tuned = json.loads((tmp_path / "report.json").read_text())["tuned"]
+        capsys.readouterr()
+        calls = []
+        real = twqp.experiment.tune_rm3_m
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(twqp.experiment, "tune_rm3_m", counted)
+        rc = main(["tune-rm3", "--config", config, "--snapshot", str(workspace / "index.snap")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"best rm3 m: {tuned['rm3_m']} (at mu={tuned['mu']:g})" in out
+        assert len(calls) == 1
+
     def test_weigh_below_default_rerank_depth(self, workspace, capsys):
         # weighing builds no re-ranking config, so k may be below rerank_depth
         rc = main(
@@ -260,6 +282,18 @@ class TestPipelineCommands:
         assert rc == 0
         capsys.readouterr()
         assert (workspace / "k50.txt").read_text()
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command",
+        ["index", "tune-mu", "tune-rm3", "search", "weigh", "rerank", "experiment"],
+    )
+    def test_config_flag_listed(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestErrors:

@@ -15,7 +15,7 @@ from twqp.experiment import (
     run_experiment,
     run_label_slug,
 )
-from twqp.index import build_index, read_corpus
+from twqp.index import Index, build_index, read_corpus
 from twqp.retrieval import format_run, read_run, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 
@@ -166,6 +166,21 @@ class TestMakeQueries:
     def test_duplicates_survive_analysis(self, fruit_index):
         queries, _ = make_queries([("q1", "apple apple banana")], fruit_index)
         assert queries[0].terms == ("apple", "apple", "banana")
+
+    def test_term_with_empty_postings_dropped(self):
+        # a hand-made snapshot may list a term that no document holds
+        index = Index({"apple": {"d1": 2}, "ghost": {}}, {"d1": 2}, PLAIN)
+        with pytest.warns(UserWarning, match="'ghost' not in index"):
+            queries, skipped = make_queries([("q1", "apple ghost")], index)
+        assert [q.terms for q in queries] == [("apple",)]
+        assert skipped == []
+        assert retrieve_topk(queries[0], 1, 1000.0, index).entries
+
+    def test_no_usable_query_is_an_error(self, fruit_index):
+        topics = [("q1", "zzz"), ("q2", "qqq www")]
+        with pytest.warns(UserWarning, match="skipped"):
+            with pytest.raises(ValueError, match="no usable queries after analysis"):
+                make_queries(topics, fruit_index)
 
 
 class TestRunLabelSlug:

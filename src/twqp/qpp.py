@@ -23,11 +23,11 @@ import numpy as np
 
 from .index import Index, collection_prob
 from .retrieval import (
+    LogProbMemo,
     Query,
     RankedList,
     log_prob_matrix,
     retrieve_topk,
-    smoothed_prob,
     weighted_sum,
 )
 
@@ -72,14 +72,23 @@ class PredictorSpec:
         return self.m if self.m is not None else _DEFAULT_M[self.kind]
 
 
-def predict_wig(lst: RankedList, q: Query, m: int, mu: float, index: Index) -> float:
+def predict_wig(
+    lst: RankedList,
+    q: Query,
+    m: int,
+    mu: float,
+    index: Index,
+    memo: LogProbMemo | None = None,
+) -> float:
     """Mean log-ratio of document to collection term likelihood over top-m docs.
 
         (1 / (m * sqrt(|q|))) * sum_{d in top-m} sum_{q_i} log(p_d(q_i) / p_D(q_i))
 
     |q| is the bag size of the query actually scored (expanded queries use
     their own size).  Out-of-vocabulary terms are skipped with a warning;
-    they still count toward |q|.
+    they still count toward |q|.  The log p_d come from log_prob_matrix (or
+    the memo at mu) and are added one at a time, document by document and
+    term by term in bag order.
     """
     if not lst.entries:
         raise ValueError("WIG is undefined on an empty ranked list")
@@ -91,12 +100,16 @@ def predict_wig(lst: RankedList, q: Query, m: int, mu: float, index: Index) -> f
             warnings.warn(f"WIG: query term {w!r} out of vocabulary; skipped", stacklevel=2)
         else:
             log_pd_collection[w] = math.log(p)
+    scored = list(log_pd_collection)
+    nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
+    log_probs = log_prob_matrix if memo is None else memo.matrix
+    rows = dict(zip(scored, log_probs(scored, nums, mu, index).tolist()))
     total = 0.0
-    for doc_id, _ in lst.entries[:m]:
+    for d in range(m):
         for w in q.terms:
             if w not in log_pd_collection:
                 continue
-            total += math.log(smoothed_prob(w, doc_id, mu, index)) - log_pd_collection[w]
+            total += rows[w][d] - log_pd_collection[w]
     return total / (m * math.sqrt(len(q.terms)))
 
 
@@ -139,11 +152,17 @@ def predict_score_ratio(lst: RankedList) -> float:
 
 
 def predict_quality(
-    spec: PredictorSpec, lst: RankedList, q: Query, mu: float, index: Index
+    spec: PredictorSpec,
+    lst: RankedList,
+    q: Query,
+    mu: float,
+    index: Index,
+    memo: LogProbMemo | None = None,
 ) -> float:
-    """Dispatch on predictor kind; the list must be non-empty."""
+    """Dispatch on predictor kind; the list must be non-empty.  WIG reads
+    its log probabilities from the memo at mu, when given."""
     if spec.kind is PredictorKind.WIG:
-        return predict_wig(lst, q, spec.effective_m, mu, index)
+        return predict_wig(lst, q, spec.effective_m, mu, index, memo)
     if spec.kind is PredictorKind.NQC:
         return predict_nqc(lst, q, spec.effective_m, index)
     return predict_score_ratio(lst)
@@ -156,7 +175,12 @@ def predictor_minimum(kind: PredictorKind) -> float:
 
 
 def nwig_weights(
-    terms: Sequence[str], lst: RankedList, m: int, mu: float, index: Index
+    terms: Sequence[str],
+    lst: RankedList,
+    m: int,
+    mu: float,
+    index: Index,
+    memo: LogProbMemo | None = None,
 ) -> dict[str, float]:
     """Per-term information-gain weights over the top-m docs of a list.
 
@@ -164,8 +188,9 @@ def nwig_weights(
 
     Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
     with a warning, since the denominator is undefined.  The logs come from
-    one log_prob_matrix over every term, added up one document at a time in
-    rank order by weighted_sum, as the one-term sum does.
+    one log_prob_matrix over every term (or the memo at mu), added up one
+    document at a time in rank order by weighted_sum, as the one-term sum
+    does.
     """
     if not lst.entries:
         raise ValueError("nWIG is undefined on an empty ranked list")
@@ -185,7 +210,8 @@ def nwig_weights(
         log_pds[w] = log_pd
     scored = list(log_pds)
     nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
-    totals = weighted_sum([1.0] * m, log_prob_matrix(scored, nums, mu, index).T)
+    log_probs = log_prob_matrix if memo is None else memo.matrix
+    totals = weighted_sum([1.0] * m, log_probs(scored, nums, mu, index).T)
     for w, total in zip(scored, totals.tolist()):
         weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
     return weights
@@ -203,6 +229,7 @@ def sror_term(
     mu: float,
     index: Index,
     base_list: RankedList | None = None,
+    memo: LogProbMemo | None = None,
 ) -> float:
     """Result-list drift when one occurrence of w is dropped from the query.
 
@@ -210,20 +237,21 @@ def sror_term(
 
     Only terms of q itself are valid.  A single-term query gets weight 1
     (removing the only term destroys the query).  base_list, when given,
-    must be the depth-k retrieval for q at the same mu.
+    must be the depth-k retrieval for q at the same mu; a memo at mu, when
+    given, serves the retrievals.
     """
     if w not in q.terms:
         raise ValueError(f"SROR: term {w!r} is not a query term")
     if len(q.terms) == 1:
         return 1.0
     if base_list is None:
-        base_list = retrieve_topk(q, k, mu, index)
+        base_list = retrieve_topk(q, k, mu, index, memo)
     if not base_list.entries:
         warnings.warn("SROR: empty base retrieval; weight 0", stacklevel=2)
         return 0.0
     remaining = list(q.terms)
     remaining.remove(w)
-    reduced = retrieve_topk(Query(q.query_id, tuple(remaining)), k, mu, index)
+    reduced = retrieve_topk(Query(q.query_id, tuple(remaining)), k, mu, index, memo)
     base_docs = set(base_list.doc_ids)
     overlap = len(base_docs & set(reduced.doc_ids))
     return 1.0 - overlap / len(base_docs)

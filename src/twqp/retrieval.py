@@ -12,6 +12,8 @@ and re-ranking score many documents at once with ``log_prob_matrix`` and
 ``weighted_sum``, which repeat the scalar arithmetic exactly: the same
 association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
+A ``LogProbMemo`` answers ``log_prob_matrix`` calls at one mu from one
+full-width row per term, for callers that score the same terms many times.
 """
 
 from __future__ import annotations
@@ -126,6 +128,43 @@ def log_prob_matrix(
     return np.array(logs, dtype=float)[inverse].reshape(p.shape)
 
 
+class LogProbMemo:
+    """log_prob_matrix at one mu over one index, from one row per term.
+
+    A term's row is log_prob_matrix([w], every document number, mu, index),
+    built the first time the term is asked for.  Each cell depends only on
+    its term and document, so a gather of the row's columns equals
+    log_prob_matrix over those columns bit for bit.  mu must be positive:
+    at mu = 0 a full-width row would raise on an empty document that no
+    candidate set holds.
+    """
+
+    def __init__(self, mu: float, index: Index) -> None:
+        if mu <= 0:
+            raise ValueError(f"a log-probability memo requires mu > 0, got {mu}")
+        self.mu = mu
+        self.index = index
+        self._all = np.arange(index.doc_count)
+        self._rows: dict[str, np.ndarray] = {}
+
+    def matrix(
+        self, terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
+    ) -> np.ndarray:
+        """log_prob_matrix(terms, nums, mu, index); mu and index must be the
+        memo's own."""
+        if mu != self.mu or index is not self.index:
+            raise ValueError(
+                f"memo holds log probabilities at mu={self.mu} over one index; asked for mu={mu}"
+            )
+        out = np.empty((len(terms), len(nums)))
+        for row, w in zip(out, terms):
+            full = self._rows.get(w)
+            if full is None:
+                full = self._rows[w] = log_prob_matrix([w], self._all, mu, index)[0]
+            full.take(nums, out=row)
+        return out
+
+
 def weighted_sum(weights: Sequence[float], log_probs: np.ndarray) -> np.ndarray:
     """Sum of weight * row over the rows of log_probs, one row at a time in
     order, as the scalar loop adds one term at a time."""
@@ -145,15 +184,20 @@ def rank_entries(
     return tuple(zip(doc_ids, scores[top].tolist()))
 
 
-def retrieve_topk(q: Query, k: int, mu: float, index: Index) -> RankedList:
+def retrieve_topk(
+    q: Query, k: int, mu: float, index: Index, memo: LogProbMemo | None = None
+) -> RankedList:
     """Top-k documents under query likelihood.
 
     Candidates are the documents containing at least one query term; ties are
     broken by ascending doc_id.  Fewer than k matches yield a shorter list,
-    and no matches yield an empty one.
+    and no matches yield an empty one.  A memo at mu, when given, supplies
+    the log probabilities; the list is the same as without it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if mu < 0:
+        raise ValueError(f"mu must be >= 0, got {mu}")
     if not q.terms:
         raise ValueError("cannot retrieve with an empty query")
     candidates = index.matching_docs(q.terms)
@@ -161,7 +205,8 @@ def retrieve_topk(q: Query, k: int, mu: float, index: Index) -> RankedList:
         return RankedList(q.query_id, (), k)
     nums = np.sort(index.columns.doc_numbers(candidates))  # sorted keys search faster
     terms, counts = zip(*sorted(q.term_counts().items()))
-    scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index))
+    log_probs = log_prob_matrix if memo is None else memo.matrix
+    scores = weighted_sum(counts, log_probs(terms, nums, mu, index))
     return RankedList(q.query_id, rank_entries(nums, scores, index, k), k)
 
 

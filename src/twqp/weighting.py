@@ -10,6 +10,11 @@ For a candidate vocabulary V this costs exactly 1 + |V| retrievals per query:
 the base quality is computed once and reused for every w, and the TWQP
 predictors weighed together share those retrievals.  All retrievals go
 through this module's ``retrieve_topk`` name so the count can be instrumented.
+
+Every list a weighting call scores is at one mu and over the same few
+hundred terms, so the call keeps one ``LogProbMemo``: each term's log
+probabilities are computed once, the first time any retrieval or predictor
+of the call needs them, and every later score gathers them from it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .qpp import (
     score_gap,
     sror_term,
 )
-from .retrieval import Query, RankedList, expand_query, retrieve_topk
+from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk
 
 
 class WeightingMethod(enum.Enum):
@@ -64,13 +69,20 @@ class WeightingParams:
     """Retrieval depth and smoothing shared by all weighters.
 
     predictor_m overrides the predictor's default cutoff for TWQP methods;
-    nwig_m is the nWIG cutoff.
+    nwig_m is the nWIG cutoff.  mu must be positive: at mu = 0 a q+w list
+    holds -inf scores, which leave the predictor deltas undefined.
     """
 
     mu: float
     k: int = 1000
     predictor_m: int | None = None
     nwig_m: int = NWIG_DEFAULT_M
+
+    def __post_init__(self) -> None:
+        if self.mu <= 0:
+            raise ValueError(f"weighting requires mu > 0, got {self.mu}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -126,10 +138,11 @@ def _quality_delta(
     expanded_list: RankedList,
     mu: float,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> float:
     """delta_p for an expanded list already retrieved."""
     if expanded_list.entries:
-        expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index)
+        expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index, memo)
     else:
         expanded_quality = predictor_minimum(predictor.kind)
     if expanded_quality == base_quality == math.inf:
@@ -176,11 +189,13 @@ def weigh_queries(
     query, one base retrieval serves nWIG, SROR and every TWQP method, and
     each q+w list is retrieved once and scored by every TWQP predictor.  A
     single-term ScoreRatio depends only on (w, mu, k), so each distinct w
-    is retrieved once for all the queries of the call.
+    is retrieved once for all the queries of the call.  Every retrieval and
+    predictor of the call reads its log probabilities from one memo.
     """
     single_ratios: dict[str, float] = {}
+    memo = LogProbMemo(params.mu, index)
     return [
-        _weigh_query(q, vocabulary, methods, params, index, single_ratios)
+        _weigh_query(q, vocabulary, methods, params, index, single_ratios, memo)
         for q, vocabulary in pairs
     ]
 
@@ -192,6 +207,7 @@ def _weigh_query(
     params: WeightingParams,
     index: Index,
     single_ratios: dict[str, float],
+    memo: LogProbMemo,
 ) -> dict[WeightingMethod, TermWeightTable]:
     k, mu = params.k, params.mu
     if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
@@ -199,7 +215,7 @@ def _weigh_query(
     candidates = list(dict.fromkeys(vocabulary))
     needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
     if needs_list or WeightingMethod.SROR in methods:
-        base = retrieve_topk(q, k, mu, index)
+        base = retrieve_topk(q, k, mu, index, memo)
         if needs_list and not base.entries:
             raise ValueError(
                 f"query {q.query_id!r} retrieved nothing; {needs_list[0].value} undefined"
@@ -208,13 +224,14 @@ def _weigh_query(
     weights: dict[WeightingMethod, dict[str, float]] = {}
     if WeightingMethod.SROR in methods:
         weights[WeightingMethod.SROR] = {
-            t: sror_term(t, q, k, mu, index, base_list=base) for t in sorted(set(q.terms))
+            t: sror_term(t, q, k, mu, index, base_list=base, memo=memo)
+            for t in sorted(set(q.terms))
         }
     if WeightingMethod.SCORE_RATIO_NORM in methods:
         raw: dict[str, float] = {}
         for w in candidates:
             if w not in single_ratios:
-                single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index)
+                single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
                 single_ratios[w] = predict_score_ratio(single) if single.entries else 0.0
             raw[w] = single_ratios[w]
         total = sum(raw.values())
@@ -224,7 +241,9 @@ def _weigh_query(
             raw = {w: v / total for w, v in raw.items()}
         weights[WeightingMethod.SCORE_RATIO_NORM] = raw
     if WeightingMethod.NWIG in methods:
-        weights[WeightingMethod.NWIG] = nwig_weights(candidates, base, params.nwig_m, mu, index)
+        weights[WeightingMethod.NWIG] = nwig_weights(
+            candidates, base, params.nwig_m, mu, index, memo
+        )
 
     predictors = {
         m: PredictorSpec(_TWQP_PREDICTOR[m], params.predictor_m)
@@ -232,15 +251,17 @@ def _weigh_query(
         if m in _TWQP_PREDICTOR
     }
     if predictors:
-        base_quality = {m: predict_quality(p, base, q, mu, index) for m, p in predictors.items()}
+        base_quality = {
+            m: predict_quality(p, base, q, mu, index, memo) for m, p in predictors.items()
+        }
         for m in predictors:
             weights[m] = {}
         for w in candidates:
             expanded = expand_query(q, w)
-            expanded_list = retrieve_topk(expanded, k, mu, index)
+            expanded_list = retrieve_topk(expanded, k, mu, index, memo)
             for m, predictor in predictors.items():
                 delta = _quality_delta(
-                    predictor, base, base_quality[m], expanded, expanded_list, mu, index
+                    predictor, base, base_quality[m], expanded, expanded_list, mu, index, memo
                 )
                 weights[m][w] = twqp_weight(delta)
     return {m: TermWeightTable(q.query_id, m, weights[m]) for m in methods}

@@ -324,6 +324,25 @@ class TestErrors:
         assert rc == 1
         assert "need --mu" in self._stderr(capsys)
 
+    @pytest.mark.parametrize("method", ["TWQP(NQC)", "TWQP(WIG)", "nWIG"])
+    def test_weigh_rejects_mu_zero(self, workspace, capsys, method):
+        # at mu = 0 a q+w list holds -inf scores: NQC's delta was NaN, WIG
+        # hit a math domain error and nWIG wrote -inf weights
+        out_path = workspace / "mu0.txt"
+        rc = main(
+            [
+                "weigh",
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", "0",
+                "--method", method,
+                "--out", str(out_path),
+            ]
+        )
+        assert rc == 1
+        assert "weighting requires mu > 0, got 0.0" in self._stderr(capsys)
+        assert not out_path.exists()
+
     def test_unknown_weighting_method(self, workspace, capsys):
         rc = main(
             [

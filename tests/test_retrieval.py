@@ -127,6 +127,13 @@ class TestRetrieveTopk:
         with pytest.raises(ValueError, match="k"):
             retrieve_topk(Query("q1", ("apple",)), 0, 10.0, fruit_index)
 
+    @pytest.mark.parametrize("term", ["apple", "zzz"])
+    def test_negative_mu_rejected_with_or_without_matches(self, fruit_index, term):
+        # checked before the candidates are looked up, so an unmatched
+        # query is rejected too rather than returning an empty list
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            retrieve_topk(Query("q", (term,)), 10, -5.0, fruit_index)
+
     def test_more_occurrences_rank_higher(self):
         # same length, higher tf of the query term -> strictly better score
         docs = [

@@ -27,6 +27,20 @@ from twqp.weighting import (
 from conftest import PLAIN, make_random_corpus, random_query
 
 
+class TestWeightingParams:
+    @pytest.mark.parametrize("mu", [0, 0.0, -1.0])
+    def test_non_positive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="weighting requires mu > 0"):
+            WeightingParams(mu=mu)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            WeightingParams(mu=10.0, k=0)
+
+    def test_smallest_valid_values_accepted(self):
+        assert WeightingParams(mu=1e-9, k=1).k == 1
+
+
 class TestTwqpWeight:
     def test_fixed_points(self):
         assert twqp_weight(0.0) == 0.5

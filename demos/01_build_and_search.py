@@ -28,7 +28,9 @@ q = Query("q1", tuple(tokens))
 
 # Scores are log probabilities under Dirichlet smoothing: each document's
 # term distribution is pulled toward the collection distribution by mu.
-from twqp import retrieve_topk, score_ql
+import math
+
+from twqp import collection_prob, retrieve_topk
 
 for mu in (10.0, 1000.0):
     ranked = retrieve_topk(q, 10, mu, index)
@@ -36,8 +38,15 @@ for mu in (10.0, 1000.0):
     for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
         print(f"  {rank}. {doc_id}  {score:.4f}")
 
-# score_ql reproduces any single entry directly.
-print("\nd1 at mu=1000:", score_ql(q, "d1", 1000.0, index))
+# Any single entry is the sum, over the query terms in sorted order, of
+# log((tf(w, d) + mu * p_D(w)) / (|d| + mu)).
+mu = 1000.0
+d1 = 0.0
+for w in sorted(q.terms):
+    p = (index.tf(w, "d1") + mu * collection_prob(w, index)) / (index.doc_length("d1") + mu)
+    d1 += math.log(p)
+print("\nd1 at mu=1000:", d1)
+assert d1 == dict(retrieve_topk(q, 10, mu, index).entries)["d1"]
 
 # Run files use the usual six-column TREC layout.
 from twqp.retrieval import format_run

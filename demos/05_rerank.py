@@ -12,7 +12,7 @@ from twqp import (
     Query,
     build_index,
     build_rm3,
-    rerank_rm3,
+    rerank_many,
     rerank_twqp,
     restrict_top_n,
     retrieve_topk,
@@ -52,8 +52,9 @@ table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, params, index)
 reranked = rerank_twqp(initial, table, cfg, index)
 print("weighted: ", reranked.doc_ids)
 
-# RM3 re-ranking scores against the feedback distribution instead.
-by_rm3 = rerank_rm3(initial, restrict_top_n(rm, 5), cfg, index)
+# RM3 re-ranking scores against the feedback distribution instead; one call
+# re-ranks with any number of weight maps.
+by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], cfg, index)[0]
 print("rm3:      ", by_rm3.doc_ids)
 
 # Only the head is re-scored; positions past rerank_depth keep their

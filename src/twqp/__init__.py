@@ -30,7 +30,6 @@ from .index import Document, Index, build_index, collection_prob, read_corpus
 from .qpp import (
     PredictorKind,
     PredictorSpec,
-    nwig_term,
     nwig_weights,
     predict_nqc,
     predict_quality,
@@ -45,16 +44,8 @@ from .relevance import (
     restrict_top_n,
     top_n_terms,
 )
-from .rerank import RerankConfig, rerank_many, rerank_rm3, rerank_twqp
-from .retrieval import (
-    Query,
-    RankedList,
-    expand_query,
-    retrieve_topk,
-    score_ql,
-    smoothed_prob,
-    write_run,
-)
+from .rerank import RerankConfig, rerank_many, rerank_twqp
+from .retrieval import Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
     TermWeightTable,

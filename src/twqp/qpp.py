@@ -217,11 +217,6 @@ def nwig_weights(
     return weights
 
 
-def nwig_term(w: str, lst: RankedList, m: int, mu: float, index: Index) -> float:
-    """nWIG weight of one term; see nwig_weights."""
-    return nwig_weights((w,), lst, m, mu, index)[w]
-
-
 def sror_term(
     w: str,
     q: Query,

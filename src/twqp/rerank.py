@@ -1,8 +1,8 @@
 """Re-score and re-order the head of an initial ranked list.
 
-Both re-rankers score a document as a weighted sum of log smoothed term
-probabilities; they differ only in where the weights come from (a term
-weight table vs. a relevance model).  Only the top rerank_depth documents
+A re-ranked document scores the weighted sum of its log smoothed term
+probabilities, weighted by a term weight table or, for RM3, by the relevance
+model's term distribution as passed.  Only the top rerank_depth documents
 are re-scored; the rest keep their original relative order beneath the
 re-ranked block, so the emitted ranking stays well-defined to full depth.
 Scores in the tail keep the initial retrieval's scale: rank, not score, is
@@ -11,21 +11,21 @@ the authoritative output of a re-ranked list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .index import Index
-from .relevance import RelevanceModel
 from .retrieval import RankedList, log_prob_matrix, rank_entries, weighted_sum
 from .weighting import TermWeightTable
 
 
 @dataclass(frozen=True)
 class RerankConfig:
-    """Depths and smoothing for re-ranking; mu must be positive so every
-    in-vocabulary term has a finite log probability."""
+    """Depths and smoothing for re-ranking; mu must be positive and finite so
+    every in-vocabulary term has a finite log probability."""
 
     mu: float
     rerank_depth: int = 100
@@ -36,8 +36,8 @@ class RerankConfig:
             raise ValueError(
                 f"need 1 <= rerank_depth <= k, got rerank_depth={self.rerank_depth}, k={self.k}"
             )
-        if self.mu <= 0:
-            raise ValueError(f"rerank requires mu > 0, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"rerank requires mu > 0 and finite, got {self.mu}")
 
 
 def rerank_many(
@@ -78,14 +78,3 @@ def rerank_twqp(
 ) -> RankedList:
     """Score(d) = sum_w weight(w) * log p_d(w) over the table's terms."""
     return rerank_many(initial, [table.weights], cfg, index)[0]
-
-
-def rerank_rm3(
-    initial: RankedList, rm: RelevanceModel, cfg: RerankConfig, index: Index
-) -> RankedList:
-    """Cross-entropy scoring against the relevance model's term distribution.
-
-    The model is used as passed; clip it to its top-n support first when the
-    candidate-vocabulary protocol calls for that.
-    """
-    return rerank_many(initial, [rm.term_probs], cfg, index)[0]

@@ -7,9 +7,8 @@ a canonical floating-point evaluation order; the re-ranking module uses the
 same order so that weighted sums that should equal a query-likelihood score
 do so bit-for-bit.
 
-``smoothed_prob`` and ``score_ql`` score one document at a time.  Retrieval
-and re-ranking score many documents at once with ``log_prob_matrix`` and
-``weighted_sum``, which repeat the scalar arithmetic exactly: the same
+Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``.
+It gives the same floats as the tests' one-document oracle: the same
 association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at one mu from one
@@ -69,47 +68,17 @@ class RankedList:
         return [s for _, s in self.entries]
 
 
-def smoothed_prob(w: str, doc_id: str, mu: float, index: Index) -> float:
-    """(tf(w,d) + mu * tf(w,D)/|D|) / (|d| + mu).
-
-    mu = 0 gives the document MLE, which is 0 for absent terms; callers must
-    guard the log in that case.
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    length = index.doc_length(doc_id)
-    denom = length + mu
-    if denom == 0:
-        raise ValueError(f"doc {doc_id!r} is empty and mu=0: probability undefined")
-    return (index.tf(w, doc_id) + mu * collection_prob(w, index)) / denom
-
-
-def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
-    """Sum of log smoothed term probabilities over the query bag.
-
-    Any zero-probability term makes the score -inf; such documents rank below
-    every finite-scored document.
-    """
-    score = 0.0
-    for w, count in sorted(q.term_counts().items()):
-        p = smoothed_prob(w, doc_id, mu, index)
-        if p == 0.0:
-            return float("-inf")
-        score += count * math.log(p)
-    return score
-
-
 def log_prob_matrix(
     terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
 ) -> np.ndarray:
     """log p_d(w) for each term (row) and each document number (column).
 
-    Every value equals math.log(smoothed_prob(w, d, mu, index)) bit for bit,
-    or -inf where that probability is 0.  math.log runs once per distinct
+    p_d(w) = (tf(w,d) + mu * p_D(w)) / (|d| + mu), and the log is -inf where
+    p is 0.  mu must be finite and >= 0.  math.log runs once per distinct
     probability: p repeats across documents with equal tf and length.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
     cols = index.columns
     lengths = cols.lengths[nums]
     if terms and mu == 0 and not lengths.all():
@@ -121,7 +90,8 @@ def log_prob_matrix(
         pos = post_nums.searchsorted(nums)
         np.multiply(post_tfs[pos], post_nums[pos] == nums, out=row)
     background = np.array([mu * collection_prob(w, index) for w in terms], dtype=float)
-    # Same association as smoothed_prob: (tf + mu * (cf / T)) / (len + mu).
+    # The oracle's association, (tf + mu * (cf / T)) / (len + mu); another
+    # order can round to another float.
     p = (tf + background[:, None]) / (lengths + mu)
     values, inverse = np.unique(p.ravel(), return_inverse=True)
     logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
@@ -140,8 +110,8 @@ class LogProbMemo:
     """
 
     def __init__(self, mu: float, index: Index) -> None:
-        if mu <= 0:
-            raise ValueError(f"a log-probability memo requires mu > 0, got {mu}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"a log-probability memo requires mu > 0 and finite, got {mu}")
         self.mu = mu
         self.index = index
         self._all = np.arange(index.doc_count)
@@ -196,8 +166,8 @@ def retrieve_topk(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
     if not q.terms:
         raise ValueError("cannot retrieve with an empty query")
     candidates = index.matching_docs(q.terms)

@@ -68,19 +68,18 @@ _TWQP_PREDICTOR = {
 class WeightingParams:
     """Retrieval depth and smoothing shared by all weighters.
 
-    predictor_m overrides the predictor's default cutoff for TWQP methods;
-    nwig_m is the nWIG cutoff.  mu must be positive: at mu = 0 a q+w list
-    holds -inf scores, which leave the predictor deltas undefined.
+    predictor_m overrides the predictor's default cutoff for TWQP methods.
+    mu must be positive and finite: at mu = 0 a q+w list holds -inf scores,
+    which leave the predictor deltas undefined.
     """
 
     mu: float
     k: int = 1000
     predictor_m: int | None = None
-    nwig_m: int = NWIG_DEFAULT_M
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError(f"weighting requires mu > 0, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"weighting requires mu > 0 and finite, got {self.mu}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -242,7 +241,7 @@ def _weigh_query(
         weights[WeightingMethod.SCORE_RATIO_NORM] = raw
     if WeightingMethod.NWIG in methods:
         weights[WeightingMethod.NWIG] = nwig_weights(
-            candidates, base, params.nwig_m, mu, index, memo
+            candidates, base, NWIG_DEFAULT_M, mu, index, memo
         )
 
     predictors = {

@@ -340,7 +340,31 @@ class TestErrors:
             ]
         )
         assert rc == 1
-        assert "weighting requires mu > 0, got 0.0" in self._stderr(capsys)
+        assert "weighting requires mu > 0 and finite, got 0.0" in self._stderr(capsys)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("search", []), ("weigh", []), ("rerank", ["--method", "RM3Opt"])],
+        ids=["search", "weigh", "rerank"],
+    )
+    def test_non_finite_mu_rejected(self, workspace, capsys, command, extra, mu):
+        # NaN fails every comparison, so a check written as `mu <= 0`
+        # lets it through to a run of nan scores
+        out_path = workspace / f"{command}-{mu}.out"
+        rc = main(
+            [
+                command,
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", mu,
+                "--out", str(out_path),
+                *extra,
+            ]
+        )
+        assert rc == 1
+        assert f"and finite, got {mu}" in self._stderr(capsys)
         assert not out_path.exists()
 
     def test_unknown_weighting_method(self, workspace, capsys):

@@ -15,9 +15,10 @@ from twqp.index import (
     read_corpus_dir,
     read_corpus_jsonl,
 )
-from twqp.retrieval import Query, score_ql
+from twqp.retrieval import Query
 
 from conftest import PLAIN, make_random_corpus
+from oracle import score_ql
 
 
 class TestBuildIndex:

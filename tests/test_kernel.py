@@ -1,8 +1,11 @@
-"""The vectorised scoring kernel against the scalar reference, bit for bit.
+"""The scoring kernel against the one-document oracle, bit for bit.
 
 retrieve_topk and the re-rankers score through log_prob_matrix and
-weighted_sum; smoothed_prob and score_ql stay the one-document reference.
-Every comparison here is ==, never approximate.
+weighted_sum; tests/oracle.py holds the one-document reference they are
+compared with.  The kernel's own edge cases (hand fractions, the mu = 0
+MLE, -inf for an unindexed term, the mu and empty-document checks) are
+pinned here on log_prob_matrix itself.  Every comparison here is ==, never
+approximate.
 """
 
 import math
@@ -13,17 +16,11 @@ from hypothesis import strategies as st
 
 from twqp.index import Document, Index, build_index
 from twqp.rerank import RerankConfig, rerank_twqp
-from twqp.retrieval import (
-    Query,
-    RankedList,
-    log_prob_matrix,
-    retrieve_topk,
-    score_ql,
-    smoothed_prob,
-)
+from twqp.retrieval import Query, RankedList, log_prob_matrix, retrieve_topk
 from twqp.weighting import TermWeightTable
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
+from oracle import scalar_rescore, scalar_topk, smoothed_prob
 
 MUS = st.one_of(
     st.sampled_from([0, 0.0, 1, 10, 100.0, 1000, 2500.0]),
@@ -34,20 +31,6 @@ MUS = st.one_of(
 def queries():
     terms = st.sampled_from(VOCAB + (UNINDEXED,))
     return st.lists(terms, min_size=1, max_size=5).map(lambda t: Query("q", tuple(t)))
-
-
-def scalar_topk(q, k, mu, index):
-    scored = [(d, score_ql(q, d, mu, index)) for d in index.matching_docs(q.terms)]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return tuple(scored[:k])
-
-
-def scalar_rescore(doc_id, weights, mu, index):
-    score = 0.0
-    for w in sorted(weights):
-        if weights[w] != 0.0:
-            score += weights[w] * math.log(smoothed_prob(w, doc_id, mu, index))
-    return score
 
 
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -145,9 +128,32 @@ class TestKernelEdges:
         ]
         assert got.tolist() == expected
 
+    # d1 = apple x2 + banana, d2 = banana + cherry; collection apple 2/5,
+    # banana 2/5, cherry 1/5.  At mu = 0 a cell is the document MLE.
+    @pytest.mark.parametrize(
+        "w, doc_id, mu, p",
+        [
+            ("apple", "d1", 10.0, (2 + 10 * 0.4) / 13),
+            ("cherry", "d1", 10.0, (0 + 10 * 0.2) / 13),
+            ("apple", "d2", 10.0, (0 + 10 * 0.4) / 12),
+            ("apple", "d1", 0.0, 2 / 3),
+            ("cherry", "d1", 0.0, 0.0),
+            ("durian", "d1", 10.0, 0.0),
+        ],
+        ids=["fraction", "background-only", "other-length", "mle", "mle-absent", "unindexed"],
+    )
+    def test_cell_is_the_log_of_the_hand_fraction(self, fruit_index, w, doc_id, mu, p):
+        nums = fruit_index.columns.doc_numbers([doc_id])
+        expected = math.log(p) if p else -math.inf
+        assert log_prob_matrix([w], nums, mu, fruit_index).tolist() == [[expected]]
+
     def test_negative_mu_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="mu must be >= 0"):
             retrieve_topk(Query("q", ("apple",)), 10, -1.0, fruit_index)
+        nums = fruit_index.columns.doc_numbers(["d1"])
+        for mu in (-1.0, math.nan, math.inf):  # NaN fails every comparison
+            with pytest.raises(ValueError, match="mu must be >= 0 and finite"):
+                log_prob_matrix(["apple"], nums, mu, fruit_index)
 
     def test_empty_doc_with_mu_zero_rejected(self):
         index = build_index([Document("d1", "a"), Document("d2", "")], PLAIN)

@@ -22,11 +22,12 @@ from twqp.config import ExperimentConfig
 from twqp.experiment import expand_and_weigh, make_queries
 from twqp.index import Document, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, predict_wig
-from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk, smoothed_prob
+from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk
 from twqp.synthetic import make_synthetic
 from twqp.weighting import WeightingMethod, WeightingParams, delta_p, twqp_weight, weigh_queries
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
+from oracle import scalar_wig
 
 PROPERTY = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -53,22 +54,6 @@ def doc_numbers(data, index):
     """A subset of the document numbers, in any order, possibly empty."""
     nums = data.draw(st.lists(st.integers(0, index.doc_count - 1), unique=True, max_size=12))
     return np.array(nums, dtype=np.int64)
-
-
-def scalar_wig(lst, q, m, mu, index):
-    """The one-document WIG loop: smoothed_prob and math.log per cell."""
-    m = min(m, len(lst.entries))
-    log_pd = {}
-    for w in set(q.terms):
-        p = index.collection_tf.get(w, 0) / index.total_tokens
-        if p != 0.0:
-            log_pd[w] = math.log(p)
-    total = 0.0
-    for doc_id, _ in lst.entries[:m]:
-        for w in q.terms:
-            if w in log_pd:
-                total += math.log(smoothed_prob(w, doc_id, mu, index)) - log_pd[w]
-    return total / (m * math.sqrt(len(q.terms)))
 
 
 class TestGather:
@@ -116,7 +101,7 @@ class TestRetrieveWithMemo:
         with pytest.raises(ValueError, match="memo holds"):
             memo.matrix(["apple"], np.array([0]), 10.0, fruit_index)
 
-    @pytest.mark.parametrize("mu", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("mu", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_mu_rejected(self, fruit_index, mu):
         with pytest.raises(ValueError, match="requires mu > 0"):
             LogProbMemo(mu, fruit_index)

@@ -12,7 +12,7 @@ from twqp.qpp import (
     WIG_DEFAULT_M,
     PredictorKind,
     PredictorSpec,
-    nwig_term,
+    nwig_weights,
     predict_nqc,
     predict_quality,
     predict_score_ratio,
@@ -20,9 +20,10 @@ from twqp.qpp import (
     predictor_minimum,
     sror_term,
 )
-from twqp.retrieval import Query, RankedList, retrieve_topk, smoothed_prob
+from twqp.retrieval import Query, RankedList, retrieve_topk
 
 from conftest import PLAIN, make_random_corpus, random_query
+from oracle import smoothed_prob
 
 
 def _list(scores, query_id="q1", k=1000):
@@ -218,18 +219,18 @@ class TestNWIG:
                 math.log(smoothed_prob(w, d, mu, index)) for d, _ in lst.entries[:m]
             ) / m
             expected = (mean_log - log_pd) / (-log_pd)
-            assert abs(nwig_term(w, lst, m, mu, index) - expected) < 1e-9
+            assert abs(nwig_weights([w], lst, m, mu, index)[w] - expected) < 1e-9
 
     def test_oov_term_gets_zero_with_warning(self, fruit_index):
         lst = retrieve_topk(Query("q1", ("apple",)), 10, 10.0, fruit_index)
         with pytest.warns(UserWarning, match="out of vocabulary"):
-            assert nwig_term("zzz", lst, 5, 10.0, fruit_index) == 0.0
+            assert nwig_weights(["zzz"], lst, 5, 10.0, fruit_index)["zzz"] == 0.0
 
     def test_certain_term_gets_zero_with_warning(self):
         index = build_index([Document("d1", "apple apple")], PLAIN)
         lst = retrieve_topk(Query("q1", ("apple",)), 10, 10.0, index)
         with pytest.warns(UserWarning, match="probability 1"):
-            assert nwig_term("apple", lst, 5, 10.0, index) == 0.0
+            assert nwig_weights(["apple"], lst, 5, 10.0, index)["apple"] == 0.0
 
     def test_bounded_above_by_one(self):
         rng = np.random.default_rng(79)
@@ -240,11 +241,11 @@ class TestNWIG:
             if not lst.entries:
                 continue
             w = index.vocabulary[int(rng.integers(0, len(index.vocabulary)))]
-            assert nwig_term(w, lst, 5, 500.0, index) <= 1.0 + 1e-12
+            assert nwig_weights([w], lst, 5, 500.0, index)[w] <= 1.0 + 1e-12
 
     def test_empty_list_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty"):
-            nwig_term("apple", _list([]), 5, 10.0, fruit_index)
+            nwig_weights(["apple"], _list([]), 5, 10.0, fruit_index)
 
 
 class TestSROR:

@@ -12,9 +12,10 @@ from twqp.relevance import (
     restrict_top_n,
     top_n_terms,
 )
-from twqp.retrieval import Query, retrieve_topk, score_ql
+from twqp.retrieval import Query, retrieve_topk
 
 from conftest import PLAIN, make_random_corpus, random_query
+from oracle import score_ql
 
 
 def _model_inputs(rng, n_docs=20):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from twqp.index import Document, build_index
-from twqp.relevance import RelevanceModel
-from twqp.rerank import RerankConfig, rerank_rm3, rerank_twqp
-from twqp.retrieval import Query, retrieve_topk, smoothed_prob
+from twqp.rerank import RerankConfig, rerank_many, rerank_twqp
+from twqp.retrieval import Query, retrieve_topk
 from twqp.weighting import TermWeightTable, query_indicator_table
 
 from conftest import PLAIN, make_random_corpus, random_query
+from oracle import smoothed_prob
 
 
 def _table(query_id, weights):
@@ -32,6 +32,9 @@ class TestRerankConfig:
             RerankConfig(mu=0.0)
         with pytest.raises(ValueError, match="mu"):
             RerankConfig(mu=-5.0)
+        for mu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu > 0 and finite"):
+                RerankConfig(mu=mu)
 
     def test_defaults(self):
         cfg = RerankConfig(mu=1000.0)
@@ -207,6 +210,9 @@ class TestHeadTail:
 
 
 class TestRerankRM3:
+    """RM3Opt re-ranks with the relevance model's term distribution, as
+    passed, through rerank_many."""
+
     def _index(self):
         docs = [
             Document("d1", "apple apple apple banana"),
@@ -215,16 +221,11 @@ class TestRerankRM3:
         ]
         return build_index(docs, PLAIN)
 
-    def _model(self, probs):
-        return RelevanceModel(
-            query_id="q1", term_probs=probs, m=2, mu=1000.0, lam=0.5
-        )
-
     def test_point_mass_scores_by_single_term(self):
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
         cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
-        rr = rerank_rm3(base, self._model({"banana": 1.0}), cfg, index)
+        rr = rerank_many(base, [{"banana": 1.0}], cfg, index)[0]
         for doc_id, score in rr.entries:
             assert score == 1.0 * math.log(smoothed_prob("banana", doc_id, 300.0, index))
         assert [d for d, _ in rr.entries][0] == "d2"
@@ -233,7 +234,7 @@ class TestRerankRM3:
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
         cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
-        rr = rerank_rm3(base, self._model({"apple": 0.5, "cherry": 0.5}), cfg, index)
+        rr = rerank_many(base, [{"apple": 0.5, "cherry": 0.5}], cfg, index)[0]
         for doc_id, score in rr.entries:
             expected = 0.5 * math.log(
                 smoothed_prob("apple", doc_id, 300.0, index)
@@ -246,9 +247,8 @@ class TestRerankRM3:
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
         cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
         probs = {"apple": 0.3, "banana": 0.2}
-        one = rerank_rm3(base, self._model(probs), cfg, index)
-        two = rerank_rm3(
-            base, self._model({w: 2.0 * p for w, p in probs.items()}), cfg, index
+        one, two = rerank_many(
+            base, [probs, {w: 2.0 * p for w, p in probs.items()}], cfg, index
         )
         doubled = {d: s for d, s in two.entries}
         for doc_id, score in one.entries:

@@ -1,4 +1,9 @@
-"""Smoothed scoring and top-k retrieval against hand and exhaustive oracles."""
+"""Top-k retrieval against hand and exhaustive oracles, and the oracle itself.
+
+TestSmoothedProb and TestScoreQL pin the one-document oracle in
+tests/oracle.py on hand values; test_kernel.py pins the same cases on the
+library's kernel.
+"""
 
 import math
 
@@ -13,12 +18,11 @@ from twqp.retrieval import (
     format_run,
     read_run,
     retrieve_topk,
-    score_ql,
-    smoothed_prob,
     write_run,
 )
 
 from conftest import PLAIN, make_random_corpus, random_query
+from oracle import scalar_topk, score_ql, smoothed_prob
 
 
 class TestSmoothedProb:
@@ -98,11 +102,7 @@ class TestRetrieveTopk:
             mu = float(rng.uniform(1, 3000))
             k = int(rng.integers(1, 40))
             got = retrieve_topk(q, k, mu, index)
-            scored = [
-                (d, score_ql(q, d, mu, index)) for d in index.matching_docs(q.terms)
-            ]
-            scored.sort(key=lambda e: (-e[1], e[0]))
-            assert got.entries == tuple(scored[:k])
+            assert got.entries == scalar_topk(q, k, mu, index)
 
     def test_ties_break_by_doc_id(self):
         docs = [Document(d, "apple pie") for d in ("d3", "d1", "d2")]
@@ -127,12 +127,23 @@ class TestRetrieveTopk:
         with pytest.raises(ValueError, match="k"):
             retrieve_topk(Query("q1", ("apple",)), 0, 10.0, fruit_index)
 
-    @pytest.mark.parametrize("term", ["apple", "zzz"])
-    def test_negative_mu_rejected_with_or_without_matches(self, fruit_index, term):
+    @pytest.mark.parametrize(
+        "term, mu",
+        [
+            pytest.param("apple", -5.0, id="apple"),
+            pytest.param("zzz", -5.0, id="zzz"),
+            pytest.param("apple", math.nan, id="apple-nan"),
+            pytest.param("zzz", math.nan, id="zzz-nan"),
+            pytest.param("apple", math.inf, id="apple-inf"),
+            pytest.param("zzz", math.inf, id="zzz-inf"),
+        ],
+    )
+    def test_negative_mu_rejected_with_or_without_matches(self, fruit_index, term, mu):
         # checked before the candidates are looked up, so an unmatched
-        # query is rejected too rather than returning an empty list
-        with pytest.raises(ValueError, match="mu must be >= 0"):
-            retrieve_topk(Query("q", (term,)), 10, -5.0, fruit_index)
+        # query is rejected too rather than returning an empty list.  NaN
+        # slips past a plain `mu < 0` test, and inf makes every p inf/inf.
+        with pytest.raises(ValueError, match="mu must be >= 0 and finite"):
+            retrieve_topk(Query("q", (term,)), 10, mu, fruit_index)
 
     def test_more_occurrences_rank_higher(self):
         # same length, higher tf of the query term -> strictly better score

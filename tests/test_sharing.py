@@ -26,12 +26,13 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, build_index
 from twqp.qpp import nwig_weights
 from twqp.relevance import RelevanceModel, build_rm3_grid, top_n_terms
-from twqp.rerank import RerankConfig, rerank_many, rerank_rm3
-from twqp.retrieval import Query, RankedList, retrieve_topk, score_ql, smoothed_prob
+from twqp.rerank import RerankConfig, rerank_many
+from twqp.retrieval import Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod, WeightingParams, weigh_queries, weigh_terms
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
+from oracle import scalar_nwig, scalar_rm3
 
 ALL_METHODS = tuple(WeightingMethod)
 
@@ -53,44 +54,6 @@ def same_items(got: dict, expected: dict) -> bool:
     return list(got) == list(expected) and all(same(got[k], expected[k]) for k in got)
 
 
-# ---------------------------------------------------------------------------
-# Scalar references: the one-document loops the shared code replaced.
-# ---------------------------------------------------------------------------
-
-
-def scalar_rm3(q, initial, m, mu, lam, index):
-    m = min(m, len(initial.entries))
-    feedback_docs = [doc_id for doc_id, _ in initial.entries[:m]]
-    log_scores = [score_ql(q, d, mu, index) for d in feedback_docs]
-    top = max(log_scores)
-    raw = [math.exp(s - top) for s in log_scores]
-    z = sum(raw)
-    feedback = {}
-    for d, r in zip(feedback_docs, raw):
-        length = index.doc_length(d)
-        for w, tf in index.doc_vector(d).items():
-            feedback[w] = feedback.get(w, 0.0) + (r / z) * (tf / length)
-    counts = q.term_counts()
-    qlen = len(q.terms)
-    return {
-        w: lam * (counts.get(w, 0) / qlen) + (1.0 - lam) * feedback.get(w, 0.0)
-        for w in sorted(set(feedback) | set(counts))
-    }
-
-
-def scalar_nwig(w, lst, m, mu, index):
-    m = min(m, len(lst.entries))
-    p_collection = index.collection_tf.get(w, 0) / index.total_tokens
-    if p_collection == 0.0 or math.log(p_collection) == 0.0:
-        return 0.0
-    log_pd = math.log(p_collection)
-    mean_log = sum(math.log(smoothed_prob(w, d, mu, index)) for d, _ in lst.entries[:m]) / m
-    return (mean_log - log_pd) / (-log_pd)
-
-
-# ---------------------------------------------------------------------------
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestWeighQueries:
     @PROPERTY
@@ -101,7 +64,6 @@ class TestWeighQueries:
             mu=mu,
             k=data.draw(st.integers(1, n_docs + 1)),
             predictor_m=data.draw(st.one_of(st.none(), st.integers(1, n_docs + 2))),
-            nwig_m=data.draw(st.integers(1, n_docs + 2)),
         )
         pairs = []
         for i in range(data.draw(st.integers(1, 3))):
@@ -198,7 +160,7 @@ class TestBuildRm3Grid:
 class TestRerankMany:
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
-    def test_each_map_equals_rerank_rm3(self, index, mu, data):
+    def test_each_map_equals_a_one_map_call(self, index, mu, data):
         initial = retrieve_topk(draw_query(data, index), 1000, mu, index)
         depth = data.draw(st.integers(1, len(initial.entries)))
         cfg = RerankConfig(mu=mu, rerank_depth=depth, k=1000)
@@ -211,8 +173,7 @@ class TestRerankMany:
         got = rerank_many(initial, maps, cfg, index)
         assert len(got) == len(maps)
         for weights_map, run in zip(maps, got):
-            model = RelevanceModel("q", weights_map, 1, mu, 0.5)
-            assert run == rerank_rm3(initial, model, cfg, index)
+            assert run == rerank_many(initial, [weights_map], cfg, index)[0]
 
     def test_unindexed_weighted_term_rejected(self, fruit_index):
         initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, fruit_index)

@@ -28,7 +28,7 @@ from conftest import PLAIN, make_random_corpus, random_query
 
 
 class TestWeightingParams:
-    @pytest.mark.parametrize("mu", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("mu", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="weighting requires mu > 0"):
             WeightingParams(mu=mu)

@@ -31,7 +31,6 @@ from .experiment import (
     tune,
 )
 from .index import Index, build_index, read_corpus
-from .qpp import PredictorKind
 from .rerank import RerankConfig
 from .retrieval import read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
@@ -77,15 +76,6 @@ def _config_from(args) -> ExperimentConfig:
     )
 
 
-def _method_from(args, config: ExperimentConfig) -> WeightingMethod | str:
-    if args.method == RM3_LABEL:
-        return RM3_LABEL
-    if args.qpp_kind and not args.method:
-        kind = PredictorKind.from_string(args.qpp_kind)
-        return WeightingMethod.from_string(f"TWQP({kind.value})")
-    return config.weighting_method
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -108,9 +98,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "rm3_m": lambda: p.add_argument(
             "--rm3-m", dest="rm3_m", type=int, default=10, help="feedback depth"
         ),
-        "qpp": lambda: (
-            p.add_argument("--qpp-kind", dest="qpp_kind", help="WIG, NQC or ScoreRatio"),
-            p.add_argument("--qpp-m", dest="qpp_m", type=int, help="predictor cutoff override"),
+        "qpp": lambda: p.add_argument(
+            "--qpp-m", dest="qpp_m", type=int, help="predictor cutoff override"
         ),
     }
     for name in names:
@@ -255,7 +244,7 @@ def _run(args) -> int:
         queries = _queries_for(config, index)
         if args.mu is None:
             raise ValueError("need --mu")
-        method = _method_from(args, config)
+        method = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method
         if args.command == "rerank":  # reject a bad depth before the weighing work
             RerankConfig(mu=args.mu, rerank_depth=config.rerank_depth, k=config.k)
         elif method == RM3_LABEL:

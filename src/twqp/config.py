@@ -20,7 +20,7 @@ from .weighting import WeightingMethod
 # Keys older config files may set that no longer select anything, and what
 # selects that behaviour now.
 _RETIRED_KEYS = {
-    ("qpp", "kind"): "[weighting] method (or the --qpp-kind flag)",
+    ("qpp", "kind"): "[weighting] method (or the --method flag)",
     ("synthetic", "seed"): "the make-synthetic --seed flag",
 }
 

@@ -84,7 +84,7 @@ def make_queries(
     skipped: list[str] = []
     for qid, title in topics:
         tokens = analyze(title, index.analyzer)
-        kept = [t for t in tokens if index.postings.get(t)]
+        kept = [t for t in tokens if index.term(t)[0].size]
         for t in sorted(set(tokens) - set(kept)):
             warnings.warn(f"query {qid}: term {t!r} not in index; dropped", stacklevel=2)
         if not kept:

@@ -1,24 +1,29 @@
 """Inverted index with the collection statistics needed for smoothed scoring.
 
-The index is built in a single pass and treated as immutable afterwards: all
-retrieval, feedback and prediction code only reads it.  Per-document lengths
-are token counts after analysis, so they match the tf accounting used by the
-scoring formulas exactly.
+The index is a set of arrays, built in a single pass and treated as
+immutable afterwards: all retrieval, feedback and prediction code only reads
+it.  Documents are numbered in ascending doc-id order, so ascending number
+is the retrieval tie-break.  Postings are one term-major CSR over the sorted
+vocabulary: term i's doc numbers (ascending) and tfs are nums and tfs over
+starts[i]:starts[i + 1].  Per-document lengths are token counts after
+analysis, so they match the tf accounting used by the scoring formulas
+exactly.  A snapshot is an .npz of the same arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import AnalyzerConfig, analyze
 
-SNAPSHOT_MAGIC = "#twqp-index"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_JSON_MAGIC = b"#twqp-index"  # first bytes of a format 1 (JSON) snapshot
 
 
 @dataclass(frozen=True)
@@ -29,134 +34,56 @@ class Document:
     text: str
 
 
+@dataclass(eq=False, repr=False)
 class Index:
-    """Postings plus collection statistics.
+    """Numbered documents, their lengths and term-major postings arrays.
 
-    postings maps term -> {doc_id: tf} with doc_ids in ascending order;
-    collection_tf maps term -> total tf over the collection; total_tokens is
-    the number of analyzed tokens in the collection (sum of doc lengths).
+    doc_ids[n] is document n's id and lengths[n] its length; vocabulary is
+    sorted.  collection_tf maps term -> total tf over the collection;
+    total_tokens is the number of analyzed tokens in the collection (sum of
+    doc lengths).
     """
 
-    def __init__(
-        self,
+    doc_ids: list[str]
+    lengths: np.ndarray
+    vocabulary: list[str]
+    starts: np.ndarray
+    nums: np.ndarray
+    tfs: np.ndarray
+    analyzer: AnalyzerConfig
+
+    def __post_init__(self) -> None:
+        self._numbers = {d: n for n, d in enumerate(self.doc_ids)}
+        starts = self.starts.tolist()
+        self._spans = {w: slice(s, e) for w, s, e in zip(self.vocabulary, starts, starts[1:])}
+        cumulative = np.concatenate(([0], np.cumsum(self.tfs)))[self.starts]
+        self.collection_tf = dict(zip(self.vocabulary, np.diff(cumulative).tolist()))
+        self.total_tokens = int(self.lengths.sum())
+
+    @classmethod
+    def from_postings(
+        cls,
         postings: dict[str, dict[str, int]],
         doc_lengths: dict[str, int],
         analyzer: AnalyzerConfig,
-    ) -> None:
-        self.postings = postings
-        self.doc_lengths = doc_lengths
-        self.analyzer = analyzer
-        self.collection_tf = {w: sum(p.values()) for w, p in postings.items()}
-        self.total_tokens = sum(doc_lengths.values())
-        self._forward: dict[str, dict[str, int]] | None = None
-        self._columns: DocColumns | None = None
+    ) -> "Index":
+        """The index of term -> {doc_id: tf} over doc_id -> length; a term
+        may have no postings, and postings may come in any doc order."""
+        doc_ids = sorted(doc_lengths)
+        number = {d: n for n, d in enumerate(doc_ids)}
+        vocabulary = sorted(postings)
+        sizes = np.fromiter(map(len, map(postings.__getitem__, vocabulary)), dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        nums = np.fromiter((number[d] for w in vocabulary for d in postings[w]), dtype=np.int64)
+        tfs = np.fromiter((tf for w in vocabulary for tf in postings[w].values()), dtype=np.int64)
+        # Sort each term's postings by doc number, keeping terms in order.
+        order = np.lexsort((nums, np.repeat(np.arange(len(vocabulary)), sizes)))
+        lengths = np.fromiter(map(doc_lengths.__getitem__, doc_ids), dtype=np.int64)
+        return cls(doc_ids, lengths, vocabulary, starts, nums[order], tfs[order], analyzer)
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_lengths)
-
-    @property
-    def vocabulary(self) -> list[str]:
-        return sorted(self.postings)
-
-    def tf(self, w: str, doc_id: str) -> int:
-        return self.postings.get(w, {}).get(doc_id, 0)
-
-    def doc_length(self, doc_id: str) -> int:
-        try:
-            return self.doc_lengths[doc_id]
-        except KeyError:
-            raise KeyError(f"unknown doc_id {doc_id!r}") from None
-
-    def matching_docs(self, terms: Iterable[str]) -> set[str]:
-        """Doc ids containing at least one of the given terms."""
-        docs: set[str] = set()
-        for w in set(terms):
-            docs.update(self.postings.get(w, ()))
-        return docs
-
-    def doc_vector(self, doc_id: str) -> dict[str, int]:
-        """term -> tf for one document (forward view, built lazily once)."""
-        if self._forward is None:
-            forward: dict[str, dict[str, int]] = {d: {} for d in self.doc_lengths}
-            for w in sorted(self.postings):
-                for d, tf in self.postings[w].items():
-                    forward[d][w] = tf
-            self._forward = forward
-        try:
-            return self._forward[doc_id]
-        except KeyError:
-            raise KeyError(f"unknown doc_id {doc_id!r}") from None
-
-    @property
-    def columns(self) -> "DocColumns":
-        """Columnar view for vectorised scoring, built on first use."""
-        if self._columns is None:
-            self._columns = DocColumns(self)
-        return self._columns
-
-    # ------------------------------------------------------------------
-    # Snapshot format: a magic + version header line, then one JSON object.
-    # All statistics are integers and strings, so the round trip is exact.
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "analyzer": {
-                "lowercase": self.analyzer.lowercase,
-                "stopwords": sorted(self.analyzer.stopwords),
-                "stemmer": self.analyzer.stemmer,
-                "token_pattern": self.analyzer.token_pattern,
-            },
-            "doc_lengths": {d: self.doc_lengths[d] for d in sorted(self.doc_lengths)},
-            "postings": {
-                w: dict(self.postings[w].items()) for w in sorted(self.postings)
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}\n")
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Index":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2 or header[0] != SNAPSHOT_MAGIC:
-                raise ValueError(f"{path}: not an index snapshot (bad header)")
-            if int(header[1]) != SNAPSHOT_VERSION:
-                raise ValueError(f"{path}: unsupported snapshot version {header[1]}")
-            payload = json.load(fh)
-        analyzer = AnalyzerConfig(
-            lowercase=payload["analyzer"]["lowercase"],
-            stopwords=frozenset(payload["analyzer"]["stopwords"]),
-            stemmer=payload["analyzer"]["stemmer"],
-            token_pattern=payload["analyzer"]["token_pattern"],
-        )
-        postings = {
-            w: {d: int(tf) for d, tf in sorted(pl.items())}
-            for w, pl in payload["postings"].items()
-        }
-        return cls(postings, {d: int(n) for d, n in payload["doc_lengths"].items()}, analyzer)
-
-
-class DocColumns:
-    """Numbered documents and per-term postings arrays over one index.
-
-    Documents are numbered in ascending doc-id order, so ascending number is
-    the retrieval tie-break.  lengths[n] is the length of document n.  A
-    term's (doc numbers, tfs) arrays are built the first time the term is
-    scored and kept for the life of the index; doc numbers ascend and end in
-    the sentinel doc_count (tf 0), so a searchsorted position is always a
-    valid index.
-    """
-
-    def __init__(self, index: Index) -> None:
-        self._postings = index.postings
-        self.doc_ids = sorted(index.doc_lengths)
-        self._numbers = {d: n for n, d in enumerate(self.doc_ids)}
-        self.lengths = np.array([index.doc_lengths[d] for d in self.doc_ids], dtype=np.int64)
-        self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        return len(self.doc_ids)
 
     def doc_numbers(self, doc_ids: Iterable[str]) -> np.ndarray:
         """Document numbers of the given doc ids, in the order given."""
@@ -166,37 +93,117 @@ class DocColumns:
             raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
 
     def term(self, w: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc numbers, tfs) of w's postings plus the sentinel entry."""
-        cols = self._terms.get(w)
-        if cols is None:
-            # Postings are in ascending doc-id order, hence in number order.
-            postings = self._postings.get(w, {})
-            nums = np.append(self.doc_numbers(postings), len(self.doc_ids))
-            tfs = np.append(np.fromiter(postings.values(), dtype=np.int64), 0)
-            cols = (nums, tfs)
-            if postings:
-                self._terms[w] = cols
-        return cols
+        """(doc numbers, tfs) of w's postings, doc numbers ascending; empty
+        for a term outside the vocabulary."""
+        span = self._spans.get(w, slice(0, 0))
+        return self.nums[span], self.tfs[span]
+
+    def matching_docs(self, terms: Iterable[str]) -> np.ndarray:
+        """Ascending numbers of the documents holding at least one of the terms."""
+        return np.unique(np.concatenate([self.nums[:0], *(self.term(w)[0] for w in set(terms))]))
+
+    @property
+    def postings(self) -> dict[str, dict[str, int]]:
+        """term -> {doc_id: tf} with doc ids ascending, built on each call."""
+        # An object array of doc ids, not a list of doc numbers, so that no
+        # int object is made per posting.
+        doc_ids = np.array(self.doc_ids, dtype=object)[self.nums].tolist()
+        tfs, starts = self.tfs.tolist(), self.starts.tolist()
+        return {
+            w: dict(zip(doc_ids[s:e], tfs[s:e]))
+            for w, s, e in zip(self.vocabulary, starts, starts[1:])
+        }
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        """doc_id -> length, built on each call."""
+        return dict(zip(self.doc_ids, self.lengths.tolist()))
+
+    def tf(self, w: str, doc_id: str) -> int:
+        nums, tfs = self.term(w)
+        return int(tfs[nums == self._numbers.get(doc_id, -1)].sum())
+
+    def doc_length(self, doc_id: str) -> int:
+        return int(self.lengths[self.doc_numbers([doc_id])[0]])
+
+    # Snapshot format 2 is one .npz of the arrays, read without pickle.
+    # Strings are UTF-8 bytes plus end offsets, so any str round-trips.
+
+    def save(self, path: str | Path) -> None:
+        a = self.analyzer
+        # A file object, so that numpy does not append ".npz" to the path.
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                twqp_index_version=np.array(SNAPSHOT_VERSION),
+                lengths=self.lengths,
+                starts=self.starts,
+                nums=self.nums.astype(np.int32),
+                tfs=self.tfs.astype(np.int32),
+                lowercase=np.array(a.lowercase),
+                **_pack("doc_ids", self.doc_ids),
+                **_pack("vocabulary", self.vocabulary),
+                **_pack("analyzer", [a.stemmer, a.token_pattern, *sorted(a.stopwords)]),
+            )
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Index":
+        with open(path, "rb") as fh:
+            head = fh.read(len(_JSON_MAGIC))
+            if head == _JSON_MAGIC:
+                raise ValueError(
+                    f"{path}: snapshot format 1 (JSON) is no longer read; "
+                    "rebuild the snapshot with `twqp index`"
+                )
+            if not head.startswith(b"PK\x03\x04"):  # every .npz is a zip file
+                raise ValueError(f"{path}: not an index snapshot")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                if "twqp_index_version" not in npz.files:
+                    raise ValueError(f"{path}: not an index snapshot")
+                version = int(npz["twqp_index_version"])
+                if version != SNAPSHOT_VERSION:
+                    raise ValueError(f"{path}: unsupported snapshot version {version}")
+                stemmer, token_pattern, *stopwords = _unpack("analyzer", npz)
+                analyzer = AnalyzerConfig(
+                    bool(npz["lowercase"]), frozenset(stopwords), stemmer, token_pattern
+                )
+                doc_ids, vocabulary = _unpack("doc_ids", npz), _unpack("vocabulary", npz)
+                nums, tfs = npz["nums"].astype(np.int64), npz["tfs"].astype(np.int64)
+                return cls(doc_ids, npz["lengths"], vocabulary, npz["starts"], nums, tfs, analyzer)
+
+
+def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:
+    """The strings as one UTF-8 byte array and the end offset of each."""
+    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return {
+        f"{name}_utf8": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        f"{name}_ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
+    }
+
+
+def _unpack(name: str, arrays: Mapping[str, np.ndarray]) -> list[str]:
+    data = arrays[f"{name}_utf8"].tobytes()
+    ends = arrays[f"{name}_ends"].tolist()
+    return [data[s:e].decode("utf-8", "surrogatepass") for s, e in zip([0] + ends, ends)]
 
 
 def build_index(corpus: Iterable[Document], config: AnalyzerConfig | None = None) -> Index:
     """Single pass over the corpus; duplicate doc_ids and empty corpora are errors."""
     if config is None:
         config = AnalyzerConfig()
-    raw_postings: dict[str, dict[str, int]] = {}
+    postings: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
     for doc in corpus:
         if doc.doc_id in doc_lengths:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
         tokens = analyze(doc.text, config)
         doc_lengths[doc.doc_id] = len(tokens)
-        for t in tokens:
-            raw_postings.setdefault(t, {})
-            raw_postings[t][doc.doc_id] = raw_postings[t].get(doc.doc_id, 0) + 1
+        for t, tf in Counter(tokens).items():
+            postings.setdefault(t, {})[doc.doc_id] = tf
     if not doc_lengths:
         raise ValueError("empty corpus: no documents to index")
-    postings = {w: dict(sorted(pl.items())) for w, pl in raw_postings.items()}
-    return Index(postings, doc_lengths, config)
+    return Index.from_postings(postings, doc_lengths, config)
 
 
 def collection_prob(w: str, index: Index) -> float:

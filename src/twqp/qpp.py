@@ -41,13 +41,6 @@ class PredictorKind(enum.Enum):
     NQC = "NQC"
     SCORE_RATIO = "ScoreRatio"
 
-    @classmethod
-    def from_string(cls, name: str) -> "PredictorKind":
-        for kind in cls:
-            if kind.value.lower() == name.strip().lower():
-                return kind
-        raise ValueError(f"unknown predictor kind {name!r}")
-
 
 _DEFAULT_M = {
     PredictorKind.WIG: WIG_DEFAULT_M,
@@ -101,7 +94,7 @@ def predict_wig(
         else:
             log_pd_collection[w] = math.log(p)
     scored = list(log_pd_collection)
-    nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
+    nums = index.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
     log_probs = log_prob_matrix if memo is None else memo.matrix
     rows = dict(zip(scored, log_probs(scored, nums, mu, index).tolist()))
     total = 0.0
@@ -209,7 +202,7 @@ def nwig_weights(
             continue
         log_pds[w] = log_pd
     scored = list(log_pds)
-    nums = index.columns.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
+    nums = index.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
     log_probs = log_prob_matrix if memo is None else memo.matrix
     totals = weighted_sum([1.0] * m, log_probs(scored, nums, mu, index).T)
     for w, total in zip(scored, totals.tolist()):

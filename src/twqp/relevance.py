@@ -64,9 +64,9 @@ def build_rm3_grid(
     """One RM3 model per feedback depth in ms, each equal to build_rm3's.
 
     The top max(ms) documents are scored once and their tf/len vectors are
-    gathered once; each depth then weighs its first m documents by
-    renormalized likelihood and adds them up one document at a time in rank
-    order, as a per-document dictionary update would.
+    gathered once, from the postings arrays; each depth then weighs its first
+    m documents by renormalized likelihood and adds them up one document at
+    a time in rank order, as a per-document dictionary update would.
     """
     if not initial.entries:
         raise ValueError("cannot build a relevance model from an empty ranked list")
@@ -86,16 +86,20 @@ def build_rm3_grid(
 
     feedback_docs = [doc_id for doc_id, _ in initial.entries[: max(depths)]]
     terms, counts = zip(*sorted(q.term_counts().items()))
-    nums = index.columns.doc_numbers(feedback_docs)
+    nums = index.doc_numbers(feedback_docs)
     log_scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index)).tolist()
 
-    vectors = [index.doc_vector(d) for d in feedback_docs]
-    vocab = sorted(set(q.terms).union(*vectors))
+    rank = np.full(index.doc_count, -1)  # document n's row of doc_probs, or -1
+    rank[nums] = np.arange(len(nums))
+    picked = np.flatnonzero(rank[index.nums] >= 0)  # the feedback documents' postings
+    picked_terms = [index.vocabulary[t] for t in index.starts.searchsorted(picked, "right") - 1]
+    vocab = sorted(set(q.terms).union(picked_terms))
     column = {w: i for i, w in enumerate(vocab)}
+    doc_rows = rank[index.nums[picked]]
     doc_probs = np.zeros((len(feedback_docs), len(vocab)))
-    for row, d, vector in zip(doc_probs, feedback_docs, vectors):
-        length = index.doc_length(d)
-        row[[column[w] for w in vector]] = [tf / length for tf in vector.values()]
+    doc_probs[doc_rows, [column[w] for w in picked_terms]] = (
+        index.tfs[picked] / index.lengths[nums][doc_rows]
+    )
     # A term is in the depth-m support when one of the first m docs holds it.
     held = doc_probs > 0.0
     first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(feedback_docs))

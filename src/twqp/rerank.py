@@ -57,7 +57,7 @@ def rerank_many(
     tail = initial.entries[cfg.rerank_depth :]
     map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
     terms = sorted(set().union(*map_terms))
-    nums = np.sort(index.columns.doc_numbers(d for d, _ in head))
+    nums = np.sort(index.doc_numbers(d for d, _ in head))
     log_probs = log_prob_matrix(terms, nums, cfg.mu, index)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:

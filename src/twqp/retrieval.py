@@ -7,8 +7,9 @@ a canonical floating-point evaluation order; the re-ranking module uses the
 same order so that weighted sums that should equal a query-likelihood score
 do so bit-for-bit.
 
-Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``.
-It gives the same floats as the tests' one-document oracle: the same
+Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``,
+which reads tfs off the index's postings arrays by doc number.  It gives
+the same floats as the tests' one-document oracle: the same
 association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at one mu from one
@@ -79,15 +80,17 @@ def log_prob_matrix(
     """
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
-    cols = index.columns
-    lengths = cols.lengths[nums]
+    lengths = index.lengths[nums]
     if terms and mu == 0 and not lengths.all():
-        empty = cols.doc_ids[int(nums[np.argmin(lengths)])]
+        empty = index.doc_ids[int(nums[np.argmin(lengths)])]
         raise ValueError(f"doc {empty!r} is empty and mu=0: probability undefined")
     tf = np.zeros((len(terms), len(nums)), dtype=np.int64)
     for row, w in zip(tf, terms):
-        post_nums, post_tfs = cols.term(w)
-        pos = post_nums.searchsorted(nums)
+        post_nums, post_tfs = index.term(w)
+        if not post_nums.size:
+            continue  # the row stays 0
+        # Past the last posting, clip to it; the equality test masks it out.
+        pos = np.minimum(post_nums.searchsorted(nums), post_nums.size - 1)
         np.multiply(post_tfs[pos], post_nums[pos] == nums, out=row)
     background = np.array([mu * collection_prob(w, index) for w in terms], dtype=float)
     # The oracle's association, (tf + mu * (cf / T)) / (len + mu); another
@@ -150,7 +153,7 @@ def rank_entries(
     """The top k (doc_id, score) entries, by descending score and then by
     ascending doc id (document number order), as Python str and float."""
     top = np.lexsort((nums, -scores))[:k]
-    doc_ids = map(index.columns.doc_ids.__getitem__, nums[top].tolist())
+    doc_ids = map(index.doc_ids.__getitem__, nums[top].tolist())
     return tuple(zip(doc_ids, scores[top].tolist()))
 
 
@@ -170,10 +173,9 @@ def retrieve_topk(
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
     if not q.terms:
         raise ValueError("cannot retrieve with an empty query")
-    candidates = index.matching_docs(q.terms)
-    if not candidates:
+    nums = index.matching_docs(q.terms)  # ascending: sorted keys search faster
+    if not nums.size:
         return RankedList(q.query_id, (), k)
-    nums = np.sort(index.columns.doc_numbers(candidates))  # sorted keys search faster
     terms, counts = zip(*sorted(q.term_counts().items()))
     log_probs = log_prob_matrix if memo is None else memo.matrix
     scores = weighted_sum(counts, log_probs(terms, nums, mu, index))

@@ -44,7 +44,9 @@ def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
 
 def scalar_topk(q, k, mu, index):
     """Every matching document scored by score_ql, ranked by (score desc, doc id)."""
-    scored = [(d, score_ql(q, d, mu, index)) for d in index.matching_docs(q.terms)]
+    postings = index.postings
+    matching = set().union(*(postings.get(w, {}) for w in q.terms))
+    scored = [(d, score_ql(q, d, mu, index)) for d in matching]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return tuple(scored[:k])
 
@@ -94,11 +96,13 @@ def scalar_rm3(q, initial, m, mu, lam, index):
     top = max(log_scores)
     raw = [math.exp(s - top) for s in log_scores]
     z = sum(raw)
+    postings = index.postings
     feedback = {}
     for d, r in zip(feedback_docs, raw):
         length = index.doc_length(d)
-        for w, tf in index.doc_vector(d).items():
-            feedback[w] = feedback.get(w, 0.0) + (r / z) * (tf / length)
+        for w, docs in postings.items():
+            if d in docs:
+                feedback[w] = feedback.get(w, 0.0) + (r / z) * (docs[d] / length)
     counts = q.term_counts()
     qlen = len(q.terms)
     return {

@@ -177,7 +177,7 @@ class TestPipelineCommands:
         ini.write_text("[qpp]\nkind = NQC\n[weighting]\nmethod = TWQP(WIG)\n")
         with pytest.warns(UserWarning, match=r"\[qpp\] kind is not read"):
             assert self._weigh_labels(workspace, "--config", str(ini)) == {"TWQP(WIG)"}
-        assert self._weigh_labels(workspace, "--qpp-kind", "ScoreRatio") == {"TWQP(ScoreRatio)"}
+        assert self._weigh_labels(workspace, "--method", "TWQP(ScoreRatio)") == {"TWQP(ScoreRatio)"}
         capsys.readouterr()
 
     def test_rerank_writes_run(self, workspace, capsys):
@@ -311,6 +311,22 @@ class TestErrors:
         )
         assert rc == 1
         assert "need --snapshot or --corpus" in self._stderr(capsys)
+
+    def test_search_rejects_a_json_snapshot(self, workspace, tmp_path, capsys):
+        snapshot = tmp_path / "v1.snap"
+        snapshot.write_text('#twqp-index 1\n{"postings": {}}\n', encoding="utf-8")
+        rc = main(
+            [
+                "search",
+                "--snapshot", str(snapshot),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", "1000",
+                "--out", str(tmp_path / "x.run"),
+            ]
+        )
+        assert rc == 1
+        err = self._stderr(capsys)
+        assert "format 1" in err and "twqp index" in err
 
     def test_search_needs_mu(self, workspace, capsys):
         rc = main(

@@ -169,7 +169,7 @@ class TestMakeQueries:
 
     def test_term_with_empty_postings_dropped(self):
         # a hand-made snapshot may list a term that no document holds
-        index = Index({"apple": {"d1": 2}, "ghost": {}}, {"d1": 2}, PLAIN)
+        index = Index.from_postings({"apple": {"d1": 2}, "ghost": {}}, {"d1": 2}, PLAIN)
         with pytest.warns(UserWarning, match="'ghost' not in index"):
             queries, skipped = make_queries([("q1", "apple ghost")], index)
         assert [q.terms for q in queries] == [("apple",)]

@@ -76,16 +76,17 @@ class TestAccessors:
         assert list(index.postings["apple"].items()) == [("d1", 1), ("d2", 1), ("d3", 1)]
 
     def test_matching_docs_union(self, fruit_index):
-        assert fruit_index.matching_docs(["apple"]) == {"d1"}
-        assert fruit_index.matching_docs(["banana"]) == {"d1", "d2"}
-        assert fruit_index.matching_docs(["apple", "cherry"]) == {"d1", "d2"}
-        assert fruit_index.matching_docs(["durian"]) == set()
+        # ascending document numbers: d1 is 0, d2 is 1
+        assert fruit_index.matching_docs(["apple"]).tolist() == [0]
+        assert fruit_index.matching_docs(["banana"]).tolist() == [0, 1]
+        assert fruit_index.matching_docs(["cherry", "apple"]).tolist() == [0, 1]
+        assert fruit_index.matching_docs(["durian"]).tolist() == []
+        assert fruit_index.matching_docs([]).tolist() == []
 
-    def test_doc_vector_matches_postings(self, fruit_index):
-        assert fruit_index.doc_vector("d1") == {"apple": 2, "banana": 1}
-        assert fruit_index.doc_vector("d2") == {"banana": 1, "cherry": 1}
-        with pytest.raises(KeyError):
-            fruit_index.doc_vector("nope")
+    def test_term_arrays(self, fruit_index):
+        assert [a.tolist() for a in fruit_index.term("banana")] == [[0, 1], [1, 1]]
+        assert [a.tolist() for a in fruit_index.term("durian")] == [[], []]
+        assert fruit_index.doc_numbers(["d2", "d1"]).tolist() == [1, 0]
 
     def test_vocabulary_sorted(self, fruit_index):
         assert fruit_index.vocabulary == ["apple", "banana", "cherry"]
@@ -124,20 +125,62 @@ class TestSnapshot:
         index.save(path)
         assert Index.load(path).postings == index.postings
 
+    def test_awkward_strings_and_empty_postings_round_trip(self, tmp_path):
+        doc_lengths = {"": 1, "tab\tid": 3, "new\nline": 2, "naïve ∂oc": 0, "lone\ud800": 1}
+        postings = {
+            "crème": {"tab\tid": 2, "": 1},
+            "w": {"new\nline": 2, "tab\tid": 1, "lone\ud800": 1},
+            "ghost": {},
+        }
+        config = AnalyzerConfig(stopwords=frozenset({"the", "ß"}), token_pattern=r"[^\s\t]+")
+        index = Index.from_postings(postings, doc_lengths, config)
+        path = tmp_path / "odd.snap"
+        index.save(path)
+        loaded = Index.load(path)
+        assert loaded.doc_ids == index.doc_ids == sorted(doc_lengths)
+        assert loaded.doc_lengths == doc_lengths
+        assert loaded.postings == postings
+        assert loaded.collection_tf == {"crème": 3, "ghost": 0, "w": 4}
+        assert loaded.analyzer == config
+        assert loaded.doc_length("naïve ∂oc") == 0
+
+    def test_saved_arrays_are_int32_and_unpickled(self, tmp_path, fruit_index):
+        path = tmp_path / "idx.snap"
+        fruit_index.save(path)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz["nums"].dtype == npz["tfs"].dtype == np.int32
+            assert all(npz[name].dtype != object for name in npz.files)
+
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "junk.snap"
-        path.write_text("not a snapshot\n{}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad header"):
-            Index.load(path)
+        for content in (b"not a snapshot\n{}\n", b""):
+            path = tmp_path / "junk.snap"
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="not an index snapshot"):
+                Index.load(path)
+        np.savez(tmp_path / "other.npz", x=np.arange(3))
+        with pytest.raises(ValueError, match="not an index snapshot"):
+            Index.load(tmp_path / "other.npz")
 
     def test_unsupported_version_rejected(self, tmp_path, fruit_index):
         path = tmp_path / "v9.snap"
         fruit_index.save(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = "#twqp-index 9"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["twqp_index_version"] = np.array(9)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="unsupported snapshot version 9"):
             Index.load(path)
+
+    def test_json_snapshot_rejected(self, tmp_path):
+        path = tmp_path / "v1.snap"
+        path.write_text('#twqp-index 1\n{"postings": {}}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"format 1 .*`twqp index`"):
+            Index.load(path)
+
+    def test_save_writes_the_given_path(self, tmp_path, fruit_index):
+        fruit_index.save(tmp_path / "idx.snap")
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.snap"]
 
 
 class TestCorpusReaders:

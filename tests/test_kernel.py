@@ -9,6 +9,8 @@ approximate.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -83,6 +85,20 @@ def _table(weights):
     return TermWeightTable("q", None, weights)
 
 
+class TestSnapshotProperty:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(index=corpora(), q=queries(), mu=POSITIVE_MUS)
+    def test_loaded_index_equals_built(self, index, q, mu):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.snap"
+            index.save(path)
+            loaded = Index.load(path)
+        assert loaded.postings == index.postings
+        assert loaded.doc_lengths == index.doc_lengths
+        assert loaded.collection_tf == index.collection_tf
+        assert retrieve_topk(q, 1000, mu, loaded) == retrieve_topk(q, 1000, mu, index)
+
+
 class TestLogChoice:
     # p = 0.0027936962750716335: math.log gives -5.8803897301867165, while
     # np.log gives -5.880389730186717 on some builds.  The kernel must give
@@ -111,16 +127,8 @@ class TestLogChoice:
 
 
 class TestKernelEdges:
-    def test_view_is_built_on_first_scoring_call(self, fruit_index, tmp_path):
-        assert fruit_index._columns is None
-        fruit_index.save(tmp_path / "ix")
-        loaded = Index.load(tmp_path / "ix")
-        assert loaded._columns is None
-        retrieve_topk(Query("q", ("apple",)), 10, 10.0, loaded)
-        assert loaded.columns.doc_ids == ["d1", "d2"]
-
     def test_matrix_rows_follow_terms(self, fruit_index):
-        nums = fruit_index.columns.doc_numbers(["d2", "d1"])
+        nums = fruit_index.doc_numbers(["d2", "d1"])
         got = log_prob_matrix(["cherry", "apple"], nums, 5.0, fruit_index)
         expected = [
             [math.log(smoothed_prob(w, d, 5.0, fruit_index)) for d in ("d2", "d1")]
@@ -143,21 +151,44 @@ class TestKernelEdges:
         ids=["fraction", "background-only", "other-length", "mle", "mle-absent", "unindexed"],
     )
     def test_cell_is_the_log_of_the_hand_fraction(self, fruit_index, w, doc_id, mu, p):
-        nums = fruit_index.columns.doc_numbers([doc_id])
+        nums = fruit_index.doc_numbers([doc_id])
         expected = math.log(p) if p else -math.inf
         assert log_prob_matrix([w], nums, mu, fruit_index).tolist() == [[expected]]
+
+    def test_documents_past_a_terms_last_posting(self):
+        # "a" is held by d1 only, so d2 and d3 come after its last posting
+        # and get the background-only cell: 1 "a" among 6 tokens.
+        index = build_index(
+            [Document("d1", "a b"), Document("d2", "b"), Document("d3", "b b c")], PLAIN
+        )
+        nums = index.doc_numbers(["d3", "d1", "d2"])
+        got = log_prob_matrix(["a"], nums, 4.0, index)
+        assert got.tolist() == [
+            [math.log((0 + 4.0 * (1 / 6)) / 7), math.log((1 + 4.0 * (1 / 6)) / 6),
+             math.log((0 + 4.0 * (1 / 6)) / 5)]
+        ]
+
+    def test_unindexed_term_between_indexed_terms(self, fruit_index):
+        nums = fruit_index.doc_numbers(["d1", "d2"])
+        got = log_prob_matrix(["apple", "durian", "cherry"], nums, 5.0, fruit_index)
+        assert got.tolist() == [
+            [math.log(smoothed_prob(w, d, 5.0, fruit_index)) for d in ("d1", "d2")]
+            if w != "durian"
+            else [-math.inf, -math.inf]
+            for w in ("apple", "durian", "cherry")
+        ]
 
     def test_negative_mu_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="mu must be >= 0"):
             retrieve_topk(Query("q", ("apple",)), 10, -1.0, fruit_index)
-        nums = fruit_index.columns.doc_numbers(["d1"])
+        nums = fruit_index.doc_numbers(["d1"])
         for mu in (-1.0, math.nan, math.inf):  # NaN fails every comparison
             with pytest.raises(ValueError, match="mu must be >= 0 and finite"):
                 log_prob_matrix(["apple"], nums, mu, fruit_index)
 
     def test_empty_doc_with_mu_zero_rejected(self):
         index = build_index([Document("d1", "a"), Document("d2", "")], PLAIN)
-        nums = index.columns.doc_numbers(["d1", "d2"])
+        nums = index.doc_numbers(["d1", "d2"])
         with pytest.raises(ValueError, match="'d2' is empty and mu=0"):
             log_prob_matrix(["a"], nums, 0, index)
 

@@ -31,15 +31,6 @@ def _list(scores, query_id="q1", k=1000):
 
 
 class TestPredictorSpec:
-    def test_kind_parsing(self):
-        assert PredictorKind.from_string("nqc") is PredictorKind.NQC
-        assert PredictorKind.from_string("WIG") is PredictorKind.WIG
-        assert PredictorKind.from_string("ScoreRatio") is PredictorKind.SCORE_RATIO
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PredictorKind.from_string("clarity")
-
     def test_default_cutoffs(self):
         assert PredictorSpec(PredictorKind.WIG).effective_m == WIG_DEFAULT_M == 5
         assert PredictorSpec(PredictorKind.NQC).effective_m == NQC_DEFAULT_M == 150

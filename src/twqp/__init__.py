@@ -8,10 +8,8 @@ weighted log-linear score, and evaluate with standard measures.
 """
 
 from .analysis import DEFAULT_STOPWORDS, AnalyzerConfig, analyze, porter_stem
-from .config import ExperimentConfig, load_config, save_config
+from .config import MU_GRID, RM3_M_GRID, ExperimentConfig, load_config, save_config
 from .evaluation import (
-    MU_GRID,
-    RM3_M_GRID,
     EvalReport,
     Qrels,
     average_precision,

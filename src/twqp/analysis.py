@@ -15,7 +15,7 @@ The default stopword list is the classic 33-word English set:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     """

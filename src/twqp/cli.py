@@ -195,24 +195,26 @@ def _run(args) -> int:
     if args.command == "eval":
         qrels = _qrels_for(config)
         runs = read_run(args.run)
-        rows = []
+        precisions, judged = [], []
         for qid in sorted(runs):
             run = runs[qid]
-            p10 = precision_at(run, qrels, args.cutoff)
+            precisions.append(precision_at(run, qrels, args.cutoff))
+            cell = f"{qid}\tp@{args.cutoff}={precisions[-1]:.4f}"
             if qrels.relevant_count(qid) > 0:
-                ap = average_precision(run, qrels, args.depth)
-                rr = reciprocal_rank(run, qrels)
-                rows.append((qid, p10, ap, rr))
-                print(f"{qid}\tp@{args.cutoff}={p10:.4f}\tAP={ap:.4f}\tRR={rr:.4f}")
+                ap, rr = average_precision(run, qrels, args.depth), reciprocal_rank(run, qrels)
+                judged.append((ap, rr))
+                print(f"{cell}\tAP={ap:.4f}\tRR={rr:.4f}")
             else:
-                print(f"{qid}\tp@{args.cutoff}={p10:.4f}\t(no relevant docs; AP/RR excluded)")
-        if rows:
-            n = len(rows)
+                print(f"{cell}\t(no relevant docs; AP/RR excluded)")
+        if precisions:
+            n = len(precisions)
+            print(f"mean over {n} queries\tp@{args.cutoff}={sum(precisions)/n:.4f}")
+        if judged:
+            n = len(judged)
             print(
-                f"mean over {n} queries\t"
-                f"p@{args.cutoff}={sum(r[1] for r in rows)/n:.4f}\t"
-                f"MAP={sum(r[2] for r in rows)/n:.4f}\t"
-                f"MRR={sum(r[3] for r in rows)/n:.4f}"
+                f"mean over {n} judged queries\t"
+                f"MAP={sum(ap for ap, _ in judged)/n:.4f}\t"
+                f"MRR={sum(rr for _, rr in judged)/n:.4f}"
             )
         return 0
 
@@ -221,7 +223,7 @@ def _run(args) -> int:
     if args.command == "tune-mu":
         qrels = _qrels_for(config)
         queries = _queries_for(config, index)
-        best = tune_mu(index, queries, qrels, config.mu_grid, k=config.k)
+        best = tune_mu(queries, qrels, config, index)
         print(f"best mu: {best:g}")
         return 0
 

@@ -13,9 +13,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .analysis import DEFAULT_STOPWORDS, DEFAULT_TOKEN_PATTERN, AnalyzerConfig
-from .evaluation import MU_GRID, RM3_M_GRID
+from .analysis import AnalyzerConfig
 from .weighting import WeightingMethod
+
+MU_GRID: tuple[int, ...] = tuple(range(100, 5001, 100))
+RM3_M_GRID: tuple[int, ...] = tuple(range(5, 101, 5))
 
 # Keys older config files may set that no longer select anything, and what
 # selects that behaviour now.
@@ -85,48 +87,64 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
         parser.write(fh)
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read an INI config; absent keys keep their defaults, unread keys
+    warn, and a value that does not parse names its file, section and key."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
-    if not read:
+    if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read config file {path}")
     defaults = ExperimentConfig()
-    for (section, key), replacement in _RETIRED_KEYS.items():
-        if parser.has_option(section, key):
-            warnings.warn(
-                f"{path}: [{section}] {key} is not read; use {replacement}", stacklevel=2
-            )
+    seen: set[tuple[str, str]] = set()
 
-    def get(section: str, key: str, fallback: str) -> str:
-        return parser.get(section, key, fallback=fallback)
+    def get(section: str, key: str, fallback, convert=str):
+        seen.add((section, key))
+        if not parser.has_option(section, key):
+            return fallback
+        try:
+            return convert(parser.get(section, key))
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
 
     analyzer = AnalyzerConfig(
-        lowercase=get("analyzer", "lowercase", "true").lower() in ("true", "1", "yes"),
+        lowercase=get("analyzer", "lowercase", defaults.analyzer.lowercase, _parse_bool),
         stemmer=get("analyzer", "stemmer", defaults.analyzer.stemmer),
         token_pattern=get("analyzer", "token_pattern", defaults.analyzer.token_pattern),
-        stopwords=frozenset(
-            get("analyzer", "stopwords", " ".join(sorted(DEFAULT_STOPWORDS))).split()
+        stopwords=get(
+            "analyzer", "stopwords", defaults.analyzer.stopwords, lambda v: frozenset(v.split())
         ),
     )
-    qpp_m_raw = get("qpp", "m", "")
-    return ExperimentConfig(
-        corpus=get("paths", "corpus", "") or None,
-        topics=get("paths", "topics", "") or None,
-        qrels=get("paths", "qrels", "") or None,
+    config = ExperimentConfig(
+        corpus=get("paths", "corpus", None) or None,
+        topics=get("paths", "topics", None) or None,
+        qrels=get("paths", "qrels", None) or None,
         output_dir=get("paths", "output_dir", defaults.output_dir),
         analyzer=analyzer,
-        k=int(get("retrieval", "k", str(defaults.k))),
-        rerank_depth=int(get("retrieval", "rerank_depth", str(defaults.rerank_depth))),
-        rm3_mu=float(get("rm3", "mu", repr(defaults.rm3_mu))),
-        rm3_lambda=float(get("rm3", "lambda", repr(defaults.rm3_lambda))),
-        rm3_n=int(get("rm3", "n", str(defaults.rm3_n))),
-        mu_grid=_parse_grid(get("retrieval", "mu_grid", _format_grid(defaults.mu_grid))),
-        rm3_m_grid=_parse_grid(get("rm3", "m_grid", _format_grid(defaults.rm3_m_grid))),
-        qpp_m=int(qpp_m_raw) if qpp_m_raw else None,
-        weighting_method=WeightingMethod.from_string(
-            get("weighting", "method", defaults.weighting_method.value)
+        k=get("retrieval", "k", defaults.k, int),
+        rerank_depth=get("retrieval", "rerank_depth", defaults.rerank_depth, int),
+        rm3_mu=get("rm3", "mu", defaults.rm3_mu, float),
+        rm3_lambda=get("rm3", "lambda", defaults.rm3_lambda, float),
+        rm3_n=get("rm3", "n", defaults.rm3_n, int),
+        mu_grid=get("retrieval", "mu_grid", defaults.mu_grid, _parse_grid),
+        rm3_m_grid=get("rm3", "m_grid", defaults.rm3_m_grid, _parse_grid),
+        qpp_m=get("qpp", "m", defaults.qpp_m, lambda v: int(v) if v else None),
+        weighting_method=get(
+            "weighting", "method", defaults.weighting_method, WeightingMethod.from_string
         ),
     )
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in seen:
+                replacement = _RETIRED_KEYS.get((section, key))
+                use = f"; use {replacement}" if replacement else ""
+                warnings.warn(f"{path}: [{section}] {key} is not read{use}", stacklevel=2)
+    return config
 
 
 def override(config: ExperimentConfig, **changes) -> ExperimentConfig:

@@ -13,18 +13,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 from scipy import stats
 
+from .config import ExperimentConfig
 from .index import Index
 from .relevance import build_rm3_grid, restrict_top_n
 from .rerank import RerankConfig, rerank_many
 from .retrieval import Query, RankedList, retrieve_topk
-
-MU_GRID: tuple[int, ...] = tuple(range(100, 5001, 100))
-RM3_M_GRID: tuple[int, ...] = tuple(range(5, 101, 5))
 
 
 class Qrels:
@@ -269,63 +267,54 @@ def _mean_ap(
     return sum(values) / len(values)
 
 
+_Value = TypeVar("_Value", int, float)
+
+
+def _best_on_grid(grid: Iterable[_Value], mean_ap: Callable[[_Value], float]) -> _Value:
+    """The smallest grid value with the highest mean AP (max keeps the first)."""
+    return max(sorted(grid), key=mean_ap)
+
+
 def tune_mu(
-    index: Index,
-    queries: Sequence[Query],
-    qrels: Qrels,
-    grid: Sequence[float] = MU_GRID,
-    k: int = 1000,
+    queries: Sequence[Query], qrels: Qrels, config: ExperimentConfig, index: Index
 ) -> float:
-    """Smoothing mass maximizing mean AP of the depth-k runs."""
-    if not grid:
+    """Smoothing mass in config.mu_grid maximizing mean AP of the depth-k runs."""
+    if not config.mu_grid:
         raise ValueError("empty mu grid")
-    best_mu = None
-    best_ap = -1.0
-    for mu in sorted(grid):
-        runs = [retrieve_topk(q, k, mu, index) for q in queries]
-        ap = _mean_ap(runs, qrels, k)
-        if ap > best_ap:
-            best_ap = ap
-            best_mu = mu
-    return best_mu
+    k = config.k
+    return _best_on_grid(
+        config.mu_grid,
+        lambda mu: _mean_ap([retrieve_topk(q, k, mu, index) for q in queries], qrels, k),
+    )
 
 
 def tune_rm3_m(
-    index: Index,
     lists: Sequence[tuple[Query, RankedList]],
     qrels: Qrels,
     mu: float,
-    grid: Sequence[int] = RM3_M_GRID,
-    k: int = 1000,
-    rerank_depth: int = 100,
-    rm3_mu: float = 1000.0,
-    rm3_lambda: float = 0.9,
-    rm3_n: int = 100,
+    config: ExperimentConfig,
+    index: Index,
 ) -> int:
-    """Feedback depth maximizing mean AP of the re-ranked runs.
+    """Feedback depth in config.rm3_m_grid maximizing mean AP of the re-ranked runs.
 
     lists pairs each query with its depth-k retrieval at mu, the
     already-tuned retrieval smoothing; queries with an empty list are
-    skipped.  The relevance model uses its own rm3_mu for document weights.
+    skipped.  The relevance model is the one the experiment weighs with:
+    document weights at config.rm3_mu, interpolation config.rm3_lambda,
+    clipped to its top config.rm3_n terms.
     """
-    if not grid:
+    if not config.rm3_m_grid:
         raise ValueError("empty m grid")
-    cfg = RerankConfig(mu=mu, rerank_depth=rerank_depth, k=k)
-    ms = sorted(grid)
+    cfg = RerankConfig(mu=mu, rerank_depth=config.rerank_depth, k=config.k)
+    ms = sorted(config.rm3_m_grid)
     runs: list[list[RankedList]] = [[] for _ in ms]
     for q, base in lists:
         if not base.entries:
             continue
         depths = [min(m, len(base.entries)) for m in ms]
-        models = build_rm3_grid(q, base, depths, rm3_mu, rm3_lambda, index)
-        weight_maps = [restrict_top_n(rm, rm3_n).term_probs for rm in models]
+        models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
+        weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
         for m_runs, run in zip(runs, rerank_many(base, weight_maps, cfg, index)):
             m_runs.append(run)
-    best_m = None
-    best_ap = -1.0
-    for m, m_runs in zip(ms, runs):
-        ap = _mean_ap(m_runs, qrels, k)
-        if ap > best_ap:
-            best_ap = ap
-            best_m = m
-    return best_m
+    mean_aps = {m: _mean_ap(m_runs, qrels, config.k) for m, m_runs in zip(ms, runs)}
+    return _best_on_grid(ms, mean_aps.__getitem__)

@@ -169,21 +169,9 @@ def tune(
     re-ranking those lists under RM3.
     """
     if mu is None:
-        mu = tune_mu(index, queries, qrels, config.mu_grid, k=config.k)
+        mu = tune_mu(queries, qrels, config, index)
     lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
-    m = tune_rm3_m(
-        index,
-        lists,
-        qrels,
-        mu,
-        config.rm3_m_grid,
-        k=config.k,
-        rerank_depth=config.rerank_depth,
-        rm3_mu=config.rm3_mu,
-        rm3_lambda=config.rm3_lambda,
-        rm3_n=config.rm3_n,
-    )
-    return mu, lists, m
+    return mu, lists, tune_rm3_m(lists, qrels, mu, config, index)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

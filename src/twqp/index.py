@@ -13,6 +13,8 @@ exactly.  A snapshot is an .npz of the same arrays.
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,8 @@ from .analysis import AnalyzerConfig, analyze
 
 SNAPSHOT_VERSION = 2
 _JSON_MAGIC = b"#twqp-index"  # first bytes of a format 1 (JSON) snapshot
+# What zipfile and numpy's .npy reader raise on a cut or corrupted archive.
+_DAMAGED = (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, tokenize.TokenError)
 
 
 @dataclass(frozen=True)
@@ -158,19 +162,27 @@ class Index:
             if not head.startswith(b"PK\x03\x04"):  # every .npz is a zip file
                 raise ValueError(f"{path}: not an index snapshot")
             fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                if "twqp_index_version" not in npz.files:
-                    raise ValueError(f"{path}: not an index snapshot")
-                version = int(npz["twqp_index_version"])
-                if version != SNAPSHOT_VERSION:
-                    raise ValueError(f"{path}: unsupported snapshot version {version}")
-                stemmer, token_pattern, *stopwords = _unpack("analyzer", npz)
-                analyzer = AnalyzerConfig(
-                    bool(npz["lowercase"]), frozenset(stopwords), stemmer, token_pattern
-                )
-                doc_ids, vocabulary = _unpack("doc_ids", npz), _unpack("vocabulary", npz)
-                nums, tfs = npz["nums"].astype(np.int64), npz["tfs"].astype(np.int64)
-                return cls(doc_ids, npz["lengths"], vocabulary, npz["starts"], nums, tfs, analyzer)
+            try:
+                with np.load(fh, allow_pickle=False) as npz:
+                    arrays = {name: npz[name] for name in npz.files}
+            except _DAMAGED as exc:
+                raise ValueError(f"{path}: damaged index snapshot ({exc})") from exc
+        if "twqp_index_version" not in arrays:
+            raise ValueError(f"{path}: not an index snapshot")
+        version = int(arrays["twqp_index_version"])
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(f"{path}: unsupported snapshot version {version}")
+        try:  # a damaged directory can lose a member's name
+            stemmer, token_pattern, *stopwords = _unpack("analyzer", arrays)
+            analyzer = AnalyzerConfig(
+                bool(arrays["lowercase"]), frozenset(stopwords), stemmer, token_pattern
+            )
+            doc_ids, vocabulary = _unpack("doc_ids", arrays), _unpack("vocabulary", arrays)
+            nums, tfs = arrays["nums"].astype(np.int64), arrays["tfs"].astype(np.int64)
+            lengths, starts = arrays["lengths"], arrays["starts"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: damaged index snapshot (no array {exc})") from exc
+        return cls(doc_ids, lengths, vocabulary, starts, nums, tfs, analyzer)
 
 
 def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:

@@ -161,12 +161,6 @@ def predict_quality(
     return predict_score_ratio(lst)
 
 
-def predictor_minimum(kind: PredictorKind) -> float:
-    """The smallest value a predictor can report; used when an expanded
-    retrieval comes back empty (such a term cannot be beneficial)."""
-    return 1.0 if kind is PredictorKind.SCORE_RATIO else 0.0
-
-
 def nwig_weights(
     terms: Sequence[str],
     lst: RankedList,

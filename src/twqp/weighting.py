@@ -34,7 +34,6 @@ from .qpp import (
     nwig_weights,
     predict_quality,
     predict_score_ratio,
-    predictor_minimum,
     score_gap,
     sror_term,
 )
@@ -112,13 +111,13 @@ def delta_p(
 ) -> float:
     """Predicted-quality change from expanding q with w.
 
-    base_list must be the depth-k retrieval for q at the same mu.  Passing
-    base_quality skips re-predicting the base list (callers weighting many
-    terms compute it once).  An empty expanded retrieval is scored at the
-    predictor's minimum: a term that empties the result list cannot help.
-    When both ScoreRatios overflow to inf, the delta is +inf, -inf or 0 by
-    the sign of gap_expanded - gap_base, which is the sign of
-    exp(gap_expanded) - exp(gap_base); the weight is then 1.0, 0.0 or 0.5.
+    base_list must be the non-empty depth-k retrieval for q at the same mu
+    (the q+w list, a superset of its candidates, is then non-empty too).
+    Passing base_quality skips re-predicting the base list (callers
+    weighting many terms compute it once).  When both ScoreRatios overflow
+    to inf, the delta is +inf, -inf or 0 by the sign of gap_expanded -
+    gap_base, which is the sign of exp(gap_expanded) - exp(gap_base); the
+    weight is then 1.0, 0.0 or 0.5.
     """
     if base_quality is None:
         base_quality = predict_quality(predictor, base_list, q, mu, index)
@@ -140,10 +139,7 @@ def _quality_delta(
     memo: LogProbMemo | None = None,
 ) -> float:
     """delta_p for an expanded list already retrieved."""
-    if expanded_list.entries:
-        expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index, memo)
-    else:
-        expanded_quality = predictor_minimum(predictor.kind)
+    expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index, memo)
     if expanded_quality == base_quality == math.inf:
         gap_change = score_gap(expanded_list) - score_gap(base_list)
         return gap_change * math.inf if gap_change else 0.0

@@ -8,6 +8,7 @@ import twqp.cli
 import twqp.experiment
 from twqp.cli import main
 from twqp.config import ExperimentConfig, save_config
+from twqp.evaluation import build_report, load_qrels
 from twqp.experiment import run_label_slug
 from twqp.index import Index
 from twqp.retrieval import read_run
@@ -110,6 +111,25 @@ class TestPipelineCommands:
         assert "q000" in out and "AP=" in out
         assert "mean over 6 queries" in out
         assert "MAP=" in out and "MRR=" in out
+
+    def test_eval_means_match_the_report(self, workspace, tmp_path, capsys):
+        # p@10 averages over every query in the run, MAP and MRR over the
+        # judged ones, as build_report does; q000 is left unjudged here
+        run_path, qrels_path = tmp_path / "ql.run", tmp_path / "qrels.txt"
+        lines = (workspace / "data" / "qrels.txt").read_text().splitlines(keepends=True)
+        qrels_path.write_text("".join(l for l in lines if not l.startswith("q000 ")))
+        argv = ["--snapshot", str(workspace / "index.snap"), "--mu", "1000"]
+        topics = ["--topics", str(workspace / "data" / "topics.tsv")]
+        assert main(["search", *argv, *topics, "--out", str(run_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_path), "--qrels", str(qrels_path)]) == 0
+        out = capsys.readouterr().out
+        means = build_report({"QL": read_run(run_path)}, load_qrels(qrels_path), "QL").aggregates
+        assert f"mean over 6 queries\tp@10={means['QL']['p10']:.4f}\n" in out
+        assert (
+            f"mean over 5 judged queries\tMAP={means['QL']['ap']:.4f}"
+            f"\tMRR={means['QL']['rr']:.4f}\n"
+        ) in out
 
     def test_tune_mu_reports_best(self, workspace, capsys):
         rc = main(
@@ -327,6 +347,22 @@ class TestErrors:
         assert rc == 1
         err = self._stderr(capsys)
         assert "format 1" in err and "twqp index" in err
+
+    def test_search_names_a_damaged_snapshot(self, workspace, tmp_path, capsys):
+        snapshot = tmp_path / "cut.snap"
+        data = (workspace / "index.snap").read_bytes()
+        snapshot.write_bytes(data[: len(data) // 2])
+        rc = main(
+            [
+                "search",
+                "--snapshot", str(snapshot),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", "1000",
+                "--out", str(tmp_path / "x.run"),
+            ]
+        )
+        assert rc == 1
+        assert f"{snapshot}: damaged index snapshot" in self._stderr(capsys)
 
     def test_search_needs_mu(self, workspace, capsys):
         rc = main(

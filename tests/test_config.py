@@ -1,5 +1,7 @@
 """Experiment configuration defaults, INI round-trip, and overrides."""
 
+import re
+
 import pytest
 
 from twqp.analysis import DEFAULT_STOPWORDS, AnalyzerConfig
@@ -98,6 +100,31 @@ class TestRoundTrip:
         assert "kind" not in text and "[synthetic]" not in text
         load_config(path)
         assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "text, value", [("on", True), ("yes", True), ("1", True), ("off", False), ("False", False)]
+    )
+    def test_lowercase_reads_ini_booleans(self, tmp_path, text, value):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[analyzer]\nlowercase = {text}\n")
+        assert load_config(path).analyzer.lowercase is value
+
+    @pytest.mark.parametrize(
+        "section, key, text",
+        [("analyzer", "lowercase", "maybe"), ("retrieval", "k", "ten"), ("rm3", "m_grid", ",")],
+    )
+    def test_unparseable_value_names_file_section_and_key(self, tmp_path, section, key, text):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: \[{section}\] {key}: "):
+            load_config(path)
+
+    def test_unread_key_warns(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[rm3]\nlamda = 0.5\n[retrieval]\nk = 250\n")
+        with pytest.warns(UserWarning, match=r"\[rm3\] lamda is not read"):
+            cfg = load_config(path)
+        assert cfg == ExperimentConfig(k=250)
 
     def test_grid_accepts_spaces_or_commas(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -6,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import twqp.evaluation
+from twqp.config import ExperimentConfig
 from twqp.evaluation import (
-    MU_GRID,
-    RM3_M_GRID,
     Qrels,
     average_precision,
     build_report,
@@ -335,27 +335,23 @@ class TestTuneMu:
 
     def test_grid_flip(self):
         index, queries, qrels = self._flip_corpus()
-        assert tune_mu(index, queries, qrels, grid=(10.0, 1000.0)) == 1000.0
+        assert tune_mu(queries, qrels, ExperimentConfig(mu_grid=(10.0, 1000.0)), index) == 1000.0
 
     def test_grid_order_does_not_matter(self):
         index, queries, qrels = self._flip_corpus()
-        assert tune_mu(index, queries, qrels, grid=(1000.0, 10.0)) == 1000.0
+        assert tune_mu(queries, qrels, ExperimentConfig(mu_grid=(1000.0, 10.0)), index) == 1000.0
 
     def test_tie_takes_smaller_value(self):
         docs = [Document("d1", "w z"), Document("d2", "z z")]
         index = build_index(docs, PLAIN)
         queries = [Query("q1", ("w",))]
         qrels = Qrels({"q1": {"d1": 1}})
-        assert tune_mu(index, queries, qrels, grid=(2000.0, 1000.0)) == 1000.0
+        assert tune_mu(queries, qrels, ExperimentConfig(mu_grid=(2000.0, 1000.0)), index) == 1000.0
 
     def test_empty_grid_rejected(self):
         index, queries, qrels = self._flip_corpus()
         with pytest.raises(ValueError, match="empty mu grid"):
-            tune_mu(index, queries, qrels, grid=())
-
-    def test_default_grid_constants(self):
-        assert MU_GRID == tuple(range(100, 5001, 100))
-        assert RM3_M_GRID == tuple(range(5, 101, 5))
+            tune_mu(queries, qrels, ExperimentConfig(mu_grid=()), index)
 
 
 class TestTuneRM3M:
@@ -372,18 +368,38 @@ class TestTuneRM3M:
 
     def test_singleton_grid(self):
         index, lists, qrels = self._corpus()
-        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(5,)) == 5
+        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(5,)), index) == 5
 
     def test_tie_takes_smaller_value(self):
         # both docs are relevant, so every feedback depth gives AP 1.0
         index, lists, qrels = self._corpus()
-        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(5, 10)) == 5
+        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(5, 10)), index) == 5
 
     def test_grid_order_does_not_matter(self):
         index, lists, qrels = self._corpus()
-        assert tune_rm3_m(index, lists, qrels, mu=1000.0, grid=(10, 5)) == 5
+        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(10, 5)), index) == 5
 
     def test_empty_grid_rejected(self):
         index, lists, qrels = self._corpus()
         with pytest.raises(ValueError, match="empty m grid"):
-            tune_rm3_m(index, lists, qrels, mu=1000.0, grid=())
+            tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=()), index)
+
+    def test_model_comes_from_the_config(self, monkeypatch):
+        # the tuned depth fits the RM3 model the experiment then weighs with
+        index, lists, qrels = self._corpus()
+        seen = []
+        real_grid, real_clip = twqp.evaluation.build_rm3_grid, twqp.evaluation.restrict_top_n
+
+        def grid(q, base, depths, mu, lam, index):
+            seen.append(("build", mu, lam))
+            return real_grid(q, base, depths, mu, lam, index)
+
+        def clip(model, n):
+            seen.append(("clip", n))
+            return real_clip(model, n)
+
+        monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", grid)
+        monkeypatch.setattr(twqp.evaluation, "restrict_top_n", clip)
+        config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
+        assert tune_rm3_m(lists, qrels, 1000.0, config, index) == 5
+        assert seen == [("build", 250.0, 0.3), ("clip", 2), ("clip", 2)]

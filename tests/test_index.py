@@ -1,5 +1,6 @@
 """Index construction, statistics conservation, snapshots, corpus readers."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,34 @@ class TestSnapshot:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="unsupported snapshot version 9"):
             Index.load(path)
+
+    @pytest.mark.parametrize("damage", ["cut in half", "cut by its last byte", "flipped byte"])
+    def test_damaged_snapshot_names_its_path(self, tmp_path, fruit_index, damage):
+        path = tmp_path / "idx.snap"
+        fruit_index.save(path)
+        data = bytearray(path.read_bytes())
+        if damage == "flipped byte":
+            data[data.index(b"NUMPY", 100) + 20] ^= 0x01  # inside the second array's header
+        else:
+            del data[len(data) // 2 if damage == "cut in half" else -1 :]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: damaged index snapshot"):
+            Index.load(path)
+
+    def test_every_flipped_bit_loads_or_names_the_path(self, tmp_path, fruit_index):
+        # zipfile and numpy's header parser raise many exception types on a
+        # damaged archive; every one must reach the caller as a ValueError
+        path = tmp_path / "idx.snap"
+        fruit_index.save(path)
+        data = path.read_bytes()
+        for i in range(0, len(data), 7):
+            damaged = bytearray(data)
+            damaged[i] ^= 1 << (i % 8)
+            path.write_bytes(bytes(damaged))
+            try:
+                Index.load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), (i, exc)
 
     def test_json_snapshot_rejected(self, tmp_path):
         path = tmp_path / "v1.snap"

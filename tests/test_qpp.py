@@ -17,7 +17,6 @@ from twqp.qpp import (
     predict_quality,
     predict_score_ratio,
     predict_wig,
-    predictor_minimum,
     sror_term,
 )
 from twqp.retrieval import Query, RankedList, retrieve_topk
@@ -36,11 +35,6 @@ class TestPredictorSpec:
         assert PredictorSpec(PredictorKind.NQC).effective_m == NQC_DEFAULT_M == 150
         assert PredictorSpec(PredictorKind.WIG, m=20).effective_m == 20
         assert NWIG_DEFAULT_M == 50
-
-    def test_minimums(self):
-        assert predictor_minimum(PredictorKind.WIG) == 0.0
-        assert predictor_minimum(PredictorKind.NQC) == 0.0
-        assert predictor_minimum(PredictorKind.SCORE_RATIO) == 1.0
 
 
 class TestWIG:

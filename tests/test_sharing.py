@@ -243,11 +243,11 @@ class TestWorkCounts:
 
         real_tune, real_weigh = twqp.experiment.tune_rm3_m, twqp.experiment.weigh_queries
 
-        def tune(index, lists, *args, **kwargs):
+        def tune(lists, *args, **kwargs):
             seen["live"] = len(lists)
             tuning.append(True)
             try:
-                return real_tune(index, lists, *args, **kwargs)
+                return real_tune(lists, *args, **kwargs)
             finally:
                 tuning.clear()
 

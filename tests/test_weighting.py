@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twqp.qpp
 import twqp.retrieval
@@ -12,7 +14,7 @@ import twqp.weighting
 from twqp.index import Document, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio, score_gap
 from twqp.relevance import build_rm3, top_n_terms
-from twqp.retrieval import Query, RankedList, expand_query, retrieve_topk
+from twqp.retrieval import Query, expand_query, retrieve_topk
 from twqp.weighting import (
     TermWeightTable,
     WeightingMethod,
@@ -24,7 +26,7 @@ from twqp.weighting import (
     weigh_terms,
 )
 
-from conftest import PLAIN, make_random_corpus, random_query
+from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora, make_random_corpus, random_query
 
 
 class TestWeightingParams:
@@ -99,18 +101,21 @@ class TestDeltaP:
             w, q, base, spec, 1000, 500.0, index, base_quality=base_quality
         )
 
-    def test_empty_expansion_scores_predictor_minimum(self, monkeypatch, fruit_index):
-        q = Query("q1", ("apple",))
-        base = retrieve_topk(q, 10, 10.0, fruit_index)
-        spec = PredictorSpec(PredictorKind.SCORE_RATIO)
-        base_quality = predict_score_ratio(base)
-        monkeypatch.setattr(
-            twqp.weighting,
-            "retrieve_topk",
-            lambda *a, **kw: RankedList("q1", (), 10),
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        index=corpora(),
+        terms=st.lists(st.sampled_from(VOCAB + (UNINDEXED,)), min_size=1, max_size=4),
+        w=st.sampled_from(VOCAB + (UNINDEXED,)),
+        k=st.integers(1, 15),
+        mu=POSITIVE_MUS,
+    )
+    def test_expanded_list_is_never_shorter(self, index, terms, w, k, mu):
+        # q+w is a bag union, so its candidates hold every document of q's
+        # list: a non-empty base never meets an empty expanded list
+        q = Query("q", tuple(terms))
+        assert len(retrieve_topk(expand_query(q, w), k, mu, index)) >= len(
+            retrieve_topk(q, k, mu, index)
         )
-        got = delta_p("banana", q, base, spec, 10, 10.0, fruit_index)
-        assert got == 1.0 - base_quality
 
 
 class TestScoreRatioOverflow:

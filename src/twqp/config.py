@@ -9,6 +9,8 @@ plain INI; command-line flags override file values field by field.
 from __future__ import annotations
 
 import configparser
+import math
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -56,37 +58,6 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return values
 
 
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["paths"] = {
-        "corpus": config.corpus or "",
-        "topics": config.topics or "",
-        "qrels": config.qrels or "",
-        "output_dir": config.output_dir,
-    }
-    parser["analyzer"] = {
-        "lowercase": str(config.analyzer.lowercase).lower(),
-        "stemmer": config.analyzer.stemmer,
-        "token_pattern": config.analyzer.token_pattern,
-        "stopwords": " ".join(sorted(config.analyzer.stopwords)),
-    }
-    parser["retrieval"] = {
-        "k": str(config.k),
-        "rerank_depth": str(config.rerank_depth),
-        "mu_grid": _format_grid(config.mu_grid),
-    }
-    parser["rm3"] = {
-        "mu": repr(config.rm3_mu),
-        "lambda": repr(config.rm3_lambda),
-        "n": str(config.rm3_n),
-        "m_grid": _format_grid(config.rm3_m_grid),
-    }
-    parser["qpp"] = {"m": "" if config.qpp_m is None else str(config.qpp_m)}
-    parser["weighting"] = {"method": config.weighting_method.value}
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
-
-
 def _parse_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -94,57 +65,82 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+def _checked(parse, ok, rule: str):
+    """parse, then reject a value that fails ok with the rule it broke."""
+    def parse_checked(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(f"{rule}, got {text!r}")
+        return value
+    return parse_checked
+
+
+_count = _checked(int, lambda v: v >= 1, "must be >= 1")
+_mu = _checked(float, lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "must be in [0,1]")
+_mu_grid = _checked(_parse_grid, lambda g: min(g) >= 0, "values must be >= 0")
+_m_grid = _checked(_parse_grid, lambda g: min(g) >= 1, "values must be >= 1")
+
+# The config file, one row per key in the order it is written: (section,
+# key, field, parse, format).  [analyzer] rows fill AnalyzerConfig, the
+# rest ExperimentConfig; an absent key keeps the field's default.
+_KEYS = (
+    ("paths", "corpus", "corpus", lambda v: v or None, lambda v: v or ""),
+    ("paths", "topics", "topics", lambda v: v or None, lambda v: v or ""),
+    ("paths", "qrels", "qrels", lambda v: v or None, lambda v: v or ""),
+    ("paths", "output_dir", "output_dir", str, str),
+    ("analyzer", "lowercase", "lowercase", _parse_bool, lambda v: str(v).lower()),
+    ("analyzer", "stemmer", "stemmer", lambda v: AnalyzerConfig(stemmer=v).stemmer, str),
+    ("analyzer", "token_pattern", "token_pattern", lambda v: re.compile(v).pattern, str),
+    ("analyzer", "stopwords", "stopwords", lambda v: frozenset(v.split()),
+     lambda v: " ".join(sorted(v))),
+    ("retrieval", "k", "k", _count, str),
+    ("retrieval", "rerank_depth", "rerank_depth", _count, str),
+    ("retrieval", "mu_grid", "mu_grid", _mu_grid, _format_grid),
+    ("rm3", "mu", "rm3_mu", _mu, repr),
+    ("rm3", "lambda", "rm3_lambda", _fraction, repr),
+    ("rm3", "n", "rm3_n", _count, str),
+    ("rm3", "m_grid", "rm3_m_grid", _m_grid, _format_grid),
+    ("qpp", "m", "qpp_m", lambda v: _count(v) if v else None,
+     lambda v: "" if v is None else str(v)),
+    ("weighting", "method", "weighting_method", WeightingMethod.from_string, lambda v: v.value),
+)
+
+
+def save_config(config: ExperimentConfig, path: str | Path) -> None:
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, name, _, format_value in _KEYS:
+        source = config.analyzer if section == "analyzer" else config
+        sections.setdefault(section, {})[key] = format_value(getattr(source, name))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an INI config; absent keys keep their defaults, unread keys
-    warn, and a value that does not parse names its file, section and key."""
+    warn, and a value that does not parse or is out of range names its
+    file, section and key."""
     parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read config file {path}")
-    defaults = ExperimentConfig()
-    seen: set[tuple[str, str]] = set()
-
-    def get(section: str, key: str, fallback, convert=str):
-        seen.add((section, key))
-        if not parser.has_option(section, key):
-            return fallback
-        try:
-            return convert(parser.get(section, key))
-        except ValueError as exc:
-            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-
-    analyzer = AnalyzerConfig(
-        lowercase=get("analyzer", "lowercase", defaults.analyzer.lowercase, _parse_bool),
-        stemmer=get("analyzer", "stemmer", defaults.analyzer.stemmer),
-        token_pattern=get("analyzer", "token_pattern", defaults.analyzer.token_pattern),
-        stopwords=get(
-            "analyzer", "stopwords", defaults.analyzer.stopwords, lambda v: frozenset(v.split())
-        ),
-    )
-    config = ExperimentConfig(
-        corpus=get("paths", "corpus", None) or None,
-        topics=get("paths", "topics", None) or None,
-        qrels=get("paths", "qrels", None) or None,
-        output_dir=get("paths", "output_dir", defaults.output_dir),
-        analyzer=analyzer,
-        k=get("retrieval", "k", defaults.k, int),
-        rerank_depth=get("retrieval", "rerank_depth", defaults.rerank_depth, int),
-        rm3_mu=get("rm3", "mu", defaults.rm3_mu, float),
-        rm3_lambda=get("rm3", "lambda", defaults.rm3_lambda, float),
-        rm3_n=get("rm3", "n", defaults.rm3_n, int),
-        mu_grid=get("retrieval", "mu_grid", defaults.mu_grid, _parse_grid),
-        rm3_m_grid=get("rm3", "m_grid", defaults.rm3_m_grid, _parse_grid),
-        qpp_m=get("qpp", "m", defaults.qpp_m, lambda v: int(v) if v else None),
-        weighting_method=get(
-            "weighting", "method", defaults.weighting_method, WeightingMethod.from_string
-        ),
-    )
+    analyzer: dict[str, object] = {}
+    fields: dict[str, object] = {}
+    for section, key, name, parse, _ in _KEYS:
+        if parser.has_option(section, key):
+            try:
+                value = parse(parser.get(section, key))
+            except (ValueError, re.error) as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            (analyzer if section == "analyzer" else fields)[name] = value
+    read = {(section, key) for section, key, *_ in _KEYS}
     for section in parser.sections():
         for key in parser.options(section):
-            if (section, key) not in seen:
+            if (section, key) not in read:
                 replacement = _RETIRED_KEYS.get((section, key))
                 use = f"; use {replacement}" if replacement else ""
                 warnings.warn(f"{path}: [{section}] {key} is not read{use}", stacklevel=2)
-    return config
+    return ExperimentConfig(analyzer=AnalyzerConfig(**analyzer), **fields)
 
 
 def override(config: ExperimentConfig, **changes) -> ExperimentConfig:

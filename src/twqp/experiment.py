@@ -200,15 +200,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _letters(methods: list[str]) -> dict[str, str]:
-    return {m: chr(ord("a") + i) for i, m in enumerate(methods)}
-
-
 def render_text_report(
     best_mu: float, best_m: int, report: EvalReport, skipped: tuple[str, ...]
 ) -> str:
-    methods = [m for m in METHOD_ORDER if m in report.aggregates]
-    letters = _letters(methods)
+    letters = {m: chr(ord("a") + i) for i, m in enumerate(METHOD_ORDER)}
     lines = [
         f"tuned: mu={best_mu:g} rm3_m={best_m}",
         f"baseline for RI: {report.baseline}",
@@ -217,13 +212,13 @@ def render_text_report(
     header = f"{'':2} {'method':<18} {'p@10':>12} {'AP':>12} {'RR':>12} {'RI':>7}"
     lines.append(header)
     lines.append("-" * len(header))
-    for method in methods:
+    for method in METHOD_ORDER:
         cells = []
         for measure in ("p10", "ap", "rr"):
             value = report.aggregates[method][measure]
             marks = "".join(
                 letters[other]
-                for other in methods
+                for other in METHOD_ORDER
                 if other != method
                 and report.significance[measure].get((method, other), 1.0) < 0.05
                 and report.aggregates[method][measure] > report.aggregates[other][measure]
@@ -245,7 +240,6 @@ def render_text_report(
 def render_json_report(
     best_mu: float, best_m: int, report: EvalReport, skipped: tuple[str, ...]
 ) -> str:
-    methods = [m for m in METHOD_ORDER if m in report.aggregates]
     payload = {
         "tuned": {"mu": best_mu, "rm3_m": best_m},
         "baseline": report.baseline,
@@ -262,13 +256,13 @@ def render_json_report(
                     for qid, qm in sorted(report.per_query[method].items())
                 },
             }
-            for method in methods
+            for method in METHOD_ORDER
         },
         "significance": {
             measure: {
                 f"{a} vs {b}": p
                 for (a, b), p in sorted(report.significance[measure].items())
-                if methods.index(a) < methods.index(b)
+                if METHOD_ORDER.index(a) < METHOD_ORDER.index(b)
             }
             for measure in ("p10", "ap", "rr")
         },
@@ -290,8 +284,6 @@ def write_outputs(
     (out / "runs").mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for label in METHOD_ORDER:
-        if label not in runs:
-            continue
         path = out / "runs" / f"{run_label_slug(label)}.run"
         ordered = [runs[label][qid] for qid in sorted(runs[label])]
         path.write_text(format_run(ordered, label), encoding="utf-8")

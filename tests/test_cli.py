@@ -7,11 +7,49 @@ import pytest
 import twqp.cli
 import twqp.experiment
 from twqp.cli import main
-from twqp.config import ExperimentConfig, save_config
+from twqp.config import ExperimentConfig, load_config, save_config
 from twqp.evaluation import build_report, load_qrels
 from twqp.experiment import run_label_slug
 from twqp.index import Index
 from twqp.retrieval import read_run
+
+
+# `twqp write-config` output for the default config, byte for byte.
+DEFAULT_INI = (
+    "[paths]\n"
+    "corpus = \n"
+    "topics = \n"
+    "qrels = \n"
+    "output_dir = out\n"
+    "\n"
+    "[analyzer]\n"
+    "lowercase = true\n"
+    "stemmer = porter\n"
+    "token_pattern = [^\\W_]+\n"
+    "stopwords = a an and are as at be but by for if in into is it no not of on or such"
+    " that the their then there these they this to was will with\n"
+    "\n"
+    "[retrieval]\n"
+    "k = 1000\n"
+    "rerank_depth = 100\n"
+    "mu_grid = 100,200,300,400,500,600,700,800,900,1000,1100,1200,1300,1400,1500,1600,"
+    "1700,1800,1900,2000,2100,2200,2300,2400,2500,2600,2700,2800,2900,3000,3100,3200,"
+    "3300,3400,3500,3600,3700,3800,3900,4000,4100,4200,4300,4400,4500,4600,4700,4800,"
+    "4900,5000\n"
+    "\n"
+    "[rm3]\n"
+    "mu = 1000.0\n"
+    "lambda = 0.9\n"
+    "n = 100\n"
+    "m_grid = 5,10,15,20,25,30,35,40,45,50,55,60,65,70,75,80,85,90,95,100\n"
+    "\n"
+    "[qpp]\n"
+    "m = \n"
+    "\n"
+    "[weighting]\n"
+    "method = TWQP(NQC)\n"
+    "\n"
+).encode()
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +112,12 @@ class TestGeneratorAndIndex:
         assert index.doc_count == 60
 
     def test_write_config_round_trips(self, tmp_path, capsys):
-        rc = main(["write-config", "--out", str(tmp_path / "default.ini")])
+        path = tmp_path / "default.ini"
+        rc = main(["write-config", "--out", str(path)])
         assert rc == 0
         assert "config ->" in capsys.readouterr().out
-        assert (tmp_path / "default.ini").exists()
+        assert path.read_bytes() == DEFAULT_INI
+        assert load_config(path) == ExperimentConfig()
 
 
 class TestPipelineCommands:

@@ -111,7 +111,23 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "section, key, text",
-        [("analyzer", "lowercase", "maybe"), ("retrieval", "k", "ten"), ("rm3", "m_grid", ",")],
+        [
+            ("analyzer", "lowercase", "maybe"),
+            ("retrieval", "k", "ten"),
+            ("rm3", "m_grid", ","),
+            ("rm3", "lambda", "2"),
+            ("analyzer", "stemmer", "snowball"),
+            ("analyzer", "token_pattern", "("),
+            ("retrieval", "k", "0"),
+            ("retrieval", "rerank_depth", "0"),
+            ("rm3", "n", "0"),
+            ("qpp", "m", "0"),
+            ("rm3", "mu", "-1"),
+            ("rm3", "mu", "nan"),
+            ("rm3", "mu", "inf"),
+            ("retrieval", "mu_grid", "100,-1"),
+            ("rm3", "m_grid", "5,0"),
+        ],
     )
     def test_unparseable_value_names_file_section_and_key(self, tmp_path, section, key, text):
         path = tmp_path / "exp.ini"

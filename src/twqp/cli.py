@@ -266,8 +266,20 @@ def _run(args) -> int:
     raise ValueError(f"unhandled command {args.command!r}")
 
 
+def _join_mu(argv: list[str]) -> list[str]:
+    """argv with `--mu VALUE` written `--mu=VALUE`: argparse reads a value
+    such as -inf or -1e3 as an option, so it would never reach the mu check."""
+    joined, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--mu" and rest:
+            arg = f"--mu={rest.pop(0)}"
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_mu(sys.argv[1:] if argv is None else argv))
     try:
         return _run(args)
     except Exception as exc:  # argparse handles its own errors; this is ours

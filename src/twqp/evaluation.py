@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .index import Index
 from .relevance import build_rm3_grid, restrict_top_n
 from .rerank import RerankConfig, rerank_many
-from .retrieval import Query, RankedList, retrieve_topk
+from .retrieval import Query, RankedList, retrieve_grid
 
 
 class Qrels:
@@ -92,28 +92,30 @@ def precision_at(run: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
     """Relevant fraction of the top-cutoff; denominator is always cutoff."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    hits = sum(1 for doc_id, _ in run.entries[:cutoff] if qrels.is_relevant(run.query_id, doc_id))
+    relevant = qrels.relevant_docs(run.query_id)
+    hits = sum(1 for doc_id in run.doc_ids[:cutoff] if doc_id in relevant)
     return hits / cutoff
 
 
 def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float:
     """Mean of precision at each relevant retrieved rank, over R."""
-    total_relevant = qrels.relevant_count(run.query_id)
-    if total_relevant == 0:
+    relevant = qrels.relevant_docs(run.query_id)
+    if not relevant:
         raise ValueError(f"query {run.query_id!r} has no relevant documents")
     hits = 0
     acc = 0.0
-    for rank, (doc_id, _) in enumerate(run.entries[:depth], start=1):
-        if qrels.is_relevant(run.query_id, doc_id):
+    for rank, doc_id in enumerate(run.doc_ids[:depth], start=1):
+        if doc_id in relevant:
             hits += 1
             acc += hits / rank
-    return acc / total_relevant
+    return acc / len(relevant)
 
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
     """1 / rank of the first relevant document; 0 when none is retrieved."""
-    for rank, (doc_id, _) in enumerate(run.entries, start=1):
-        if qrels.is_relevant(run.query_id, doc_id):
+    relevant = qrels.relevant_docs(run.query_id)
+    for rank, doc_id in enumerate(run.doc_ids, start=1):
+        if doc_id in relevant:
             return 1.0 / rank
     return 0.0
 
@@ -278,14 +280,17 @@ def _best_on_grid(grid: Iterable[_Value], mean_ap: Callable[[_Value], float]) ->
 def tune_mu(
     queries: Sequence[Query], qrels: Qrels, config: ExperimentConfig, index: Index
 ) -> float:
-    """Smoothing mass in config.mu_grid maximizing mean AP of the depth-k runs."""
+    """Smoothing mass in config.mu_grid maximizing mean AP of the depth-k runs.
+
+    Each query's candidates are gathered once for the whole grid
+    (retrieve_grid); one grid point's lists are alive at a time.
+    """
     if not config.mu_grid:
         raise ValueError("empty mu grid")
     k = config.k
-    return _best_on_grid(
-        config.mu_grid,
-        lambda mu: _mean_ap([retrieve_topk(q, k, mu, index) for q in queries], qrels, k),
-    )
+    grid = retrieve_grid(queries, k, sorted(config.mu_grid), index)
+    mean_aps = {mu: _mean_ap(lists, qrels, k) for mu, lists in grid}
+    return _best_on_grid(config.mu_grid, mean_aps.__getitem__)
 
 
 def tune_rm3_m(
@@ -309,9 +314,9 @@ def tune_rm3_m(
     ms = sorted(config.rm3_m_grid)
     runs: list[list[RankedList]] = [[] for _ in ms]
     for q, base in lists:
-        if not base.entries:
+        if not base:
             continue
-        depths = [min(m, len(base.entries)) for m in ms]
+        depths = [min(m, len(base)) for m in ms]
         models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
         weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
         for m_runs, run in zip(runs, rerank_many(base, weight_maps, cfg, index)):

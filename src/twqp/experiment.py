@@ -125,7 +125,7 @@ def expand_and_weigh(
     models, pairs = [], []
     for q, initial in lists:
         rm = build_rm3(
-            q, initial, min(m, len(initial.entries)), config.rm3_mu, config.rm3_lambda, index
+            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, index
         )
         models.append(restrict_top_n(rm, config.rm3_n).term_probs)
         pairs.append((q, top_n_terms(rm, config.rm3_n)))

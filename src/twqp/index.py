@@ -104,7 +104,10 @@ class Index:
 
     def matching_docs(self, terms: Iterable[str]) -> np.ndarray:
         """Ascending numbers of the documents holding at least one of the terms."""
-        return np.unique(np.concatenate([self.nums[:0], *(self.term(w)[0] for w in set(terms))]))
+        held = np.zeros(self.doc_count, dtype=bool)
+        for w in set(terms):
+            held[self.term(w)[0]] = True
+        return np.flatnonzero(held)
 
     @property
     def postings(self) -> dict[str, dict[str, int]]:

@@ -83,9 +83,9 @@ def predict_wig(
     the memo at mu) and are added one at a time, document by document and
     term by term in bag order.
     """
-    if not lst.entries:
+    if not lst:
         raise ValueError("WIG is undefined on an empty ranked list")
-    m = min(m, len(lst.entries))
+    m = min(m, len(lst))
     log_pd_collection: dict[str, float] = {}
     for w in set(q.terms):
         p = collection_prob(w, index)
@@ -94,9 +94,8 @@ def predict_wig(
         else:
             log_pd_collection[w] = math.log(p)
     scored = list(log_pd_collection)
-    nums = index.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
-    log_probs = log_prob_matrix if memo is None else memo.matrix
-    rows = dict(zip(scored, log_probs(scored, nums, mu, index).tolist()))
+    matrix = log_prob_matrix if memo is None else memo.matrix
+    rows = dict(zip(scored, matrix(scored, lst.doc_numbers(index)[:m], mu, index).tolist()))
     total = 0.0
     for d in range(m):
         for w in q.terms:
@@ -114,9 +113,9 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
     sigma is the population standard deviation.  Any out-of-vocabulary query
     term leaves the collection likelihood undefined and is an error.
     """
-    if not lst.entries:
+    if not lst:
         raise ValueError("NQC is undefined on an empty ranked list")
-    m = min(m, len(lst.entries))
+    m = min(m, len(lst))
     denom = 0.0
     for w, count in sorted(q.term_counts().items()):
         p = collection_prob(w, index)
@@ -125,15 +124,16 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
         denom += count * math.log(p)
     if denom == 0.0:
         raise ValueError("NQC: degenerate collection likelihood (log = 0)")
-    sigma = float(np.std(np.array(lst.scores[:m], dtype=float)))
+    sigma = float(np.std(lst.score_array()[:m]))
     return sigma / abs(denom)
 
 
 def score_gap(lst: RankedList) -> float:
     """score_1 - score_last: the log of the ScoreRatio, never overflowing."""
-    if not lst.entries:
+    if not lst:
         raise ValueError("ScoreRatio is undefined on an empty ranked list")
-    return lst.entries[0][1] - lst.entries[-1][1]
+    scores = lst.score_array()
+    return float(scores[0]) - float(scores[-1])
 
 
 def predict_score_ratio(lst: RankedList) -> float:
@@ -179,9 +179,9 @@ def nwig_weights(
     document at a time in rank order by weighted_sum, as the one-term sum
     does.
     """
-    if not lst.entries:
+    if not lst:
         raise ValueError("nWIG is undefined on an empty ranked list")
-    m = min(m, len(lst.entries))
+    m = min(m, len(lst))
     weights: dict[str, float] = {}
     log_pds: dict[str, float] = {}
     for w in terms:
@@ -196,9 +196,8 @@ def nwig_weights(
             continue
         log_pds[w] = log_pd
     scored = list(log_pds)
-    nums = index.doc_numbers(doc_id for doc_id, _ in lst.entries[:m])
-    log_probs = log_prob_matrix if memo is None else memo.matrix
-    totals = weighted_sum([1.0] * m, log_probs(scored, nums, mu, index).T)
+    matrix = log_prob_matrix if memo is None else memo.matrix
+    totals = weighted_sum([1.0] * m, matrix(scored, lst.doc_numbers(index)[:m], mu, index).T)
     for w, total in zip(scored, totals.tolist()):
         weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
     return weights
@@ -228,12 +227,12 @@ def sror_term(
         return 1.0
     if base_list is None:
         base_list = retrieve_topk(q, k, mu, index, memo)
-    if not base_list.entries:
+    if not base_list:
         warnings.warn("SROR: empty base retrieval; weight 0", stacklevel=2)
         return 0.0
     remaining = list(q.terms)
     remaining.remove(w)
     reduced = retrieve_topk(Query(q.query_id, tuple(remaining)), k, mu, index, memo)
-    base_docs = set(base_list.doc_ids)
-    overlap = len(base_docs & set(reduced.doc_ids))
+    base_docs = set(base_list.doc_numbers(index).tolist())
+    overlap = len(base_docs.intersection(reduced.doc_numbers(index).tolist()))
     return 1.0 - overlap / len(base_docs)

@@ -68,7 +68,7 @@ def build_rm3_grid(
     m documents by renormalized likelihood and adds them up one document at
     a time in rank order, as a per-document dictionary update would.
     """
-    if not initial.entries:
+    if not initial:
         raise ValueError("cannot build a relevance model from an empty ranked list")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
@@ -76,17 +76,16 @@ def build_rm3_grid(
     for m in ms:
         if m < 1:
             raise ValueError(f"feedback depth m must be >= 1, got {m}")
-        if m > len(initial.entries):
+        if m > len(initial):
             warnings.warn(
-                f"feedback depth {m} exceeds list length {len(initial.entries)}; clamping",
+                f"feedback depth {m} exceeds list length {len(initial)}; clamping",
                 stacklevel=2,
             )
-            m = len(initial.entries)
+            m = len(initial)
         depths.append(m)
 
-    feedback_docs = [doc_id for doc_id, _ in initial.entries[: max(depths)]]
     terms, counts = zip(*sorted(q.term_counts().items()))
-    nums = index.doc_numbers(feedback_docs)
+    nums = initial.doc_numbers(index)[: max(depths)]
     log_scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index)).tolist()
 
     rank = np.full(index.doc_count, -1)  # document n's row of doc_probs, or -1
@@ -96,13 +95,13 @@ def build_rm3_grid(
     vocab = sorted(set(q.terms).union(picked_terms))
     column = {w: i for i, w in enumerate(vocab)}
     doc_rows = rank[index.nums[picked]]
-    doc_probs = np.zeros((len(feedback_docs), len(vocab)))
+    doc_probs = np.zeros((len(nums), len(vocab)))
     doc_probs[doc_rows, [column[w] for w in picked_terms]] = (
         index.tfs[picked] / index.lengths[nums][doc_rows]
     )
     # A term is in the depth-m support when one of the first m docs holds it.
     held = doc_probs > 0.0
-    first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(feedback_docs))
+    first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(nums))
     query_counts = q.term_counts()
     qlen = len(q.terms)
     query_probs = np.array([query_counts.get(w, 0) / qlen for w in vocab])

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index
-from .retrieval import RankedList, log_prob_matrix, rank_entries, weighted_sum
+from .retrieval import RankedList, log_prob_matrix, ranked_list, weighted_sum
 from .weighting import TermWeightTable
 
 
@@ -53,11 +53,12 @@ def rerank_many(
     """
     # Same summation order as query-likelihood scoring (sorted terms), so a
     # table of term counts reproduces the QL score bit-for-bit.
-    head = initial.entries[: cfg.rerank_depth]
-    tail = initial.entries[cfg.rerank_depth :]
+    depth = cfg.rerank_depth
+    all_nums, all_scores = initial.doc_numbers(index), initial.score_array()
+    tail = (all_nums[depth:], all_scores[depth:])
     map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
     terms = sorted(set().union(*map_terms))
-    nums = np.sort(index.doc_numbers(d for d, _ in head))
+    nums = np.sort(all_nums[:depth])
     log_probs = log_prob_matrix(terms, nums, cfg.mu, index)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
@@ -68,8 +69,7 @@ def rerank_many(
     for weights, present in zip(weight_maps, map_terms):
         rows = log_probs[[row[w] for w in present]]
         scores = weighted_sum([weights[w] for w in present], rows)
-        entries = rank_entries(nums, scores, index) + tail
-        reranked.append(RankedList(initial.query_id, entries, initial.k))
+        reranked.append(ranked_list(initial.query_id, nums, scores, initial.k, index, tail=tail))
     return reranked
 
 

@@ -211,7 +211,7 @@ def _weigh_query(
     needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
     if needs_list or WeightingMethod.SROR in methods:
         base = retrieve_topk(q, k, mu, index, memo)
-        if needs_list and not base.entries:
+        if needs_list and not base:
             raise ValueError(
                 f"query {q.query_id!r} retrieved nothing; {needs_list[0].value} undefined"
             )
@@ -227,7 +227,7 @@ def _weigh_query(
         for w in candidates:
             if w not in single_ratios:
                 single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
-                single_ratios[w] = predict_score_ratio(single) if single.entries else 0.0
+                single_ratios[w] = predict_score_ratio(single) if single else 0.0
             raw[w] = single_ratios[w]
         total = sum(raw.values())
         if total == 0.0:

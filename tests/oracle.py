@@ -3,7 +3,9 @@
 The library scores every list through one kernel (log_prob_matrix and
 weighted_sum).  These loops compute the same quantities one document and
 one term at a time, straight from the formulas, with math.log per cell.
-The kernel and everything built on it must give the same floats.
+The kernel and everything built on it must give the same floats.  The
+evaluation measures at the end read a run entry by entry, with one
+is_relevant lookup per entry.
 """
 
 import math
@@ -109,3 +111,29 @@ def scalar_rm3(q, initial, m, mu, lam, index):
         w: lam * (counts.get(w, 0) / qlen) + (1.0 - lam) * feedback.get(w, 0.0)
         for w in sorted(set(feedback) | set(counts))
     }
+
+
+def scalar_precision_at(run, qrels, cutoff=10):
+    """Relevant fraction of the top cutoff, one is_relevant lookup per entry."""
+    hits = sum(1 for doc_id, _ in run.entries[:cutoff] if qrels.is_relevant(run.query_id, doc_id))
+    return hits / cutoff
+
+
+def scalar_average_precision(run, qrels, depth=1000):
+    """Precision at each relevant rank of the first depth entries, over R."""
+    total_relevant = qrels.relevant_count(run.query_id)
+    hits = 0
+    acc = 0.0
+    for rank, (doc_id, _) in enumerate(run.entries[:depth], start=1):
+        if qrels.is_relevant(run.query_id, doc_id):
+            hits += 1
+            acc += hits / rank
+    return acc / total_relevant
+
+
+def scalar_reciprocal_rank(run, qrels):
+    """1 / rank of the first relevant entry; 0 when there is none."""
+    for rank, (doc_id, _) in enumerate(run.entries, start=1):
+        if qrels.is_relevant(run.query_id, doc_id):
+            return 1.0 / rank
+    return 0.0

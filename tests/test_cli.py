@@ -459,6 +459,32 @@ class TestErrors:
         assert f"and finite, got {mu}" in self._stderr(capsys)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("mu", ["-inf", "-1e3"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("search", []), ("weigh", []), ("rerank", ["--method", "RM3Opt"])],
+        ids=["search", "weigh", "rerank"],
+    )
+    def test_negative_mu_as_its_own_argument_rejected(
+        self, workspace, capsys, command, extra, mu
+    ):
+        # argparse reads "-inf" or "-1e3" after a space as an option, not as
+        # --mu's value; the space and "=" forms must reach the same check
+        out_path = workspace / f"{command}-{mu}.out"
+        rc = main(
+            [
+                command,
+                "--snapshot", str(workspace / "index.snap"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                "--mu", mu,
+                "--out", str(out_path),
+                *extra,
+            ]
+        )
+        assert rc == 1
+        assert f"and finite, got {float(mu)}" in self._stderr(capsys)
+        assert not out_path.exists()
+
     def test_unknown_weighting_method(self, workspace, capsys):
         rc = main(
             [

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twqp.evaluation
 from twqp.config import ExperimentConfig
@@ -25,6 +27,7 @@ from twqp.index import Document, build_index
 from twqp.retrieval import Query, RankedList, retrieve_topk
 
 from conftest import PLAIN
+from oracle import scalar_average_precision, scalar_precision_at, scalar_reciprocal_rank
 
 
 def _run(query_id, doc_ids, k=1000):
@@ -157,6 +160,45 @@ class TestReciprocalRank:
         ids = [f"d{i}" for i in range(1500)]
         qrels = Qrels({"q1": {"d1499": 1}})
         assert reciprocal_rank(_run("q1", ids), qrels) == 1.0 / 1500.0
+
+
+ORACLE_DOCS = tuple(f"d{i:02d}" for i in range(12))
+# One index over ORACLE_DOCS, for runs held as arrays.
+ORACLE_INDEX = build_index([Document(d, "a " * (i + 1)) for i, d in enumerate(ORACLE_DOCS)], PLAIN)
+
+
+class TestMeasuresOracle:
+    """The measures against tests/oracle.py's entry-by-entry loops, with ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.permutations(ORACLE_DOCS),
+        length=st.integers(0, len(ORACLE_DOCS)),
+        # grade 2, judged non-relevant (0) and unjudged (absent) documents
+        grades=st.dictionaries(st.sampled_from(ORACLE_DOCS), st.sampled_from([0, 1, 2])),
+        cutoff=st.integers(1, 15),
+        depth=st.integers(1, 15),
+        arrays=st.booleans(),
+    )
+    def test_equal_to_the_entry_loops(self, order, length, grades, cutoff, depth, arrays):
+        ids = order[:length]  # runs may be shorter than the cutoff
+        if arrays:
+            nums = ORACLE_INDEX.doc_numbers(ids)
+            scores = -np.arange(length, dtype=float)
+            run = RankedList.from_arrays("q1", nums, scores, 1000, ORACLE_INDEX)
+        else:
+            run = _run("q1", ids)
+        qrels = Qrels({"q1": grades, "q2": {"d00": 1}})
+        assert precision_at(run, qrels, cutoff) == scalar_precision_at(run, qrels, cutoff)
+        if qrels.relevant_count("q1") == 0:
+            with pytest.raises(ValueError, match="no relevant documents"):
+                average_precision(run, qrels, depth)
+            assert reciprocal_rank(run, qrels) == 0.0
+            return
+        got = average_precision(run, qrels, depth)
+        assert got == scalar_average_precision(run, qrels, depth)
+        assert average_precision(run, qrels) == scalar_average_precision(run, qrels)
+        assert reciprocal_rank(run, qrels) == scalar_reciprocal_rank(run, qrels)
 
 
 class TestRobustnessIndex:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import twqp.cli
 import twqp.evaluation
 import twqp.experiment
 import twqp.qpp
@@ -23,7 +24,7 @@ import twqp.relevance
 import twqp.rerank
 import twqp.weighting
 from twqp.config import ExperimentConfig
-from twqp.index import Document, build_index
+from twqp.index import Document, Index, build_index
 from twqp.qpp import nwig_weights
 from twqp.relevance import RelevanceModel, build_rm3_grid, top_n_terms
 from twqp.rerank import RerankConfig, rerank_many
@@ -35,6 +36,8 @@ from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import scalar_nwig, scalar_rm3
 
 ALL_METHODS = tuple(WeightingMethod)
+# Modules, other than the weighters, that bind retrieve_topk.
+OTHER_RETRIEVERS = (twqp.retrieval, twqp.experiment, twqp.cli)
 
 PROPERTY = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -234,9 +237,9 @@ class TestWorkCounts:
         retrieve = counting("retrievals", twqp.weighting.retrieve_topk)
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", retrieve)
         monkeypatch.setattr(twqp.qpp, "retrieve_topk", retrieve)
-        monkeypatch.setattr(
-            twqp.evaluation, "retrieve_topk", counting("evaluation", twqp.evaluation.retrieve_topk)
-        )
+        for module in OTHER_RETRIEVERS:
+            real_retrieve = module.retrieve_topk
+            monkeypatch.setattr(module, "retrieve_topk", counting("other", real_retrieve))
         for module in (twqp.relevance, twqp.rerank):
             key = module.__name__.rpartition(".")[2]
             monkeypatch.setattr(module, "log_prob_matrix", counting(key, module.log_prob_matrix))
@@ -271,7 +274,63 @@ class TestWorkCounts:
         expected = sum(1 + len(v) for v in vocabularies) + len(set().union(*vocabularies))
         assert counts["retrievals", False] + counts["retrievals", True] == expected
         # tuning re-ranks the lists it is given; it retrieves nothing itself
-        assert counts["evaluation", True] == 0
+        assert counts["other", True] == 0
         assert counts["relevance", True] == counts["rerank", True] == live > 0
         # outside tuning: one RM3 scoring and one head matrix per live query
         assert counts["relevance", False] == counts["rerank", False] == live
+
+    def test_tuning_gathers_once_and_weighing_reads_list_numbers(self, tmp_path, monkeypatch):
+        paths = write_collection(make_synthetic(32), tmp_path / "data")
+        counts = Counter()  # (what, stage running) -> calls
+        stage = []
+        tuned = []
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key, stage[-1] if stage else None] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def staged(name, fn):
+            def wrapper(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+
+            return wrapper
+
+        for name in ("matching_docs", "doc_numbers"):
+            monkeypatch.setattr(Index, name, counting(name, getattr(Index, name)))
+        real_retrieve = twqp.retrieval.retrieve_topk
+        for module in OTHER_RETRIEVERS + (twqp.evaluation, twqp.qpp, twqp.weighting):
+            if vars(module).get("retrieve_topk") is real_retrieve:
+                monkeypatch.setattr(module, "retrieve_topk", counting("retrieve_topk", real_retrieve))
+        real_tune_mu = twqp.experiment.tune_mu
+
+        def tune_mu(queries, *args, **kwargs):
+            tuned.append(len(queries))
+            return real_tune_mu(queries, *args, **kwargs)
+
+        monkeypatch.setattr(twqp.experiment, "tune_mu", staged("tune_mu", tune_mu))
+        monkeypatch.setattr(
+            twqp.experiment, "weigh_queries", staged("weigh", twqp.experiment.weigh_queries)
+        )
+        twqp.experiment.run_experiment(
+            ExperimentConfig(
+                corpus=str(paths["corpus"]),
+                topics=str(paths["topics"]),
+                qrels=str(paths["qrels"]),
+                output_dir=str(tmp_path / "out"),
+            )
+        )
+        assert tuned == [20]
+        # the candidates of each query are gathered once for the whole mu grid
+        # (50 times, once per grid point, when tuning retrieved per mu)
+        assert counts["matching_docs", "tune_mu"] == 20
+        assert counts["retrieve_topk", "tune_mu"] == 0
+        # WIG and nWIG read the retrieved lists' own document numbers
+        assert counts["retrieve_topk", "weigh"] > 0
+        assert counts["doc_numbers", "weigh"] == 0

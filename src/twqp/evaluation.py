@@ -30,6 +30,9 @@ class Qrels:
 
     def __init__(self, judgments: dict[str, dict[str, int]]):
         self.judgments = judgments
+        self._relevant = {
+            q: frozenset(d for d, g in grades.items() if g >= 1) for q, grades in judgments.items()
+        }
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self.judgments.get(query_id, {}).get(doc_id, 0)
@@ -37,8 +40,9 @@ class Qrels:
     def is_relevant(self, query_id: str, doc_id: str) -> bool:
         return self.grade(query_id, doc_id) >= 1
 
-    def relevant_docs(self, query_id: str) -> set[str]:
-        return {d for d, g in self.judgments.get(query_id, {}).items() if g >= 1}
+    def relevant_docs(self, query_id: str) -> frozenset[str]:
+        """The query's relevant doc ids, built once; empty if unjudged."""
+        return self._relevant.get(query_id, frozenset())
 
     def relevant_count(self, query_id: str) -> int:
         return len(self.relevant_docs(query_id))

@@ -26,6 +26,7 @@ from .retrieval import (
     LogProbMemo,
     Query,
     RankedList,
+    _bag,
     log_prob_matrix,
     retrieve_topk,
     weighted_sum,
@@ -83,11 +84,12 @@ def predict_wig(
     the memo at mu) and are added one at a time, document by document and
     term by term in bag order.
     """
+    terms, _ = _bag(q)
     if not lst:
         raise ValueError("WIG is undefined on an empty ranked list")
     m = min(m, len(lst))
     log_pd_collection: dict[str, float] = {}
-    for w in set(q.terms):
+    for w in terms:
         p = collection_prob(w, index)
         if p == 0.0:
             warnings.warn(f"WIG: query term {w!r} out of vocabulary; skipped", stacklevel=2)
@@ -113,11 +115,12 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
     sigma is the population standard deviation.  Any out-of-vocabulary query
     term leaves the collection likelihood undefined and is an error.
     """
+    terms, counts = _bag(q)
     if not lst:
         raise ValueError("NQC is undefined on an empty ranked list")
     m = min(m, len(lst))
     denom = 0.0
-    for w, count in sorted(q.term_counts().items()):
+    for w, count in zip(terms, counts):
         p = collection_prob(w, index)
         if p == 0.0:
             raise ValueError(f"NQC: query term {w!r} out of vocabulary")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index
-from .retrieval import Query, RankedList, log_prob_matrix, weighted_sum
+from .retrieval import Query, RankedList, _bag, log_prob_matrix, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def build_rm3_grid(
             m = len(initial)
         depths.append(m)
 
-    terms, counts = zip(*sorted(q.term_counts().items()))
+    terms, counts = _bag(q)
     nums = initial.doc_numbers(index)[: max(depths)]
     log_scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index)).tolist()
 

@@ -18,8 +18,8 @@ full-width row per term, for callers that score the same terms many times.
 ``retrieve_grid`` gathers each query's candidates and tfs once and takes
 only the log step at each mu of a grid.
 
-A ranked list from retrieval holds document-number and score arrays; its
-(doc_id, score) entries are built only when something reads them.
+A ranked list holds read-only document-number and score arrays over a
+doc-id table; its (doc_id, score) entries are built each time they are read.
 """
 
 from __future__ import annotations
@@ -55,20 +55,20 @@ class Query:
 class RankedList:
     """Scored documents for one query, sorted by (score desc, doc_id asc).
 
-    RankedList(query_id, entries, k) holds (doc_id, score) pairs, as a run
-    file does.  A list from retrieval or re-ranking (from_arrays) holds its
-    document numbers and scores as arrays over the index that made it, and
-    builds the pairs the first time entries is read.  Lists are equal when
-    their query ids, entries and k are.
+    A list holds read-only document-number and score arrays and the doc-id
+    table the numbers index into: its index's doc_ids for a list from
+    retrieval or re-ranking (from_arrays), its own ids, numbered in order,
+    for RankedList(query_id, entries, k) built from (doc_id, score) pairs.
+    entries is built on each read.  Lists are equal when their query ids,
+    entries and k are.
     """
 
-    __slots__ = ("query_id", "k", "_entries", "_nums", "_scores", "_index")
+    __slots__ = ("query_id", "k", "_nums", "_scores", "_ids")
 
     def __init__(self, query_id: str, entries: Iterable[tuple[str, float]], k: int) -> None:
-        self.query_id = query_id
-        self.k = k
-        self._entries: tuple[tuple[str, float], ...] | None = tuple(entries)
-        self._nums = self._scores = self._index = None
+        pairs = tuple(entries)
+        scores = np.array([s for _, s in pairs], dtype=float)
+        self._hold(query_id, np.arange(len(pairs)), scores, k, [d for d, _ in pairs])
 
     @classmethod
     def from_arrays(
@@ -77,20 +77,20 @@ class RankedList:
         """The documents numbered nums in index, in that order, scoring scores.
 
         The arrays are made read-only: lists built from one share them."""
-        nums.flags.writeable = scores.flags.writeable = False
         lst = cls.__new__(cls)
-        lst.query_id, lst.k, lst._entries = query_id, k, None
-        lst._nums, lst._scores, lst._index = nums, scores, index
+        lst._hold(query_id, nums, scores, k, index.doc_ids)
         return lst
+
+    def _hold(self, query_id: str, nums: np.ndarray, scores: np.ndarray, k: int, ids: list) -> None:
+        nums.flags.writeable = scores.flags.writeable = False
+        self.query_id, self.k, self._nums, self._scores, self._ids = query_id, k, nums, scores, ids
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        if self._entries is None:
-            self._entries = tuple(zip(self.doc_ids, self._scores.tolist()))
-        return self._entries
+        return tuple(zip(self.doc_ids, self.scores))
 
     def __len__(self) -> int:
-        return len(self._entries) if self._nums is None else self._nums.size
+        return self._nums.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankedList):
@@ -105,24 +105,20 @@ class RankedList:
 
     @property
     def doc_ids(self) -> list[str]:
-        if self._nums is None:
-            return [d for d, _ in self._entries]
-        return list(map(self._index.doc_ids.__getitem__, self._nums.tolist()))
+        return list(map(self._ids.__getitem__, self._nums.tolist()))
 
     @property
     def scores(self) -> list[float]:
-        if self._scores is None:
-            return [s for _, s in self._entries]
         return self._scores.tolist()
 
     def doc_numbers(self, index: Index) -> np.ndarray:
         """The documents' numbers in index, in rank order: the list's own
-        array if index made it, else looked up by doc id."""
-        return self._nums if index is self._index else index.doc_numbers(self.doc_ids)
+        array if it numbers into index's doc ids, else looked up by doc id."""
+        return self._nums if self._ids is index.doc_ids else index.doc_numbers(self.doc_ids)
 
     def score_array(self) -> np.ndarray:
-        """The scores, in rank order, as a float array."""
-        return np.array(self.scores, dtype=float) if self._scores is None else self._scores
+        """The scores, in rank order, as a read-only float array."""
+        return self._scores
 
 
 @dataclass(frozen=True)
@@ -253,9 +249,9 @@ def _check_depth_and_mu(k: int, mu: float) -> None:
 
 
 def _bag(q: Query) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The query's distinct terms, sorted, and the count of each."""
+    """The query's distinct terms, sorted, and the count of each; none is an error."""
     if not q.terms:
-        raise ValueError("cannot retrieve with an empty query")
+        raise ValueError(f"cannot score the empty query {q.query_id!r}")
     terms, counts = zip(*sorted(q.term_counts().items()))
     return terms, counts
 
@@ -273,8 +269,6 @@ def retrieve_topk(
     _check_depth_and_mu(k, mu)
     terms, counts = _bag(q)
     nums = index.matching_docs(terms)  # ascending: sorted keys search faster
-    if not nums.size:
-        return RankedList(q.query_id, (), k)
     matrix = log_prob_matrix if memo is None else memo.matrix
     scores = weighted_sum(counts, matrix(terms, nums, mu, index))
     return ranked_list(q.query_id, nums, scores, k, index, top=k)
@@ -295,12 +289,9 @@ def retrieve_grid(
         terms, counts = _bag(q)
         gathered.append((q.query_id, counts, gather_tf(terms, index.matching_docs(terms), index)))
     for mu in mus:
+        _check_depth_and_mu(k, mu)
         lists = []
         for query_id, counts, tfs in gathered:
-            _check_depth_and_mu(k, mu)
-            if not tfs.nums.size:
-                lists.append(RankedList(query_id, (), k))
-                continue
             scores = weighted_sum(counts, log_probs_from(tfs, mu, index))
             lists.append(ranked_list(query_id, tfs.nums, scores, k, index, top=k))
         yield mu, lists

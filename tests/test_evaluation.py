@@ -53,6 +53,15 @@ class TestLoaders:
         assert qrels.grade("q1", "nope") == 0
         assert qrels.grade("q9", "d1") == 0
 
+    def test_relevant_docs_is_one_immutable_set_per_query(self):
+        qrels = Qrels({"q1": {"d1": 1, "d2": 0, "d3": 2}, "q2": {"d4": 0}})
+        relevant = qrels.relevant_docs("q1")
+        assert isinstance(relevant, frozenset) and relevant == {"d1", "d3"}
+        assert qrels.relevant_docs("q1") == relevant and qrels.relevant_count("q1") == 2
+        for unscorable in ("q2", "q9"):
+            assert qrels.relevant_docs(unscorable) == frozenset()
+            assert qrels.relevant_count(unscorable) == 0
+
     def test_load_qrels_malformed_line(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 1\nq1 d2 1\n")

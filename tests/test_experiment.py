@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from twqp.config import ExperimentConfig
-from twqp.evaluation import average_precision, load_qrels, load_topics
+from twqp.evaluation import average_precision, build_report, load_qrels, load_topics
 from twqp.experiment import (
     METHOD_ORDER,
     QL_LABEL,
@@ -107,6 +107,18 @@ class TestRunExperiment:
         ]
         expected = sum(values) / len(values)
         assert result.report.aggregates[label]["ap"] == pytest.approx(expected, abs=1e-9)
+
+    def test_run_files_read_back_evaluate_like_the_runs(self, small_experiment):
+        # The files hold entries-built lists, the result array-backed ones;
+        # the measures read only the ranking, which the files keep.
+        config, result, root = small_experiment
+        runs = {
+            label: read_run(root / "out" / "runs" / f"{run_label_slug(label)}.run")
+            for label in METHOD_ORDER
+        }
+        report = build_report(runs, load_qrels(config.qrels), RM3_LABEL, depth=config.k)
+        assert report.per_query == result.report.per_query
+        assert report.aggregates == result.report.aggregates
 
     def test_text_report_has_tuning_line_and_all_methods(self, small_experiment):
         _, result, root = small_experiment

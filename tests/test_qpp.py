@@ -19,6 +19,7 @@ from twqp.qpp import (
     predict_wig,
     sror_term,
 )
+from twqp.relevance import build_rm3, build_rm3_grid
 from twqp.retrieval import Query, RankedList, retrieve_topk
 
 from conftest import PLAIN, make_random_corpus, random_query
@@ -185,6 +186,25 @@ class TestPredictQuality:
         assert predict_quality(
             PredictorSpec(PredictorKind.SCORE_RATIO), lst, q, 10.0, fruit_index
         ) == predict_score_ratio(lst)
+
+
+EMPTY_QUERY_SCORERS = {
+    "build_rm3": lambda lst, q, ix: build_rm3(q, lst, 2, 10.0, 0.5, ix),
+    "build_rm3_grid": lambda lst, q, ix: build_rm3_grid(q, lst, (1, 2), 10.0, 0.5, ix),
+    "predict_wig": lambda lst, q, ix: predict_wig(lst, q, 5, 10.0, ix),
+    "predict_nqc": lambda lst, q, ix: predict_nqc(lst, q, 5, ix),
+    "predict_quality(WIG)": lambda lst, q, ix: predict_quality(
+        PredictorSpec(PredictorKind.WIG), lst, q, 10.0, ix
+    ),
+}
+
+
+@pytest.mark.parametrize("scorer", EMPTY_QUERY_SCORERS.values(), ids=EMPTY_QUERY_SCORERS)
+def test_empty_query_is_a_named_error(scorer, fruit_index):
+    # The list is a real retrieval; only the query scored against it is empty.
+    lst = retrieve_topk(Query("q1", ("banana",)), 10, 10.0, fruit_index)
+    with pytest.raises(ValueError, match="empty query"):
+        scorer(lst, Query("q1", ()), fruit_index)
 
 
 class TestNWIG:

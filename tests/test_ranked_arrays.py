@@ -1,8 +1,9 @@
 """Array-backed ranked lists against lists built from their entries.
 
-retrieve_topk and the re-rankers return lists that hold document-number and
-score arrays; the predictors read those arrays, and a list built from
-(doc_id, score) pairs goes through index.doc_numbers instead.  retrieve_grid
+Every list holds read-only document-number and score arrays over a doc-id
+table.  retrieve_topk and the re-rankers number into the index's doc ids;
+a list built from (doc_id, score) pairs numbers into its own, so the
+predictors reach its index numbers through index.doc_numbers.  retrieve_grid
 gathers each query's candidates once and scores them at every mu of a grid.
 Every path must give the same lists and the same floats, compared with ==.
 """
@@ -44,6 +45,39 @@ def outcome(fn, *args):
 
 def bits(lst):
     return lst.doc_ids, lst.score_array().tobytes(), lst.k, lst.query_id
+
+
+class TestOneStorageForm:
+    """A list built from entries holds the same read-only arrays as a
+    retrieved one, numbered into its own ids."""
+
+    @PROPERTY
+    @given(index=corpora(), data=st.data())
+    def test_entries_built_list_gives_back_its_entries(self, index, data):
+        ids = data.draw(st.lists(st.sampled_from(index.doc_ids), max_size=12, unique=True))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        scores = data.draw(st.lists(finite, min_size=len(ids), max_size=len(ids)))
+        entries = tuple(zip(ids, scores))
+        lst = RankedList("q", iter(entries), 7)
+        assert lst.entries == entries and lst.doc_ids == ids and lst.scores == scores
+        assert len(lst) == len(entries) and bool(lst) is bool(entries)
+        assert lst.doc_numbers(index).tolist() == index.doc_numbers(ids).tolist()
+        assert not lst.score_array().flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lst.score_array()[:] = 0.0
+
+    @PROPERTY
+    @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
+    def test_retrieved_score_array_is_read_only(self, index, mu, data):
+        q = draw_query(data, index, VOCAB + (UNINDEXED,))
+        lst = retrieve_topk(q, data.draw(st.integers(1, index.doc_count + 1)), mu, index)
+        assert not lst.score_array().flags.writeable
+        assert not lst.doc_numbers(index).flags.writeable
+
+    def test_unknown_doc_id_is_named(self, fruit_index):
+        lst = RankedList("q", [("d1", -1.0), ("d404", -2.0)], 5)
+        with pytest.raises(KeyError, match="d404"):
+            lst.doc_numbers(fruit_index)
 
 
 class TestArrayBackedList:

@@ -59,22 +59,23 @@ def load_qrels(path: str | Path) -> Qrels:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}: malformed qrels line {lineno}")
-            qid, _, doc_id, grade = parts
+            try:
+                qid, _, doc_id, grade = line.split()
+                value = int(grade)
+            except ValueError:
+                raise ValueError(f"{path}: malformed qrels line {lineno}") from None
             judgments.setdefault(qid, {})
             if doc_id in judgments[qid]:
                 raise ValueError(
                     f"{path}: duplicate judgment for ({qid}, {doc_id}) at line {lineno}"
                 )
-            judgments[qid][doc_id] = int(grade)
+            judgments[qid][doc_id] = value
     return Qrels(judgments)
 
 
 def load_topics(path: str | Path) -> list[tuple[str, str]]:
-    """Tab-separated `query_id<TAB>title` lines."""
-    topics = []
+    """Tab-separated `query_id<TAB>title` lines; a query id appears once."""
+    topics: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -83,8 +84,10 @@ def load_topics(path: str | Path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise ValueError(f"{path}: malformed topic line {lineno} (no tab)")
             qid, title = line.split("\t", 1)
-            topics.append((qid, title))
-    return topics
+            if qid in topics:
+                raise ValueError(f"{path}: duplicate topic {qid} at line {lineno}")
+            topics[qid] = title
+    return list(topics.items())
 
 
 # ---------------------------------------------------------------------------

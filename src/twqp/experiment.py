@@ -166,9 +166,11 @@ def tune(
 
     mu is tuned over config.mu_grid unless given; each query's depth-k list
     is retrieved at that mu, and m is tuned over config.rm3_m_grid by
-    re-ranking those lists under RM3.
+    re-ranking those lists under RM3, which needs mu > 0.
     """
     if mu is None:
+        if min(config.mu_grid, default=1) <= 0:
+            raise ValueError(f"mu_grid values must be > 0 to re-rank, got {min(config.mu_grid)}")
         mu = tune_mu(queries, qrels, config, index)
     lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
     return mu, lists, tune_rm3_m(lists, qrels, mu, config, index)

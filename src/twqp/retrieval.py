@@ -323,18 +323,25 @@ def write_run(lists: Iterable[RankedList], path: str | Path, tag: str) -> None:
 
 
 def read_run(path: str | Path) -> dict[str, RankedList]:
-    """Parse a run file back into per-query ranked lists (file order kept)."""
-    per_query: dict[str, list[tuple[str, float]]] = {}
+    """Parse a run file back into per-query ranked lists (file order kept);
+    a document appears at most once per query."""
+    per_query: dict[str, dict[str, float]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"{path}: malformed run line {lineno}")
-            qid, _, doc_id, _, score, _ = parts
-            per_query.setdefault(qid, []).append((doc_id, float(score)))
+            try:
+                qid, _, doc_id, _, score, _ = line.split()
+                value = float(score)
+            except ValueError:
+                raise ValueError(f"{path}: malformed run line {lineno}") from None
+            entries = per_query.setdefault(qid, {})
+            if doc_id in entries:
+                raise ValueError(
+                    f"{path}: duplicate document {doc_id} for query {qid} at line {lineno}"
+                )
+            entries[doc_id] = value
     return {
-        qid: RankedList(qid, tuple(entries), len(entries))
+        qid: RankedList(qid, tuple(entries.items()), len(entries))
         for qid, entries in per_query.items()
     }

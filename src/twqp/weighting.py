@@ -8,8 +8,9 @@ weight < 0.5.
 
 For a candidate vocabulary V this costs exactly 1 + |V| retrievals per query:
 the base quality is computed once and reused for every w, and the TWQP
-predictors weighed together share those retrievals.  All retrievals go
-through this module's ``retrieve_topk`` name so the count can be instrumented.
+predictors weighed together share those retrievals.  Every retrieval goes
+through this module's ``retrieve_topk`` name, except SROR's leave-one-out
+lists, which go through ``twqp.qpp.retrieve_topk``; a count patches both.
 
 Every list a weighting call scores is at one mu and over the same few
 hundred terms, so the call keeps one ``LogProbMemo``: each term's log
@@ -187,79 +188,61 @@ def weigh_queries(
     is retrieved once for all the queries of the call.  Every retrieval and
     predictor of the call reads its log probabilities from one memo.
     """
-    single_ratios: dict[str, float] = {}
-    memo = LogProbMemo(params.mu, index)
-    return [
-        _weigh_query(q, vocabulary, methods, params, index, single_ratios, memo)
-        for q, vocabulary in pairs
-    ]
-
-
-def _weigh_query(
-    q: Query,
-    vocabulary: Sequence[str],
-    methods: Sequence[WeightingMethod],
-    params: WeightingParams,
-    index: Index,
-    single_ratios: dict[str, float],
-    memo: LogProbMemo,
-) -> dict[WeightingMethod, TermWeightTable]:
     k, mu = params.k, params.mu
-    if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
-        raise ValueError("candidate vocabulary is empty")
-    candidates = list(dict.fromkeys(vocabulary))
-    needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
-    if needs_list or WeightingMethod.SROR in methods:
-        base = retrieve_topk(q, k, mu, index, memo)
-        if needs_list and not base:
-            raise ValueError(
-                f"query {q.query_id!r} retrieved nothing; {needs_list[0].value} undefined"
-            )
-
-    weights: dict[WeightingMethod, dict[str, float]] = {}
-    if WeightingMethod.SROR in methods:
-        weights[WeightingMethod.SROR] = {
-            t: sror_term(t, q, k, mu, index, base_list=base, memo=memo)
-            for t in sorted(set(q.terms))
-        }
-    if WeightingMethod.SCORE_RATIO_NORM in methods:
-        raw: dict[str, float] = {}
-        for w in candidates:
-            if w not in single_ratios:
-                single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
-                single_ratios[w] = predict_score_ratio(single) if single else 0.0
-            raw[w] = single_ratios[w]
-        total = sum(raw.values())
-        if total == 0.0:
-            warnings.warn("ScoreRatio: all candidate retrievals empty; zero table", stacklevel=3)
-        else:
-            raw = {w: v / total for w, v in raw.items()}
-        weights[WeightingMethod.SCORE_RATIO_NORM] = raw
-    if WeightingMethod.NWIG in methods:
-        weights[WeightingMethod.NWIG] = nwig_weights(
-            candidates, base, NWIG_DEFAULT_M, mu, index, memo
-        )
-
-    predictors = {
-        m: PredictorSpec(_TWQP_PREDICTOR[m], params.predictor_m)
+    predictors = [
+        (m, PredictorSpec(_TWQP_PREDICTOR[m], params.predictor_m))
         for m in methods
         if m in _TWQP_PREDICTOR
-    }
-    if predictors:
-        base_quality = {
-            m: predict_quality(p, base, q, mu, index, memo) for m, p in predictors.items()
-        }
-        for m in predictors:
-            weights[m] = {}
-        for w in candidates:
-            expanded = expand_query(q, w)
-            expanded_list = retrieve_topk(expanded, k, mu, index, memo)
-            for m, predictor in predictors.items():
-                delta = _quality_delta(
-                    predictor, base, base_quality[m], expanded, expanded_list, mu, index, memo
+    ]
+    needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
+    sror = WeightingMethod.SROR in methods
+    single_ratios: dict[str, float] = {}
+    memo = LogProbMemo(mu, index)
+    tables = []
+    for q, vocabulary in pairs:
+        if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
+            raise ValueError("candidate vocabulary is empty")
+        candidates = list(dict.fromkeys(vocabulary))
+        if needs_list or sror:
+            base = retrieve_topk(q, k, mu, index, memo)
+            if needs_list and not base:
+                raise ValueError(
+                    f"query {q.query_id!r} retrieved nothing; {needs_list[0].value} undefined"
                 )
-                weights[m][w] = twqp_weight(delta)
-    return {m: TermWeightTable(q.query_id, m, weights[m]) for m in methods}
+        weights: dict[WeightingMethod, dict[str, float]] = {m: {} for m in methods}
+        if sror:
+            weights[WeightingMethod.SROR] = {
+                t: sror_term(t, q, k, mu, index, base, memo) for t in sorted(set(q.terms))
+            }
+        if WeightingMethod.SCORE_RATIO_NORM in methods:
+            for w in candidates:
+                if w not in single_ratios:
+                    single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
+                    single_ratios[w] = predict_score_ratio(single) if single else 0.0
+            total = sum(single_ratios[w] for w in candidates)
+            if total == 0.0:
+                warnings.warn(
+                    "ScoreRatio: all candidate retrievals empty; zero table", stacklevel=2
+                )
+            weights[WeightingMethod.SCORE_RATIO_NORM] = {
+                w: single_ratios[w] / (total or 1.0) for w in candidates
+            }
+        if WeightingMethod.NWIG in methods:
+            weights[WeightingMethod.NWIG] = nwig_weights(
+                candidates, base, NWIG_DEFAULT_M, mu, index, memo
+            )
+        if predictors:
+            base_quality = {m: predict_quality(p, base, q, mu, index, memo) for m, p in predictors}
+            for w in candidates:
+                expanded = expand_query(q, w)
+                expanded_list = retrieve_topk(expanded, k, mu, index, memo)
+                for m, predictor in predictors:
+                    delta = _quality_delta(
+                        predictor, base, base_quality[m], expanded, expanded_list, mu, index, memo
+                    )
+                    weights[m][w] = twqp_weight(delta)
+        tables.append({m: TermWeightTable(q.query_id, m, weights[m]) for m in methods})
+    return tables
 
 
 def query_indicator_table(q: Query) -> TermWeightTable:

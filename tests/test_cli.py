@@ -1,6 +1,7 @@
 """Command-line interface: subcommand flows, outputs, and error reporting."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -537,6 +538,24 @@ class TestErrors:
         rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.snap")])
         assert rc == 1
         assert "line 2" in self._stderr(capsys)
+
+    def test_eval_rejects_a_repeated_document(self, tmp_path, capsys):
+        qrels, run = tmp_path / "qrels.txt", tmp_path / "dup.run"
+        qrels.write_text("q1 0 d1 1\n")
+        run.write_text("q1 Q0 d1 1 -1.0 t\nq1 Q0 d1 2 -2.0 t\n")
+        rc = main(["eval", "--qrels", str(qrels), "--run", str(run)])
+        assert rc == 1
+        assert "duplicate document d1 for query q1 at line 2" in self._stderr(capsys)
+
+    def test_tune_rm3_rejects_a_mu_grid_holding_zero(self, workspace, tmp_path, capsys):
+        config = replace(load_config(workspace / "exp.ini"), mu_grid=(0, 100, 1000))
+        save_config(config, tmp_path / "zero.ini")
+        argv = ["--config", str(tmp_path / "zero.ini"), "--snapshot", str(workspace / "index.snap")]
+        assert main(["tune-rm3", *argv]) == 1
+        assert "mu_grid values must be > 0" in self._stderr(capsys)
+        # tune-mu only retrieves, so 0 stays a grid point there.
+        assert main(["tune-mu", *argv]) == 0
+        assert "best mu:" in capsys.readouterr().out
 
     def test_eval_needs_qrels(self, workspace, capsys):
         rc = main(["eval", "--run", str(workspace / "ql.run")])

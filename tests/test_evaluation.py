@@ -1,6 +1,7 @@
 """Effectiveness measures, significance, report assembly, parameter sweeps."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ from twqp.evaluation import (
     tune_rm3_m,
 )
 from twqp.index import Document, build_index
-from twqp.retrieval import Query, RankedList, retrieve_topk
+from twqp.retrieval import Query, RankedList, read_run, retrieve_topk
 
 from conftest import PLAIN
 from oracle import scalar_average_precision, scalar_precision_at, scalar_reciprocal_rank
@@ -84,6 +85,27 @@ class TestLoaders:
         path.write_text("q1 no tab here\n")
         with pytest.raises(ValueError, match="line 1"):
             load_topics(path)
+
+    def test_load_topics_duplicate_id(self, tmp_path):
+        path = tmp_path / "topics.tsv"
+        path.write_text("q1\tfirst\nq2\tsecond\n\nq1\tagain\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate topic q1 at line 4")):
+            load_topics(path)
+
+    @pytest.mark.parametrize(
+        "load, text, kind",
+        [
+            (load_qrels, "q1 0 d1 1\nq1 0 d2 x\n", "qrels"),
+            (load_qrels, "q1 0 d1 1\nq1 0 d2 1.0\n", "qrels"),
+            (read_run, "q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 abc t\n", "run"),
+        ],
+        ids=["qrels-grade-x", "qrels-grade-1.0", "run-score-abc"],
+    )
+    def test_unparsable_number_names_file_and_line(self, tmp_path, load, text, kind):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed {kind} line 2")):
+            load(path)
 
 
 class TestPrecisionAt:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import twqp.experiment
 from twqp.config import ExperimentConfig
 from twqp.evaluation import average_precision, build_report, load_qrels, load_topics
 from twqp.experiment import (
@@ -135,6 +136,19 @@ class TestRunExperiment:
         assert changed.best_mu == result.best_mu and changed.best_m == result.best_m
         assert changed.runs[QL_LABEL] == result.runs[QL_LABEL]
         assert changed.runs["TWQP(WIG)"] != result.runs["TWQP(WIG)"]
+
+    @pytest.mark.parametrize("low", [0, -100])
+    def test_mu_grid_at_or_below_zero_stops_before_tuning(
+        self, small_experiment, tmp_path, monkeypatch, low
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("tune_mu ran")
+
+        monkeypatch.setattr(twqp.experiment, "tune_mu", unreachable)
+        config, _, _ = small_experiment
+        cfg = replace(config, output_dir=str(tmp_path / "out"), mu_grid=(low, 500, 1000))
+        with pytest.raises(ValueError, match=f"mu_grid values must be > 0 to re-rank, got {low}"):
+            run_experiment(cfg)
 
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError, match="needs corpus"):

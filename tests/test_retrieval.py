@@ -200,3 +200,13 @@ class TestRunFiles:
         path.write_text("q1 Q0 d1 1 -1.0 tag\nq1 Q0 d2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             read_run(path)
+
+    def test_repeated_document_in_one_query_rejected(self, tmp_path):
+        path = tmp_path / "dup.run"
+        path.write_text(
+            "q1 Q0 d1 1 -1.0 t\nq2 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 -2.0 t\nq1 Q0 d1 3 -3.0 t\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            read_run(path)
+        assert str(info.value) == f"{path}: duplicate document d1 for query q1 at line 4"

@@ -120,6 +120,14 @@ class TestWeighQueries:
         weigh_queries(pairs, (WeightingMethod.SCORE_RATIO_NORM,), WeightingParams(mu=10), index)
         assert calls == [("b",), ("c",), ("a",)]
 
+    def test_all_empty_score_ratio_warning_names_the_caller(self, fruit_index):
+        method = WeightingMethod.SCORE_RATIO_NORM
+        pairs = [(Query("q", ("apple",)), ["zzz", "yyy"])]
+        with pytest.warns(UserWarning, match="all candidate retrievals empty") as record:
+            got = weigh_queries(pairs, (method,), WeightingParams(mu=10.0), fruit_index)
+        assert got[0][method].weights == {"zzz": 0.0, "yyy": 0.0}
+        assert [w.filename for w in record] == [__file__]
+
     def test_empty_vocabulary_rejected_unless_only_sror(self, fruit_index):
         q = Query("q", ("apple", "banana"))
         params = WeightingParams(mu=10.0)

@@ -49,6 +49,19 @@ class AnalyzerConfig:
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
 
 
+def analyze_token(token: str, config: AnalyzerConfig) -> str | None:
+    """The term one raw token becomes, or None when it is a stopword.
+
+    The one per-token step of the pipeline: ``analyze`` maps it over a
+    text's tokens, and ``build_index`` calls it once per distinct token.
+    """
+    if config.lowercase:
+        token = token.lower()
+    if token in config.stopwords:
+        return None
+    return porter_stem(token) if config.stemmer == "porter" else token
+
+
 def analyze(text: str, config: AnalyzerConfig | None = None) -> list[str]:
     """Turn raw text into the token sequence used for indexing and querying.
 
@@ -56,13 +69,8 @@ def analyze(text: str, config: AnalyzerConfig | None = None) -> list[str]:
     """
     if config is None:
         config = AnalyzerConfig()
-    tokens = re.findall(config.token_pattern, text)
-    if config.lowercase:
-        tokens = [t.lower() for t in tokens]
-    tokens = [t for t in tokens if t not in config.stopwords]
-    if config.stemmer == "porter":
-        tokens = [porter_stem(t) for t in tokens]
-    return tokens
+    terms = (analyze_token(t, config) for t in re.findall(config.token_pattern, text))
+    return [t for t in terms if t is not None]
 
 
 # ---------------------------------------------------------------------------

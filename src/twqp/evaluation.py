@@ -84,6 +84,10 @@ def load_topics(path: str | Path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise ValueError(f"{path}: malformed topic line {lineno} (no tab)")
             qid, title = line.split("\t", 1)
+            if qid.split() != [qid]:
+                raise ValueError(
+                    f"{path}: query id {qid!r} is empty or holds whitespace at line {lineno}"
+                )
             if qid in topics:
                 raise ValueError(f"{path}: duplicate topic {qid} at line {lineno}")
             topics[qid] = title

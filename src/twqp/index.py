@@ -8,21 +8,30 @@ vocabulary: term i's doc numbers (ascending) and tfs are nums and tfs over
 starts[i]:starts[i + 1].  Per-document lengths are token counts after
 analysis, so they match the tf accounting used by the scoring formulas
 exactly.  A snapshot is an .npz of the same arrays.
+
+build_index reads the corpus once.  A table local to the call maps each
+distinct raw token to its term id (or to "dropped", for a stopword) the
+first time the token is seen, through analysis.analyze_token, so a token
+is analyzed once however often it occurs; every occurrence is then one
+dict lookup whose id goes into a compact array('i') buffer.  The CSR is made from that buffer
+with numpy: one np.unique over term-rank * n_docs + doc-number keys gives
+the postings in term-major, doc-ascending order and their tfs.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import tokenize
 import zipfile
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, analyze
+from .analysis import AnalyzerConfig, analyze_token
 
 SNAPSHOT_VERSION = 2
 _JSON_MAGIC = b"#twqp-index"  # first bytes of a format 1 (JSON) snapshot
@@ -63,27 +72,6 @@ class Index:
         cumulative = np.concatenate(([0], np.cumsum(self.tfs)))[self.starts]
         self.collection_tf = dict(zip(self.vocabulary, np.diff(cumulative).tolist()))
         self.total_tokens = int(self.lengths.sum())
-
-    @classmethod
-    def from_postings(
-        cls,
-        postings: dict[str, dict[str, int]],
-        doc_lengths: dict[str, int],
-        analyzer: AnalyzerConfig,
-    ) -> "Index":
-        """The index of term -> {doc_id: tf} over doc_id -> length; a term
-        may have no postings, and postings may come in any doc order."""
-        doc_ids = sorted(doc_lengths)
-        number = {d: n for n, d in enumerate(doc_ids)}
-        vocabulary = sorted(postings)
-        sizes = np.fromiter(map(len, map(postings.__getitem__, vocabulary)), dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        nums = np.fromiter((number[d] for w in vocabulary for d in postings[w]), dtype=np.int64)
-        tfs = np.fromiter((tf for w in vocabulary for tf in postings[w].values()), dtype=np.int64)
-        # Sort each term's postings by doc number, keeping terms in order.
-        order = np.lexsort((nums, np.repeat(np.arange(len(vocabulary)), sizes)))
-        lengths = np.fromiter(map(doc_lengths.__getitem__, doc_ids), dtype=np.int64)
-        return cls(doc_ids, lengths, vocabulary, starts, nums[order], tfs[order], analyzer)
 
     @property
     def doc_count(self) -> int:
@@ -203,22 +191,71 @@ def _unpack(name: str, arrays: Mapping[str, np.ndarray]) -> list[str]:
     return [data[s:e].decode("utf-8", "surrogatepass") for s, e in zip([0] + ends, ends)]
 
 
+class _TermIds(dict):
+    """Raw token -> term id, or -1 for a stopword, filled on first sight.
+
+    ``terms`` holds term -> id in order of first sight.  One table serves
+    one build, so tokens analyzed under one config never meet another.
+    """
+
+    def __init__(self, config: AnalyzerConfig) -> None:
+        super().__init__()
+        self.config = config
+        self.terms: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        term = analyze_token(token, self.config)
+        tid = -1 if term is None else self.terms.setdefault(term, len(self.terms))
+        self[token] = tid
+        return tid
+
+
 def build_index(corpus: Iterable[Document], config: AnalyzerConfig | None = None) -> Index:
-    """Single pass over the corpus; duplicate doc_ids and empty corpora are errors."""
+    """Single pass over the corpus.  Duplicate doc ids, doc ids that are
+    empty or hold whitespace (a run file cannot carry them) and empty
+    corpora are errors."""
     if config is None:
         config = AnalyzerConfig()
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    findall = re.compile(config.token_pattern).findall
+    table = _TermIds(config)
+    ids = array("i")  # term id of every token, documents in input order
+    ends = array("q")  # end offset of each document's tokens in ids
+    doc_ids: list[str] = []
+    seen: set[str] = set()
     for doc in corpus:
-        if doc.doc_id in doc_lengths:
+        if doc.doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        tokens = analyze(doc.text, config)
-        doc_lengths[doc.doc_id] = len(tokens)
-        for t, tf in Counter(tokens).items():
-            postings.setdefault(t, {})[doc.doc_id] = tf
-    if not doc_lengths:
+        if doc.doc_id.split() != [doc.doc_id]:
+            raise ValueError(f"doc_id {doc.doc_id!r} is empty or holds whitespace")
+        seen.add(doc.doc_id)
+        doc_ids.append(doc.doc_id)
+        ids.extend(map(table.__getitem__, findall(doc.text)))
+        ends.append(len(ids))
+    if not doc_ids:
         raise ValueError("empty corpus: no documents to index")
-    return Index.from_postings(postings, doc_lengths, config)
+
+    # Number documents in doc-id order and terms in vocabulary order; then
+    # each distinct (term, doc) key is one posting, and its count the tf.
+    n_docs = len(doc_ids)
+    token_ids = np.frombuffer(ids, dtype=np.intc)
+    token_docs = np.repeat(_ranks(doc_ids), np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
+    kept = token_ids >= 0
+    token_docs = token_docs[kept]
+    keys = _ranks(list(table.terms))[token_ids[kept]] * n_docs + token_docs
+    lengths = np.bincount(token_docs, minlength=n_docs)
+    del ids, ends, token_ids, token_docs, kept  # free the token buffers before the sort
+    keys, tfs = np.unique(keys, return_counts=True)
+    terms, nums = np.divmod(keys, n_docs)
+    vocabulary = sorted(table.terms)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=len(vocabulary)))))
+    return Index(sorted(doc_ids), lengths, vocabulary, starts, nums, tfs, config)
+
+
+def _ranks(strings: list[str]) -> np.ndarray:
+    """ranks[i] is the position of strings[i] in sorted(strings)."""
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return ranks
 
 
 def collection_prob(w: str, index: Index) -> float:
@@ -243,7 +280,12 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:
                 text = record["text"]
             except (json.JSONDecodeError, TypeError, KeyError) as exc:
                 raise ValueError(f"{path}: malformed corpus line {lineno}: {exc}") from None
-            yield Document(str(doc_id), str(text))
+            doc_id = str(doc_id)
+            if doc_id.split() != [doc_id]:
+                raise ValueError(
+                    f"{path}: doc_id {doc_id!r} is empty or holds whitespace at line {lineno}"
+                )
+            yield Document(doc_id, str(text))
 
 
 def read_corpus_dir(path: str | Path) -> Iterator[Document]:

@@ -65,6 +65,44 @@ POSITIVE_MUS = st.one_of(
 )
 
 
+# Analyzer configurations the one-pass build and analyze are checked under.
+ANALYZER_CONFIGS = {
+    "default": AnalyzerConfig(),
+    "plain": PLAIN,
+    "case-kept": AnalyzerConfig(lowercase=False),
+    "unstemmed": AnalyzerConfig(stemmer="none"),
+    "word-pattern": AnalyzerConfig(token_pattern=r"\w+"),
+}
+
+# Raw words: mixed case, stopwords, words Porter stemming changes,
+# non-ASCII letters, underscores and digits.
+STOPWORD_TEXTS = st.lists(st.sampled_from(["the", "The", "AND", "of", "a", "IS"])).map(" ".join)
+WORDS = st.one_of(
+    st.sampled_from(
+        [
+            "the", "The", "AND", "of", "Running", "runs", "RUN", "ponies", "caresses",
+            "relational", "Hopefulness", "happy", "sky", "naïve", "Straße", "ÉCOLE",
+            "ωmega", "foo_bar", "_x_", "x86", "2nd", "r2d2",
+        ]
+    ),
+    st.text(alphabet="aeinsgyYSÉéß_09", min_size=1, max_size=8),
+)
+TEXTS = st.one_of(
+    st.lists(st.tuples(WORDS, st.sampled_from([" ", ", ", "-", "\n", ". ", "\t"])))
+    .map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+    STOPWORD_TEXTS,
+)
+
+
+@st.composite
+def raw_corpora(draw, max_docs=8):
+    """Documents over TEXTS (empty and stopword-only ones included) whose
+    distinct doc ids come in no particular order."""
+    doc_id = st.text(alphabet="dD019é_", min_size=1, max_size=3)
+    ids = draw(st.lists(doc_id, min_size=1, max_size=max_docs, unique=True))
+    return [Document(d, draw(TEXTS)) for d in draw(st.permutations(ids))]
+
+
 @st.composite
 def corpora(draw, max_docs=12):
     """1-max_docs documents of 1-300 tokens, each over its own subset of VOCAB."""

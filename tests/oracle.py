@@ -5,13 +5,65 @@ weighted_sum).  These loops compute the same quantities one document and
 one term at a time, straight from the formulas, with math.log per cell.
 The kernel and everything built on it must give the same floats.  The
 evaluation measures at the end read a run entry by entry, with one
-is_relevant lookup per entry.
+is_relevant lookup per entry.  The analyzer runs its four steps as whole
+list passes, and the index builders count each document's analyzed tokens
+into term -> {doc_id: tf} dicts before turning those into the index
+arrays; analyze and build_index must give the same tokens and arrays.
 """
 
 import math
+import re
+from collections import Counter
 
+import numpy as np
+
+from twqp.analysis import AnalyzerConfig, analyze, porter_stem
 from twqp.index import Index, collection_prob
 from twqp.retrieval import Query
+
+
+def reference_analyze(text: str, config: AnalyzerConfig) -> list[str]:
+    """The analysis pipeline as four list passes: tokenize, lowercase, drop
+    stopwords, stem."""
+    tokens = re.findall(config.token_pattern, text)
+    if config.lowercase:
+        tokens = [t.lower() for t in tokens]
+    tokens = [t for t in tokens if t not in config.stopwords]
+    if config.stemmer == "porter":
+        tokens = [porter_stem(t) for t in tokens]
+    return tokens
+
+
+def index_from_postings(
+    postings: dict[str, dict[str, int]],
+    doc_lengths: dict[str, int],
+    analyzer: AnalyzerConfig,
+) -> Index:
+    """The index of term -> {doc_id: tf} over doc_id -> length; a term
+    may have no postings, and postings may come in any doc order."""
+    doc_ids = sorted(doc_lengths)
+    number = {d: n for n, d in enumerate(doc_ids)}
+    vocabulary = sorted(postings)
+    sizes = np.fromiter(map(len, map(postings.__getitem__, vocabulary)), dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    nums = np.fromiter((number[d] for w in vocabulary for d in postings[w]), dtype=np.int64)
+    tfs = np.fromiter((tf for w in vocabulary for tf in postings[w].values()), dtype=np.int64)
+    # Sort each term's postings by doc number, keeping terms in order.
+    order = np.lexsort((nums, np.repeat(np.arange(len(vocabulary)), sizes)))
+    lengths = np.fromiter(map(doc_lengths.__getitem__, doc_ids), dtype=np.int64)
+    return Index(doc_ids, lengths, vocabulary, starts, nums[order], tfs[order], analyzer)
+
+
+def reference_build_index(corpus, config: AnalyzerConfig) -> Index:
+    """build_index one document at a time: analyze, count, add to the dicts."""
+    postings: dict[str, dict[str, int]] = {}
+    doc_lengths: dict[str, int] = {}
+    for doc in corpus:
+        tokens = analyze(doc.text, config)
+        doc_lengths[doc.doc_id] = len(tokens)
+        for t, tf in Counter(tokens).items():
+            postings.setdefault(t, {})[doc.doc_id] = tf
+    return index_from_postings(postings, doc_lengths, config)
 
 
 def smoothed_prob(w: str, doc_id: str, mu: float, index: Index) -> float:

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from twqp.analysis import (
     DEFAULT_STOPWORDS,
     AnalyzerConfig,
     analyze,
+    analyze_token,
     porter_stem,
 )
+
+from conftest import ANALYZER_CONFIGS, TEXTS
+from oracle import reference_analyze
 
 
 class TestTokenize:
@@ -144,3 +149,16 @@ class TestAnalyzePipeline:
             stopwords=frozenset(), stemmer="none", token_pattern=r"[a-z]+"
         )
         assert analyze("ab12cd ef", config) == ["ab", "cd", "ef"]
+
+    @pytest.mark.parametrize("config", ANALYZER_CONFIGS.values(), ids=ANALYZER_CONFIGS.keys())
+    @given(text=TEXTS)
+    @settings(max_examples=150, deadline=None)
+    def test_same_tokens_as_four_list_passes(self, config, text):
+        assert analyze(text, config) == reference_analyze(text, config)
+
+    def test_token_step(self):
+        config = AnalyzerConfig()
+        assert analyze_token("Ponies", config) == "poni"
+        assert analyze_token("THE", config) is None
+        assert analyze_token("THE", AnalyzerConfig(lowercase=False)) == "THE"
+        assert analyze_token("Ponies", AnalyzerConfig(stemmer="none")) == "ponies"

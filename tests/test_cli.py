@@ -539,6 +539,15 @@ class TestErrors:
         assert rc == 1
         assert "line 2" in self._stderr(capsys)
 
+    def test_index_rejects_a_doc_id_a_run_cannot_carry(self, tmp_path, capsys):
+        # such an id would be written into a run line that eval cannot read
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d0", "text": "ok"}\n{"doc_id": "d 1", "text": "ok"}\n')
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.snap")])
+        assert rc == 1
+        assert "doc_id 'd 1' is empty or holds whitespace at line 2" in self._stderr(capsys)
+        assert not (tmp_path / "i.snap").exists()
+
     def test_eval_rejects_a_repeated_document(self, tmp_path, capsys):
         qrels, run = tmp_path / "qrels.txt", tmp_path / "dup.run"
         qrels.write_text("q1 0 d1 1\n")

@@ -92,6 +92,14 @@ class TestLoaders:
         with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate topic q1 at line 4")):
             load_topics(path)
 
+    @pytest.mark.parametrize("qid", ["", "q 000", " q1", "q1\u00a0"])
+    def test_load_topics_rejects_an_id_a_run_cannot_carry(self, tmp_path, qid):
+        path = tmp_path / "topics.tsv"
+        path.write_text(f"q0\tfirst\n{qid}\tsecond\n", encoding="utf-8")
+        expected = f"{path}: query id {qid!r} is empty or holds whitespace at line 2"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_topics(path)
+
     @pytest.mark.parametrize(
         "load, text, kind",
         [

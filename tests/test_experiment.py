@@ -16,11 +16,12 @@ from twqp.experiment import (
     run_experiment,
     run_label_slug,
 )
-from twqp.index import Index, build_index, read_corpus
+from twqp.index import build_index, read_corpus
 from twqp.retrieval import format_run, read_run, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 
 from conftest import PLAIN
+from oracle import index_from_postings
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +196,7 @@ class TestMakeQueries:
 
     def test_term_with_empty_postings_dropped(self):
         # a hand-made snapshot may list a term that no document holds
-        index = Index.from_postings({"apple": {"d1": 2}, "ghost": {}}, {"d1": 2}, PLAIN)
+        index = index_from_postings({"apple": {"d1": 2}, "ghost": {}}, {"d1": 2}, PLAIN)
         with pytest.warns(UserWarning, match="'ghost' not in index"):
             queries, skipped = make_queries([("q1", "apple ghost")], index)
         assert [q.terms for q in queries] == [("apple",)]

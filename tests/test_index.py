@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from twqp.analysis import AnalyzerConfig, analyze
 from twqp.index import (
@@ -18,8 +19,17 @@ from twqp.index import (
 )
 from twqp.retrieval import Query
 
-from conftest import PLAIN, make_random_corpus
-from oracle import score_ql
+from conftest import ANALYZER_CONFIGS, PLAIN, make_random_corpus, raw_corpora
+from oracle import index_from_postings, reference_build_index, score_ql
+
+
+def assert_same_arrays(built, reference):
+    assert built.doc_ids == reference.doc_ids
+    assert built.vocabulary == reference.vocabulary
+    for name in ("lengths", "starts", "nums", "tfs"):
+        got, want = getattr(built, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 class TestBuildIndex:
@@ -48,14 +58,43 @@ class TestBuildIndex:
             total = sum(collection_prob(w, index) for w in index.vocabulary)
             assert abs(total - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("config", ANALYZER_CONFIGS.values(), ids=ANALYZER_CONFIGS.keys())
+    @given(docs=raw_corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_arrays_equal_the_reference_builder(self, config, docs):
+        assert_same_arrays(build_index(docs, config), reference_build_index(docs, config))
+
+    def test_configs_do_not_share_a_token_table(self):
+        docs = [Document("d2", "Running THE runs"), Document("d1", "ponies run")]
+        built = [build_index(docs, c) for c in (AnalyzerConfig(), PLAIN, AnalyzerConfig())]
+        assert [ix.vocabulary for ix in built] == [
+            ["poni", "run"],
+            ["ponies", "run", "running", "runs", "the"],
+            ["poni", "run"],
+        ]
+        assert [ix.lengths.tolist() for ix in built] == [[2, 2], [2, 3], [2, 2]]
+
     def test_duplicate_doc_id_rejected(self):
         docs = [Document("d1", "apple"), Document("d1", "banana")]
         with pytest.raises(ValueError, match="d1"):
             build_index(docs, PLAIN)
+        docs = [Document("d2", "the"), Document("d1", ""), Document("d2", "apple")]
+        for config in ANALYZER_CONFIGS.values():
+            with pytest.raises(ValueError, match="duplicate doc_id 'd2'"):
+                build_index(docs, config)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_index([], PLAIN)
+        for config in ANALYZER_CONFIGS.values():
+            with pytest.raises(ValueError, match="empty corpus"):
+                build_index(iter(()), config)
+
+    @pytest.mark.parametrize("doc_id", ["", "d 1", "d\t1", " d1", "d1\n", "d\u00a01"])
+    def test_doc_id_a_run_file_cannot_carry_rejected(self, doc_id):
+        docs = [Document("d0", "apple"), Document(doc_id, "apple")]
+        with pytest.raises(ValueError, match=re.escape(f"doc_id {doc_id!r} is empty or holds")):
+            build_index(docs, PLAIN)
 
     def test_doc_with_no_surviving_tokens_keeps_zero_length(self):
         config = AnalyzerConfig(stemmer="none")
@@ -134,7 +173,7 @@ class TestSnapshot:
             "ghost": {},
         }
         config = AnalyzerConfig(stopwords=frozenset({"the", "ß"}), token_pattern=r"[^\s\t]+")
-        index = Index.from_postings(postings, doc_lengths, config)
+        index = index_from_postings(postings, doc_lengths, config)
         path = tmp_path / "odd.snap"
         index.save(path)
         loaded = Index.load(path)
@@ -229,6 +268,17 @@ class TestCorpusReaders:
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "d1", "text": "x"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            list(read_corpus_jsonl(path))
+
+    @pytest.mark.parametrize("doc_id", ["", "d 2"])
+    def test_jsonl_doc_id_with_whitespace_reports_path_and_line(self, tmp_path, doc_id):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            f'{{"doc_id": "d1", "text": "x"}}\n\n{{"doc_id": "{doc_id}", "text": "y"}}\n',
+            encoding="utf-8",
+        )
+        expected = f"{path}: doc_id {doc_id!r} is empty or holds whitespace at line 3"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             list(read_corpus_jsonl(path))
 
     def test_jsonl_missing_field_reports_lineno(self, tmp_path):

@@ -90,7 +90,8 @@ _KEYS = (
     ("paths", "output_dir", "output_dir", str, str),
     ("analyzer", "lowercase", "lowercase", _parse_bool, lambda v: str(v).lower()),
     ("analyzer", "stemmer", "stemmer", lambda v: AnalyzerConfig(stemmer=v).stemmer, str),
-    ("analyzer", "token_pattern", "token_pattern", lambda v: re.compile(v).pattern, str),
+    ("analyzer", "token_pattern", "token_pattern",
+     lambda v: AnalyzerConfig(token_pattern=v).token_pattern, str),
     ("analyzer", "stopwords", "stopwords", lambda v: frozenset(v.split()),
      lambda v: " ".join(sorted(v))),
     ("retrieval", "k", "k", _count, str),

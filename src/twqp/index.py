@@ -9,13 +9,17 @@ starts[i]:starts[i + 1].  Per-document lengths are token counts after
 analysis, so they match the tf accounting used by the scoring formulas
 exactly.  A snapshot is an .npz of the same arrays.
 
-build_index reads the corpus once.  A table local to the call maps each
-distinct raw token to its term id (or to "dropped", for a stopword) the
-first time the token is seen, through analysis.analyze_token, so a token
-is analyzed once however often it occurs; every occurrence is then one
-dict lookup whose id goes into a compact array('i') buffer.  The CSR is made from that buffer
-with numpy: one np.unique over term-rank * n_docs + doc-number keys gives
-the postings in term-major, doc-ascending order and their tfs.
+build_index reads the corpus once.  Each text is split into raw tokens by
+analysis.tokenizer, the one tokenizer analyze also calls: str.translate +
+str.split for an ASCII text under a one-character-class pattern such as
+the default, re.findall otherwise, with the same tokens either way.  A
+table local to the call maps each distinct raw token to its term id (or to
+"dropped", for a stopword) the first time the token is seen, through
+analysis.analyze_token, so a token is analyzed once however often it
+occurs; every occurrence is then one dict lookup whose id goes into a
+compact array('i') buffer.  The CSR is made from that buffer with numpy:
+one np.unique over term-rank * n_docs + doc-number keys gives the postings
+in term-major, doc-ascending order and their tfs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, analyze_token
+from .analysis import AnalyzerConfig, analyze_token, tokenizer
 
 SNAPSHOT_VERSION = 2
 _JSON_MAGIC = b"#twqp-index"  # first bytes of a format 1 (JSON) snapshot
@@ -165,14 +169,16 @@ class Index:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         try:  # a damaged directory can lose a member's name
             stemmer, token_pattern, *stopwords = _unpack("analyzer", arrays)
-            analyzer = AnalyzerConfig(
-                bool(arrays["lowercase"]), frozenset(stopwords), stemmer, token_pattern
-            )
+            lowercase = bool(arrays["lowercase"])
             doc_ids, vocabulary = _unpack("doc_ids", arrays), _unpack("vocabulary", arrays)
             nums, tfs = arrays["nums"].astype(np.int64), arrays["tfs"].astype(np.int64)
             lengths, starts = arrays["lengths"], arrays["starts"]
         except KeyError as exc:
             raise ValueError(f"{path}: damaged index snapshot (no array {exc})") from exc
+        try:
+            analyzer = AnalyzerConfig(lowercase, frozenset(stopwords), stemmer, token_pattern)
+        except (ValueError, re.error) as exc:
+            raise ValueError(f"{path}: stored analyzer rejected: {exc}") from exc
         return cls(doc_ids, lengths, vocabulary, starts, nums, tfs, analyzer)
 
 
@@ -216,7 +222,7 @@ def build_index(corpus: Iterable[Document], config: AnalyzerConfig | None = None
     corpora are errors."""
     if config is None:
         config = AnalyzerConfig()
-    findall = re.compile(config.token_pattern).findall
+    tokenize = tokenizer(config.token_pattern)
     table = _TermIds(config)
     ids = array("i")  # term id of every token, documents in input order
     ends = array("q")  # end offset of each document's tokens in ids
@@ -229,7 +235,7 @@ def build_index(corpus: Iterable[Document], config: AnalyzerConfig | None = None
             raise ValueError(f"doc_id {doc.doc_id!r} is empty or holds whitespace")
         seen.add(doc.doc_id)
         doc_ids.append(doc.doc_id)
-        ids.extend(map(table.__getitem__, findall(doc.text)))
+        ids.extend(map(table.__getitem__, tokenize(doc.text)))
         ends.append(len(ids))
     if not doc_ids:
         raise ValueError("empty corpus: no documents to index")
@@ -269,7 +275,7 @@ def collection_prob(w: str, index: Index) -> float:
 
 
 def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:
-    """One JSON object per line with "doc_id" and "text" fields."""
+    """One JSON object per line with "doc_id" and "text" string fields."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -280,12 +286,17 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[Document]:
                 text = record["text"]
             except (json.JSONDecodeError, TypeError, KeyError) as exc:
                 raise ValueError(f"{path}: malformed corpus line {lineno}: {exc}") from None
-            doc_id = str(doc_id)
+            for field, value in (("doc_id", doc_id), ("text", text)):
+                if not isinstance(value, str):
+                    raise ValueError(
+                        f"{path}: {field} must be a JSON string, got {json.dumps(value)} "
+                        f"at line {lineno}"
+                    )
             if doc_id.split() != [doc_id]:
                 raise ValueError(
                     f"{path}: doc_id {doc_id!r} is empty or holds whitespace at line {lineno}"
                 )
-            yield Document(doc_id, str(text))
+            yield Document(doc_id, text)
 
 
 def read_corpus_dir(path: str | Path) -> Iterator[Document]:

@@ -5,10 +5,11 @@ weighted_sum).  These loops compute the same quantities one document and
 one term at a time, straight from the formulas, with math.log per cell.
 The kernel and everything built on it must give the same floats.  The
 evaluation measures at the end read a run entry by entry, with one
-is_relevant lookup per entry.  The analyzer runs its four steps as whole
-list passes, and the index builders count each document's analyzed tokens
-into term -> {doc_id: tf} dicts before turning those into the index
-arrays; analyze and build_index must give the same tokens and arrays.
+is_relevant lookup per entry.  The analyzer tokenizes with re.findall and
+runs its steps as whole list passes, and the index builders count each
+document's analyzed tokens into term -> {doc_id: tf} dicts before turning
+those into the index arrays; analyze and build_index must give the same
+tokens and arrays.
 """
 
 import math
@@ -17,15 +18,15 @@ from collections import Counter
 
 import numpy as np
 
-from twqp.analysis import AnalyzerConfig, analyze, porter_stem
+from twqp.analysis import AnalyzerConfig, porter_stem
 from twqp.index import Index, collection_prob
 from twqp.retrieval import Query
 
 
 def reference_analyze(text: str, config: AnalyzerConfig) -> list[str]:
-    """The analysis pipeline as four list passes: tokenize, lowercase, drop
-    stopwords, stem."""
-    tokens = re.findall(config.token_pattern, text)
+    """The analysis pipeline as four list passes: tokenize (with
+    re.findall, empty matches dropped), lowercase, drop stopwords, stem."""
+    tokens = [t for t in re.findall(config.token_pattern, text) if t]
     if config.lowercase:
         tokens = [t.lower() for t in tokens]
     tokens = [t for t in tokens if t not in config.stopwords]
@@ -55,11 +56,12 @@ def index_from_postings(
 
 
 def reference_build_index(corpus, config: AnalyzerConfig) -> Index:
-    """build_index one document at a time: analyze, count, add to the dicts."""
+    """build_index one document at a time: reference_analyze, count, add to
+    the dicts."""
     postings: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
     for doc in corpus:
-        tokens = analyze(doc.text, config)
+        tokens = reference_analyze(doc.text, config)
         doc_lengths[doc.doc_id] = len(tokens)
         for t, tf in Counter(tokens).items():
             postings.setdefault(t, {})[doc.doc_id] = tf

@@ -1,8 +1,12 @@
 """Analyzer pipeline: tokenization, stopwords, Porter stemming."""
 
+import re
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twqp.analysis import (
     DEFAULT_STOPWORDS,
@@ -10,6 +14,8 @@ from twqp.analysis import (
     analyze,
     analyze_token,
     porter_stem,
+    split_table,
+    tokenizer,
 )
 
 from conftest import ANALYZER_CONFIGS, TEXTS
@@ -38,6 +44,69 @@ class TestTokenize:
     def test_lowercase_off(self):
         config = AnalyzerConfig(lowercase=False, stopwords=frozenset(), stemmer="none")
         assert analyze("Apple apple", config) == ["Apple", "apple"]
+
+
+# Texts over ASCII letters, digits, punctuation and every ASCII whitespace
+# character (str.split cuts at each, \x1c-\x1f included); half of them may
+# also hold non-ASCII letters, digits and separators.
+ASCII_CHARS = string.ascii_letters + string.digits + "_" + string.punctuation + (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+)
+TOKENIZER_TEXTS = st.one_of(
+    st.text(alphabet=ASCII_CHARS, max_size=40),
+    st.text(alphabet=ASCII_CHARS + "éß٣\u00a0\u2028", max_size=40),
+)
+# Each pattern, and whether ASCII text under it is split by str.translate
+# + str.split (True) or always by re.findall (False).
+ROUTES = {
+    r"[^\W_]+": True,
+    r"\w+": True,
+    r"\d+": True,
+    r"\S+": True,
+    r"[a-z]+": True,
+    r"[\]a]+": True,  # an escaped "]" inside the set
+    r"[]a]+": False,  # "]" first in the set is a member, not its end
+    r"[^,]+": False,  # the class holds whitespace
+    r"\s+": False,
+    r"(?i)[a-z]+": False,  # not only the class
+    r"[a-z]+(?:'[a-z]+)?": False,
+}
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("pattern, split", ROUTES.items(), ids=ROUTES.keys())
+    def test_route(self, pattern, split):
+        assert (split_table(pattern) is not None) is split
+        assert (tokenizer(pattern) == re.compile(pattern).findall) is not split
+
+    @pytest.mark.parametrize("pattern", ROUTES, ids=ROUTES.keys())
+    @given(text=TOKENIZER_TEXTS)
+    @settings(max_examples=150, deadline=None)
+    def test_same_tokens_as_findall(self, pattern, text):
+        assert tokenizer(pattern)(text) == re.findall(pattern, text)
+
+    def test_split_route_cuts_at_every_ascii_separator(self):
+        text = "a\x1cb\x1fc\x0bd\x0ce-f_g"
+        assert tokenizer(r"[^\W_]+")(text) == list("abcdefg")
+        assert tokenizer(r"[^\W_]+")(text + " é") == [*"abcdefg", "é"]
+
+    def test_built_once_per_pattern(self):
+        assert tokenizer(r"[a-z]+") is tokenizer(r"[a-z]+")
+
+    def test_empty_matches_dropped(self):
+        config = AnalyzerConfig(token_pattern=r"\w*")
+        assert analyze("apple pie", config) == ["appl", "pie"]
+        assert analyze_token("", config) is None
+
+    @pytest.mark.parametrize("pattern", ["(a)(b)", "(a)", "(?P<w>[a-z]+)"])
+    def test_capturing_groups_rejected(self, pattern):
+        with pytest.raises(ValueError, match=re.escape("group with (?:...) instead")):
+            AnalyzerConfig(token_pattern=pattern)
+        assert analyze("ab ab", AnalyzerConfig(token_pattern="(?:a)(?:b)")) == ["ab", "ab"]
+
+    def test_pattern_that_does_not_compile_rejected(self):
+        with pytest.raises(re.error):
+            AnalyzerConfig(token_pattern="(")
 
 
 class TestStopwords:

@@ -118,6 +118,7 @@ class TestRoundTrip:
             ("rm3", "lambda", "2"),
             ("analyzer", "stemmer", "snowball"),
             ("analyzer", "token_pattern", "("),
+            ("analyzer", "token_pattern", "(a)(b)"),
             ("retrieval", "k", "0"),
             ("retrieval", "rerank_depth", "0"),
             ("rm3", "n", "0"),

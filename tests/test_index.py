@@ -15,6 +15,7 @@ from twqp.index import (
     collection_prob,
     read_corpus,
     read_corpus_dir,
+    _pack,
     read_corpus_jsonl,
 )
 from twqp.retrieval import Query
@@ -63,6 +64,26 @@ class TestBuildIndex:
     @settings(max_examples=80, deadline=None)
     def test_arrays_equal_the_reference_builder(self, config, docs):
         assert_same_arrays(build_index(docs, config), reference_build_index(docs, config))
+
+    def test_ascii_and_non_ascii_documents_in_one_build(self):
+        # ASCII texts are split by str.translate + str.split, the others by
+        # re.findall; one build holds both.
+        docs = [
+            Document("d3", "Running ponies, the x86\x1cfoo_bar\x0bRUNS."),
+            Document("d1", "«Straße» naïve—ponies ٣rd\u00a0running\u2028x86"),
+            Document("d4", "ÉCOLE école-run"),
+            Document("d2", "the caresses\tof 2nd\x1fr2d2 happy-sky"),
+            Document("d0", ""),
+        ]
+        assert {d.text.isascii() for d in docs} == {True, False}
+        config = AnalyzerConfig()
+        assert_same_arrays(build_index(docs, config), reference_build_index(docs, config))
+
+    def test_empty_matches_are_not_tokens(self):
+        config = AnalyzerConfig(token_pattern=r"\w*")
+        index = build_index([Document("d1", "apple pie")], config)
+        assert index.vocabulary == ["appl", "pie"]
+        assert index.lengths.tolist() == [2]
 
     def test_configs_do_not_share_a_token_table(self):
         docs = [Document("d2", "Running THE runs"), Document("d1", "ponies run")]
@@ -240,6 +261,18 @@ class TestSnapshot:
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: "), (i, exc)
 
+    def test_rejected_stored_pattern_names_the_path(self, tmp_path, fruit_index):
+        path = tmp_path / "idx.snap"
+        fruit_index.save(path)
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        a = fruit_index.analyzer
+        arrays.update(_pack("analyzer", [a.stemmer, "(a)(b)", *sorted(a.stopwords)]))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*capturing groups"):
+            Index.load(path)
+
     def test_json_snapshot_rejected(self, tmp_path):
         path = tmp_path / "v1.snap"
         path.write_text('#twqp-index 1\n{"postings": {}}\n', encoding="utf-8")
@@ -278,6 +311,20 @@ class TestCorpusReaders:
             encoding="utf-8",
         )
         expected = f"{path}: doc_id {doc_id!r} is empty or holds whitespace at line 3"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            list(read_corpus_jsonl(path))
+
+    @pytest.mark.parametrize("field", ["doc_id", "text"])
+    @pytest.mark.parametrize("value", ["null", "7", '["a", "b"]', "true"])
+    def test_jsonl_field_that_is_not_a_string_rejected(self, tmp_path, field, value):
+        record = {"doc_id": '"d2"', "text": '"apple"', field: value}
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"doc_id": "d1", "text": "x"}\n'
+            f'{{"doc_id": {record["doc_id"]}, "text": {record["text"]}}}\n',
+            encoding="utf-8",
+        )
+        expected = f"{path}: {field} must be a JSON string, got {value} at line 2"
         with pytest.raises(ValueError, match=re.escape(expected)):
             list(read_corpus_jsonl(path))
 

@@ -40,10 +40,15 @@ for mu in (10.0, 1000.0):
 
 # Any single entry is the sum, over the query terms in sorted order, of
 # log((tf(w, d) + mu * p_D(w)) / (|d| + mu)).
+# The index keeps each term's postings as (doc numbers, tfs) arrays and
+# each document's length under its number.
 mu = 1000.0
 d1 = 0.0
+n1 = index.doc_numbers(["d1"])[0]
 for w in sorted(q.terms):
-    p = (index.tf(w, "d1") + mu * collection_prob(w, index)) / (index.doc_length("d1") + mu)
+    nums, tfs = index.term(w)
+    tf = int(tfs[nums == n1].sum())
+    p = (tf + mu * collection_prob(w, index)) / (int(index.lengths[n1]) + mu)
     d1 += math.log(p)
 print("\nd1 at mu=1000:", d1)
 assert d1 == dict(retrieve_topk(q, 10, mu, index).entries)["d1"]

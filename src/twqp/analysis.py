@@ -63,6 +63,10 @@ class AnalyzerConfig:
                 f"token_pattern {self.token_pattern!r} has capturing groups; "
                 "group with (?:...) instead"
             )
+        if isinstance(self.stopwords, str):
+            raise TypeError(
+                f"stopwords must be a collection of words, not the string {self.stopwords!r}"
+            )
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
 
 

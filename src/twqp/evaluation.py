@@ -13,10 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .config import ExperimentConfig
 from .index import Index
@@ -34,22 +33,12 @@ class Qrels:
             q: frozenset(d for d, g in grades.items() if g >= 1) for q, grades in judgments.items()
         }
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get(query_id, {}).get(doc_id, 0)
-
-    def is_relevant(self, query_id: str, doc_id: str) -> bool:
-        return self.grade(query_id, doc_id) >= 1
-
     def relevant_docs(self, query_id: str) -> frozenset[str]:
         """The query's relevant doc ids, built once; empty if unjudged."""
         return self._relevant.get(query_id, frozenset())
 
     def relevant_count(self, query_id: str) -> int:
         return len(self.relevant_docs(query_id))
-
-    @property
-    def query_ids(self) -> list[str]:
-        return sorted(self.judgments)
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -110,6 +99,8 @@ def precision_at(run: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
 
 def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float:
     """Mean of precision at each relevant retrieved rank, over R."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     relevant = qrels.relevant_docs(run.query_id)
     if not relevant:
         raise ValueError(f"query {run.query_id!r} has no relevant documents")
@@ -165,7 +156,10 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
         warnings.warn("zero-variance nonzero-mean differences; p-value 0", stacklevel=2)
         return 0.0
     t = mean / (sd / math.sqrt(n))
-    return 2.0 * float(stats.t.sf(abs(t), n - 1))
+    # Imported here: index, search, eval and weigh never run a t-test.
+    from scipy.special import stdtr
+
+    return 2.0 * float(stdtr(n - 1, -abs(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,8 @@ def build_report(
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps (maximize mean AP; ties go to the smaller value)
+# Parameter sweeps (maximize mean AP; ties go to the smaller value, as max
+# over the ascending grid keeps the first)
 # ---------------------------------------------------------------------------
 
 
@@ -280,14 +275,6 @@ def _mean_ap(
     return sum(values) / len(values)
 
 
-_Value = TypeVar("_Value", int, float)
-
-
-def _best_on_grid(grid: Iterable[_Value], mean_ap: Callable[[_Value], float]) -> _Value:
-    """The smallest grid value with the highest mean AP (max keeps the first)."""
-    return max(sorted(grid), key=mean_ap)
-
-
 def tune_mu(
     queries: Sequence[Query], qrels: Qrels, config: ExperimentConfig, index: Index
 ) -> float:
@@ -301,7 +288,7 @@ def tune_mu(
     k = config.k
     grid = retrieve_grid(queries, k, sorted(config.mu_grid), index)
     mean_aps = {mu: _mean_ap(lists, qrels, k) for mu, lists in grid}
-    return _best_on_grid(config.mu_grid, mean_aps.__getitem__)
+    return max(sorted(config.mu_grid), key=mean_aps.__getitem__)
 
 
 def tune_rm3_m(
@@ -333,4 +320,4 @@ def tune_rm3_m(
         for m_runs, run in zip(runs, rerank_many(base, weight_maps, cfg, index)):
             m_runs.append(run)
     mean_aps = {m: _mean_ap(m_runs, qrels, config.k) for m, m_runs in zip(ms, runs)}
-    return _best_on_grid(ms, mean_aps.__getitem__)
+    return max(ms, key=mean_aps.__getitem__)

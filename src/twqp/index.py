@@ -118,13 +118,6 @@ class Index:
         """doc_id -> length, built on each call."""
         return dict(zip(self.doc_ids, self.lengths.tolist()))
 
-    def tf(self, w: str, doc_id: str) -> int:
-        nums, tfs = self.term(w)
-        return int(tfs[nums == self._numbers.get(doc_id, -1)].sum())
-
-    def doc_length(self, doc_id: str) -> int:
-        return int(self.lengths[self.doc_numbers([doc_id])[0]])
-
     # Snapshot format 2 is one .npz of the arrays, read without pickle.
     # Strings are UTF-8 bytes plus end offsets, so any str round-trips.
 

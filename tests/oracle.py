@@ -5,7 +5,7 @@ weighted_sum).  These loops compute the same quantities one document and
 one term at a time, straight from the formulas, with math.log per cell.
 The kernel and everything built on it must give the same floats.  The
 evaluation measures at the end read a run entry by entry, with one
-is_relevant lookup per entry.  The analyzer tokenizes with re.findall and
+judgment lookup per entry.  The analyzer tokenizes with re.findall and
 runs its steps as whole list passes, and the index builders count each
 document's analyzed tokens into term -> {doc_id: tf} dicts before turning
 those into the index arrays; analyze and build_index must give the same
@@ -68,6 +68,17 @@ def reference_build_index(corpus, config: AnalyzerConfig) -> Index:
     return index_from_postings(postings, doc_lengths, config)
 
 
+def term_tf(w: str, doc_id: str, index: Index) -> int:
+    """tf(w, d), read from w's postings arrays; 0 when d does not hold w."""
+    nums, tfs = index.term(w)
+    return int(tfs[nums == index.doc_numbers([doc_id])[0]].sum())
+
+
+def doc_length(doc_id: str, index: Index) -> int:
+    """|d|, read from the lengths array; KeyError for an unknown doc id."""
+    return int(index.lengths[index.doc_numbers([doc_id])[0]])
+
+
 def smoothed_prob(w: str, doc_id: str, mu: float, index: Index) -> float:
     """(tf(w,d) + mu * tf(w,D)/|D|) / (|d| + mu).
 
@@ -76,11 +87,11 @@ def smoothed_prob(w: str, doc_id: str, mu: float, index: Index) -> float:
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    length = index.doc_length(doc_id)
+    length = doc_length(doc_id, index)
     denom = length + mu
     if denom == 0:
         raise ValueError(f"doc {doc_id!r} is empty and mu=0: probability undefined")
-    return (index.tf(w, doc_id) + mu * collection_prob(w, index)) / denom
+    return (term_tf(w, doc_id, index) + mu * collection_prob(w, index)) / denom
 
 
 def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
@@ -155,7 +166,7 @@ def scalar_rm3(q, initial, m, mu, lam, index):
     postings = index.postings
     feedback = {}
     for d, r in zip(feedback_docs, raw):
-        length = index.doc_length(d)
+        length = doc_length(d, index)
         for w, docs in postings.items():
             if d in docs:
                 feedback[w] = feedback.get(w, 0.0) + (r / z) * (docs[d] / length)
@@ -167,19 +178,26 @@ def scalar_rm3(q, initial, m, mu, lam, index):
     }
 
 
+def judged_relevant(qrels, query_id, doc_id):
+    """Whether the judgments grade (query, doc) >= 1; unjudged is not relevant."""
+    return qrels.judgments.get(query_id, {}).get(doc_id, 0) >= 1
+
+
 def scalar_precision_at(run, qrels, cutoff=10):
-    """Relevant fraction of the top cutoff, one is_relevant lookup per entry."""
-    hits = sum(1 for doc_id, _ in run.entries[:cutoff] if qrels.is_relevant(run.query_id, doc_id))
+    """Relevant fraction of the top cutoff, one judgment lookup per entry."""
+    top = run.entries[:cutoff]
+    hits = sum(1 for doc_id, _ in top if judged_relevant(qrels, run.query_id, doc_id))
     return hits / cutoff
 
 
 def scalar_average_precision(run, qrels, depth=1000):
     """Precision at each relevant rank of the first depth entries, over R."""
-    total_relevant = qrels.relevant_count(run.query_id)
+    grades = qrels.judgments.get(run.query_id, {}).values()
+    total_relevant = sum(1 for g in grades if g >= 1)
     hits = 0
     acc = 0.0
     for rank, (doc_id, _) in enumerate(run.entries[:depth], start=1):
-        if qrels.is_relevant(run.query_id, doc_id):
+        if judged_relevant(qrels, run.query_id, doc_id):
             hits += 1
             acc += hits / rank
     return acc / total_relevant
@@ -188,6 +206,6 @@ def scalar_average_precision(run, qrels, depth=1000):
 def scalar_reciprocal_rank(run, qrels):
     """1 / rank of the first relevant entry; 0 when there is none."""
     for rank, (doc_id, _) in enumerate(run.entries, start=1):
-        if qrels.is_relevant(run.query_id, doc_id):
+        if judged_relevant(qrels, run.query_id, doc_id):
             return 1.0 / rank
     return 0.0

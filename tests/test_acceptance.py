@@ -64,20 +64,19 @@ def _criterion(number, name):
 def _exhaustive_topk(q, k, mu, index):
     """Score every matching document directly from the index statistics."""
     counts = sorted(q.term_counts().items())
-    candidates = set()
-    for w, _ in counts:
-        candidates.update(index.postings.get(w, {}))
+    # term -> {doc number: tf}, from each term's postings arrays
+    tf = {w: dict(zip(*(a.tolist() for a in index.term(w)))) for w, _ in counts}
     scored = []
-    for doc_id in candidates:
+    for n in set().union(*tf.values()):
         s = math.fsum(
             c
             * math.log(
-                (index.tf(w, doc_id) + mu * index.collection_tf[w] / index.total_tokens)
-                / (index.doc_length(doc_id) + mu)
+                (tf[w].get(n, 0) + mu * index.collection_tf[w] / index.total_tokens)
+                / (int(index.lengths[n]) + mu)
             )
             for w, c in counts
         )
-        scored.append((doc_id, s))
+        scored.append((index.doc_ids[n], s))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
 

@@ -130,6 +130,12 @@ class TestStopwords:
         config = AnalyzerConfig(stopwords=frozenset({"apple"}), stemmer="none")
         assert analyze("apple banana the", config) == ["banana", "the"]
 
+    @pytest.mark.parametrize("words", ["the", ""])
+    def test_bare_string_rejected(self, words):
+        # frozenset("the") would be {"t", "h", "e"}, a list of letters.
+        with pytest.raises(TypeError, match="collection of words"):
+            AnalyzerConfig(stopwords=words, stemmer="none")
+
 
 class TestPorterStemmer:
     # Classic vocabulary pairs for the original algorithm; expected values

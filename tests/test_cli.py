@@ -1,7 +1,10 @@
 """Command-line interface: subcommand flows, outputs, and error reporting."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -566,6 +569,15 @@ class TestErrors:
         assert main(["tune-mu", *argv]) == 0
         assert "best mu:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_eval_rejects_depth_below_one(self, tmp_path, capsys, depth):
+        qrels, run = tmp_path / "qrels.txt", tmp_path / "ql.run"
+        qrels.write_text("q1 0 d2 1\n")
+        run.write_text("q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 -2.0 t\n")
+        rc = main(["eval", "--qrels", str(qrels), "--run", str(run), "--depth", depth])
+        assert rc == 1
+        assert f"error: depth must be >= 1, got {depth}" in self._stderr(capsys)
+
     def test_eval_needs_qrels(self, workspace, capsys):
         rc = main(["eval", "--run", str(workspace / "ql.run")])
         assert rc == 1
@@ -596,3 +608,21 @@ class TestErrors:
         )
         assert rc == 1
         assert "cannot host" in self._stderr(capsys)
+
+
+def test_import_loads_no_scipy():
+    # Only a significance test needs scipy, and it imports scipy.special
+    # when it runs; index, search, eval and weigh start without it.
+    src = Path(twqp.cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, twqp.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src,
+    ).stdout
+    assert out == "[]\n"

@@ -41,18 +41,17 @@ class TestLoaders:
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 1\nq1 0 d2 0\n\nq2 0 d9 2\n")
         qrels = load_qrels(path)
-        assert qrels.is_relevant("q1", "d1")
-        assert not qrels.is_relevant("q1", "d2")
-        assert qrels.grade("q2", "d9") == 2
+        assert qrels.judgments == {"q1": {"d1": 1, "d2": 0}, "q2": {"d9": 2}}
+        assert qrels.relevant_docs("q1") == {"d1"}
+        assert qrels.relevant_docs("q2") == {"d9"}
         assert qrels.relevant_count("q1") == 1
-        assert qrels.query_ids == ["q1", "q2"]
 
     def test_load_qrels_unjudged_defaults_to_zero(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 1\n")
         qrels = load_qrels(path)
-        assert qrels.grade("q1", "nope") == 0
-        assert qrels.grade("q9", "d1") == 0
+        assert "nope" not in qrels.relevant_docs("q1")
+        assert qrels.relevant_docs("q9") == frozenset()
 
     def test_relevant_docs_is_one_immutable_set_per_query(self):
         qrels = Qrels({"q1": {"d1": 1, "d2": 0, "d3": 2}, "q2": {"d4": 0}})
@@ -173,6 +172,13 @@ class TestAveragePrecision:
         run = _run("q1", ["d1", "d2", "d3"])
         assert average_precision(run, qrels, depth=2) == 0.0
         assert average_precision(run, qrels, depth=3) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        # A negative depth would slice from the end of the run, not cut it.
+        qrels = Qrels({"q1": {"d1": 1}})
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            average_precision(_run("q1", ["d1", "d2"]), qrels, depth)
 
     def test_tail_beyond_last_relevant_is_irrelevant(self):
         qrels = Qrels({"q1": {"d1": 1, "d2": 1}})
@@ -315,6 +321,27 @@ class TestPairedTtest:
             assert got == pytest.approx(expected, abs=1e-12)
             checked += 1
         assert checked >= 15
+
+    def test_equal_to_the_scipy_stats_tail(self):
+        # paired_ttest takes scipy.special.stdtr directly; scipy.stats.t.sf
+        # wraps the same function, so the two must agree to the bit, from
+        # |t| near 0 to where the tail underflows to 0.
+        from scipy import stats
+
+        underflowed = 0
+        for n in (2, 3, 10, 30, 1000):
+            z = np.random.default_rng(n).normal(size=n)
+            z = (z - z.mean()) / z.std(ddof=1)
+            for exponent in np.arange(-8.0, 12.25, 0.25):
+                for sign in (1.0, -1.0):
+                    a = list(sign * 10.0**exponent / math.sqrt(n) + z)
+                    b = [0.0] * n
+                    diffs = np.asarray(a) - np.asarray(b)
+                    t = float(diffs.mean()) / (float(diffs.std(ddof=1)) / math.sqrt(n))
+                    p = paired_ttest(a, b)
+                    assert p == 2.0 * float(stats.t.sf(abs(t), n - 1)), (n, t)
+                    underflowed += p == 0.0
+        assert underflowed > 0
 
 
 class TestBuildReport:

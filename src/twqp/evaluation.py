@@ -5,6 +5,12 @@ divides by the cutoff even for short runs, average precision divides by the
 number of judged-relevant documents, reciprocal rank reads the full list.
 Queries with no relevant documents cannot be scored by AP/RR and are
 excluded from aggregation (callers flag them).
+
+All three measures read the ranks of the relevant documents off
+RankedList.ranks_of: the relevant ids are numbered in the list's own id
+table and marked in a mask, which is read at the list's document numbers,
+so no doc id of the list is built.  AP still adds hits / rank one rank at a
+time, in rank order.
 """
 
 from __future__ import annotations
@@ -92,9 +98,7 @@ def precision_at(run: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
     """Relevant fraction of the top-cutoff; denominator is always cutoff."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    relevant = qrels.relevant_docs(run.query_id)
-    hits = sum(1 for doc_id in run.doc_ids[:cutoff] if doc_id in relevant)
-    return hits / cutoff
+    return len(run.ranks_of(qrels.relevant_docs(run.query_id), cutoff)) / cutoff
 
 
 def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float:
@@ -104,22 +108,16 @@ def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float
     relevant = qrels.relevant_docs(run.query_id)
     if not relevant:
         raise ValueError(f"query {run.query_id!r} has no relevant documents")
-    hits = 0
     acc = 0.0
-    for rank, doc_id in enumerate(run.doc_ids[:depth], start=1):
-        if doc_id in relevant:
-            hits += 1
-            acc += hits / rank
+    for hits, rank in enumerate(run.ranks_of(relevant, depth), start=1):
+        acc += hits / rank
     return acc / len(relevant)
 
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
     """1 / rank of the first relevant document; 0 when none is retrieved."""
-    relevant = qrels.relevant_docs(run.query_id)
-    for rank, doc_id in enumerate(run.doc_ids, start=1):
-        if doc_id in relevant:
-            return 1.0 / rank
-    return 0.0
+    ranks = run.ranks_of(qrels.relevant_docs(run.query_id))
+    return 1.0 / ranks[0] if ranks else 0.0
 
 
 def robustness_index(
@@ -262,14 +260,13 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def _mean_ap(
-    runs: Iterable[RankedList], qrels: Qrels, depth: int
-) -> float:
-    values = []
-    for run in runs:
-        if qrels.relevant_count(run.query_id) == 0:
-            continue
-        values.append(average_precision(run, qrels, depth))
+def _mean_ap(runs: Iterable[RankedList], qrels: Qrels, depth: int) -> float:
+    scorable = [run for run in runs if qrels.relevant_count(run.query_id) > 0]
+    return _mean([average_precision(run, qrels, depth) for run in scorable])
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of the scorable queries' APs, added in query order."""
     if not values:
         raise ValueError("no scorable queries (every query has zero relevant docs)")
     return sum(values) / len(values)
@@ -304,20 +301,27 @@ def tune_rm3_m(
     already-tuned retrieval smoothing; queries with an empty list are
     skipped.  The relevance model is the one the experiment weighs with:
     document weights at config.rm3_mu, interpolation config.rm3_lambda,
-    clipped to its top config.rm3_n terms.
+    clipped to its top config.rm3_n terms.  An m past a list's length
+    feeds back the whole list, so per query each distinct clamped depth
+    min(m, len) is modelled, clipped, re-ranked and scored once, and every
+    m reads its depth's AP.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
     cfg = RerankConfig(mu=mu, rerank_depth=config.rerank_depth, k=config.k)
     ms = sorted(config.rm3_m_grid)
-    runs: list[list[RankedList]] = [[] for _ in ms]
+    aps: list[list[float]] = [[] for _ in ms]
     for q, base in lists:
         if not base:
             continue
-        depths = [min(m, len(base)) for m in ms]
+        depths = sorted({min(m, len(base)) for m in ms})
         models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
         weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
-        for m_runs, run in zip(runs, rerank_many(base, weight_maps, cfg, index)):
-            m_runs.append(run)
-    mean_aps = {m: _mean_ap(m_runs, qrels, config.k) for m, m_runs in zip(ms, runs)}
+        runs = rerank_many(base, weight_maps, cfg, index)
+        if qrels.relevant_count(base.query_id) == 0:
+            continue
+        by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}
+        for m, m_aps in zip(ms, aps):
+            m_aps.append(by_depth[min(m, len(base))])
+    mean_aps = {m: _mean(m_aps) for m, m_aps in zip(ms, aps)}
     return max(ms, key=mean_aps.__getitem__)

@@ -95,9 +95,19 @@ class Index:
         return self.nums[span], self.tfs[span]
 
     def matching_docs(self, terms: Iterable[str]) -> np.ndarray:
-        """Ascending numbers of the documents holding at least one of the terms."""
+        """Ascending numbers of the documents holding at least one of the terms.
+
+        For one distinct term these are its postings' doc numbers, returned
+        as a read-only view of nums; for more, the union is read off a
+        boolean mask over the collection.
+        """
+        distinct = set(terms)
+        if len(distinct) == 1:
+            nums = self.term(*distinct)[0]
+            nums.flags.writeable = False  # a view: writing would corrupt the index
+            return nums
         held = np.zeros(self.doc_count, dtype=bool)
-        for w in set(terms):
+        for w in distinct:
             held[self.term(w)[0]] = True
         return np.flatnonzero(held)
 

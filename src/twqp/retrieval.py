@@ -18,8 +18,17 @@ full-width row per term, for callers that score the same terms many times.
 ``retrieve_grid`` gathers each query's candidates and tfs once and takes
 only the log step at each mu of a grid.
 
+The candidates of a search are ``Index.matching_docs``: a one-term bag's
+are its postings' doc numbers, as they stand.  ``gather_tf`` copies a
+term's tfs as they stand when the documents are exactly its postings, and
+finds each document in the postings by binary search otherwise.  The log
+step finds the distinct probabilities with one argsort and calls
+``math.log`` once for each.
+
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
+``RankedList.ranks_of`` finds the ranks at which given doc ids stand by
+numbers alone, without building the ids.
 """
 
 from __future__ import annotations
@@ -55,20 +64,24 @@ class Query:
 class RankedList:
     """Scored documents for one query, sorted by (score desc, doc_id asc).
 
-    A list holds read-only document-number and score arrays and the doc-id
-    table the numbers index into: its index's doc_ids for a list from
-    retrieval or re-ranking (from_arrays), its own ids, numbered in order,
-    for RankedList(query_id, entries, k) built from (doc_id, score) pairs.
-    entries is built on each read.  Lists are equal when their query ids,
-    entries and k are.
+    A list holds read-only document-number and score arrays, the doc-id
+    table the numbers index into and the map from each id to its number:
+    its index's doc_ids and numbers for a list from retrieval or re-ranking
+    (from_arrays), its own distinct ids, numbered in order of first
+    appearance, for RankedList(query_id, entries, k) built from (doc_id,
+    score) pairs.  entries is built on each read.  Lists are equal when
+    their query ids, entries and k are.
     """
 
-    __slots__ = ("query_id", "k", "_nums", "_scores", "_ids")
+    __slots__ = ("query_id", "k", "_nums", "_scores", "_ids", "_numbers")
 
     def __init__(self, query_id: str, entries: Iterable[tuple[str, float]], k: int) -> None:
         pairs = tuple(entries)
+        numbers: dict[str, int] = {}
+        numbered = (numbers.setdefault(d, len(numbers)) for d, _ in pairs)
+        nums = np.fromiter(numbered, dtype=np.int64, count=len(pairs))
         scores = np.array([s for _, s in pairs], dtype=float)
-        self._hold(query_id, np.arange(len(pairs)), scores, k, [d for d, _ in pairs])
+        self._hold(query_id, nums, scores, k, list(numbers), numbers)
 
     @classmethod
     def from_arrays(
@@ -78,12 +91,21 @@ class RankedList:
 
         The arrays are made read-only: lists built from one share them."""
         lst = cls.__new__(cls)
-        lst._hold(query_id, nums, scores, k, index.doc_ids)
+        lst._hold(query_id, nums, scores, k, index.doc_ids, index._numbers)
         return lst
 
-    def _hold(self, query_id: str, nums: np.ndarray, scores: np.ndarray, k: int, ids: list) -> None:
+    def _hold(
+        self,
+        query_id: str,
+        nums: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+        ids: list[str],
+        numbers: dict[str, int],
+    ) -> None:
         nums.flags.writeable = scores.flags.writeable = False
-        self.query_id, self.k, self._nums, self._scores, self._ids = query_id, k, nums, scores, ids
+        self.query_id, self.k, self._nums, self._scores = query_id, k, nums, scores
+        self._ids, self._numbers = ids, numbers
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
@@ -120,6 +142,16 @@ class RankedList:
         """The scores, in rank order, as a read-only float array."""
         return self._scores
 
+    def ranks_of(self, doc_ids: Iterable[str], depth: int | None = None) -> list[int]:
+        """The 1-based ranks, ascending, at which the first depth documents
+        (all, for None) have an id in doc_ids; an id outside the list's
+        table matches nothing.  The ids' numbers go into a mask over the
+        table, which is read at the list's numbers."""
+        numbers = self._numbers
+        wanted = np.zeros(len(self._ids), dtype=bool)
+        wanted[[numbers[d] for d in doc_ids if d in numbers]] = True
+        return (np.flatnonzero(wanted[self._nums[:depth]]) + 1).tolist()
+
 
 @dataclass(frozen=True)
 class TfGather:
@@ -140,6 +172,9 @@ def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> TfGather:
         post_nums, post_tfs = index.term(w)
         if not post_nums.size:
             continue  # the row stays 0
+        if post_nums.size == nums.size and (post_nums == nums).all():
+            row[:] = post_tfs  # the candidates are w's own postings
+            continue
         # Past the last posting, clip to it; the equality test masks it out.
         pos = np.minimum(post_nums.searchsorted(nums), post_nums.size - 1)
         np.multiply(post_tfs[pos], post_nums[pos] == nums, out=row)
@@ -163,9 +198,26 @@ def log_probs_from(gathered: TfGather, mu: float, index: Index) -> np.ndarray:
     # The oracle's association, (tf + mu * (cf / T)) / (len + mu); another
     # order can round to another float.
     p = (gathered.tf + background[:, None]) / (lengths + mu)
-    values, inverse = np.unique(p.ravel(), return_inverse=True)
+    values, inverse = _distinct(p.ravel())
     logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
     return np.array(logs, dtype=float)[inverse].reshape(p.shape)
+
+
+def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(flat, return_inverse=True) for a 1-d float array with no
+    NaN: the ascending distinct values and, per element, its value's index.
+
+    One argsort; an element starts a new value where it differs from its
+    sorted neighbour, and a running count of the starts numbers the values.
+    """
+    order = flat.argsort()
+    ordered = flat[order]
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(flat.size, dtype=np.intp)
+    inverse[order] = starts.cumsum() - 1
+    return ordered[starts], inverse
 
 
 def log_prob_matrix(

@@ -185,7 +185,8 @@ def weigh_queries(
     query, one base retrieval serves nWIG, SROR and every TWQP method, and
     each q+w list is retrieved once and scored by every TWQP predictor.  A
     single-term ScoreRatio depends only on (w, mu, k), so each distinct w
-    is retrieved once for all the queries of the call.  Every retrieval and
+    is retrieved once for all the queries of the call; the single-term list
+    of a one-term query's own term is its base list.  Every retrieval and
     predictor of the call reads its log probabilities from one memo.
     """
     k, mu = params.k, params.mu
@@ -203,6 +204,7 @@ def weigh_queries(
         if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
             raise ValueError("candidate vocabulary is empty")
         candidates = list(dict.fromkeys(vocabulary))
+        base = None
         if needs_list or sror:
             base = retrieve_topk(q, k, mu, index, memo)
             if needs_list and not base:
@@ -217,7 +219,10 @@ def weigh_queries(
         if WeightingMethod.SCORE_RATIO_NORM in methods:
             for w in candidates:
                 if w not in single_ratios:
-                    single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
+                    if base is not None and q.terms == (w,):
+                        single = base  # the same bag, k, mu and memo
+                    else:
+                        single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
                     single_ratios[w] = predict_score_ratio(single) if single else 0.0
             total = sum(single_ratios[w] for w in candidates)
             if total == 0.0:

@@ -9,7 +9,9 @@ judgment lookup per entry.  The analyzer tokenizes with re.findall and
 runs its steps as whole list passes, and the index builders count each
 document's analyzed tokens into term -> {doc_id: tf} dicts before turning
 those into the index arrays; analyze and build_index must give the same
-tokens and arrays.
+tokens and arrays.  The kernel's number-level steps have references here
+too: the candidate mask, the searchsorted tf gather and the np.unique log
+step, each the general path that the kernel's fast paths must equal.
 """
 
 import math
@@ -107,6 +109,36 @@ def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
             return float("-inf")
         score += count * math.log(p)
     return score
+
+
+def mask_matching_docs(terms, index):
+    """Ascending numbers of the documents holding a term: a mask over the
+    collection, set at every term's postings."""
+    held = np.zeros(index.doc_count, dtype=bool)
+    for w in terms:
+        held[index.term(w)[0]] = True
+    return np.flatnonzero(held)
+
+
+def searchsorted_tf(terms, nums, index):
+    """tf of each term (row) in each document numbered nums (column), each
+    document looked up in the term's postings by binary search."""
+    tf = np.zeros((len(terms), len(nums)), dtype=np.int64)
+    for row, w in zip(tf, terms):
+        post_nums, post_tfs = index.term(w)
+        for col, n in enumerate(nums.tolist()):
+            pos = int(post_nums.searchsorted(n))
+            if pos < post_nums.size and post_nums[pos] == n:
+                row[col] = post_tfs[pos]
+    return tf
+
+
+def unique_log_step(p):
+    """math.log of each cell of p (-inf for 0), taken once per distinct
+    value found by np.unique."""
+    values, inverse = np.unique(p.ravel(), return_inverse=True)
+    logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
+    return np.array(logs, dtype=float)[inverse].reshape(p.shape)
 
 
 def scalar_topk(q, k, mu, index):

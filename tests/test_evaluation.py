@@ -2,6 +2,8 @@
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,7 +27,9 @@ from twqp.evaluation import (
     tune_rm3_m,
 )
 from twqp.index import Document, build_index
-from twqp.retrieval import Query, RankedList, read_run, retrieve_topk
+from twqp.relevance import build_rm3, restrict_top_n
+from twqp.rerank import RerankConfig, rerank_many
+from twqp.retrieval import Query, RankedList, read_run, retrieve_topk, write_run
 
 from conftest import PLAIN
 from oracle import scalar_average_precision, scalar_precision_at, scalar_reciprocal_rank
@@ -210,17 +214,36 @@ class TestReciprocalRank:
 ORACLE_DOCS = tuple(f"d{i:02d}" for i in range(12))
 # One index over ORACLE_DOCS, for runs held as arrays.
 ORACLE_INDEX = build_index([Document(d, "a " * (i + 1)) for i, d in enumerate(ORACLE_DOCS)], PLAIN)
+# ORACLE_DOCS for retrieval: each holds c, and some lack a or b.
+RETRIEVAL_INDEX = build_index(
+    [Document(d, "a " * (i % 4) + "b " * (i % 3) + "c") for i, d in enumerate(ORACLE_DOCS)], PLAIN
+)
+# Judged documents: ORACLE_DOCS and two that no run or index holds.
+JUDGED = ORACLE_DOCS + ("x0", "x1")
+
+
+def assert_measures_equal_the_loops(run, qrels, cutoff, depth):
+    assert precision_at(run, qrels, cutoff) == scalar_precision_at(run, qrels, cutoff)
+    assert reciprocal_rank(run, qrels) == scalar_reciprocal_rank(run, qrels)
+    if qrels.relevant_count(run.query_id) == 0:
+        with pytest.raises(ValueError, match="no relevant documents"):
+            average_precision(run, qrels, depth)
+        return
+    assert average_precision(run, qrels, depth) == scalar_average_precision(run, qrels, depth)
+    assert average_precision(run, qrels) == scalar_average_precision(run, qrels)
 
 
 class TestMeasuresOracle:
-    """The measures against tests/oracle.py's entry-by-entry loops, with ==."""
+    """The measures against tests/oracle.py's entry-by-entry loops, with ==,
+    for lists built from entries, from arrays, by retrieval and re-ranking,
+    and read back from a run file."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         order=st.permutations(ORACLE_DOCS),
         length=st.integers(0, len(ORACLE_DOCS)),
         # grade 2, judged non-relevant (0) and unjudged (absent) documents
-        grades=st.dictionaries(st.sampled_from(ORACLE_DOCS), st.sampled_from([0, 1, 2])),
+        grades=st.dictionaries(st.sampled_from(JUDGED), st.sampled_from([0, 1, 2])),
         cutoff=st.integers(1, 15),
         depth=st.integers(1, 15),
         arrays=st.booleans(),
@@ -234,16 +257,53 @@ class TestMeasuresOracle:
         else:
             run = _run("q1", ids)
         qrels = Qrels({"q1": grades, "q2": {"d00": 1}})
-        assert precision_at(run, qrels, cutoff) == scalar_precision_at(run, qrels, cutoff)
+        assert_measures_equal_the_loops(run, qrels, cutoff, depth)
         if qrels.relevant_count("q1") == 0:
-            with pytest.raises(ValueError, match="no relevant documents"):
-                average_precision(run, qrels, depth)
             assert reciprocal_rank(run, qrels) == 0.0
-            return
-        got = average_precision(run, qrels, depth)
-        assert got == scalar_average_precision(run, qrels, depth)
-        assert average_precision(run, qrels) == scalar_average_precision(run, qrels)
-        assert reciprocal_rank(run, qrels) == scalar_reciprocal_rank(run, qrels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        terms=st.lists(st.sampled_from(["a", "b", "zz"]), min_size=1, max_size=3),
+        mu=st.sampled_from([1.0, 10.0, 1000.0]),
+        grades=st.dictionaries(st.sampled_from(JUDGED), st.sampled_from([0, 1, 2])),
+        k=st.integers(1, 13),
+        rerank_depth=st.integers(1, 13),
+        weights=st.dictionaries(st.sampled_from(["a", "b"]), st.floats(-3.0, 3.0), min_size=1),
+        cutoff=st.integers(1, 15),
+        depth=st.integers(1, 15),
+    )
+    def test_retrieved_reranked_and_read_back_lists(
+        self, terms, mu, grades, k, rerank_depth, weights, cutoff, depth
+    ):
+        q = Query("q1", tuple(terms))
+        qrels = Qrels({"q1": grades, "q2": {"d00": 1}})
+        retrieved = retrieve_topk(q, k, mu, RETRIEVAL_INDEX)
+        runs = [retrieved]
+        if retrieved:
+            cfg = RerankConfig(mu=mu, rerank_depth=min(rerank_depth, len(retrieved)), k=1000)
+            runs += rerank_many(retrieved, [weights, {"b": 1.0}], cfg, RETRIEVAL_INDEX)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "q1.run"
+            for run in runs[:]:
+                write_run([run], path, "t")
+                runs += read_run(path).values()
+        for run in runs:
+            assert_measures_equal_the_loops(run, qrels, cutoff, depth)
+
+    def test_repeated_doc_id_counts_at_each_rank(self):
+        # a list built from entries may repeat a doc id; each rank counts
+        run = RankedList("q", [("d2", -1.0), ("d1", -2.0), ("d2", -3.0), ("d3", -4.0)], 10)
+        qrels = Qrels({"q": {"d2": 1, "d3": 0, "x9": 2}})
+        for cutoff, depth in [(1, 1), (2, 3), (3, 4), (10, 1000)]:
+            assert_measures_equal_the_loops(run, qrels, cutoff, depth)
+        assert run.ranks_of(["d2", "x9"]) == [1, 3]
+
+    def test_ranks_of_ignores_ids_outside_the_table(self, fruit_index):
+        run = retrieve_topk(Query("q", ("banana",)), 10, 5.0, fruit_index)
+        assert run.doc_ids == ["d2", "d1"]
+        assert run.ranks_of(["d1", "nope"]) == [2]
+        assert run.ranks_of(["d1", "d2"], depth=1) == [1]
+        assert run.ranks_of([]) == []
 
 
 class TestRobustnessIndex:
@@ -510,4 +570,41 @@ class TestTuneRM3M:
         monkeypatch.setattr(twqp.evaluation, "restrict_top_n", clip)
         config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
         assert tune_rm3_m(lists, qrels, 1000.0, config, index) == 5
-        assert seen == [("build", 250.0, 0.3), ("clip", 2), ("clip", 2)]
+        # the list holds 2 documents, so m = 5 and m = 10 both feed back
+        # depth 2: one model, clipped once
+        assert seen == [("build", 250.0, 0.3), ("clip", 2)]
+
+    def test_each_clamped_depth_is_reranked_once(self, monkeypatch):
+        # d1-d4 hold w, so every m >= 4 feeds back the whole list: m = 4, 5,
+        # 6 and 9 share one model and run, tie, and the smallest must win
+        docs = [
+            Document("d1", "w w x"),
+            Document("d2", "w w y"),
+            Document("d3", "w w z"),
+            Document("d4", "w v v v v v v v v v"),
+            Document("d5", "v v v"),
+        ]
+        index = build_index(docs, PLAIN)
+        q = Query("q1", ("w",))
+        base = retrieve_topk(q, 1000, 10.0, index)
+        qrels = Qrels({"q1": {"d1": 1}})
+        maps_seen = []
+        real = twqp.evaluation.rerank_many
+
+        def counted(initial, weight_maps, cfg, index):
+            maps_seen.append(len(weight_maps))
+            return real(initial, weight_maps, cfg, index)
+
+        monkeypatch.setattr(twqp.evaluation, "rerank_many", counted)
+        grid = (6, 4, 9, 5, 2)
+        config = ExperimentConfig(rm3_m_grid=grid, rerank_depth=4, rm3_mu=10.0, rm3_lambda=0.1)
+        assert tune_rm3_m([(q, base)], qrels, 10.0, config, index) == 4
+        assert maps_seen == [2]  # depths 2 and 4
+        # against one model and re-rank per grid point
+        cfg = RerankConfig(mu=10.0, rerank_depth=4, k=1000)
+        ap = {}
+        for m in grid:
+            model = build_rm3(q, base, min(m, 4), config.rm3_mu, config.rm3_lambda, index)
+            run = real(base, [restrict_top_n(model, config.rm3_n).term_probs], cfg, index)[0]
+            ap[m] = average_precision(run, qrels, 1000)
+        assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]

@@ -191,6 +191,8 @@ class TestKernelEdges:
         nums = index.doc_numbers(["d1", "d2"])
         with pytest.raises(ValueError, match="'d2' is empty and mu=0"):
             log_prob_matrix(["a"], nums, 0, index)
+        # no term, no probability: nothing to reject
+        assert log_prob_matrix([], nums, 0, index).shape == (0, 2)
 
     def test_unknown_head_doc_rejected(self, fruit_index):
         initial = RankedList("q", (("nope", 0.0),), 1)

@@ -120,6 +120,28 @@ class TestWeighQueries:
         weigh_queries(pairs, (WeightingMethod.SCORE_RATIO_NORM,), WeightingParams(mu=10), index)
         assert calls == [("b",), ("c",), ("a",)]
 
+    def test_one_term_query_reads_its_own_ratio_off_the_base_list(self, monkeypatch):
+        index = build_index([Document("d1", "a b c"), Document("d2", "b c c")], PLAIN)
+        calls = []
+        real = twqp.weighting.retrieve_topk
+
+        def counted(q, *args, **kwargs):
+            calls.append(q.terms)
+            return real(q, *args, **kwargs)
+
+        monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
+        methods = (WeightingMethod.NWIG, WeightingMethod.SCORE_RATIO_NORM)
+        pairs = [(Query("q1", ("a",)), ["b", "a"]), (Query("q2", ("c", "c")), ["c"])]
+        params = WeightingParams(mu=10)
+        got = weigh_queries(pairs, methods, params, index)
+        # q1's base list is its single-term "a" list; q2's bag, c twice, is
+        # not the single-term "c" bag
+        assert calls == [("a",), ("b",), ("c", "c"), ("c",)]
+        for (q, vocabulary), tables in zip(pairs, got):
+            for method in methods:
+                alone = weigh_terms(q, vocabulary, method, params, index)
+                assert list(tables[method].weights.items()) == list(alone.weights.items())
+
     def test_all_empty_score_ratio_warning_names_the_caller(self, fruit_index):
         method = WeightingMethod.SCORE_RATIO_NORM
         pairs = [(Query("q", ("apple",)), ["zzz", "yyy"])]
@@ -279,7 +301,16 @@ class TestWorkCounts:
         pairs, live = seen["pairs"], seen["live"]
         assert pairs and all(len(q.terms) == 1 for q, _ in pairs)  # SROR retrieves nothing
         vocabularies = [v for _, v in pairs]
-        expected = sum(1 + len(v) for v in vocabularies) + len(set().union(*vocabularies))
+        # A single-term ScoreRatio list is retrieved by the first query whose
+        # vocabulary holds its term, unless that query is the term alone:
+        # then the list is that query's base list.
+        first_holder = {}
+        for q, vocabulary in pairs:
+            for w in vocabulary:
+                first_holder.setdefault(w, q)
+        singles = sum(1 for w, q in first_holder.items() if q.terms != (w,))
+        assert singles < len(first_holder)
+        expected = sum(1 + len(v) for v in vocabularies) + singles
         assert counts["retrievals", False] + counts["retrievals", True] == expected
         # tuning re-ranks the lists it is given; it retrieves nothing itself
         assert counts["other", True] == 0

@@ -9,6 +9,7 @@ import math
 from twqp import (
     AnalyzerConfig,
     Document,
+    ExperimentConfig,
     PredictorKind,
     PredictorSpec,
     Query,
@@ -21,7 +22,7 @@ from twqp import (
     twqp_weight,
     weigh_terms,
 )
-from twqp.weighting import WeightingMethod, WeightingParams
+from twqp.weighting import WeightingMethod
 
 docs = [
     Document("d1", "solar panels convert sunlight into electricity"),
@@ -56,9 +57,10 @@ for x in (-5.0, -1.0, 0.0, math.log(3.0), 5.0):
     print(f"  twqp_weight({x:+.4f}) = {twqp_weight(x):.4f}")
 
 # weigh_terms builds the whole table in one call; baseline weighters share
-# the same interface.
-params = WeightingParams(mu=mu, k=k, predictor_m=3)
+# the same interface.  The depth and predictor cutoff come from the
+# experiment config, the same settings run_experiment weighs with.
+config = ExperimentConfig(k=k, qpp_m=3)
 for method in (WeightingMethod.TWQP_NQC, WeightingMethod.NWIG, WeightingMethod.SROR):
-    table = weigh_terms(q, candidates, method, params, index)
+    table = weigh_terms(q, candidates, method, mu, config, index)
     pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(table.weights.items()))
     print(f"\n{table.method_label}: {pairs}")

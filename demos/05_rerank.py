@@ -7,8 +7,7 @@ Re-ranking the head of the initial list
 from twqp import (
     AnalyzerConfig,
     Document,
-    PredictorKind,
-    PredictorSpec,
+    ExperimentConfig,
     Query,
     build_index,
     build_rm3,
@@ -19,8 +18,7 @@ from twqp import (
     top_n_terms,
     weigh_terms,
 )
-from twqp.rerank import RerankConfig
-from twqp.weighting import WeightingMethod, WeightingParams, query_indicator_table
+from twqp.weighting import WeightingMethod, query_indicator_table
 
 docs = [
     Document("d1", "training neural networks with gradient descent"),
@@ -39,22 +37,21 @@ print("initial:  ", initial.doc_ids)
 
 # Sanity anchor: re-scoring with the query's own term counts reproduces the
 # initial ranking exactly, because the weighted sum collapses to plain QL.
-cfg = RerankConfig(mu=mu, rerank_depth=4, k=k)
-identity = rerank_twqp(initial, query_indicator_table(q), cfg, index)
+# Weighing and re-ranking read their depths from one experiment config.
+config = ExperimentConfig(k=k, rerank_depth=4, qpp_m=3)
+identity = rerank_twqp(initial, query_indicator_table(q), mu, config, index)
 print("indicator:", identity.doc_ids, "(identical)" if identity.entries == initial.entries else "(DIFFERENT)")
 
 # A learned weight table moves documents that match the weighted terms up.
-params = WeightingParams(mu=mu, k=k, predictor_m=3)
-spec = PredictorSpec(PredictorKind.NQC, m=3)
 rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index)
 candidates = top_n_terms(rm, 5)
-table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, params, index)
-reranked = rerank_twqp(initial, table, cfg, index)
+table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
+reranked = rerank_twqp(initial, table, mu, config, index)
 print("weighted: ", reranked.doc_ids)
 
 # RM3 re-ranking scores against the feedback distribution instead; one call
 # re-ranks with any number of weight maps.
-by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], cfg, index)[0]
+by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], mu, config, index)[0]
 print("rm3:      ", by_rm3.doc_ids)
 
 # Only the head is re-scored; positions past rerank_depth keep their

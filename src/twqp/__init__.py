@@ -42,13 +42,12 @@ from .relevance import (
     restrict_top_n,
     top_n_terms,
 )
-from .rerank import RerankConfig, rerank_many, rerank_twqp
+from .rerank import check_rerank, rerank_many, rerank_twqp
 from .retrieval import Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
     TermWeightTable,
     WeightingMethod,
-    WeightingParams,
     delta_p,
     query_indicator_table,
     twqp_weight,

@@ -31,7 +31,7 @@ from .experiment import (
     tune,
 )
 from .index import Index, build_index, read_corpus
-from .rerank import RerankConfig
+from .rerank import check_rerank
 from .retrieval import read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
 from .weighting import WeightingMethod, dump_weight_tables
@@ -218,6 +218,8 @@ def _run(args) -> int:
             )
         return 0
 
+    if args.command == "tune-rm3":  # reject a depth no re-rank can use before indexing
+        check_rerank(args.mu, config)
     index = _load_index(args, config)
 
     if args.command == "tune-mu":
@@ -248,7 +250,7 @@ def _run(args) -> int:
             raise ValueError("need --mu")
         method = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method
         if args.command == "rerank":  # reject a bad depth before the weighing work
-            RerankConfig(mu=args.mu, rerank_depth=config.rerank_depth, k=config.k)
+            check_rerank(args.mu, config)
         elif method == RM3_LABEL:
             raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
         methods = () if method == RM3_LABEL else (method,)

@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .index import Index
 from .relevance import build_rm3_grid, restrict_top_n
-from .rerank import RerankConfig, rerank_many
+from .rerank import rerank_many
 from .retrieval import Query, RankedList, retrieve_grid
 
 
@@ -308,7 +308,6 @@ def tune_rm3_m(
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
-    cfg = RerankConfig(mu=mu, rerank_depth=config.rerank_depth, k=config.k)
     ms = sorted(config.rm3_m_grid)
     aps: list[list[float]] = [[] for _ in ms]
     for q, base in lists:
@@ -317,7 +316,7 @@ def tune_rm3_m(
         depths = sorted({min(m, len(base)) for m in ms})
         models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
         weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
-        runs = rerank_many(base, weight_maps, cfg, index)
+        runs = rerank_many(base, weight_maps, mu, config, index)
         if qrels.relevant_count(base.query_id) == 0:
             continue
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}

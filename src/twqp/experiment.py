@@ -39,9 +39,9 @@ from .evaluation import (
 )
 from .index import Index, build_index, read_corpus
 from .relevance import build_rm3, restrict_top_n, top_n_terms
-from .rerank import RerankConfig, rerank_many
+from .rerank import check_rerank, rerank_many
 from .retrieval import Query, RankedList, format_run, retrieve_topk
-from .weighting import TermWeightTable, WeightingMethod, WeightingParams, weigh_queries
+from .weighting import TermWeightTable, WeightingMethod, weigh_queries
 
 QL_LABEL = "QLOpt-init"
 RM3_LABEL = "RM3Opt"
@@ -129,8 +129,7 @@ def expand_and_weigh(
         )
         models.append(restrict_top_n(rm, config.rm3_n).term_probs)
         pairs.append((q, top_n_terms(rm, config.rm3_n)))
-    params = WeightingParams(mu=mu, k=config.k, predictor_m=config.qpp_m)
-    return list(zip(models, weigh_queries(pairs, methods, params, index)))
+    return list(zip(models, weigh_queries(pairs, methods, mu, config, index)))
 
 
 def rerank_queries(
@@ -145,12 +144,11 @@ def rerank_queries(
     Each query's head is re-ranked under every weight map from one head
     matrix (rerank_many).
     """
-    cfg = RerankConfig(mu=mu, rerank_depth=config.rerank_depth, k=config.k)
     runs: dict[str, dict[str, RankedList]] = {}
     for (q, initial), (model, tables) in zip(lists, weighed):
         labels = [RM3_LABEL, *(method.value for method in tables)]
         maps = [model, *(table.weights for table in tables.values())]
-        for label, run in zip(labels, rerank_many(initial, maps, cfg, index)):
+        for label, run in zip(labels, rerank_many(initial, maps, mu, config, index)):
             runs.setdefault(label, {})[q.query_id] = run
     return runs
 
@@ -166,11 +164,10 @@ def tune(
 
     mu is tuned over config.mu_grid unless given; each query's depth-k list
     is retrieved at that mu, and m is tuned over config.rm3_m_grid by
-    re-ranking those lists under RM3, which needs mu > 0.
+    re-ranking those lists under RM3, which needs mu > 0; callers check
+    the re-ranking settings (check_rerank) before they load anything.
     """
     if mu is None:
-        if min(config.mu_grid, default=1) <= 0:
-            raise ValueError(f"mu_grid values must be > 0 to re-rank, got {min(config.mu_grid)}")
         mu = tune_mu(queries, qrels, config, index)
     lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
     return mu, lists, tune_rm3_m(lists, qrels, mu, config, index)
@@ -179,6 +176,7 @@ def tune(
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (config.corpus and config.topics and config.qrels):
         raise ValueError("experiment needs corpus, topics and qrels paths")
+    check_rerank(None, config)
     index = build_index(read_corpus(config.corpus), config.analyzer)
     topics = load_topics(config.topics)
     qrels = load_qrels(config.qrels)

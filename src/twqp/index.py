@@ -174,15 +174,40 @@ class Index:
             stemmer, token_pattern, *stopwords = _unpack("analyzer", arrays)
             lowercase = bool(arrays["lowercase"])
             doc_ids, vocabulary = _unpack("doc_ids", arrays), _unpack("vocabulary", arrays)
-            nums, tfs = arrays["nums"].astype(np.int64), arrays["tfs"].astype(np.int64)
             lengths, starts = arrays["lengths"], arrays["starts"]
+            nums, tfs = arrays["nums"], arrays["tfs"]
         except KeyError as exc:
             raise ValueError(f"{path}: damaged index snapshot (no array {exc})") from exc
+        if not _consistent(len(doc_ids), len(vocabulary), lengths, starts, nums, tfs):
+            raise ValueError(f"{path}: damaged index snapshot (arrays disagree)")
         try:
             analyzer = AnalyzerConfig(lowercase, frozenset(stopwords), stemmer, token_pattern)
         except (ValueError, re.error) as exc:
             raise ValueError(f"{path}: stored analyzer rejected: {exc}") from exc
+        nums, tfs = nums.astype(np.int64), tfs.astype(np.int64)
         return cls(doc_ids, lengths, vocabulary, starts, nums, tfs, analyzer)
+
+
+def _consistent(
+    n_docs: int,
+    n_terms: int,
+    lengths: np.ndarray,
+    starts: np.ndarray,
+    nums: np.ndarray,
+    tfs: np.ndarray,
+) -> bool:
+    """Whether the arrays form one index: a length per document, a posting
+    span per term ascending from 0 over all of nums and tfs, and every
+    posting on a numbered document."""
+    return (
+        all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
+        and lengths.shape == (n_docs,)
+        and starts.shape == (n_terms + 1,)
+        and starts[0] == 0
+        and bool((starts[1:] >= starts[:-1]).all())
+        and nums.shape == tfs.shape == (starts[-1],)
+        and (nums.size == 0 or (nums.min() >= 0 and nums.max() < n_docs))
+    )
 
 
 def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:

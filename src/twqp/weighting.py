@@ -16,6 +16,9 @@ Every list a weighting call scores is at one mu and over the same few
 hundred terms, so the call keeps one ``LogProbMemo``: each term's log
 probabilities are computed once, the first time any retrieval or predictor
 of the call needs them, and every later score gathers them from it.
+
+A call reads its retrieval depth k and the predictors' cutoff qpp_m from an
+ExperimentConfig; mu is passed on its own, since tuning picks it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .index import Index
 from .qpp import (
@@ -39,6 +42,9 @@ from .qpp import (
     sror_term,
 )
 from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk
+
+if TYPE_CHECKING:  # config imports WeightingMethod from here
+    from .config import ExperimentConfig
 
 
 class WeightingMethod(enum.Enum):
@@ -62,26 +68,6 @@ _TWQP_PREDICTOR = {
     WeightingMethod.TWQP_NQC: PredictorKind.NQC,
     WeightingMethod.TWQP_SCORE_RATIO: PredictorKind.SCORE_RATIO,
 }
-
-
-@dataclass(frozen=True)
-class WeightingParams:
-    """Retrieval depth and smoothing shared by all weighters.
-
-    predictor_m overrides the predictor's default cutoff for TWQP methods.
-    mu must be positive and finite: at mu = 0 a q+w list holds -inf scores,
-    which leave the predictor deltas undefined.
-    """
-
-    mu: float
-    k: int = 1000
-    predictor_m: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"weighting requires mu > 0 and finite, got {self.mu}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +147,8 @@ def weigh_terms(
     q: Query,
     vocabulary: Sequence[str],
     method: WeightingMethod,
-    params: WeightingParams,
+    mu: float,
+    config: ExperimentConfig,
     index: Index,
 ) -> TermWeightTable:
     """Weight table over the candidate vocabulary under the chosen method.
@@ -170,13 +157,14 @@ def weigh_terms(
     ScoreRatio weights come from one single-term retrieval per candidate,
     sum-normalized; an empty single-term retrieval contributes 0.
     """
-    return weigh_queries([(q, vocabulary)], (method,), params, index)[0][method]
+    return weigh_queries([(q, vocabulary)], (method,), mu, config, index)[0][method]
 
 
 def weigh_queries(
     pairs: Sequence[tuple[Query, Sequence[str]]],
     methods: Sequence[WeightingMethod],
-    params: WeightingParams,
+    mu: float,
+    config: ExperimentConfig,
     index: Index,
 ) -> list[dict[WeightingMethod, TermWeightTable]]:
     """One {method: table} per (query, vocabulary) pair, sharing retrievals.
@@ -188,10 +176,17 @@ def weigh_queries(
     is retrieved once for all the queries of the call; the single-term list
     of a one-term query's own term is its base list.  Every retrieval and
     predictor of the call reads its log probabilities from one memo.
+
+    Every list is retrieved at depth config.k, and config.qpp_m overrides
+    the TWQP predictors' default cutoff.  mu must be positive and finite:
+    at mu = 0 a q+w list holds -inf scores, which leave the predictor
+    deltas undefined.
     """
-    k, mu = params.k, params.mu
+    if not 0 < mu < math.inf:
+        raise ValueError(f"weighting requires mu > 0 and finite, got {mu}")
+    k = config.k
     predictors = [
-        (m, PredictorSpec(_TWQP_PREDICTOR[m], params.predictor_m))
+        (m, PredictorSpec(_TWQP_PREDICTOR[m], config.qpp_m))
         for m in methods
         if m in _TWQP_PREDICTOR
     ]

@@ -36,12 +36,11 @@ from twqp.qpp import (
     sror_term,
 )
 from twqp.relevance import build_rm3
-from twqp.rerank import RerankConfig, rerank_twqp
+from twqp.rerank import rerank_twqp
 from twqp.retrieval import Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import (
     WeightingMethod,
-    WeightingParams,
     delta_p,
     query_indicator_table,
     twqp_weight,
@@ -114,8 +113,8 @@ class TestAcceptance:
                     )
                     mu = float(rng.integers(50, 2500))
                     base = retrieve_topk(q, 400, mu, index)
-                    cfg = RerankConfig(mu=mu, rerank_depth=400, k=400)
-                    rr = rerank_twqp(base, query_indicator_table(q), cfg, index)
+                    config = ExperimentConfig(k=400, rerank_depth=400)
+                    rr = rerank_twqp(base, query_indicator_table(q), mu, config, index)
                     assert rr.entries == base.entries
                     checked += 1
 
@@ -288,7 +287,7 @@ class TestAcceptance:
                 WeightingMethod.TWQP_SCORE_RATIO,
             ):
                 calls.clear()
-                weigh_terms(q, vocabulary, method, WeightingParams(mu=800.0), index)
+                weigh_terms(q, vocabulary, method, 800.0, ExperimentConfig(), index)
                 assert len(calls) == 1 + len(vocabulary)
 
     def test_criterion_9_directional_sanity(self):

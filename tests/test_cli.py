@@ -535,6 +535,44 @@ class TestErrors:
         assert rc == 1
         assert "need 1 <= rerank_depth <= k" in self._stderr(capsys)
 
+    @pytest.mark.parametrize("how", ["flag", "config file"])
+    def test_experiment_depth_checked_before_indexing(
+        self, workspace, tmp_path, capsys, monkeypatch, how
+    ):
+        # experiment has no --rerank-depth flag, so k = 50 is below the
+        # default depth 100 and no run can succeed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("indexed before checking the re-ranking depth")
+
+        monkeypatch.setattr(twqp.experiment, "read_corpus", unreachable)
+        monkeypatch.setattr(twqp.experiment, "build_index", unreachable)
+        out_dir = tmp_path / "out"
+        if how == "flag":
+            argv = ["--config", str(workspace / "exp.ini"), "--k", "50"]
+        else:
+            config = replace(load_config(workspace / "exp.ini"), k=50)
+            save_config(config, tmp_path / "k50.ini")
+            argv = ["--config", str(tmp_path / "k50.ini")]
+        assert main(["experiment", *argv, "--out-dir", str(out_dir)]) == 1
+        assert "need 1 <= rerank_depth <= k, got rerank_depth=100, k=50" in self._stderr(capsys)
+        assert not out_dir.exists()
+
+    def test_tune_rm3_depth_checked_before_indexing(self, workspace, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("indexed before checking the re-ranking depth")
+
+        monkeypatch.setattr(twqp.cli, "_load_index", unreachable)
+        rc = main(
+            [
+                "tune-rm3",
+                "--config", str(workspace / "exp.ini"),
+                "--snapshot", str(workspace / "index.snap"),
+                "--k", "50",
+            ]
+        )
+        assert rc == 1
+        assert "need 1 <= rerank_depth <= k, got rerank_depth=100, k=50" in self._stderr(capsys)
+
     def test_malformed_corpus_line_reported(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"doc_id": "d1", "text": "ok"}\nnot json\n')

@@ -28,7 +28,7 @@ from twqp.evaluation import (
 )
 from twqp.index import Document, build_index
 from twqp.relevance import build_rm3, restrict_top_n
-from twqp.rerank import RerankConfig, rerank_many
+from twqp.rerank import rerank_many
 from twqp.retrieval import Query, RankedList, read_run, retrieve_topk, write_run
 
 from conftest import PLAIN
@@ -280,8 +280,8 @@ class TestMeasuresOracle:
         retrieved = retrieve_topk(q, k, mu, RETRIEVAL_INDEX)
         runs = [retrieved]
         if retrieved:
-            cfg = RerankConfig(mu=mu, rerank_depth=min(rerank_depth, len(retrieved)), k=1000)
-            runs += rerank_many(retrieved, [weights, {"b": 1.0}], cfg, RETRIEVAL_INDEX)
+            config = ExperimentConfig(rerank_depth=min(rerank_depth, len(retrieved)))
+            runs += rerank_many(retrieved, [weights, {"b": 1.0}], mu, config, RETRIEVAL_INDEX)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "q1.run"
             for run in runs[:]:
@@ -591,9 +591,9 @@ class TestTuneRM3M:
         maps_seen = []
         real = twqp.evaluation.rerank_many
 
-        def counted(initial, weight_maps, cfg, index):
+        def counted(initial, weight_maps, mu, config, index):
             maps_seen.append(len(weight_maps))
-            return real(initial, weight_maps, cfg, index)
+            return real(initial, weight_maps, mu, config, index)
 
         monkeypatch.setattr(twqp.evaluation, "rerank_many", counted)
         grid = (6, 4, 9, 5, 2)
@@ -601,10 +601,10 @@ class TestTuneRM3M:
         assert tune_rm3_m([(q, base)], qrels, 10.0, config, index) == 4
         assert maps_seen == [2]  # depths 2 and 4
         # against one model and re-rank per grid point
-        cfg = RerankConfig(mu=10.0, rerank_depth=4, k=1000)
         ap = {}
         for m in grid:
             model = build_rm3(q, base, min(m, 4), config.rm3_mu, config.rm3_lambda, index)
-            run = real(base, [restrict_top_n(model, config.rm3_n).term_probs], cfg, index)[0]
+            weights = restrict_top_n(model, config.rm3_n).term_probs
+            run = real(base, [weights], 10.0, config, index)[0]
             ap[m] = average_precision(run, qrels, 1000)
         assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]

@@ -151,6 +151,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"mu_grid values must be > 0 to re-rank, got {low}"):
             run_experiment(cfg)
 
+    def test_rerank_depth_above_k_stops_before_reading_the_corpus(
+        self, small_experiment, tmp_path, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read the corpus before checking the re-ranking depth")
+
+        monkeypatch.setattr(twqp.experiment, "read_corpus", unreachable)
+        monkeypatch.setattr(twqp.experiment, "build_index", unreachable)
+        config, _, _ = small_experiment
+        cfg = replace(config, output_dir=str(tmp_path / "out"), k=50)
+        with pytest.raises(ValueError, match="need 1 <= rerank_depth <= k"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError, match="needs corpus"):
             run_experiment(ExperimentConfig())

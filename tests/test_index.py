@@ -272,6 +272,35 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*capturing groups"):
             Index.load(path)
 
+    # Each damage leaves a well-formed archive whose arrays disagree.  The
+    # index has 3 documents and the terms one, three and two, so starts is
+    # [0, 2, 3, 5].
+    DISAGREEING_ARRAYS = {
+        "lengths one short": lambda a: {"lengths": a["lengths"][:-1]},
+        "lengths one long": lambda a: {"lengths": np.append(a["lengths"], 1)},
+        "starts one short": lambda a: {"starts": a["starts"][:-1]},
+        "starts not from 0": lambda a: {"starts": a["starts"] + 1},
+        "starts descending": lambda a: {"starts": a["starts"][[0, 2, 1, 3]]},
+        "starts past the postings": lambda a: {"starts": np.append(a["starts"][:-1], 99)},
+        "tfs one short": lambda a: {"tfs": a["tfs"][:-1]},
+        "doc number past the last document": lambda a: {"nums": np.where(a["nums"], a["nums"], 7)},
+        "negative doc number": lambda a: {"nums": a["nums"] - 1},
+        "doc numbers stored as floats": lambda a: {"nums": a["nums"].astype(float)},
+    }
+
+    @pytest.mark.parametrize("damage", list(DISAGREEING_ARRAYS))
+    def test_disagreeing_arrays_name_the_path(self, tmp_path, damage):
+        docs = [Document("a", "one two two"), Document("b", "two three"), Document("c", "one")]
+        path = tmp_path / "small.snap"
+        build_index(docs, PLAIN).save(path)
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays.update(self.DISAGREEING_ARRAYS[damage](arrays))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: damaged index snapshot"):
+            Index.load(path)
+
     def test_json_snapshot_rejected(self, tmp_path):
         path = tmp_path / "v1.snap"
         path.write_text('#twqp-index 1\n{"postings": {}}\n', encoding="utf-8")

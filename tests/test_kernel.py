@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
-from twqp.rerank import RerankConfig, rerank_twqp
+from twqp.rerank import rerank_twqp
 from twqp.retrieval import Query, RankedList, log_prob_matrix, retrieve_topk
 from twqp.weighting import TermWeightTable
 
@@ -67,13 +68,13 @@ class TestRerankProperty:
             )
         )
         depth = data.draw(st.integers(1, len(initial.entries)))
-        cfg = RerankConfig(mu=mu, rerank_depth=depth, k=1000)
+        config = ExperimentConfig(rerank_depth=depth)
         head, tail = initial.entries[:depth], initial.entries[depth:]
         if any(w not in index.postings for w, v in weights.items() if v != 0.0):
             with pytest.raises(ValueError, match="zero smoothed probability"):
-                rerank_twqp(initial, _table(weights), cfg, index)
+                rerank_twqp(initial, _table(weights), mu, config, index)
             return
-        got = rerank_twqp(initial, _table(weights), cfg, index).entries
+        got = rerank_twqp(initial, _table(weights), mu, config, index).entries
         expected = sorted(
             ((d, scalar_rescore(d, weights, mu, index)) for d, _ in head),
             key=lambda e: (-e[1], e[0]),
@@ -122,7 +123,8 @@ class TestLogChoice:
         index = build_index([Document("d1", "a"), Document("d2", "b")], PLAIN)
         assert smoothed_prob("a", "d2", mu, index) == self.P
         initial = RankedList("q", (("d2", 0.0),), 1)
-        out = rerank_twqp(initial, _table({"a": 1.0}), RerankConfig(mu, 1, 1), index)
+        config = ExperimentConfig(k=1, rerank_depth=1)
+        out = rerank_twqp(initial, _table({"a": 1.0}), mu, config, index)
         assert out.entries == (("d2", self.MATH_LOG),)
 
 
@@ -196,5 +198,6 @@ class TestKernelEdges:
 
     def test_unknown_head_doc_rejected(self, fruit_index):
         initial = RankedList("q", (("nope", 0.0),), 1)
+        config = ExperimentConfig(k=1, rerank_depth=1)
         with pytest.raises(KeyError, match="unknown doc_id 'nope'"):
-            rerank_twqp(initial, _table({"apple": 1.0}), RerankConfig(5.0, 1, 1), fruit_index)
+            rerank_twqp(initial, _table({"apple": 1.0}), 5.0, config, fruit_index)

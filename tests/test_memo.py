@@ -24,7 +24,7 @@ from twqp.index import Document, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, predict_wig
 from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk
 from twqp.synthetic import make_synthetic
-from twqp.weighting import WeightingMethod, WeightingParams, delta_p, twqp_weight, weigh_queries
+from twqp.weighting import WeightingMethod, delta_p, twqp_weight, weigh_queries
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import scalar_wig
@@ -152,12 +152,12 @@ class TestWeighQueriesWithMemo:
         indexed = st.sampled_from(index.vocabulary)
         q = Query("q", tuple(data.draw(st.lists(indexed, min_size=1, max_size=4))))
         vocabulary = data.draw(st.lists(indexed, min_size=1, max_size=6))
-        params = WeightingParams(mu=mu, k=k, predictor_m=predictor_m)
+        config = ExperimentConfig(k=k, qpp_m=predictor_m)
         base = retrieve_topk(q, k, mu, index)
         for method, kind in TWQP_KINDS.items():
             spec = PredictorSpec(kind, predictor_m)
             try:
-                table = weigh_queries([(q, vocabulary)], (method,), params, index)[0][method]
+                table = weigh_queries([(q, vocabulary)], (method,), mu, config, index)[0][method]
             except ValueError as exc:  # e.g. NQC on a one-term corpus
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     predict_quality(spec, base, q, mu, index)

@@ -1,12 +1,15 @@
 """Weighted re-scoring of ranked-list heads and tail preservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import twqp.rerank
+from twqp.config import ExperimentConfig
 from twqp.index import Document, build_index
-from twqp.rerank import RerankConfig, rerank_many, rerank_twqp
+from twqp.rerank import check_rerank, rerank_many, rerank_twqp
 from twqp.retrieval import Query, retrieve_topk
 from twqp.weighting import TermWeightTable, query_indicator_table
 
@@ -14,32 +17,56 @@ from conftest import PLAIN, make_random_corpus, random_query
 from oracle import smoothed_prob
 
 
+CONFIG = ExperimentConfig()
+FULL_DEPTH = ExperimentConfig(rerank_depth=1000)
+
+
 def _table(query_id, weights):
     return TermWeightTable(query_id=query_id, method=None, weights=weights)
 
 
-class TestRerankConfig:
-    def test_depth_below_one_rejected(self):
-        with pytest.raises(ValueError, match="rerank_depth"):
-            RerankConfig(mu=1000.0, rerank_depth=0)
+def _unreachable(*args, **kwargs):
+    raise AssertionError("scored before the settings were checked")
 
-    def test_depth_above_k_rejected(self):
-        with pytest.raises(ValueError, match="rerank_depth"):
-            RerankConfig(mu=1000.0, rerank_depth=50, k=10)
 
-    def test_nonpositive_mu_rejected(self):
-        with pytest.raises(ValueError, match="mu"):
-            RerankConfig(mu=0.0)
-        with pytest.raises(ValueError, match="mu"):
-            RerankConfig(mu=-5.0)
-        for mu in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="mu > 0 and finite"):
-                RerankConfig(mu=mu)
+class TestRerankRule:
+    """check_rerank rejects a depth or mu no head can be re-ranked with, and
+    rerank_many makes that check before it scores a document."""
 
-    def test_defaults(self):
-        cfg = RerankConfig(mu=1000.0)
-        assert cfg.rerank_depth == 100
-        assert cfg.k == 1000
+    def _rejected(self, index, monkeypatch, mu, config, message):
+        initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, index)
+        monkeypatch.setattr(twqp.rerank, "log_prob_matrix", _unreachable)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_rerank(mu, config)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rerank_many(initial, [{"apple": 1.0}], mu, config, index)
+
+    def test_depth_below_one_rejected(self, fruit_index, monkeypatch):
+        config = ExperimentConfig(rerank_depth=0)
+        self._rejected(fruit_index, monkeypatch, 1000.0, config, "need 1 <= rerank_depth <= k")
+
+    def test_depth_above_k_rejected(self, fruit_index, monkeypatch):
+        for config in (ExperimentConfig(k=10, rerank_depth=50), ExperimentConfig(k=0)):
+            message = f"rerank_depth={config.rerank_depth}, k={config.k}"
+            self._rejected(fruit_index, monkeypatch, 1000.0, config, message)
+
+    def test_nonpositive_mu_rejected(self, fruit_index, monkeypatch):
+        for mu in (0.0, -5.0, math.nan, math.inf):
+            message = f"rerank requires mu > 0 and finite, got {mu}"
+            self._rejected(fruit_index, monkeypatch, mu, CONFIG, message)
+
+    def test_mu_to_be_tuned_stands_for_the_grid(self):
+        check_rerank(None, ExperimentConfig(mu_grid=(1, 5000)))
+        with pytest.raises(ValueError, match="mu_grid values must be > 0 to re-rank, got 0"):
+            check_rerank(None, ExperimentConfig(mu_grid=(0, 5000)))
+        with pytest.raises(ValueError, match="need 1 <= rerank_depth <= k"):
+            check_rerank(None, ExperimentConfig(k=50, mu_grid=(0, 5000)))
+
+    def test_smallest_valid_values_accepted(self, fruit_index):
+        initial = retrieve_topk(Query("q", ("apple",)), 1, 10.0, fruit_index)
+        config = ExperimentConfig(k=1, rerank_depth=1)
+        reranked = rerank_many(initial, [{"apple": 1.0}], 1e-9, config, fruit_index)[0]
+        assert reranked.doc_ids == initial.doc_ids
 
 
 class TestIndicatorReduction:
@@ -54,8 +81,7 @@ class TestIndicatorReduction:
             base = retrieve_topk(q, 1000, mu, index)
             if not base.entries:
                 continue
-            cfg = RerankConfig(mu=mu, rerank_depth=1000, k=1000)
-            rr = rerank_twqp(base, query_indicator_table(q), cfg, index)
+            rr = rerank_twqp(base, query_indicator_table(q), mu, FULL_DEPTH, index)
             # ids, order, and scores all identical: same sorted-term summation
             assert rr.entries == base.entries
             assert rr.query_id == base.query_id
@@ -79,8 +105,7 @@ class TestRescoring:
             vocab = index.vocabulary
             terms = rng.choice(len(vocab), size=min(5, len(vocab)), replace=False)
             weights = {vocab[i]: float(rng.uniform(0.05, 1.0)) for i in terms}
-            cfg = RerankConfig(mu=800.0, rerank_depth=1000, k=1000)
-            rr = rerank_twqp(base, _table(q.query_id, weights), cfg, index)
+            rr = rerank_twqp(base, _table(q.query_id, weights), 800.0, FULL_DEPTH, index)
             expected = {}
             for doc_id, _ in base.entries:
                 expected[doc_id] = math.fsum(
@@ -102,28 +127,28 @@ class TestRescoring:
         ]
         index = build_index(docs, PLAIN)
         base = retrieve_topk(Query("q1", ("apple", "cherry")), 10, 100.0, index)
-        cfg = RerankConfig(mu=100.0, rerank_depth=10, k=10)
+        config = ExperimentConfig(k=10, rerank_depth=10)
         with_zero = rerank_twqp(
-            base, _table("q1", {"apple": 0.7, "cherry": 0.0}), cfg, index
+            base, _table("q1", {"apple": 0.7, "cherry": 0.0}), 100.0, config, index
         )
-        without = rerank_twqp(base, _table("q1", {"apple": 0.7}), cfg, index)
+        without = rerank_twqp(base, _table("q1", {"apple": 0.7}), 100.0, config, index)
         assert with_zero.entries == without.entries
 
     def test_zero_weight_unindexed_term_skipped(self):
         docs = [Document("d1", "apple banana"), Document("d2", "banana")]
         index = build_index(docs, PLAIN)
         base = retrieve_topk(Query("q1", ("banana",)), 10, 50.0, index)
-        cfg = RerankConfig(mu=50.0, rerank_depth=10, k=10)
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0, "zzz": 0.0}), cfg, index)
+        config = ExperimentConfig(k=10, rerank_depth=10)
+        rr = rerank_twqp(base, _table("q1", {"banana": 1.0, "zzz": 0.0}), 50.0, config, index)
         assert [doc_id for doc_id, _ in rr.entries] == ["d2", "d1"]
 
     def test_unindexed_term_with_weight_rejected(self):
         docs = [Document("d1", "apple banana")]
         index = build_index(docs, PLAIN)
         base = retrieve_topk(Query("q1", ("apple",)), 10, 50.0, index)
-        cfg = RerankConfig(mu=50.0, rerank_depth=10, k=10)
+        config = ExperimentConfig(k=10, rerank_depth=10)
         with pytest.raises(ValueError, match="zero smoothed probability"):
-            rerank_twqp(base, _table("q1", {"zzz": 0.5}), cfg, index)
+            rerank_twqp(base, _table("q1", {"zzz": 0.5}), 50.0, config, index)
 
     def test_scaled_weights_preserve_order(self):
         rng = np.random.default_rng(31)
@@ -137,18 +162,16 @@ class TestRescoring:
                 for i in rng.choice(len(vocab), size=4, replace=False)
             }
             scaled = {w: 3.7 * v for w, v in weights.items()}
-            cfg = RerankConfig(mu=600.0, rerank_depth=1000, k=1000)
-            a = rerank_twqp(base, _table(q.query_id, weights), cfg, index)
-            b = rerank_twqp(base, _table(q.query_id, scaled), cfg, index)
+            a = rerank_twqp(base, _table(q.query_id, weights), 600.0, FULL_DEPTH, index)
+            b = rerank_twqp(base, _table(q.query_id, scaled), 600.0, FULL_DEPTH, index)
             assert [d for d, _ in a.entries] == [d for d, _ in b.entries]
 
     def test_rerank_is_deterministic(self):
         rng = np.random.default_rng(37)
         index, q, base = self._random_setup(rng)
         weights = {w: 0.5 for w in q.terms}
-        cfg = RerankConfig(mu=1000.0, rerank_depth=1000, k=1000)
-        a = rerank_twqp(base, _table(q.query_id, weights), cfg, index)
-        b = rerank_twqp(base, _table(q.query_id, weights), cfg, index)
+        a = rerank_twqp(base, _table(q.query_id, weights), 1000.0, FULL_DEPTH, index)
+        b = rerank_twqp(base, _table(q.query_id, weights), 1000.0, FULL_DEPTH, index)
         assert a == b
 
 
@@ -168,17 +191,17 @@ class TestHeadTail:
         index = self._six_doc_index()
         base = retrieve_topk(Query("q1", ("apple", "banana")), 10, 200.0, index)
         assert len(base.entries) == 6
-        cfg = RerankConfig(mu=200.0, rerank_depth=3, k=10)
+        config = ExperimentConfig(k=10, rerank_depth=3)
         # weight only banana so the head order flips
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), cfg, index)
+        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), 200.0, config, index)
         assert rr.entries[3:] == base.entries[3:]
         assert {d for d, _ in rr.entries[:3]} == {d for d, _ in base.entries[:3]}
 
     def test_head_reordered_by_new_scores(self):
         index = self._six_doc_index()
         base = retrieve_topk(Query("q1", ("apple", "banana")), 10, 200.0, index)
-        cfg = RerankConfig(mu=200.0, rerank_depth=3, k=10)
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), cfg, index)
+        config = ExperimentConfig(k=10, rerank_depth=3)
+        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), 200.0, config, index)
         head_ids = [d for d, _ in rr.entries[:3]]
         # among the original top 3, d3 has the most banana mass
         assert head_ids[0] == "d3"
@@ -188,8 +211,7 @@ class TestHeadTail:
     def test_depth_beyond_list_length_rescans_everything(self):
         index = self._six_doc_index()
         base = retrieve_topk(Query("q1", ("cherry",)), 10, 200.0, index)
-        cfg = RerankConfig(mu=200.0, rerank_depth=100, k=1000)
-        rr = rerank_twqp(base, _table("q1", {"cherry": 1.0}), cfg, index)
+        rr = rerank_twqp(base, _table("q1", {"cherry": 1.0}), 200.0, CONFIG, index)
         assert len(rr.entries) == len(base.entries)
         assert {d for d, _ in rr.entries} == {d for d, _ in base.entries}
 
@@ -202,9 +224,9 @@ class TestHeadTail:
             if not base.entries:
                 continue
             depth = int(rng.integers(1, len(base.entries) + 1))
-            cfg = RerankConfig(mu=900.0, rerank_depth=depth, k=1000)
+            config = ExperimentConfig(rerank_depth=depth)
             weights = {w: float(rng.uniform(0.1, 1.0)) for w in set(q.terms)}
-            rr = rerank_twqp(base, _table(q.query_id, weights), cfg, index)
+            rr = rerank_twqp(base, _table(q.query_id, weights), 900.0, config, index)
             assert sorted(d for d, _ in rr.entries) == sorted(d for d, _ in base.entries)
             assert rr.query_id == base.query_id and rr.k == base.k
 
@@ -212,6 +234,8 @@ class TestHeadTail:
 class TestRerankRM3:
     """RM3Opt re-ranks with the relevance model's term distribution, as
     passed, through rerank_many."""
+
+    TEN = ExperimentConfig(k=10, rerank_depth=10)
 
     def _index(self):
         docs = [
@@ -224,8 +248,7 @@ class TestRerankRM3:
     def test_point_mass_scores_by_single_term(self):
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
-        cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
-        rr = rerank_many(base, [{"banana": 1.0}], cfg, index)[0]
+        rr = rerank_many(base, [{"banana": 1.0}], 300.0, self.TEN, index)[0]
         for doc_id, score in rr.entries:
             assert score == 1.0 * math.log(smoothed_prob("banana", doc_id, 300.0, index))
         assert [d for d, _ in rr.entries][0] == "d2"
@@ -233,8 +256,7 @@ class TestRerankRM3:
     def test_uniform_two_term_model(self):
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
-        cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
-        rr = rerank_many(base, [{"apple": 0.5, "cherry": 0.5}], cfg, index)[0]
+        rr = rerank_many(base, [{"apple": 0.5, "cherry": 0.5}], 300.0, self.TEN, index)[0]
         for doc_id, score in rr.entries:
             expected = 0.5 * math.log(
                 smoothed_prob("apple", doc_id, 300.0, index)
@@ -245,10 +267,9 @@ class TestRerankRM3:
         # doubling the distribution doubles every score: no renormalization
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
-        cfg = RerankConfig(mu=300.0, rerank_depth=10, k=10)
         probs = {"apple": 0.3, "banana": 0.2}
         one, two = rerank_many(
-            base, [probs, {w: 2.0 * p for w, p in probs.items()}], cfg, index
+            base, [probs, {w: 2.0 * p for w, p in probs.items()}], 300.0, self.TEN, index
         )
         doubled = {d: s for d, s in two.entries}
         for doc_id, score in one.entries:

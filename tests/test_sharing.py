@@ -27,10 +27,10 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.qpp import nwig_weights
 from twqp.relevance import RelevanceModel, build_rm3_grid, top_n_terms
-from twqp.rerank import RerankConfig, rerank_many
+from twqp.rerank import rerank_many
 from twqp.retrieval import Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
-from twqp.weighting import WeightingMethod, WeightingParams, weigh_queries, weigh_terms
+from twqp.weighting import WeightingMethod, weigh_queries, weigh_terms
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import scalar_nwig, scalar_rm3
@@ -63,10 +63,9 @@ class TestWeighQueries:
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
     def test_every_method_equals_its_own_weigh_terms(self, index, mu, data):
         n_docs = index.doc_count
-        params = WeightingParams(
-            mu=mu,
+        config = ExperimentConfig(
             k=data.draw(st.integers(1, n_docs + 1)),
-            predictor_m=data.draw(st.one_of(st.none(), st.integers(1, n_docs + 2))),
+            qpp_m=data.draw(st.one_of(st.none(), st.integers(1, n_docs + 2))),
         )
         pairs = []
         for i in range(data.draw(st.integers(1, 3))):
@@ -76,18 +75,18 @@ class TestWeighQueries:
             )
             pairs.append((q, vocabulary))
         try:
-            got = weigh_queries(pairs, ALL_METHODS, params, index)
+            got = weigh_queries(pairs, ALL_METHODS, mu, config, index)
         except ValueError as exc:  # e.g. NQC on a one-term corpus
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 for q, vocabulary in pairs:
                     for method in ALL_METHODS:
-                        weigh_terms(q, vocabulary, method, params, index)
+                        weigh_terms(q, vocabulary, method, mu, config, index)
             return
         assert len(got) == len(pairs)
         for (q, vocabulary), tables in zip(pairs, got):
             assert list(tables) == list(ALL_METHODS)
             for method in ALL_METHODS:
-                alone = weigh_terms(q, vocabulary, method, params, index)
+                alone = weigh_terms(q, vocabulary, method, mu, config, index)
                 assert tables[method].query_id == q.query_id
                 assert tables[method].method is method
                 assert same_items(tables[method].weights, alone.weights)
@@ -97,12 +96,12 @@ class TestWeighQueries:
         docs = [Document("d1", "a " * 50), Document("d2", "a " + "z " * 5000)]
         index = build_index(docs, PLAIN)
         q = Query("q", ("a",) * 100)
-        params = WeightingParams(mu=10)
+        config = ExperimentConfig()
         pairs = [(q, ["a", "z"]), (Query("q2", ("z", "a")), ["z", "a"])]
-        got = weigh_queries(pairs, ALL_METHODS, params, index)
+        got = weigh_queries(pairs, ALL_METHODS, 10, config, index)
         for (q, vocabulary), tables in zip(pairs, got):
             for method in ALL_METHODS:
-                alone = weigh_terms(q, vocabulary, method, params, index)
+                alone = weigh_terms(q, vocabulary, method, 10, config, index)
                 assert list(tables[method].weights.items()) == list(alone.weights.items())
         assert got[0][WeightingMethod.TWQP_SCORE_RATIO].weights == {"a": 1.0, "z": 0.0}
 
@@ -117,7 +116,7 @@ class TestWeighQueries:
 
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
         pairs = [(Query("q1", ("a",)), ["b", "c"]), (Query("q2", ("b",)), ["c", "a", "c"])]
-        weigh_queries(pairs, (WeightingMethod.SCORE_RATIO_NORM,), WeightingParams(mu=10), index)
+        weigh_queries(pairs, (WeightingMethod.SCORE_RATIO_NORM,), 10, ExperimentConfig(), index)
         assert calls == [("b",), ("c",), ("a",)]
 
     def test_one_term_query_reads_its_own_ratio_off_the_base_list(self, monkeypatch):
@@ -132,31 +131,31 @@ class TestWeighQueries:
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
         methods = (WeightingMethod.NWIG, WeightingMethod.SCORE_RATIO_NORM)
         pairs = [(Query("q1", ("a",)), ["b", "a"]), (Query("q2", ("c", "c")), ["c"])]
-        params = WeightingParams(mu=10)
-        got = weigh_queries(pairs, methods, params, index)
+        config = ExperimentConfig()
+        got = weigh_queries(pairs, methods, 10, config, index)
         # q1's base list is its single-term "a" list; q2's bag, c twice, is
         # not the single-term "c" bag
         assert calls == [("a",), ("b",), ("c", "c"), ("c",)]
         for (q, vocabulary), tables in zip(pairs, got):
             for method in methods:
-                alone = weigh_terms(q, vocabulary, method, params, index)
+                alone = weigh_terms(q, vocabulary, method, 10, config, index)
                 assert list(tables[method].weights.items()) == list(alone.weights.items())
 
     def test_all_empty_score_ratio_warning_names_the_caller(self, fruit_index):
         method = WeightingMethod.SCORE_RATIO_NORM
         pairs = [(Query("q", ("apple",)), ["zzz", "yyy"])]
         with pytest.warns(UserWarning, match="all candidate retrievals empty") as record:
-            got = weigh_queries(pairs, (method,), WeightingParams(mu=10.0), fruit_index)
+            got = weigh_queries(pairs, (method,), 10.0, ExperimentConfig(), fruit_index)
         assert got[0][method].weights == {"zzz": 0.0, "yyy": 0.0}
         assert [w.filename for w in record] == [__file__]
 
     def test_empty_vocabulary_rejected_unless_only_sror(self, fruit_index):
         q = Query("q", ("apple", "banana"))
-        params = WeightingParams(mu=10.0)
+        config = ExperimentConfig()
         with pytest.raises(ValueError, match="vocabulary is empty"):
             methods = (WeightingMethod.SROR, WeightingMethod.NWIG)
-            weigh_queries([(q, [])], methods, params, fruit_index)
-        tables = weigh_queries([(q, [])], (WeightingMethod.SROR,), params, fruit_index)
+            weigh_queries([(q, [])], methods, 10.0, config, fruit_index)
+        tables = weigh_queries([(q, [])], (WeightingMethod.SROR,), 10.0, config, fruit_index)
         assert list(tables[0][WeightingMethod.SROR].weights) == ["apple", "banana"]
 
 
@@ -196,23 +195,23 @@ class TestRerankMany:
     def test_each_map_equals_a_one_map_call(self, index, mu, data):
         initial = retrieve_topk(draw_query(data, index), 1000, mu, index)
         depth = data.draw(st.integers(1, len(initial.entries)))
-        cfg = RerankConfig(mu=mu, rerank_depth=depth, k=1000)
+        config = ExperimentConfig(rerank_depth=depth)
         weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(1, 3))
         maps = data.draw(
             st.lists(st.dictionaries(st.sampled_from(index.vocabulary), weights), max_size=5)
         )
         if maps and data.draw(st.booleans()):
             maps[0] = {**maps[0], UNINDEXED: 0.0}  # a zero weight is skipped
-        got = rerank_many(initial, maps, cfg, index)
+        got = rerank_many(initial, maps, mu, config, index)
         assert len(got) == len(maps)
         for weights_map, run in zip(maps, got):
-            assert run == rerank_many(initial, [weights_map], cfg, index)[0]
+            assert run == rerank_many(initial, [weights_map], mu, config, index)[0]
 
     def test_unindexed_weighted_term_rejected(self, fruit_index):
         initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, fruit_index)
-        cfg = RerankConfig(mu=10.0, rerank_depth=2, k=10)
+        config = ExperimentConfig(k=10, rerank_depth=2)
         with pytest.raises(ValueError, match="'zz' has zero smoothed probability"):
-            rerank_many(initial, [{"apple": 1.0}, {"zz": 0.5}], cfg, fruit_index)
+            rerank_many(initial, [{"apple": 1.0}, {"zz": 0.5}], 10.0, config, fruit_index)
 
 
 class TestNwigWeights:

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 import twqp.qpp
 import twqp.retrieval
 import twqp.weighting
-from twqp.index import Document, build_index
+from twqp.config import ExperimentConfig
+from twqp.index import Document, Index, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio, score_gap
 from twqp.relevance import build_rm3, top_n_terms
 from twqp.retrieval import Query, expand_query, retrieve_topk
 from twqp.weighting import (
     TermWeightTable,
     WeightingMethod,
-    WeightingParams,
     delta_p,
     dump_weight_tables,
     query_indicator_table,
@@ -29,18 +29,40 @@ from twqp.weighting import (
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora, make_random_corpus, random_query
 
 
-class TestWeightingParams:
+CONFIG = ExperimentConfig()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("retrieved before the settings were checked")
+
+
+class TestWeighingSettings:
+    """weigh_queries rejects a mu or k no list can be weighed at before it
+    retrieves anything, under every method."""
+
     @pytest.mark.parametrize("mu", [0, 0.0, -1.0, math.nan, math.inf])
-    def test_non_positive_mu_rejected(self, mu):
-        with pytest.raises(ValueError, match="weighting requires mu > 0"):
-            WeightingParams(mu=mu)
+    def test_non_positive_mu_rejected(self, fruit_index, monkeypatch, mu):
+        monkeypatch.setattr(twqp.weighting, "retrieve_topk", _unreachable)
+        monkeypatch.setattr(twqp.qpp, "retrieve_topk", _unreachable)
+        q = Query("q0", ("apple",))
+        for method in WeightingMethod:
+            with pytest.raises(ValueError, match="weighting requires mu > 0 and finite"):
+                weigh_terms(q, ["banana"], method, mu, CONFIG, fruit_index)
 
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            WeightingParams(mu=10.0, k=0)
+    def test_k_below_one_rejected(self, fruit_index, monkeypatch):
+        # retrieve_topk makes the check before it looks up a candidate
+        monkeypatch.setattr(Index, "matching_docs", _unreachable)
+        q = Query("q0", ("apple",))
+        for method in WeightingMethod:
+            with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+                weigh_terms(q, ["banana"], method, 10.0, ExperimentConfig(k=0), fruit_index)
 
-    def test_smallest_valid_values_accepted(self):
-        assert WeightingParams(mu=1e-9, k=1).k == 1
+    def test_smallest_valid_values_accepted(self, fruit_index):
+        q = Query("q0", ("apple",))
+        table = weigh_terms(
+            q, ["banana"], WeightingMethod.TWQP_NQC, 1e-9, ExperimentConfig(k=1), fruit_index
+        )
+        assert set(table.weights) == {"banana"}
 
 
 class TestTwqpWeight:
@@ -135,7 +157,7 @@ class TestScoreRatioOverflow:
     def test_weights_follow_the_sign_of_the_gap_change(self):
         index, q, base = self._setup()
         table = weigh_terms(
-            q, ["a", "z"], WeightingMethod.TWQP_SCORE_RATIO, WeightingParams(mu=10), index
+            q, ["a", "z"], WeightingMethod.TWQP_SCORE_RATIO, 10, CONFIG, index
         )
         expected = {}
         for w in ("a", "z"):
@@ -177,34 +199,34 @@ class TestRetrievalBudget:
 
     def test_twqp_costs_one_plus_vocab(self, monkeypatch):
         index, q, vocabulary = self._setup()
-        params = WeightingParams(mu=500.0, k=100)
+        config = ExperimentConfig(k=100)
         for method in (
             WeightingMethod.TWQP_WIG,
             WeightingMethod.TWQP_NQC,
             WeightingMethod.TWQP_SCORE_RATIO,
         ):
             calls = self._counting(monkeypatch)
-            weigh_terms(q, vocabulary, method, params, index)
+            weigh_terms(q, vocabulary, method, 500.0, config, index)
             assert len(calls) == 1 + len(vocabulary)
 
     def test_nwig_costs_one(self, monkeypatch):
         index, q, vocabulary = self._setup()
         calls = self._counting(monkeypatch)
-        weigh_terms(q, vocabulary, WeightingMethod.NWIG, WeightingParams(mu=500.0), index)
+        weigh_terms(q, vocabulary, WeightingMethod.NWIG, 500.0, CONFIG, index)
         assert len(calls) == 1
 
     def test_score_ratio_costs_vocab(self, monkeypatch):
         index, q, vocabulary = self._setup()
         calls = self._counting(monkeypatch)
         weigh_terms(
-            q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, WeightingParams(mu=500.0), index
+            q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, 500.0, CONFIG, index
         )
         assert len(calls) == len(vocabulary)
 
     def test_sror_costs_one_plus_distinct_terms(self, monkeypatch):
         index, q, vocabulary = self._setup()
         calls = self._counting(monkeypatch)
-        weigh_terms(q, vocabulary, WeightingMethod.SROR, WeightingParams(mu=500.0), index)
+        weigh_terms(q, vocabulary, WeightingMethod.SROR, 500.0, CONFIG, index)
         assert len(calls) == 1 + len(set(q.terms))
 
 
@@ -227,7 +249,7 @@ class TestWeighTerms:
 
         table = weigh_terms(
             q, [w], WeightingMethod.TWQP_NQC,
-            WeightingParams(mu=mu, k=k, predictor_m=m), index,
+            mu, ExperimentConfig(k=k, qpp_m=m), index,
         )
         assert abs(table.weights[w] - expected) < 1e-12
         assert table.method is WeightingMethod.TWQP_NQC
@@ -238,8 +260,8 @@ class TestWeighTerms:
         index = build_index(make_random_corpus(rng, 20), PLAIN)
         q = Query("q0", (index.vocabulary[0],))
         vocabulary = index.vocabulary[1:5]
-        params = WeightingParams(mu=200.0, k=50)
-        table = weigh_terms(q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, params, index)
+        config = ExperimentConfig(k=50)
+        table = weigh_terms(q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, 200.0, config, index)
         raw = {
             w: predict_score_ratio(retrieve_topk(Query("q0", (w,)), 50, 200.0, index))
             for w in vocabulary
@@ -252,25 +274,25 @@ class TestWeighTerms:
     def test_sror_ignores_vocabulary(self, fruit_index):
         q = Query("q0", ("apple", "banana"))
         table = weigh_terms(
-            q, ["cherry"], WeightingMethod.SROR, WeightingParams(mu=10.0), fruit_index
+            q, ["cherry"], WeightingMethod.SROR, 10.0, CONFIG, fruit_index
         )
         assert set(table.weights) == {"apple", "banana"}
 
     def test_sror_single_term_query(self, fruit_index):
         q = Query("q0", ("apple",))
-        table = weigh_terms(q, [], WeightingMethod.SROR, WeightingParams(mu=10.0), fruit_index)
+        table = weigh_terms(q, [], WeightingMethod.SROR, 10.0, CONFIG, fruit_index)
         assert table.weights == {"apple": 1.0}
 
     def test_empty_vocabulary_rejected(self, fruit_index):
         q = Query("q0", ("apple",))
         with pytest.raises(ValueError, match="vocabulary"):
-            weigh_terms(q, [], WeightingMethod.TWQP_NQC, WeightingParams(mu=10.0), fruit_index)
+            weigh_terms(q, [], WeightingMethod.TWQP_NQC, 10.0, CONFIG, fruit_index)
 
     def test_unmatched_query_rejected(self, fruit_index):
         q = Query("q0", ("zzz",))
         with pytest.raises(ValueError, match="retrieved nothing"):
             weigh_terms(
-                q, ["apple"], WeightingMethod.TWQP_NQC, WeightingParams(mu=10.0), fruit_index
+                q, ["apple"], WeightingMethod.TWQP_NQC, 10.0, CONFIG, fruit_index
             )
 
     def test_method_parsing(self):
@@ -291,7 +313,7 @@ class TestWeighTerms:
         vocabulary = top_n_terms(rm, 15)
         for method in (WeightingMethod.TWQP_WIG, WeightingMethod.TWQP_NQC):
             table = weigh_terms(
-                q, vocabulary, method, WeightingParams(mu=400.0, k=100), index
+                q, vocabulary, method, 400.0, ExperimentConfig(k=100), index
             )
             assert set(table.weights) == set(vocabulary)
             for value in table.weights.values():

@@ -32,9 +32,9 @@ from .experiment import (
 )
 from .index import Index, build_index, read_corpus
 from .rerank import check_rerank
-from .retrieval import read_run, retrieve_topk, write_run
+from .retrieval import LogProbMemo, read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
-from .weighting import WeightingMethod, dump_weight_tables
+from .weighting import WeightingMethod, check_weighing, dump_weight_tables
 
 
 def _load_index(args, config: ExperimentConfig) -> Index:
@@ -218,8 +218,14 @@ def _run(args) -> int:
             )
         return 0
 
-    if args.command == "tune-rm3":  # reject a depth no re-rank can use before indexing
+    # Reject a missing or unusable mu, and a depth no re-rank can use,
+    # before indexing.
+    if args.command in ("search", "weigh", "rerank") and args.mu is None:
+        raise ValueError("need --mu")
+    if args.command in ("tune-rm3", "rerank"):
         check_rerank(args.mu, config)
+    elif args.command == "weigh":
+        check_weighing(args.mu)
     index = _load_index(args, config)
 
     if args.command == "tune-mu":
@@ -231,14 +237,12 @@ def _run(args) -> int:
 
     if args.command == "tune-rm3":
         qrels = _qrels_for(config)
-        mu, _, best = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
+        mu, _, best, _ = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
         print(f"best rm3 m: {best} (at mu={mu:g})")
         return 0
 
     if args.command == "search":
         queries = _queries_for(config, index)
-        if args.mu is None:
-            raise ValueError("need --mu")
         lists = [retrieve_topk(q, config.k, args.mu, index) for q in queries]
         write_run(lists, args.out, args.tag)
         print(f"wrote {args.out}")
@@ -246,21 +250,18 @@ def _run(args) -> int:
 
     if args.command in ("weigh", "rerank"):
         queries = _queries_for(config, index)
-        if args.mu is None:
-            raise ValueError("need --mu")
         method = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method
-        if args.command == "rerank":  # reject a bad depth before the weighing work
-            check_rerank(args.mu, config)
-        elif method == RM3_LABEL:
+        if args.command == "weigh" and method == RM3_LABEL:
             raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
         methods = () if method == RM3_LABEL else (method,)
-        lists = [(q, retrieve_topk(q, config.k, args.mu, index)) for q in queries]
-        weighed = expand_and_weigh(lists, args.rm3_m, methods, args.mu, config, index)
+        memo = LogProbMemo(args.mu, index)  # every stage below scores at mu
+        lists = [(q, retrieve_topk(q, config.k, args.mu, index, memo)) for q in queries]
+        weighed = expand_and_weigh(lists, args.rm3_m, methods, args.mu, config, index, memo)
         if args.command == "weigh":
             dump_weight_tables([tables[method] for _, tables in weighed], args.out)
         else:
             label = RM3_LABEL if method == RM3_LABEL else method.value
-            runs = rerank_queries(lists, weighed, args.mu, config, index)[label]
+            runs = rerank_queries(lists, weighed, args.mu, config, index, memo)[label]
             write_run(list(runs.values()), args.out, label)
         print(f"wrote {args.out}")
         return 0

@@ -27,7 +27,7 @@ from .config import ExperimentConfig
 from .index import Index
 from .relevance import build_rm3_grid, restrict_top_n
 from .rerank import rerank_many
-from .retrieval import Query, RankedList, retrieve_grid
+from .retrieval import LogProbMemo, Query, RankedList, retrieve_grid
 
 
 class Qrels:
@@ -294,6 +294,7 @@ def tune_rm3_m(
     mu: float,
     config: ExperimentConfig,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> int:
     """Feedback depth in config.rm3_m_grid maximizing mean AP of the re-ranked runs.
 
@@ -304,7 +305,8 @@ def tune_rm3_m(
     clipped to its top config.rm3_n terms.  An m past a list's length
     feeds back the whole list, so per query each distinct clamped depth
     min(m, len) is modelled, clipped, re-ranked and scored once, and every
-    m reads its depth's AP.
+    m reads its depth's AP.  A memo at mu, when given, supplies the
+    re-ranks' log probabilities.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
@@ -316,7 +318,7 @@ def tune_rm3_m(
         depths = sorted({min(m, len(base)) for m in ms})
         models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
         weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
-        runs = rerank_many(base, weight_maps, mu, config, index)
+        runs = rerank_many(base, weight_maps, mu, config, index, memo)
         if qrels.relevant_count(base.query_id) == 0:
             continue
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}

@@ -13,6 +13,10 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
   4. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
+Every stage from the initial lists to the last re-rank scores at the tuned
+mu, so they read their log probabilities from one LogProbMemo, which tune
+builds; it is dropped once re-ranking returns.
+
 All outputs are deterministic functions of the inputs: files are written in
 sorted order with fixed float formatting, so identical configs produce
 byte-identical output trees.
@@ -40,7 +44,7 @@ from .evaluation import (
 from .index import Index, build_index, read_corpus
 from .relevance import build_rm3, restrict_top_n, top_n_terms
 from .rerank import check_rerank, rerank_many
-from .retrieval import Query, RankedList, format_run, retrieve_topk
+from .retrieval import LogProbMemo, Query, RankedList, format_run, retrieve_topk
 from .weighting import TermWeightTable, WeightingMethod, weigh_queries
 
 QL_LABEL = "QLOpt-init"
@@ -114,6 +118,7 @@ def expand_and_weigh(
     mu: float,
     config: ExperimentConfig,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> list[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]]:
     """(RM3 weight map, {method: weight table}) for each (query, list) pair.
 
@@ -121,6 +126,7 @@ def expand_and_weigh(
     built from its top min(m, len) documents; the candidate vocabulary is
     the model's top rm3_n terms in rank order (ScoreRatio normalizes in
     that order), and the weight map is the model clipped to those terms.
+    The weighing reads its log probabilities from memo, when given.
     """
     models, pairs = [], []
     for q, initial in lists:
@@ -129,7 +135,7 @@ def expand_and_weigh(
         )
         models.append(restrict_top_n(rm, config.rm3_n).term_probs)
         pairs.append((q, top_n_terms(rm, config.rm3_n)))
-    return list(zip(models, weigh_queries(pairs, methods, mu, config, index)))
+    return list(zip(models, weigh_queries(pairs, methods, mu, config, index, memo)))
 
 
 def rerank_queries(
@@ -138,17 +144,18 @@ def rerank_queries(
     mu: float,
     config: ExperimentConfig,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> dict[str, dict[str, RankedList]]:
     """label -> query id -> re-ranked list, for RM3Opt and each weighed method.
 
     Each query's head is re-ranked under every weight map from one head
-    matrix (rerank_many).
+    matrix (rerank_many), gathered from memo when given.
     """
     runs: dict[str, dict[str, RankedList]] = {}
     for (q, initial), (model, tables) in zip(lists, weighed):
         labels = [RM3_LABEL, *(method.value for method in tables)]
         maps = [model, *(table.weights for table in tables.values())]
-        for label, run in zip(labels, rerank_many(initial, maps, mu, config, index)):
+        for label, run in zip(labels, rerank_many(initial, maps, mu, config, index, memo)):
             runs.setdefault(label, {})[q.query_id] = run
     return runs
 
@@ -159,18 +166,22 @@ def tune(
     config: ExperimentConfig,
     index: Index,
     mu: float | None = None,
-) -> tuple[float, list[tuple[Query, RankedList]], int]:
-    """(mu, (query, initial list) pairs, feedback depth m) by best mean AP.
+) -> tuple[float, list[tuple[Query, RankedList]], int, LogProbMemo]:
+    """(mu, (query, initial list) pairs, feedback depth m, memo) by best
+    mean AP.
 
-    mu is tuned over config.mu_grid unless given; each query's depth-k list
-    is retrieved at that mu, and m is tuned over config.rm3_m_grid by
-    re-ranking those lists under RM3, which needs mu > 0; callers check
-    the re-ranking settings (check_rerank) before they load anything.
+    mu is tuned over config.mu_grid unless given.  The memo is a
+    LogProbMemo at that mu: each query's depth-k list is retrieved through
+    it, and m is tuned over config.rm3_m_grid by re-ranking those lists
+    under RM3 from it.  Both need mu > 0; callers check the re-ranking
+    settings (check_rerank) before they load anything.  Later stages at mu
+    read the memo's rows instead of taking the logs again.
     """
     if mu is None:
         mu = tune_mu(queries, qrels, config, index)
-    lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
-    return mu, lists, tune_rm3_m(lists, qrels, mu, config, index)
+    memo = LogProbMemo(mu, index)
+    lists = [(q, retrieve_topk(q, config.k, mu, index, memo)) for q in queries]
+    return mu, lists, tune_rm3_m(lists, qrels, mu, config, index, memo), memo
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -184,9 +195,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if all(qrels.relevant_count(q.query_id) == 0 for q in queries):
         raise ValueError("no query has relevance judgments; nothing to evaluate")
 
-    best_mu, lists, best_m = tune(queries, qrels, config, index)
-    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, best_mu, config, index)
-    reranked = rerank_queries(lists, weighed, best_mu, config, index)
+    best_mu, lists, best_m, memo = tune(queries, qrels, config, index)
+    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, best_mu, config, index, memo)
+    reranked = rerank_queries(lists, weighed, best_mu, config, index, memo)
+    del memo  # no later stage scores; its rows need not outlive the re-ranks
     reranked[QL_LABEL] = {q.query_id: initial for q, initial in lists}
     runs = {label: reranked[label] for label in METHOD_ORDER}
 

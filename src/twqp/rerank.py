@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .retrieval import RankedList, log_prob_matrix, ranked_list, weighted_sum
+from .retrieval import LogProbMemo, RankedList, log_prob_matrix, ranked_list, weighted_sum
 from .weighting import TermWeightTable
 
 
@@ -43,11 +43,14 @@ def rerank_many(
     mu: float,
     config: ExperimentConfig,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> list[RankedList]:
     """The initial list re-ranked once per term -> weight map.
 
     One head x term log matrix over the union of the maps' non-zero terms
-    serves every map: each cell depends only on its term and document.
+    serves every map: each cell depends only on its term and document.  A
+    memo at mu, when given, supplies that matrix; the lists are the same
+    as without it.
     """
     check_rerank(mu, config)
     # Same summation order as query-likelihood scoring (sorted terms), so a
@@ -58,7 +61,8 @@ def rerank_many(
     map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
     terms = sorted(set().union(*map_terms))
     nums = np.sort(all_nums[:depth])
-    log_probs = log_prob_matrix(terms, nums, mu, index)
+    matrix = log_prob_matrix if memo is None else memo.matrix
+    log_probs = matrix(terms, nums, mu, index)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
         w = terms[unindexed[0]]

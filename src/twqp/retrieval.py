@@ -14,7 +14,11 @@ the same floats as the tests' one-document oracle: the same
 association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at one mu from one
-full-width row per term, for callers that score the same terms many times.
+full-width row per term, for callers that score the same terms many times:
+an experiment's stages at the tuned mu share one.  It builds a row from
+the kernel's log step twice, once for the tf-0 cells, which depend only on
+the term's collection frequency and the document's length and so are
+shared by terms of equal frequency, and once for the term's postings.
 ``retrieve_grid`` gathers each query's candidates and tfs once and takes
 only the log step at each mu of a grid.
 
@@ -232,8 +236,14 @@ class LogProbMemo:
     """log_prob_matrix at one mu over one index, from one row per term.
 
     A term's row is log_prob_matrix([w], every document number, mu, index),
-    built the first time the term is asked for.  Each cell depends only on
-    its term and document, so a gather of the row's columns equals
+    built the first time the term is asked for, in two log_probs_from
+    calls.  Off w's postings tf is 0, so a cell depends only on w's
+    collection frequency and the document's length: one row of logs over a
+    document of each distinct length is built per collection frequency and
+    read at each document's length class.  The postings' own cells are a
+    log_probs_from over gather_tf((w,), postings, index), written in at
+    those documents.  Each cell is the kernel's float for its term and
+    document, so the row, and any gather of its columns, equals
     log_prob_matrix over those columns bit for bit.  mu must be positive:
     at mu = 0 a full-width row would raise on an empty document that no
     candidate set holds.
@@ -244,7 +254,12 @@ class LogProbMemo:
             raise ValueError(f"a log-probability memo requires mu > 0 and finite, got {mu}")
         self.mu = mu
         self.index = index
-        self._all = np.arange(index.doc_count)
+        lengths, first, self._length_class = np.unique(
+            index.lengths, return_index=True, return_inverse=True
+        )
+        # One document of each length, holding tf 0: TfGather's fields after terms.
+        self._by_length = (first, np.zeros((1, first.size), dtype=np.int64), lengths)
+        self._off_postings: dict[int, np.ndarray] = {}  # collection tf -> logs per length
         self._rows: dict[str, np.ndarray] = {}
 
     def matrix(
@@ -260,9 +275,23 @@ class LogProbMemo:
         for row, w in zip(out, terms):
             full = self._rows.get(w)
             if full is None:
-                full = self._rows[w] = log_prob_matrix([w], self._all, mu, index)[0]
+                full = self._rows[w] = self._row(w)
             full.take(nums, out=row)
         return out
+
+    def _row(self, w: str) -> np.ndarray:
+        """log_prob_matrix([w], every document number, mu, index)[0]."""
+        mu, index = self.mu, self.index
+        cf = index.collection_tf.get(w, 0)
+        off = self._off_postings.get(cf)
+        if off is None:
+            no_tf = TfGather((w,), *self._by_length)
+            off = self._off_postings[cf] = log_probs_from(no_tf, mu, index)[0]
+        row = off[self._length_class]
+        post_nums = index.term(w)[0]
+        if post_nums.size:
+            row[post_nums] = log_probs_from(gather_tf((w,), post_nums, index), mu, index)[0]
+        return row
 
 
 def weighted_sum(weights: Sequence[float], log_probs: np.ndarray) -> np.ndarray:

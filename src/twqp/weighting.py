@@ -13,9 +13,11 @@ through this module's ``retrieve_topk`` name, except SROR's leave-one-out
 lists, which go through ``twqp.qpp.retrieve_topk``; a count patches both.
 
 Every list a weighting call scores is at one mu and over the same few
-hundred terms, so the call keeps one ``LogProbMemo``: each term's log
-probabilities are computed once, the first time any retrieval or predictor
-of the call needs them, and every later score gathers them from it.
+hundred terms, so the call reads its log probabilities from one
+``LogProbMemo``: each term's row is built once, the first time any
+retrieval or predictor needs it, and every later score gathers from it.
+The caller may pass the memo in; an experiment passes the one that its
+tuning and re-ranking at the same mu read, so those stages share rows.
 
 A call reads its retrieval depth k and the predictors' cutoff qpp_m from an
 ExperimentConfig; mu is passed on its own, since tuning picks it.
@@ -160,12 +162,20 @@ def weigh_terms(
     return weigh_queries([(q, vocabulary)], (method,), mu, config, index)[0][method]
 
 
+def check_weighing(mu: float) -> None:
+    """Reject a mu no weighting can run at: at mu = 0 a q+w list holds
+    -inf scores, which leave the predictor deltas undefined."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"weighting requires mu > 0 and finite, got {mu}")
+
+
 def weigh_queries(
     pairs: Sequence[tuple[Query, Sequence[str]]],
     methods: Sequence[WeightingMethod],
     mu: float,
     config: ExperimentConfig,
     index: Index,
+    memo: LogProbMemo | None = None,
 ) -> list[dict[WeightingMethod, TermWeightTable]]:
     """One {method: table} per (query, vocabulary) pair, sharing retrievals.
 
@@ -175,15 +185,13 @@ def weigh_queries(
     single-term ScoreRatio depends only on (w, mu, k), so each distinct w
     is retrieved once for all the queries of the call; the single-term list
     of a one-term query's own term is its base list.  Every retrieval and
-    predictor of the call reads its log probabilities from one memo.
+    predictor of the call reads its log probabilities from memo, a
+    LogProbMemo at mu, or from a new one when memo is None.
 
     Every list is retrieved at depth config.k, and config.qpp_m overrides
-    the TWQP predictors' default cutoff.  mu must be positive and finite:
-    at mu = 0 a q+w list holds -inf scores, which leave the predictor
-    deltas undefined.
+    the TWQP predictors' default cutoff.  mu must pass check_weighing.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"weighting requires mu > 0 and finite, got {mu}")
+    check_weighing(mu)
     k = config.k
     predictors = [
         (m, PredictorSpec(_TWQP_PREDICTOR[m], config.qpp_m))
@@ -193,7 +201,8 @@ def weigh_queries(
     needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
     sror = WeightingMethod.SROR in methods
     single_ratios: dict[str, float] = {}
-    memo = LogProbMemo(mu, index)
+    if memo is None:
+        memo = LogProbMemo(mu, index)
     tables = []
     for q, vocabulary in pairs:
         if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):

@@ -557,6 +557,42 @@ class TestErrors:
         assert "need 1 <= rerank_depth <= k, got rerank_depth=100, k=50" in self._stderr(capsys)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("rerank", ["--k", "50", "--mu", "1000"], "need 1 <= rerank_depth <= k"),
+            # without --mu the depth rule would read mu_grid; the missing flag is named first
+            ("rerank", ["--k", "50"], "need --mu"),
+            ("weigh", [], "need --mu"),
+            ("search", [], "need --mu"),
+            ("weigh", ["--mu", "0"], "weighting requires mu > 0 and finite, got 0.0"),
+        ],
+        ids=["rerank-depth", "rerank-mu", "weigh-mu", "search-mu", "weigh-mu-zero"],
+    )
+    def test_mu_and_depth_checked_before_indexing(
+        self, workspace, capsys, monkeypatch, command, extra, message
+    ):
+        builds = []
+        real_build = twqp.cli.build_index
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(twqp.cli, "build_index", counted)
+        rc = main(
+            [
+                command,
+                "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                "--topics", str(workspace / "data" / "topics.tsv"),
+                *extra,
+                "--out", str(workspace / "x.out"),
+            ]
+        )
+        assert rc == 1
+        assert message in self._stderr(capsys)
+        assert builds == []
+
     def test_tune_rm3_depth_checked_before_indexing(self, workspace, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("indexed before checking the re-ranking depth")

@@ -591,9 +591,9 @@ class TestTuneRM3M:
         maps_seen = []
         real = twqp.evaluation.rerank_many
 
-        def counted(initial, weight_maps, mu, config, index):
+        def counted(initial, weight_maps, mu, config, index, memo=None):
             maps_seen.append(len(weight_maps))
-            return real(initial, weight_maps, mu, config, index)
+            return real(initial, weight_maps, mu, config, index, memo)
 
         monkeypatch.setattr(twqp.evaluation, "rerank_many", counted)
         grid = (6, 4, 9, 5, 2)

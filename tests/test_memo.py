@@ -1,13 +1,16 @@
-"""The per-call log-probability memo against the kernel it stands in for.
+"""The log-probability memo against the kernel it stands in for.
 
-weigh_queries scores every list of a call from one LogProbMemo: a term's
-full-width row is built once and every later score gathers columns from it.
+weigh_queries scores every list of a call from one LogProbMemo, and
+run_experiment shares one across tuning's re-ranks, weighing and the final
+re-ranks: a term's full-width row is built once and every later score
+gathers columns from it.
 Each check here compares with == (or byte equality), never approximately.
 """
 
 import math
 import re
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,13 +20,15 @@ from hypothesis import strategies as st
 
 import twqp.experiment
 import twqp.qpp
+import twqp.relevance
+import twqp.rerank
 import twqp.retrieval
 from twqp.config import ExperimentConfig
 from twqp.experiment import expand_and_weigh, make_queries
 from twqp.index import Document, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, predict_wig
 from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk
-from twqp.synthetic import make_synthetic
+from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod, delta_p, twqp_weight, weigh_queries
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
@@ -38,6 +43,16 @@ WITH_EMPTY_DOC = build_index(
         Document("d2", ""),
         Document("d3", "b c c"),
         Document("d4", "c d e e e e"),
+    ],
+    PLAIN,
+)
+# Lengths 3, 4, 2 and 1; b, c and d share collection frequency 2.
+SHARED_CF = build_index(
+    [
+        Document("d1", "a b a"),
+        Document("d2", "c c b d"),
+        Document("d3", "e d"),
+        Document("d4", "a"),
     ],
     PLAIN,
 )
@@ -79,6 +94,25 @@ class TestGather:
     def test_no_terms_gives_an_empty_matrix(self, fruit_index):
         got = LogProbMemo(10.0, fruit_index).matrix([], np.array([1, 0]), 10.0, fruit_index)
         assert got.shape == (0, 2)
+
+
+class TestRowBuilder:
+    """A row is built from tf-0 logs per length class and its postings' logs."""
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 100.0, 5000.0])
+    @pytest.mark.parametrize("index", [SHARED_CF, WITH_EMPTY_DOC], ids=["shared-cf", "empty-doc"])
+    def test_every_row_equals_log_prob_matrix_bytes(self, index, mu):
+        memo = LogProbMemo(mu, index)
+        every = np.arange(index.doc_count)
+        for w in (*index.vocabulary, UNINDEXED):
+            expected = log_prob_matrix([w], every, mu, index)
+            assert memo.matrix([w], every, mu, index).tobytes() == expected.tobytes(), w
+
+    def test_terms_of_one_collection_frequency_share_their_tf0_logs(self):
+        assert len(set(SHARED_CF.lengths.tolist())) >= 3
+        memo = LogProbMemo(10.0, SHARED_CF)
+        memo.matrix(["b", "c", "d"], np.arange(SHARED_CF.doc_count), 10.0, SHARED_CF)
+        assert len(memo._off_postings) == 1
 
 
 class TestRetrieveWithMemo:
@@ -171,9 +205,9 @@ class TestWeighQueriesWithMemo:
 
 
 class TestLogWorkCounts:
-    """Which terms reach log_prob_matrix while one weigh_queries call runs."""
+    """Which rows a memo builds while one weigh_queries call runs."""
 
-    def test_each_term_logged_at_most_once_per_call(self, monkeypatch):
+    def test_each_term_row_built_once_per_memo(self, monkeypatch):
         coll = make_synthetic(32)
         config = ExperimentConfig()
         index = build_index(coll.documents, config.analyzer)
@@ -181,28 +215,89 @@ class TestLogWorkCounts:
         mu = 1000.0
         lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
 
-        logged = Counter()
-        weighing = []
+        built = Counter()  # (memo, term) -> rows built
+        real_row = LogProbMemo._row
 
-        def counted(terms, *args, **kwargs):
-            if weighing:
-                logged.update(terms)
-            return real(terms, *args, **kwargs)
+        def counted(memo, w):
+            built[memo, w] += 1
+            return real_row(memo, w)
 
-        real = twqp.retrieval.log_prob_matrix
-        for module in (twqp.retrieval, twqp.qpp):
-            monkeypatch.setattr(module, "log_prob_matrix", counted)
-        real_weigh = twqp.experiment.weigh_queries
-
-        def weigh(*args, **kwargs):
-            weighing.append(True)
-            try:
-                return real_weigh(*args, **kwargs)
-            finally:
-                weighing.clear()
-
-        monkeypatch.setattr(twqp.experiment, "weigh_queries", weigh)
+        monkeypatch.setattr(LogProbMemo, "_row", counted)
         methods = tuple(WeightingMethod)
         expand_and_weigh(lists, 10, methods, mu, config, index)
-        assert max(logged.values()) == 1
-        assert set().union(*(q.terms for q, _ in lists)) <= set(logged)
+        assert max(built.values()) == 1
+        assert len({memo for memo, _ in built}) == 1  # the call makes one memo
+        assert set().union(*(q.terms for q, _ in lists)) <= {w for _, w in built}
+
+
+class TestExperimentMemo:
+    """One memo serves run_experiment from the initial lists to the re-ranks."""
+
+    def test_rows_built_once_per_run_and_released_before_the_report(
+        self, tmp_path, monkeypatch
+    ):
+        paths = write_collection(make_synthetic(32), tmp_path / "data")
+        built = Counter()  # term -> rows built
+        memos = []  # weak references to every memo made
+        stage = []
+        logged = Counter()  # (stage, module) -> log_prob_matrix calls
+        released = []
+
+        real_init, real_row = LogProbMemo.__init__, LogProbMemo._row
+
+        def init(memo, *args, **kwargs):
+            memos.append(weakref.ref(memo))
+            real_init(memo, *args, **kwargs)
+
+        def row(memo, w):
+            built[w] += 1
+            return real_row(memo, w)
+
+        def staged(name, fn):
+            def wrapper(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+
+            return wrapper
+
+        def counting(module):
+            real = module.log_prob_matrix
+
+            def wrapper(*args, **kwargs):
+                logged[stage[-1] if stage else None, module.__name__] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def report(*args, **kwargs):
+            released.append(all(ref() is None for ref in memos))
+            return real_report(*args, **kwargs)
+
+        monkeypatch.setattr(LogProbMemo, "__init__", init)
+        monkeypatch.setattr(LogProbMemo, "_row", row)
+        for module in (twqp.retrieval, twqp.qpp, twqp.rerank, twqp.relevance):
+            monkeypatch.setattr(module, "log_prob_matrix", counting(module))
+        for name in ("tune_rm3_m", "rerank_queries"):
+            monkeypatch.setattr(twqp.experiment, name, staged(name, getattr(twqp.experiment, name)))
+        real_report = twqp.experiment.build_report
+        monkeypatch.setattr(twqp.experiment, "build_report", report)
+        twqp.experiment.run_experiment(
+            ExperimentConfig(
+                corpus=str(paths["corpus"]),
+                topics=str(paths["topics"]),
+                qrels=str(paths["qrels"]),
+                output_dir=str(tmp_path / "out"),
+            )
+        )
+        assert len(memos) == 1
+        assert built and max(built.values()) == 1
+        # tuning's RM3 document weights (at rm3_mu) are its only logs; the
+        # re-ranks of tuning and of the end read the memo's rows
+        assert logged["tune_rm3_m", "twqp.relevance"] > 0
+        assert {key for key in logged if key[0] is not None} == {
+            ("tune_rm3_m", "twqp.relevance")
+        }
+        assert released == [True]

@@ -28,7 +28,7 @@ from twqp.index import Document, Index, build_index
 from twqp.qpp import nwig_weights
 from twqp.relevance import RelevanceModel, build_rm3_grid, top_n_terms
 from twqp.rerank import rerank_many
-from twqp.retrieval import Query, RankedList, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod, weigh_queries, weigh_terms
 
@@ -250,7 +250,7 @@ class TestTopNTerms:
 class TestWorkCounts:
     """Counts of shared work on the criterion-7 fixture; no timing."""
 
-    def test_retrievals_and_head_matrices(self, tmp_path, monkeypatch):
+    def test_retrievals_and_head_gathers(self, tmp_path, monkeypatch):
         paths = write_collection(make_synthetic(32), tmp_path / "data")
         counts = Counter()  # (what, while tuning) -> calls
         seen = {"pairs": None, "live": None}
@@ -272,7 +272,24 @@ class TestWorkCounts:
         for module in (twqp.relevance, twqp.rerank):
             key = module.__name__.rpartition(".")[2]
             monkeypatch.setattr(module, "log_prob_matrix", counting(key, module.log_prob_matrix))
+        reranking = []
+        real_gather, real_rerank = LogProbMemo.matrix, twqp.rerank.rerank_many
 
+        def gather(memo, *args, **kwargs):
+            if reranking:
+                counts["head gathers", bool(tuning)] += 1
+            return real_gather(memo, *args, **kwargs)
+
+        def rerank(*args, **kwargs):
+            reranking.append(True)
+            try:
+                return real_rerank(*args, **kwargs)
+            finally:
+                reranking.clear()
+
+        monkeypatch.setattr(LogProbMemo, "matrix", gather)
+        for module in (twqp.evaluation, twqp.experiment):
+            monkeypatch.setattr(module, "rerank_many", rerank)
         real_tune, real_weigh = twqp.experiment.tune_rm3_m, twqp.experiment.weigh_queries
 
         def tune(lists, *args, **kwargs):
@@ -313,9 +330,11 @@ class TestWorkCounts:
         assert counts["retrievals", False] + counts["retrievals", True] == expected
         # tuning re-ranks the lists it is given; it retrieves nothing itself
         assert counts["other", True] == 0
-        assert counts["relevance", True] == counts["rerank", True] == live > 0
-        # outside tuning: one RM3 scoring and one head matrix per live query
-        assert counts["relevance", False] == counts["rerank", False] == live
+        assert counts["relevance", True] == counts["head gathers", True] == live > 0
+        # outside tuning: one RM3 scoring and one head gather per live query
+        assert counts["relevance", False] == counts["head gathers", False] == live
+        # every head is gathered from the experiment's memo, never logged anew
+        assert counts["rerank", True] == counts["rerank", False] == 0
 
     def test_tuning_gathers_once_and_weighing_reads_list_numbers(self, tmp_path, monkeypatch):
         paths = write_collection(make_synthetic(32), tmp_path / "data")

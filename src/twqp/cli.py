@@ -218,14 +218,16 @@ def _run(args) -> int:
             )
         return 0
 
-    # Reject a missing or unusable mu, and a depth no re-rank can use,
-    # before indexing.
+    # Reject a missing or unusable mu, a depth no re-rank can use, and a
+    # re-ranking method asked to weigh, before indexing.
     if args.command in ("search", "weigh", "rerank") and args.mu is None:
         raise ValueError("need --mu")
     if args.command in ("tune-rm3", "rerank"):
         check_rerank(args.mu, config)
     elif args.command == "weigh":
         check_weighing(args.mu)
+        if args.method == RM3_LABEL:
+            raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
     index = _load_index(args, config)
 
     if args.command == "tune-mu":
@@ -251,8 +253,6 @@ def _run(args) -> int:
     if args.command in ("weigh", "rerank"):
         queries = _queries_for(config, index)
         method = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method
-        if args.command == "weigh" and method == RM3_LABEL:
-            raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
         methods = () if method == RM3_LABEL else (method,)
         memo = LogProbMemo(args.mu, index)  # every stage below scores at mu
         lists = [(q, retrieve_topk(q, config.k, args.mu, index, memo)) for q in queries]

@@ -149,7 +149,8 @@ def rerank_queries(
     """label -> query id -> re-ranked list, for RM3Opt and each weighed method.
 
     Each query's head is re-ranked under every weight map from one head
-    matrix (rerank_many), gathered from memo when given.
+    matrix (rerank_many), gathered from memo, or from a memo each
+    rerank_many call makes when memo is None.
     """
     runs: dict[str, dict[str, RankedList]] = {}
     for (q, initial), (model, tables) in zip(lists, weighed):

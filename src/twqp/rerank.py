@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .retrieval import LogProbMemo, RankedList, log_prob_matrix, ranked_list, weighted_sum
+from .retrieval import LogProbMemo, RankedList, ranked_list, weighted_sum
 from .weighting import TermWeightTable
 
 
@@ -48,9 +48,9 @@ def rerank_many(
     """The initial list re-ranked once per term -> weight map.
 
     One head x term log matrix over the union of the maps' non-zero terms
-    serves every map: each cell depends only on its term and document.  A
-    memo at mu, when given, supplies that matrix; the lists are the same
-    as without it.
+    serves every map: each cell depends only on its term and document.  The
+    memo at mu supplies that matrix; without one, a memo for this call is
+    made.
     """
     check_rerank(mu, config)
     # Same summation order as query-likelihood scoring (sorted terms), so a
@@ -61,8 +61,9 @@ def rerank_many(
     map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
     terms = sorted(set().union(*map_terms))
     nums = np.sort(all_nums[:depth])
-    matrix = log_prob_matrix if memo is None else memo.matrix
-    log_probs = matrix(terms, nums, mu, index)
+    if memo is None:
+        memo = LogProbMemo(mu, index)
+    log_probs = memo.matrix(terms, nums, mu, index)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
         w = terms[unindexed[0]]

@@ -566,8 +566,13 @@ class TestErrors:
             ("weigh", [], "need --mu"),
             ("search", [], "need --mu"),
             ("weigh", ["--mu", "0"], "weighting requires mu > 0 and finite, got 0.0"),
+            (
+                "weigh",
+                ["--mu", "1000", "--method", "RM3Opt"],
+                "RM3Opt is a re-ranking method, not a term weighter",
+            ),
         ],
-        ids=["rerank-depth", "rerank-mu", "weigh-mu", "search-mu", "weigh-mu-zero"],
+        ids=["rerank-depth", "rerank-mu", "weigh-mu", "search-mu", "weigh-mu-zero", "weigh-rm3"],
     )
     def test_mu_and_depth_checked_before_indexing(
         self, workspace, capsys, monkeypatch, command, extra, message

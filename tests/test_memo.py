@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import twqp.experiment
 import twqp.qpp
 import twqp.relevance
-import twqp.rerank
 import twqp.retrieval
 from twqp.config import ExperimentConfig
 from twqp.experiment import expand_and_weigh, make_queries
@@ -205,7 +204,8 @@ class TestWeighQueriesWithMemo:
 
 
 class TestLogWorkCounts:
-    """Which rows a memo builds while one weigh_queries call runs."""
+    """Which rows a memo builds while one weigh_queries call runs, and that
+    its retrievals and predictors take no logs beside the memo."""
 
     def test_each_term_row_built_once_per_memo(self, monkeypatch):
         coll = make_synthetic(32)
@@ -222,9 +222,23 @@ class TestLogWorkCounts:
             built[memo, w] += 1
             return real_row(memo, w)
 
+        bypassed = Counter()  # module -> log_prob_matrix calls
+
+        def counting(module):
+            real = module.log_prob_matrix
+
+            def wrapper(*args, **kwargs):
+                bypassed[module.__name__] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(LogProbMemo, "_row", counted)
+        for module in (twqp.retrieval, twqp.qpp):
+            monkeypatch.setattr(module, "log_prob_matrix", counting(module))
         methods = tuple(WeightingMethod)
         expand_and_weigh(lists, 10, methods, mu, config, index)
+        assert not bypassed
         assert max(built.values()) == 1
         assert len({memo for memo, _ in built}) == 1  # the call makes one memo
         assert set().union(*(q.terms for q, _ in lists)) <= {w for _, w in built}
@@ -278,9 +292,9 @@ class TestExperimentMemo:
 
         monkeypatch.setattr(LogProbMemo, "__init__", init)
         monkeypatch.setattr(LogProbMemo, "_row", row)
-        for module in (twqp.retrieval, twqp.qpp, twqp.rerank, twqp.relevance):
+        for module in (twqp.retrieval, twqp.qpp, twqp.relevance):
             monkeypatch.setattr(module, "log_prob_matrix", counting(module))
-        for name in ("tune_rm3_m", "rerank_queries"):
+        for name in ("tune_rm3_m", "expand_and_weigh", "rerank_queries"):
             monkeypatch.setattr(twqp.experiment, name, staged(name, getattr(twqp.experiment, name)))
         real_report = twqp.experiment.build_report
         monkeypatch.setattr(twqp.experiment, "build_report", report)
@@ -294,10 +308,11 @@ class TestExperimentMemo:
         )
         assert len(memos) == 1
         assert built and max(built.values()) == 1
-        # tuning's RM3 document weights (at rm3_mu) are its only logs; the
-        # re-ranks of tuning and of the end read the memo's rows
-        assert logged["tune_rm3_m", "twqp.relevance"] > 0
+        # the RM3 document weights (at rm3_mu) of tuning and of the expansion
+        # are their only logs; the retrievals, predictors and re-ranks read
+        # the memo's rows
         assert {key for key in logged if key[0] is not None} == {
-            ("tune_rm3_m", "twqp.relevance")
+            ("tune_rm3_m", "twqp.relevance"),
+            ("expand_and_weigh", "twqp.relevance"),
         }
         assert released == [True]

@@ -35,7 +35,7 @@ class TestRerankRule:
 
     def _rejected(self, index, monkeypatch, mu, config, message):
         initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, index)
-        monkeypatch.setattr(twqp.rerank, "log_prob_matrix", _unreachable)
+        monkeypatch.setattr(twqp.rerank, "LogProbMemo", _unreachable)
         with pytest.raises(ValueError, match=re.escape(message)):
             check_rerank(mu, config)
         with pytest.raises(ValueError, match=re.escape(message)):

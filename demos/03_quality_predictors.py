@@ -7,6 +7,7 @@ Post-retrieval query quality prediction
 from twqp import (
     AnalyzerConfig,
     Document,
+    LogProbMemo,
     PredictorKind,
     PredictorSpec,
     Query,
@@ -31,12 +32,15 @@ focused = Query("good", ("volcano", "lava"))
 diffuse = Query("bad", ("report",))
 
 mu = 500.0
+# Every list here is scored at one mu, so the predictors read their log
+# probabilities from one memo of the index at that mu.
+memo = LogProbMemo(mu, index)
 for q in (focused, diffuse):
     lst = retrieve_topk(q, 6, mu, index)
     print(f"query {q.query_id!r}: {[d for d, _ in lst.entries]}")
     for kind in (PredictorKind.WIG, PredictorKind.NQC, PredictorKind.SCORE_RATIO):
         spec = PredictorSpec(kind, m=3)  # m is the depth the predictor looks at
-        value = predict_quality(spec, lst, q, mu, index)
+        value = predict_quality(spec, lst, q, memo)
         print(f"  {kind.value:12s} {value:.4f}")
     print()
 

@@ -10,6 +10,7 @@ from twqp import (
     AnalyzerConfig,
     Document,
     ExperimentConfig,
+    LogProbMemo,
     PredictorKind,
     PredictorSpec,
     Query,
@@ -43,9 +44,10 @@ candidates = top_n_terms(rm, 6)
 print("candidates:", candidates)
 
 # Each candidate is scored by how much it moves a quality predictor when
-# added to the query. The base quality is computed once and reused.
+# added to the query. The base quality is computed once and reused; a
+# predictor takes a memo of the index at mu, which WIG reads its logs from.
 spec = PredictorSpec(PredictorKind.NQC, m=3)
-base_quality = predict_quality(spec, initial, q, mu, index)
+base_quality = predict_quality(spec, initial, q, LogProbMemo(mu, index))
 print(f"\nbase NQC = {base_quality:.4f}")
 for w in candidates:
     d = delta_p(w, q, initial, spec, k, mu, index, base_quality=base_quality)

@@ -8,6 +8,7 @@ from twqp import (
     AnalyzerConfig,
     Document,
     ExperimentConfig,
+    LogProbMemo,
     Query,
     build_index,
     build_rm3,
@@ -50,8 +51,10 @@ reranked = rerank_twqp(initial, table, mu, config, index)
 print("weighted: ", reranked.doc_ids)
 
 # RM3 re-ranking scores against the feedback distribution instead; one call
-# re-ranks with any number of weight maps.
-by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], mu, config, index)[0]
+# re-ranks with any number of weight maps, reading the log probabilities
+# from a memo of the index at mu.
+memo = LogProbMemo(mu, index)
+by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], config, memo)[0]
 print("rm3:      ", by_rm3.doc_ids)
 
 # Only the head is re-scored; positions past rerank_depth keep their

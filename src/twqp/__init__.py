@@ -43,7 +43,7 @@ from .relevance import (
     top_n_terms,
 )
 from .rerank import check_rerank, rerank_many, rerank_twqp
-from .retrieval import Query, RankedList, expand_query, retrieve_topk, write_run
+from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
     TermWeightTable,

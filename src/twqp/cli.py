@@ -218,10 +218,14 @@ def _run(args) -> int:
             )
         return 0
 
-    # Reject a missing or unusable mu, a depth no re-rank can use, and a
-    # re-ranking method asked to weigh, before indexing.
+    # Reject a missing or unusable mu, a count below 1, a depth no re-rank
+    # can use, and a re-ranking method asked to weigh, before indexing.
     if args.command in ("search", "weigh", "rerank") and args.mu is None:
         raise ValueError("need --mu")
+    for name in ("k", "qpp_m", "rm3_m", "rerank_depth"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:  # a config file's counts obey the same rule
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     if args.command in ("tune-rm3", "rerank"):
         check_rerank(args.mu, config)
     elif args.command == "weigh":
@@ -239,8 +243,8 @@ def _run(args) -> int:
 
     if args.command == "tune-rm3":
         qrels = _qrels_for(config)
-        mu, _, best, _ = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
-        print(f"best rm3 m: {best} (at mu={mu:g})")
+        _, best, memo = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
+        print(f"best rm3 m: {best} (at mu={memo.mu:g})")
         return 0
 
     if args.command == "search":
@@ -256,12 +260,12 @@ def _run(args) -> int:
         methods = () if method == RM3_LABEL else (method,)
         memo = LogProbMemo(args.mu, index)  # every stage below scores at mu
         lists = [(q, retrieve_topk(q, config.k, args.mu, index, memo)) for q in queries]
-        weighed = expand_and_weigh(lists, args.rm3_m, methods, args.mu, config, index, memo)
+        weighed = expand_and_weigh(lists, args.rm3_m, methods, config, memo)
         if args.command == "weigh":
             dump_weight_tables([tables[method] for _, tables in weighed], args.out)
         else:
             label = RM3_LABEL if method == RM3_LABEL else method.value
-            runs = rerank_queries(lists, weighed, args.mu, config, index, memo)[label]
+            runs = rerank_queries(lists, weighed, config, memo)[label]
             write_run(list(runs.values()), args.out, label)
         print(f"wrote {args.out}")
         return 0

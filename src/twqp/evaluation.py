@@ -291,22 +291,20 @@ def tune_mu(
 def tune_rm3_m(
     lists: Sequence[tuple[Query, RankedList]],
     qrels: Qrels,
-    mu: float,
     config: ExperimentConfig,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> int:
     """Feedback depth in config.rm3_m_grid maximizing mean AP of the re-ranked runs.
 
-    lists pairs each query with its depth-k retrieval at mu, the
+    lists pairs each query with its depth-k retrieval at the memo's mu, the
     already-tuned retrieval smoothing; queries with an empty list are
     skipped.  The relevance model is the one the experiment weighs with:
     document weights at config.rm3_mu, interpolation config.rm3_lambda,
     clipped to its top config.rm3_n terms.  An m past a list's length
     feeds back the whole list, so per query each distinct clamped depth
     min(m, len) is modelled, clipped, re-ranked and scored once, and every
-    m reads its depth's AP.  A memo at mu, when given, supplies the
-    re-ranks' log probabilities.
+    m reads its depth's AP.  The memo supplies the re-ranks' log
+    probabilities.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
@@ -316,9 +314,9 @@ def tune_rm3_m(
         if not base:
             continue
         depths = sorted({min(m, len(base)) for m in ms})
-        models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, index)
+        models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index)
         weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
-        runs = rerank_many(base, weight_maps, mu, config, index, memo)
+        runs = rerank_many(base, weight_maps, config, memo)
         if qrels.relevant_count(base.query_id) == 0:
             continue
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}

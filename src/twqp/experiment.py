@@ -15,7 +15,8 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
 
 Every stage from the initial lists to the last re-rank scores at the tuned
 mu, so they read their log probabilities from one LogProbMemo, which tune
-builds; it is dropped once re-ranking returns.
+builds.  Each stage after tune takes that memo in place of mu and the
+index and reads both from it; the memo is dropped once re-ranking returns.
 
 All outputs are deterministic functions of the inputs: files are written in
 sorted order with fixed float formatting, so identical configs produce
@@ -115,48 +116,43 @@ def expand_and_weigh(
     lists: Sequence[tuple[Query, RankedList]],
     m: int,
     methods: Sequence[WeightingMethod],
-    mu: float,
     config: ExperimentConfig,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> list[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]]:
     """(RM3 weight map, {method: weight table}) for each (query, list) pair.
 
-    Each list is the query's non-empty depth-k retrieval at mu.  RM3 is
-    built from its top min(m, len) documents; the candidate vocabulary is
-    the model's top rm3_n terms in rank order (ScoreRatio normalizes in
-    that order), and the weight map is the model clipped to those terms.
-    The weighing reads its log probabilities from memo, when given.
+    Each list is the query's non-empty depth-k retrieval at the memo's mu.
+    RM3 is built from its top min(m, len) documents; the candidate
+    vocabulary is the model's top rm3_n terms in rank order (ScoreRatio
+    normalizes in that order), and the weight map is the model clipped to
+    those terms.  The weighing reads its log probabilities from the memo.
     """
     models, pairs = [], []
     for q, initial in lists:
         rm = build_rm3(
-            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, index
+            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, memo.index
         )
         models.append(restrict_top_n(rm, config.rm3_n).term_probs)
         pairs.append((q, top_n_terms(rm, config.rm3_n)))
-    return list(zip(models, weigh_queries(pairs, methods, mu, config, index, memo)))
+    return list(zip(models, weigh_queries(pairs, methods, config, memo)))
 
 
 def rerank_queries(
     lists: Sequence[tuple[Query, RankedList]],
     weighed: Sequence[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]],
-    mu: float,
     config: ExperimentConfig,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> dict[str, dict[str, RankedList]]:
     """label -> query id -> re-ranked list, for RM3Opt and each weighed method.
 
     Each query's head is re-ranked under every weight map from one head
-    matrix (rerank_many), gathered from memo, or from a memo each
-    rerank_many call makes when memo is None.
+    matrix (rerank_many), gathered from the memo.
     """
     runs: dict[str, dict[str, RankedList]] = {}
     for (q, initial), (model, tables) in zip(lists, weighed):
         labels = [RM3_LABEL, *(method.value for method in tables)]
         maps = [model, *(table.weights for table in tables.values())]
-        for label, run in zip(labels, rerank_many(initial, maps, mu, config, index, memo)):
+        for label, run in zip(labels, rerank_many(initial, maps, config, memo)):
             runs.setdefault(label, {})[q.query_id] = run
     return runs
 
@@ -167,22 +163,22 @@ def tune(
     config: ExperimentConfig,
     index: Index,
     mu: float | None = None,
-) -> tuple[float, list[tuple[Query, RankedList]], int, LogProbMemo]:
-    """(mu, (query, initial list) pairs, feedback depth m, memo) by best
-    mean AP.
+) -> tuple[list[tuple[Query, RankedList]], int, LogProbMemo]:
+    """((query, initial list) pairs, feedback depth m, memo) by best mean AP.
 
     mu is tuned over config.mu_grid unless given.  The memo is a
-    LogProbMemo at that mu: each query's depth-k list is retrieved through
-    it, and m is tuned over config.rm3_m_grid by re-ranking those lists
-    under RM3 from it.  Both need mu > 0; callers check the re-ranking
-    settings (check_rerank) before they load anything.  Later stages at mu
-    read the memo's rows instead of taking the logs again.
+    LogProbMemo at that mu, so memo.mu is the tuned mu: each query's
+    depth-k list is retrieved through it, and m is tuned over
+    config.rm3_m_grid by re-ranking those lists under RM3 from it.  Both
+    need mu > 0; callers check the re-ranking settings (check_rerank)
+    before they load anything.  Later stages take the memo and read its
+    rows instead of taking the logs again.
     """
     if mu is None:
         mu = tune_mu(queries, qrels, config, index)
     memo = LogProbMemo(mu, index)
     lists = [(q, retrieve_topk(q, config.k, mu, index, memo)) for q in queries]
-    return mu, lists, tune_rm3_m(lists, qrels, mu, config, index, memo), memo
+    return lists, tune_rm3_m(lists, qrels, config, memo), memo
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -196,9 +192,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if all(qrels.relevant_count(q.query_id) == 0 for q in queries):
         raise ValueError("no query has relevance judgments; nothing to evaluate")
 
-    best_mu, lists, best_m, memo = tune(queries, qrels, config, index)
-    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, best_mu, config, index, memo)
-    reranked = rerank_queries(lists, weighed, best_mu, config, index, memo)
+    lists, best_m, memo = tune(queries, qrels, config, index)
+    best_mu = memo.mu
+    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, config, memo)
+    reranked = rerank_queries(lists, weighed, config, memo)
     del memo  # no later stage scores; its rows need not outlive the re-ranks
     reranked[QL_LABEL] = {q.query_id: initial for q, initial in lists}
     runs = {label: reranked[label] for label in METHOD_ORDER}

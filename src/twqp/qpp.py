@@ -22,15 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import (
-    LogProbMemo,
-    Query,
-    RankedList,
-    _bag,
-    log_prob_matrix,
-    retrieve_topk,
-    weighted_sum,
-)
+from .retrieval import LogProbMemo, Query, RankedList, _bag, retrieve_topk, weighted_sum
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -66,24 +58,18 @@ class PredictorSpec:
         return self.m if self.m is not None else _DEFAULT_M[self.kind]
 
 
-def predict_wig(
-    lst: RankedList,
-    q: Query,
-    m: int,
-    mu: float,
-    index: Index,
-    memo: LogProbMemo | None = None,
-) -> float:
+def predict_wig(lst: RankedList, q: Query, m: int, memo: LogProbMemo) -> float:
     """Mean log-ratio of document to collection term likelihood over top-m docs.
 
         (1 / (m * sqrt(|q|))) * sum_{d in top-m} sum_{q_i} log(p_d(q_i) / p_D(q_i))
 
     |q| is the bag size of the query actually scored (expanded queries use
     their own size).  Out-of-vocabulary terms are skipped with a warning;
-    they still count toward |q|.  The log p_d come from log_prob_matrix (or
-    the memo at mu) and are added one at a time, document by document and
+    they still count toward |q|.  The log p_d come from the memo, at its mu
+    over its index, and are added one at a time, document by document and
     term by term in bag order.
     """
+    index = memo.index
     terms, _ = _bag(q)
     if not lst:
         raise ValueError("WIG is undefined on an empty ranked list")
@@ -96,8 +82,7 @@ def predict_wig(
         else:
             log_pd_collection[w] = math.log(p)
     scored = list(log_pd_collection)
-    matrix = log_prob_matrix if memo is None else memo.matrix
-    rows = dict(zip(scored, matrix(scored, lst.doc_numbers(index)[:m], mu, index).tolist()))
+    rows = dict(zip(scored, memo.matrix(scored, lst.doc_numbers(index)[:m]).tolist()))
     total = 0.0
     for d in range(m):
         for w in q.terms:
@@ -148,29 +133,20 @@ def predict_score_ratio(lst: RankedList) -> float:
 
 
 def predict_quality(
-    spec: PredictorSpec,
-    lst: RankedList,
-    q: Query,
-    mu: float,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    spec: PredictorSpec, lst: RankedList, q: Query, memo: LogProbMemo
 ) -> float:
-    """Dispatch on predictor kind; the list must be non-empty.  WIG reads
-    its log probabilities from the memo at mu, when given."""
+    """Dispatch on predictor kind; the list must be non-empty and scored
+    at the memo's mu over its index.  WIG reads its log probabilities from
+    the memo."""
     if spec.kind is PredictorKind.WIG:
-        return predict_wig(lst, q, spec.effective_m, mu, index, memo)
+        return predict_wig(lst, q, spec.effective_m, memo)
     if spec.kind is PredictorKind.NQC:
-        return predict_nqc(lst, q, spec.effective_m, index)
+        return predict_nqc(lst, q, spec.effective_m, memo.index)
     return predict_score_ratio(lst)
 
 
 def nwig_weights(
-    terms: Sequence[str],
-    lst: RankedList,
-    m: int,
-    mu: float,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    terms: Sequence[str], lst: RankedList, m: int, memo: LogProbMemo
 ) -> dict[str, float]:
     """Per-term information-gain weights over the top-m docs of a list.
 
@@ -178,10 +154,11 @@ def nwig_weights(
 
     Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
     with a warning, since the denominator is undefined.  The logs come from
-    one log_prob_matrix over every term (or the memo at mu), added up one
-    document at a time in rank order by weighted_sum, as the one-term sum
-    does.
+    one memo gather over every term, at the memo's mu over its index, added
+    up one document at a time in rank order by weighted_sum, as the
+    one-term sum does.
     """
+    index = memo.index
     if not lst:
         raise ValueError("nWIG is undefined on an empty ranked list")
     m = min(m, len(lst))
@@ -199,31 +176,25 @@ def nwig_weights(
             continue
         log_pds[w] = log_pd
     scored = list(log_pds)
-    matrix = log_prob_matrix if memo is None else memo.matrix
-    totals = weighted_sum([1.0] * m, matrix(scored, lst.doc_numbers(index)[:m], mu, index).T)
+    totals = weighted_sum([1.0] * m, memo.matrix(scored, lst.doc_numbers(index)[:m]).T)
     for w, total in zip(scored, totals.tolist()):
         weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
     return weights
 
 
 def sror_term(
-    w: str,
-    q: Query,
-    k: int,
-    mu: float,
-    index: Index,
-    base_list: RankedList | None = None,
-    memo: LogProbMemo | None = None,
+    w: str, q: Query, k: int, memo: LogProbMemo, base_list: RankedList | None = None
 ) -> float:
     """Result-list drift when one occurrence of w is dropped from the query.
 
         1 - |D_q ∩ D_{q-w}| / |D_q|
 
     Only terms of q itself are valid.  A single-term query gets weight 1
-    (removing the only term destroys the query).  base_list, when given,
-    must be the depth-k retrieval for q at the same mu; a memo at mu, when
-    given, serves the retrievals.
+    (removing the only term destroys the query).  Retrievals run at the
+    memo's mu over its index and read their log probabilities from it;
+    base_list, when given, must be the depth-k retrieval for q there.
     """
+    mu, index = memo.mu, memo.index
     if w not in q.terms:
         raise ValueError(f"SROR: term {w!r} is not a query term")
     if len(q.terms) == 1:

@@ -40,19 +40,18 @@ def check_rerank(mu: float | None, config: ExperimentConfig) -> None:
 def rerank_many(
     initial: RankedList,
     weight_maps: Sequence[dict[str, float]],
-    mu: float,
     config: ExperimentConfig,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> list[RankedList]:
-    """The initial list re-ranked once per term -> weight map.
+    """The initial list re-ranked once per term -> weight map, at the
+    memo's mu over its index.
 
     One head x term log matrix over the union of the maps' non-zero terms
     serves every map: each cell depends only on its term and document.  The
-    memo at mu supplies that matrix; without one, a memo for this call is
-    made.
+    memo supplies that matrix.
     """
-    check_rerank(mu, config)
+    index = memo.index
+    check_rerank(memo.mu, config)
     # Same summation order as query-likelihood scoring (sorted terms), so a
     # table of term counts reproduces the QL score bit-for-bit.
     depth = config.rerank_depth
@@ -61,9 +60,7 @@ def rerank_many(
     map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
     terms = sorted(set().union(*map_terms))
     nums = np.sort(all_nums[:depth])
-    if memo is None:
-        memo = LogProbMemo(mu, index)
-    log_probs = memo.matrix(terms, nums, mu, index)
+    log_probs = memo.matrix(terms, nums)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
         w = terms[unindexed[0]]
@@ -81,4 +78,5 @@ def rerank_twqp(
     initial: RankedList, table: TermWeightTable, mu: float, config: ExperimentConfig, index: Index
 ) -> RankedList:
     """Score(d) = sum_w weight(w) * log p_d(w) over the table's terms."""
-    return rerank_many(initial, [table.weights], mu, config, index)[0]
+    check_rerank(mu, config)
+    return rerank_many(initial, [table.weights], config, LogProbMemo(mu, index))[0]

@@ -13,12 +13,16 @@ which reads tfs off the index's postings arrays by doc number
 the same floats as the tests' one-document oracle: the same
 association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
-A ``LogProbMemo`` answers ``log_prob_matrix`` calls at one mu from one
-full-width row per term, for callers that score the same terms many times:
-an experiment's stages at the tuned mu share one.  It builds a row from
-the kernel's log step twice, once for the tf-0 cells, which depend only on
-the term's collection frequency and the document's length and so are
-shared by terms of equal frequency, and once for the term's postings.
+A ``LogProbMemo`` answers ``log_prob_matrix`` calls at its own mu over its
+own index from one full-width row per term, for callers that score the
+same terms many times.  It builds a row from the kernel's log step twice,
+once for the tf-0 cells, which depend only on the term's collection
+frequency and the document's length and so are shared by terms of equal
+frequency, and once for the term's postings.  An experiment's stages at
+the tuned mu share one memo, and each takes it in place of mu and the
+index.  ``retrieve_topk`` alone takes a memo optionally, since a plain
+search scores its candidates once; given one, it checks that the memo
+holds its mu and index.
 ``retrieve_grid`` gathers each query's candidates and tfs once and takes
 only the log step at each mu of a grid.
 
@@ -262,15 +266,8 @@ class LogProbMemo:
         self._off_postings: dict[int, np.ndarray] = {}  # collection tf -> logs per length
         self._rows: dict[str, np.ndarray] = {}
 
-    def matrix(
-        self, terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
-    ) -> np.ndarray:
-        """log_prob_matrix(terms, nums, mu, index); mu and index must be the
-        memo's own."""
-        if mu != self.mu or index is not self.index:
-            raise ValueError(
-                f"memo holds log probabilities at mu={self.mu} over one index; asked for mu={mu}"
-            )
+    def matrix(self, terms: Sequence[str], nums: np.ndarray) -> np.ndarray:
+        """log_prob_matrix(terms, nums, self.mu, self.index)."""
         out = np.empty((len(terms), len(nums)))
         for row, w in zip(out, terms):
             full = self._rows.get(w)
@@ -344,14 +341,22 @@ def retrieve_topk(
 
     Candidates are the documents containing at least one query term; ties are
     broken by ascending doc_id.  Fewer than k matches yield a shorter list,
-    and no matches yield an empty one.  A memo at mu, when given, supplies
-    the log probabilities; the list is the same as without it.
+    and no matches yield an empty one.  A memo, when given, must hold mu
+    and index and supplies the log probabilities; the list is the same as
+    without it.
     """
     _check_depth_and_mu(k, mu)
     terms, counts = _bag(q)
     nums = index.matching_docs(terms)  # ascending: sorted keys search faster
-    matrix = log_prob_matrix if memo is None else memo.matrix
-    scores = weighted_sum(counts, matrix(terms, nums, mu, index))
+    if memo is None:
+        log_probs = log_prob_matrix(terms, nums, mu, index)
+    elif mu != memo.mu or index is not memo.index:
+        raise ValueError(
+            f"memo holds log probabilities at mu={memo.mu} over one index; asked for mu={mu}"
+        )
+    else:
+        log_probs = memo.matrix(terms, nums)
+    scores = weighted_sum(counts, log_probs)
     return ranked_list(q.query_id, nums, scores, k, index, top=k)
 
 

@@ -16,11 +16,13 @@ Every list a weighting call scores is at one mu and over the same few
 hundred terms, so the call reads its log probabilities from one
 ``LogProbMemo``: each term's row is built once, the first time any
 retrieval or predictor needs it, and every later score gathers from it.
-The caller may pass the memo in; an experiment passes the one that its
-tuning and re-ranking at the same mu read, so those stages share rows.
+``weigh_queries`` takes the memo and reads mu and the index from it; an
+experiment passes the one that its tuning and re-ranking at the same mu
+read, so those stages share rows.  The one-shot ``weigh_terms`` and
+``delta_p`` take mu and the index, check them and build a memo.
 
 A call reads its retrieval depth k and the predictors' cutoff qpp_m from an
-ExperimentConfig; mu is passed on its own, since tuning picks it.
+ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -106,15 +108,15 @@ def delta_p(
     weighting many terms compute it once).  When both ScoreRatios overflow
     to inf, the delta is +inf, -inf or 0 by the sign of gap_expanded -
     gap_base, which is the sign of exp(gap_expanded) - exp(gap_base); the
-    weight is then 1.0, 0.0 or 0.5.
+    weight is then 1.0, 0.0 or 0.5.  mu must pass check_weighing.
     """
+    check_weighing(mu)
+    memo = LogProbMemo(mu, index)
     if base_quality is None:
-        base_quality = predict_quality(predictor, base_list, q, mu, index)
+        base_quality = predict_quality(predictor, base_list, q, memo)
     expanded = expand_query(q, w)
-    expanded_list = retrieve_topk(expanded, k, mu, index)
-    return _quality_delta(
-        predictor, base_list, base_quality, expanded, expanded_list, mu, index
-    )
+    expanded_list = retrieve_topk(expanded, k, mu, index, memo)
+    return _quality_delta(predictor, base_list, base_quality, expanded, expanded_list, memo)
 
 
 def _quality_delta(
@@ -123,12 +125,10 @@ def _quality_delta(
     base_quality: float,
     expanded: Query,
     expanded_list: RankedList,
-    mu: float,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> float:
     """delta_p for an expanded list already retrieved."""
-    expanded_quality = predict_quality(predictor, expanded_list, expanded, mu, index, memo)
+    expanded_quality = predict_quality(predictor, expanded_list, expanded, memo)
     if expanded_quality == base_quality == math.inf:
         gap_change = score_gap(expanded_list) - score_gap(base_list)
         return gap_change * math.inf if gap_change else 0.0
@@ -157,9 +157,12 @@ def weigh_terms(
 
     SROR ignores the vocabulary and weighs the query's own distinct terms.
     ScoreRatio weights come from one single-term retrieval per candidate,
-    sum-normalized; an empty single-term retrieval contributes 0.
+    sum-normalized; an empty single-term retrieval contributes 0.  mu must
+    pass check_weighing.
     """
-    return weigh_queries([(q, vocabulary)], (method,), mu, config, index)[0][method]
+    check_weighing(mu)
+    memo = LogProbMemo(mu, index)
+    return weigh_queries([(q, vocabulary)], (method,), config, memo)[0][method]
 
 
 def check_weighing(mu: float) -> None:
@@ -172,10 +175,8 @@ def check_weighing(mu: float) -> None:
 def weigh_queries(
     pairs: Sequence[tuple[Query, Sequence[str]]],
     methods: Sequence[WeightingMethod],
-    mu: float,
     config: ExperimentConfig,
-    index: Index,
-    memo: LogProbMemo | None = None,
+    memo: LogProbMemo,
 ) -> list[dict[WeightingMethod, TermWeightTable]]:
     """One {method: table} per (query, vocabulary) pair, sharing retrievals.
 
@@ -185,14 +186,13 @@ def weigh_queries(
     single-term ScoreRatio depends only on (w, mu, k), so each distinct w
     is retrieved once for all the queries of the call; the single-term list
     of a one-term query's own term is its base list.  Every retrieval and
-    predictor of the call reads its log probabilities from memo, a
-    LogProbMemo at mu, or from a new one when memo is None.
+    predictor of the call runs at the memo's mu over its index and reads
+    its log probabilities from the memo.
 
     Every list is retrieved at depth config.k, and config.qpp_m overrides
-    the TWQP predictors' default cutoff.  mu must pass check_weighing.
+    the TWQP predictors' default cutoff.
     """
-    check_weighing(mu)
-    k = config.k
+    mu, index, k = memo.mu, memo.index, config.k
     predictors = [
         (m, PredictorSpec(_TWQP_PREDICTOR[m], config.qpp_m))
         for m in methods
@@ -201,8 +201,6 @@ def weigh_queries(
     needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
     sror = WeightingMethod.SROR in methods
     single_ratios: dict[str, float] = {}
-    if memo is None:
-        memo = LogProbMemo(mu, index)
     tables = []
     for q, vocabulary in pairs:
         if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
@@ -218,7 +216,7 @@ def weigh_queries(
         weights: dict[WeightingMethod, dict[str, float]] = {m: {} for m in methods}
         if sror:
             weights[WeightingMethod.SROR] = {
-                t: sror_term(t, q, k, mu, index, base, memo) for t in sorted(set(q.terms))
+                t: sror_term(t, q, k, memo, base) for t in sorted(set(q.terms))
             }
         if WeightingMethod.SCORE_RATIO_NORM in methods:
             for w in candidates:
@@ -237,17 +235,15 @@ def weigh_queries(
                 w: single_ratios[w] / (total or 1.0) for w in candidates
             }
         if WeightingMethod.NWIG in methods:
-            weights[WeightingMethod.NWIG] = nwig_weights(
-                candidates, base, NWIG_DEFAULT_M, mu, index, memo
-            )
+            weights[WeightingMethod.NWIG] = nwig_weights(candidates, base, NWIG_DEFAULT_M, memo)
         if predictors:
-            base_quality = {m: predict_quality(p, base, q, mu, index, memo) for m, p in predictors}
+            base_quality = {m: predict_quality(p, base, q, memo) for m, p in predictors}
             for w in candidates:
                 expanded = expand_query(q, w)
                 expanded_list = retrieve_topk(expanded, k, mu, index, memo)
                 for m, predictor in predictors:
                     delta = _quality_delta(
-                        predictor, base, base_quality[m], expanded, expanded_list, mu, index, memo
+                        predictor, base, base_quality[m], expanded, expanded_list, memo
                     )
                     weights[m][w] = twqp_weight(delta)
         tables.append({m: TermWeightTable(q.query_id, m, weights[m]) for m in methods})

@@ -37,7 +37,7 @@ from twqp.qpp import (
 )
 from twqp.relevance import build_rm3
 from twqp.rerank import rerank_twqp
-from twqp.retrieval import Query, RankedList, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import (
     WeightingMethod,
@@ -167,16 +167,17 @@ class TestAcceptance:
             uniform = build_index([Document("d1", "apple banana")], PLAIN)
             q = Query("q1", ("apple",))
             lst = retrieve_topk(q, 10, 100.0, uniform)
-            assert predict_wig(lst, q, 5, 100.0, uniform) == 0.0
+            assert predict_wig(lst, q, 5, LogProbMemo(100.0, uniform)) == 0.0
             clones = build_index(
                 [Document(f"d{i}", "apple banana") for i in range(4)], PLAIN
             )
             lst4 = retrieve_topk(q, 10, 200.0, clones)
-            assert predict_wig(lst4, q, 5, 200.0, clones) == 0.0
+            assert predict_wig(lst4, q, 5, LogProbMemo(200.0, clones)) == 0.0
 
             # SROR: dropping a duplicate occurrence keeps the list identical;
             # at depth 2 the reduced query's matches are disjoint
-            assert sror_term("banana", Query("q1", ("banana", "banana")), 10, 10.0, fruit) == 0.0
+            twice = Query("q1", ("banana", "banana"))
+            assert sror_term("banana", twice, 10, LogProbMemo(10.0, fruit)) == 0.0
             ab = build_index(
                 [
                     Document("a1", "alpha alpha alpha alpha alpha"),
@@ -186,7 +187,8 @@ class TestAcceptance:
                 ],
                 PLAIN,
             )
-            assert sror_term("alpha", Query("q1", ("alpha", "beta")), 2, 100.0, ab) == 1.0
+            ab_query = Query("q1", ("alpha", "beta"))
+            assert sror_term("alpha", ab_query, 2, LogProbMemo(100.0, ab)) == 1.0
 
     def test_criterion_6_evaluation_fixture(self):
         with _criterion(6, "evaluation fixtures and t-test oracle"):
@@ -301,7 +303,7 @@ class TestAcceptance:
             for qid, title in coll.topics:
                 q = Query(qid, tuple(title.split()))
                 base = retrieve_topk(q, k, mu, index)
-                base_quality = predict_quality(spec, base, q, mu, index)
+                base_quality = predict_quality(spec, base, q, LogProbMemo(mu, index))
                 plant = coll.plants[qid]
                 on = [
                     delta_p(w, q, base, spec, k, mu, index, base_quality)

@@ -571,8 +571,32 @@ class TestErrors:
                 ["--mu", "1000", "--method", "RM3Opt"],
                 "RM3Opt is a re-ranking method, not a term weighter",
             ),
+            # the integer flags obey a config file's counts rule, >= 1
+            ("weigh", ["--mu", "1000", "--qpp-m", "0"], "--qpp-m must be >= 1, got 0"),
+            ("weigh", ["--mu", "1000", "--qpp-m", "-3"], "--qpp-m must be >= 1, got -3"),
+            ("weigh", ["--mu", "1000", "--rm3-m", "0"], "--rm3-m must be >= 1, got 0"),
+            ("rerank", ["--mu", "1000", "--rm3-m", "0"], "--rm3-m must be >= 1, got 0"),
+            ("rerank", ["--mu", "1000", "--rerank-depth", "0"], "--rerank-depth must be >= 1"),
+            ("search", ["--mu", "1000", "--k", "0"], "--k must be >= 1, got 0"),
+            ("weigh", ["--mu", "1000", "--k", "0"], "--k must be >= 1, got 0"),
+            ("tune-mu", ["--k", "0"], "--k must be >= 1, got 0"),
         ],
-        ids=["rerank-depth", "rerank-mu", "weigh-mu", "search-mu", "weigh-mu-zero", "weigh-rm3"],
+        ids=[
+            "rerank-depth",
+            "rerank-mu",
+            "weigh-mu",
+            "search-mu",
+            "weigh-mu-zero",
+            "weigh-rm3",
+            "weigh-qpp-m-zero",
+            "weigh-qpp-m-negative",
+            "weigh-rm3-m-zero",
+            "rerank-rm3-m-zero",
+            "rerank-depth-zero",
+            "search-k-zero",
+            "weigh-k-zero",
+            "tune-mu-k-zero",
+        ],
     )
     def test_mu_and_depth_checked_before_indexing(
         self, workspace, capsys, monkeypatch, command, extra, message
@@ -585,13 +609,14 @@ class TestErrors:
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(twqp.cli, "build_index", counted)
+        out = [] if command == "tune-mu" else ["--out", str(workspace / "x.out")]
         rc = main(
             [
                 command,
                 "--corpus", str(workspace / "data" / "corpus.jsonl"),
                 "--topics", str(workspace / "data" / "topics.tsv"),
                 *extra,
-                "--out", str(workspace / "x.out"),
+                *out,
             ]
         )
         assert rc == 1

@@ -29,7 +29,7 @@ from twqp.evaluation import (
 from twqp.index import Document, build_index
 from twqp.relevance import build_rm3, restrict_top_n
 from twqp.rerank import rerank_many
-from twqp.retrieval import Query, RankedList, read_run, retrieve_topk, write_run
+from twqp.retrieval import LogProbMemo, Query, RankedList, read_run, retrieve_topk, write_run
 
 from conftest import PLAIN
 from oracle import scalar_average_precision, scalar_precision_at, scalar_reciprocal_rank
@@ -281,7 +281,8 @@ class TestMeasuresOracle:
         runs = [retrieved]
         if retrieved:
             config = ExperimentConfig(rerank_depth=min(rerank_depth, len(retrieved)))
-            runs += rerank_many(retrieved, [weights, {"b": 1.0}], mu, config, RETRIEVAL_INDEX)
+            memo = LogProbMemo(mu, RETRIEVAL_INDEX)
+            runs += rerank_many(retrieved, [weights, {"b": 1.0}], config, memo)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "q1.run"
             for run in runs[:]:
@@ -532,29 +533,29 @@ class TestTuneRM3M:
         index = build_index(docs, PLAIN)
         q = Query("q1", ("w",))
         qrels = Qrels({"q1": {"d1": 1, "d2": 1}})
-        return index, [(q, retrieve_topk(q, 1000, 1000.0, index))], qrels
+        return LogProbMemo(1000.0, index), [(q, retrieve_topk(q, 1000, 1000.0, index))], qrels
 
     def test_singleton_grid(self):
-        index, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(5,)), index) == 5
+        memo, lists, qrels = self._corpus()
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5,)), memo) == 5
 
     def test_tie_takes_smaller_value(self):
         # both docs are relevant, so every feedback depth gives AP 1.0
-        index, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(5, 10)), index) == 5
+        memo, lists, qrels = self._corpus()
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5, 10)), memo) == 5
 
     def test_grid_order_does_not_matter(self):
-        index, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=(10, 5)), index) == 5
+        memo, lists, qrels = self._corpus()
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(10, 5)), memo) == 5
 
     def test_empty_grid_rejected(self):
-        index, lists, qrels = self._corpus()
+        memo, lists, qrels = self._corpus()
         with pytest.raises(ValueError, match="empty m grid"):
-            tune_rm3_m(lists, qrels, 1000.0, ExperimentConfig(rm3_m_grid=()), index)
+            tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=()), memo)
 
     def test_model_comes_from_the_config(self, monkeypatch):
         # the tuned depth fits the RM3 model the experiment then weighs with
-        index, lists, qrels = self._corpus()
+        memo, lists, qrels = self._corpus()
         seen = []
         real_grid, real_clip = twqp.evaluation.build_rm3_grid, twqp.evaluation.restrict_top_n
 
@@ -569,7 +570,7 @@ class TestTuneRM3M:
         monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", grid)
         monkeypatch.setattr(twqp.evaluation, "restrict_top_n", clip)
         config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
-        assert tune_rm3_m(lists, qrels, 1000.0, config, index) == 5
+        assert tune_rm3_m(lists, qrels, config, memo) == 5
         # the list holds 2 documents, so m = 5 and m = 10 both feed back
         # depth 2: one model, clipped once
         assert seen == [("build", 250.0, 0.3), ("clip", 2)]
@@ -591,20 +592,20 @@ class TestTuneRM3M:
         maps_seen = []
         real = twqp.evaluation.rerank_many
 
-        def counted(initial, weight_maps, mu, config, index, memo=None):
+        def counted(initial, weight_maps, config, memo):
             maps_seen.append(len(weight_maps))
-            return real(initial, weight_maps, mu, config, index, memo)
+            return real(initial, weight_maps, config, memo)
 
         monkeypatch.setattr(twqp.evaluation, "rerank_many", counted)
         grid = (6, 4, 9, 5, 2)
         config = ExperimentConfig(rm3_m_grid=grid, rerank_depth=4, rm3_mu=10.0, rm3_lambda=0.1)
-        assert tune_rm3_m([(q, base)], qrels, 10.0, config, index) == 4
+        assert tune_rm3_m([(q, base)], qrels, config, LogProbMemo(10.0, index)) == 4
         assert maps_seen == [2]  # depths 2 and 4
         # against one model and re-rank per grid point
         ap = {}
         for m in grid:
             model = build_rm3(q, base, min(m, 4), config.rm3_mu, config.rm3_lambda, index)
             weights = restrict_top_n(model, config.rm3_n).term_probs
-            run = real(base, [weights], 10.0, config, index)[0]
+            run = real(base, [weights], config, LogProbMemo(10.0, index))[0]
             ap[m] = average_precision(run, qrels, 1000)
         assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]

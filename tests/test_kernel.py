@@ -1,8 +1,8 @@
 """The scoring kernel against the one-document oracle, bit for bit.
 
-retrieve_topk and the re-rankers score through log_prob_matrix and
-weighted_sum; tests/oracle.py holds the one-document reference they are
-compared with.  The kernel's own edge cases (hand fractions, the mu = 0
+retrieve_topk scores through log_prob_matrix and weighted_sum, and the
+re-rankers through a LogProbMemo, whose rows are log_prob_matrix's;
+tests/oracle.py holds the one-document reference they are compared with.  The kernel's own edge cases (hand fractions, the mu = 0
 MLE, -inf for an unindexed term, the mu and empty-document checks) are
 pinned here on log_prob_matrix itself.  Every comparison here is ==, never
 approximate.

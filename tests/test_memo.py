@@ -9,6 +9,7 @@ Each check here compares with == (or byte equality), never approximately.
 
 import math
 import re
+import sys
 import warnings
 import weakref
 from collections import Counter
@@ -19,9 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import twqp.experiment
-import twqp.qpp
-import twqp.relevance
-import twqp.retrieval
 from twqp.config import ExperimentConfig
 from twqp.experiment import expand_and_weigh, make_queries
 from twqp.index import Document, build_index
@@ -64,6 +62,22 @@ TWQP_KINDS = {
 }
 
 
+def count_log_prob_matrix(monkeypatch, stage=()):
+    """Wrap log_prob_matrix in every twqp module that binds it.  The Counter
+    returned counts calls by (stage[-1], or None, and the module's name)."""
+    logged = Counter()
+    for name, module in list(sys.modules.items()):
+        real = vars(module).get("log_prob_matrix") if name.startswith("twqp.") else None
+        if real is not None:
+
+            def wrapper(*args, real=real, name=name, **kwargs):
+                logged[stage[-1] if stage else None, name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "log_prob_matrix", wrapper)
+    return logged
+
+
 def doc_numbers(data, index):
     """A subset of the document numbers, in any order, possibly empty."""
     nums = data.draw(st.lists(st.integers(0, index.doc_count - 1), unique=True, max_size=12))
@@ -78,7 +92,7 @@ class TestGather:
         for _ in range(data.draw(st.integers(1, 4))):  # later gathers reuse rows
             terms = data.draw(st.lists(TERMS, min_size=1, max_size=4))
             nums = doc_numbers(data, index)
-            got = memo.matrix(terms, nums, mu, index)
+            got = memo.matrix(terms, nums)
             expected = log_prob_matrix(terms, nums, mu, index)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
@@ -86,12 +100,12 @@ class TestGather:
     def test_unindexed_row_is_minus_inf(self):
         memo = LogProbMemo(10.0, WITH_EMPTY_DOC)
         nums = np.arange(WITH_EMPTY_DOC.doc_count)
-        got = memo.matrix([UNINDEXED, "a", UNINDEXED], nums, 10.0, WITH_EMPTY_DOC)
+        got = memo.matrix([UNINDEXED, "a", UNINDEXED], nums)
         assert (got[[0, 2]] == -math.inf).all()
         assert np.isfinite(got[1]).all()
 
     def test_no_terms_gives_an_empty_matrix(self, fruit_index):
-        got = LogProbMemo(10.0, fruit_index).matrix([], np.array([1, 0]), 10.0, fruit_index)
+        got = LogProbMemo(10.0, fruit_index).matrix([], np.array([1, 0]))
         assert got.shape == (0, 2)
 
 
@@ -105,12 +119,12 @@ class TestRowBuilder:
         every = np.arange(index.doc_count)
         for w in (*index.vocabulary, UNINDEXED):
             expected = log_prob_matrix([w], every, mu, index)
-            assert memo.matrix([w], every, mu, index).tobytes() == expected.tobytes(), w
+            assert memo.matrix([w], every).tobytes() == expected.tobytes(), w
 
     def test_terms_of_one_collection_frequency_share_their_tf0_logs(self):
         assert len(set(SHARED_CF.lengths.tolist())) >= 3
         memo = LogProbMemo(10.0, SHARED_CF)
-        memo.matrix(["b", "c", "d"], np.arange(SHARED_CF.doc_count), 10.0, SHARED_CF)
+        memo.matrix(["b", "c", "d"], np.arange(SHARED_CF.doc_count))
         assert len(memo._off_postings) == 1
 
 
@@ -131,8 +145,8 @@ class TestRetrieveWithMemo:
 
     def test_memo_over_another_index_rejected(self, fruit_index):
         memo = LogProbMemo(10.0, WITH_EMPTY_DOC)
-        with pytest.raises(ValueError, match="memo holds"):
-            memo.matrix(["apple"], np.array([0]), 10.0, fruit_index)
+        with pytest.raises(ValueError, match="memo holds log probabilities at mu=10.0"):
+            retrieve_topk(Query("q", ("apple",)), 10, 10.0, fruit_index, memo)
 
     @pytest.mark.parametrize("mu", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_mu_rejected(self, fruit_index, mu):
@@ -152,14 +166,7 @@ class TestWig:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = scalar_wig(lst, q, m, mu, index)
-            assert predict_wig(lst, q, m, mu, index) == expected
-            assert predict_wig(lst, q, m, mu, index, LogProbMemo(mu, index)) == expected
-
-    def test_mu_zero_absent_term_gives_minus_inf(self, fruit_index):
-        # d2 lacks "apple"; the one-document loop raised a math domain error
-        q = Query("q", ("apple", "banana"))
-        lst = retrieve_topk(q, 10, 0.0, fruit_index)
-        assert predict_wig(lst, q, 5, 0.0, fruit_index) == -math.inf
+            assert predict_wig(lst, q, m, LogProbMemo(mu, index)) == expected
 
     def test_adds_in_bag_order(self):
         # here adding the terms in sorted order gives another float
@@ -171,8 +178,7 @@ class TestWig:
         lst = retrieve_topk(q, 10, 1.0, index)
         expected = scalar_wig(lst, q, 1, 1.0, index)
         assert scalar_wig(lst, Query("q", tuple(sorted(q.terms))), 1, 1.0, index) != expected
-        assert predict_wig(lst, q, 1, 1.0, index) == expected
-        assert predict_wig(lst, q, 1, 1.0, index, LogProbMemo(1.0, index)) == expected
+        assert predict_wig(lst, q, 1, LogProbMemo(1.0, index)) == expected
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -180,6 +186,7 @@ class TestWeighQueriesWithMemo:
     @PROPERTY
     @given(index=INDEXES, mu=POSITIVE_MUS, data=st.data())
     def test_twqp_tables_equal_delta_p_without_memo(self, index, mu, data):
+        """One memo for the whole call gives what a memo per delta_p does."""
         k = data.draw(st.integers(1, index.doc_count + 1))
         predictor_m = data.draw(st.one_of(st.none(), st.integers(1, index.doc_count + 2)))
         indexed = st.sampled_from(index.vocabulary)
@@ -189,13 +196,14 @@ class TestWeighQueriesWithMemo:
         base = retrieve_topk(q, k, mu, index)
         for method, kind in TWQP_KINDS.items():
             spec = PredictorSpec(kind, predictor_m)
+            memo = LogProbMemo(mu, index)
             try:
-                table = weigh_queries([(q, vocabulary)], (method,), mu, config, index)[0][method]
+                table = weigh_queries([(q, vocabulary)], (method,), config, memo)[0][method]
             except ValueError as exc:  # e.g. NQC on a one-term corpus
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    predict_quality(spec, base, q, mu, index)
+                    predict_quality(spec, base, q, LogProbMemo(mu, index))
                 continue
-            base_quality = predict_quality(spec, base, q, mu, index)
+            base_quality = predict_quality(spec, base, q, LogProbMemo(mu, index))
             expected = {
                 w: twqp_weight(delta_p(w, q, base, spec, k, mu, index, base_quality))
                 for w in dict.fromkeys(vocabulary)
@@ -205,7 +213,8 @@ class TestWeighQueriesWithMemo:
 
 class TestLogWorkCounts:
     """Which rows a memo builds while one weigh_queries call runs, and that
-    its retrievals and predictors take no logs beside the memo."""
+    its retrievals and predictors take no logs beside the memo: only RM3's
+    document weights, at rm3_mu, reach log_prob_matrix."""
 
     def test_each_term_row_built_once_per_memo(self, monkeypatch):
         coll = make_synthetic(32)
@@ -222,25 +231,13 @@ class TestLogWorkCounts:
             built[memo, w] += 1
             return real_row(memo, w)
 
-        bypassed = Counter()  # module -> log_prob_matrix calls
-
-        def counting(module):
-            real = module.log_prob_matrix
-
-            def wrapper(*args, **kwargs):
-                bypassed[module.__name__] += 1
-                return real(*args, **kwargs)
-
-            return wrapper
-
         monkeypatch.setattr(LogProbMemo, "_row", counted)
-        for module in (twqp.retrieval, twqp.qpp):
-            monkeypatch.setattr(module, "log_prob_matrix", counting(module))
-        methods = tuple(WeightingMethod)
-        expand_and_weigh(lists, 10, methods, mu, config, index)
-        assert not bypassed
+        logged = count_log_prob_matrix(monkeypatch)
+        memo = LogProbMemo(mu, index)
+        expand_and_weigh(lists, 10, tuple(WeightingMethod), config, memo)
+        assert set(logged) == {(None, "twqp.relevance")}  # RM3's document weights
         assert max(built.values()) == 1
-        assert len({memo for memo, _ in built}) == 1  # the call makes one memo
+        assert {m for m, _ in built} == {memo}
         assert set().union(*(q.terms for q, _ in lists)) <= {w for _, w in built}
 
 
@@ -254,7 +251,6 @@ class TestExperimentMemo:
         built = Counter()  # term -> rows built
         memos = []  # weak references to every memo made
         stage = []
-        logged = Counter()  # (stage, module) -> log_prob_matrix calls
         released = []
 
         real_init, real_row = LogProbMemo.__init__, LogProbMemo._row
@@ -277,23 +273,13 @@ class TestExperimentMemo:
 
             return wrapper
 
-        def counting(module):
-            real = module.log_prob_matrix
-
-            def wrapper(*args, **kwargs):
-                logged[stage[-1] if stage else None, module.__name__] += 1
-                return real(*args, **kwargs)
-
-            return wrapper
-
         def report(*args, **kwargs):
             released.append(all(ref() is None for ref in memos))
             return real_report(*args, **kwargs)
 
         monkeypatch.setattr(LogProbMemo, "__init__", init)
         monkeypatch.setattr(LogProbMemo, "_row", row)
-        for module in (twqp.retrieval, twqp.qpp, twqp.relevance):
-            monkeypatch.setattr(module, "log_prob_matrix", counting(module))
+        logged = count_log_prob_matrix(monkeypatch, stage)
         for name in ("tune_rm3_m", "expand_and_weigh", "rerank_queries"):
             monkeypatch.setattr(twqp.experiment, name, staged(name, getattr(twqp.experiment, name)))
         real_report = twqp.experiment.build_report

@@ -20,7 +20,7 @@ from twqp.qpp import (
     sror_term,
 )
 from twqp.relevance import build_rm3, build_rm3_grid
-from twqp.retrieval import Query, RankedList, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 
 from conftest import PLAIN, make_random_corpus, random_query
 from oracle import smoothed_prob
@@ -45,14 +45,14 @@ class TestWIG:
         index = build_index([Document("d1", "apple banana")], PLAIN)
         q = Query("q1", ("apple", "banana"))
         lst = retrieve_topk(q, 10, 100.0, index)
-        assert predict_wig(lst, q, 5, 100.0, index) == 0.0
+        assert predict_wig(lst, q, 5, LogProbMemo(100.0, index)) == 0.0
 
     def test_zero_on_identical_copies(self):
         docs = [Document(f"d{i}", "apple banana") for i in range(4)]
         index = build_index(docs, PLAIN)
         q = Query("q1", ("apple",))
         lst = retrieve_topk(q, 10, 50.0, index)
-        assert predict_wig(lst, q, 4, 50.0, index) == 0.0
+        assert predict_wig(lst, q, 4, LogProbMemo(50.0, index)) == 0.0
 
     def test_direct_double_sum_oracle(self):
         rng = np.random.default_rng(61)
@@ -71,13 +71,13 @@ class TestWIG:
                         smoothed_prob(w, doc_id, mu, index) / collection_prob(w, index)
                     )
             expected = total / (m * math.sqrt(len(q.terms)))
-            assert abs(predict_wig(lst, q, m, mu, index) - expected) < 1e-9
+            assert abs(predict_wig(lst, q, m, LogProbMemo(mu, index)) - expected) < 1e-9
 
     def test_oov_terms_skipped_but_counted_in_size(self, fruit_index):
         q = Query("q1", ("apple", "zzz"))
         lst = retrieve_topk(q, 10, 10.0, fruit_index)
         with pytest.warns(UserWarning, match="out of vocabulary"):
-            got = predict_wig(lst, q, 5, 10.0, fruit_index)
+            got = predict_wig(lst, q, 5, LogProbMemo(10.0, fruit_index))
         contrib = math.log(
             smoothed_prob("apple", "d1", 10.0, fruit_index)
             / collection_prob("apple", fruit_index)
@@ -87,13 +87,12 @@ class TestWIG:
     def test_m_clamped_to_list_length(self, fruit_index):
         q = Query("q1", ("banana",))
         lst = retrieve_topk(q, 10, 10.0, fruit_index)
-        assert predict_wig(lst, q, 500, 10.0, fruit_index) == predict_wig(
-            lst, q, len(lst.entries), 10.0, fruit_index
-        )
+        memo = LogProbMemo(10.0, fruit_index)
+        assert predict_wig(lst, q, 500, memo) == predict_wig(lst, q, len(lst.entries), memo)
 
     def test_empty_list_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty"):
-            predict_wig(_list([]), Query("q1", ("apple",)), 5, 10.0, fruit_index)
+            predict_wig(_list([]), Query("q1", ("apple",)), 5, LogProbMemo(10.0, fruit_index))
 
     def test_shift_of_all_tfs_changes_value(self, fruit_index):
         # sanity: WIG is not constant across queries
@@ -101,9 +100,8 @@ class TestWIG:
         qb = Query("q1", ("cherry",))
         la = retrieve_topk(qa, 10, 10.0, fruit_index)
         lb = retrieve_topk(qb, 10, 10.0, fruit_index)
-        assert predict_wig(la, qa, 5, 10.0, fruit_index) != predict_wig(
-            lb, qb, 5, 10.0, fruit_index
-        )
+        memo = LogProbMemo(10.0, fruit_index)
+        assert predict_wig(la, qa, 5, memo) != predict_wig(lb, qb, 5, memo)
 
 
 class TestNQC:
@@ -177,24 +175,25 @@ class TestPredictQuality:
     def test_dispatch_matches_direct_calls(self, fruit_index):
         q = Query("q1", ("banana",))
         lst = retrieve_topk(q, 10, 10.0, fruit_index)
+        memo = LogProbMemo(10.0, fruit_index)
         assert predict_quality(
-            PredictorSpec(PredictorKind.WIG), lst, q, 10.0, fruit_index
-        ) == predict_wig(lst, q, WIG_DEFAULT_M, 10.0, fruit_index)
+            PredictorSpec(PredictorKind.WIG), lst, q, memo
+        ) == predict_wig(lst, q, WIG_DEFAULT_M, memo)
         assert predict_quality(
-            PredictorSpec(PredictorKind.NQC), lst, q, 10.0, fruit_index
+            PredictorSpec(PredictorKind.NQC), lst, q, memo
         ) == predict_nqc(lst, q, NQC_DEFAULT_M, fruit_index)
         assert predict_quality(
-            PredictorSpec(PredictorKind.SCORE_RATIO), lst, q, 10.0, fruit_index
+            PredictorSpec(PredictorKind.SCORE_RATIO), lst, q, memo
         ) == predict_score_ratio(lst)
 
 
 EMPTY_QUERY_SCORERS = {
     "build_rm3": lambda lst, q, ix: build_rm3(q, lst, 2, 10.0, 0.5, ix),
     "build_rm3_grid": lambda lst, q, ix: build_rm3_grid(q, lst, (1, 2), 10.0, 0.5, ix),
-    "predict_wig": lambda lst, q, ix: predict_wig(lst, q, 5, 10.0, ix),
+    "predict_wig": lambda lst, q, ix: predict_wig(lst, q, 5, LogProbMemo(10.0, ix)),
     "predict_nqc": lambda lst, q, ix: predict_nqc(lst, q, 5, ix),
     "predict_quality(WIG)": lambda lst, q, ix: predict_quality(
-        PredictorSpec(PredictorKind.WIG), lst, q, 10.0, ix
+        PredictorSpec(PredictorKind.WIG), lst, q, LogProbMemo(10.0, ix)
     ),
 }
 
@@ -224,18 +223,18 @@ class TestNWIG:
                 math.log(smoothed_prob(w, d, mu, index)) for d, _ in lst.entries[:m]
             ) / m
             expected = (mean_log - log_pd) / (-log_pd)
-            assert abs(nwig_weights([w], lst, m, mu, index)[w] - expected) < 1e-9
+            assert abs(nwig_weights([w], lst, m, LogProbMemo(mu, index))[w] - expected) < 1e-9
 
     def test_oov_term_gets_zero_with_warning(self, fruit_index):
         lst = retrieve_topk(Query("q1", ("apple",)), 10, 10.0, fruit_index)
         with pytest.warns(UserWarning, match="out of vocabulary"):
-            assert nwig_weights(["zzz"], lst, 5, 10.0, fruit_index)["zzz"] == 0.0
+            assert nwig_weights(["zzz"], lst, 5, LogProbMemo(10.0, fruit_index))["zzz"] == 0.0
 
     def test_certain_term_gets_zero_with_warning(self):
         index = build_index([Document("d1", "apple apple")], PLAIN)
         lst = retrieve_topk(Query("q1", ("apple",)), 10, 10.0, index)
         with pytest.warns(UserWarning, match="probability 1"):
-            assert nwig_weights(["apple"], lst, 5, 10.0, index)["apple"] == 0.0
+            assert nwig_weights(["apple"], lst, 5, LogProbMemo(10.0, index))["apple"] == 0.0
 
     def test_bounded_above_by_one(self):
         rng = np.random.default_rng(79)
@@ -246,11 +245,11 @@ class TestNWIG:
             if not lst.entries:
                 continue
             w = index.vocabulary[int(rng.integers(0, len(index.vocabulary)))]
-            assert nwig_weights([w], lst, 5, 500.0, index)[w] <= 1.0 + 1e-12
+            assert nwig_weights([w], lst, 5, LogProbMemo(500.0, index))[w] <= 1.0 + 1e-12
 
     def test_empty_list_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty"):
-            nwig_weights(["apple"], _list([]), 5, 10.0, fruit_index)
+            nwig_weights(["apple"], _list([]), 5, LogProbMemo(10.0, fruit_index))
 
 
 class TestSROR:
@@ -265,33 +264,35 @@ class TestSROR:
 
     def test_non_query_term_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="not a query term"):
-            sror_term("cherry", Query("q1", ("apple",)), 10, 10.0, fruit_index)
+            sror_term("cherry", Query("q1", ("apple",)), 10, LogProbMemo(10.0, fruit_index))
 
     def test_single_term_query_gets_one(self, fruit_index):
-        assert sror_term("apple", Query("q1", ("apple",)), 10, 10.0, fruit_index) == 1.0
+        memo = LogProbMemo(10.0, fruit_index)
+        assert sror_term("apple", Query("q1", ("apple",)), 10, memo) == 1.0
 
     def test_duplicate_removal_keeps_list_identical(self, fruit_index):
         # dropping one of two occurrences leaves the same match set, and at
         # this depth the same documents, so the overlap is total
         q = Query("q1", ("banana", "banana"))
-        assert sror_term("banana", q, 10, 10.0, fruit_index) == 0.0
+        assert sror_term("banana", q, 10, LogProbMemo(10.0, fruit_index)) == 0.0
 
     def test_disjoint_lists_give_one(self):
         index = self._ab_index()
         q = Query("q1", ("alpha", "beta"))
         # k=2 keeps only the alpha docs for q (tie on score, id order), and
         # only the beta docs once alpha is removed
-        assert sror_term("alpha", q, 2, 100.0, index) == 1.0
+        assert sror_term("alpha", q, 2, LogProbMemo(100.0, index)) == 1.0
 
     def test_half_overlap(self):
         index = self._ab_index()
         q = Query("q1", ("alpha", "beta"))
         # depth 4: base holds all four docs, the reduced query only matches
         # the two beta docs -> overlap 2 of 4
-        assert sror_term("alpha", q, 4, 100.0, index) == 0.5
+        assert sror_term("alpha", q, 4, LogProbMemo(100.0, index)) == 0.5
 
     def test_empty_base_list_warns_zero(self, fruit_index):
         q = Query("q1", ("apple", "banana"))
         empty = RankedList("q1", (), 10)
         with pytest.warns(UserWarning, match="empty base"):
-            assert sror_term("apple", q, 10, 10.0, fruit_index, base_list=empty) == 0.0
+            memo = LogProbMemo(10.0, fruit_index)
+            assert sror_term("apple", q, 10, memo, base_list=empty) == 0.0

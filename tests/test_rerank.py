@@ -10,7 +10,7 @@ import twqp.rerank
 from twqp.config import ExperimentConfig
 from twqp.index import Document, build_index
 from twqp.rerank import check_rerank, rerank_many, rerank_twqp
-from twqp.retrieval import Query, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, retrieve_topk
 from twqp.weighting import TermWeightTable, query_indicator_table
 
 from conftest import PLAIN, make_random_corpus, random_query
@@ -30,16 +30,22 @@ def _unreachable(*args, **kwargs):
 
 
 class TestRerankRule:
-    """check_rerank rejects a depth or mu no head can be re-ranked with, and
-    rerank_many makes that check before it scores a document."""
+    """check_rerank rejects a depth or mu no head can be re-ranked with;
+    rerank_twqp makes that check before it builds a memo, and rerank_many,
+    given a memo, before it scores a document."""
 
     def _rejected(self, index, monkeypatch, mu, config, message):
         initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, index)
+        memo = LogProbMemo(mu, index) if 0 < mu < math.inf else None
         monkeypatch.setattr(twqp.rerank, "LogProbMemo", _unreachable)
+        monkeypatch.setattr(LogProbMemo, "matrix", _unreachable)
         with pytest.raises(ValueError, match=re.escape(message)):
             check_rerank(mu, config)
         with pytest.raises(ValueError, match=re.escape(message)):
-            rerank_many(initial, [{"apple": 1.0}], mu, config, index)
+            rerank_twqp(initial, _table("q", {"apple": 1.0}), mu, config, index)
+        if memo is not None:  # a memo holds only a positive, finite mu
+            with pytest.raises(ValueError, match=re.escape(message)):
+                rerank_many(initial, [{"apple": 1.0}], config, memo)
 
     def test_depth_below_one_rejected(self, fruit_index, monkeypatch):
         config = ExperimentConfig(rerank_depth=0)
@@ -65,7 +71,8 @@ class TestRerankRule:
     def test_smallest_valid_values_accepted(self, fruit_index):
         initial = retrieve_topk(Query("q", ("apple",)), 1, 10.0, fruit_index)
         config = ExperimentConfig(k=1, rerank_depth=1)
-        reranked = rerank_many(initial, [{"apple": 1.0}], 1e-9, config, fruit_index)[0]
+        memo = LogProbMemo(1e-9, fruit_index)
+        reranked = rerank_many(initial, [{"apple": 1.0}], config, memo)[0]
         assert reranked.doc_ids == initial.doc_ids
 
 
@@ -248,7 +255,7 @@ class TestRerankRM3:
     def test_point_mass_scores_by_single_term(self):
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
-        rr = rerank_many(base, [{"banana": 1.0}], 300.0, self.TEN, index)[0]
+        rr = rerank_many(base, [{"banana": 1.0}], self.TEN, LogProbMemo(300.0, index))[0]
         for doc_id, score in rr.entries:
             assert score == 1.0 * math.log(smoothed_prob("banana", doc_id, 300.0, index))
         assert [d for d, _ in rr.entries][0] == "d2"
@@ -256,7 +263,8 @@ class TestRerankRM3:
     def test_uniform_two_term_model(self):
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
-        rr = rerank_many(base, [{"apple": 0.5, "cherry": 0.5}], 300.0, self.TEN, index)[0]
+        memo = LogProbMemo(300.0, index)
+        rr = rerank_many(base, [{"apple": 0.5, "cherry": 0.5}], self.TEN, memo)[0]
         for doc_id, score in rr.entries:
             expected = 0.5 * math.log(
                 smoothed_prob("apple", doc_id, 300.0, index)
@@ -268,9 +276,8 @@ class TestRerankRM3:
         index = self._index()
         base = retrieve_topk(Query("q1", ("apple",)), 10, 300.0, index)
         probs = {"apple": 0.3, "banana": 0.2}
-        one, two = rerank_many(
-            base, [probs, {w: 2.0 * p for w, p in probs.items()}], 300.0, self.TEN, index
-        )
+        maps = [probs, {w: 2.0 * p for w, p in probs.items()}]
+        one, two = rerank_many(base, maps, self.TEN, LogProbMemo(300.0, index))
         doubled = {d: s for d, s in two.entries}
         for doc_id, score in one.entries:
             assert doubled[doc_id] == 2.0 * score

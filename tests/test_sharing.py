@@ -75,7 +75,7 @@ class TestWeighQueries:
             )
             pairs.append((q, vocabulary))
         try:
-            got = weigh_queries(pairs, ALL_METHODS, mu, config, index)
+            got = weigh_queries(pairs, ALL_METHODS, config, LogProbMemo(mu, index))
         except ValueError as exc:  # e.g. NQC on a one-term corpus
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 for q, vocabulary in pairs:
@@ -98,7 +98,7 @@ class TestWeighQueries:
         q = Query("q", ("a",) * 100)
         config = ExperimentConfig()
         pairs = [(q, ["a", "z"]), (Query("q2", ("z", "a")), ["z", "a"])]
-        got = weigh_queries(pairs, ALL_METHODS, 10, config, index)
+        got = weigh_queries(pairs, ALL_METHODS, config, LogProbMemo(10, index))
         for (q, vocabulary), tables in zip(pairs, got):
             for method in ALL_METHODS:
                 alone = weigh_terms(q, vocabulary, method, 10, config, index)
@@ -116,7 +116,8 @@ class TestWeighQueries:
 
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
         pairs = [(Query("q1", ("a",)), ["b", "c"]), (Query("q2", ("b",)), ["c", "a", "c"])]
-        weigh_queries(pairs, (WeightingMethod.SCORE_RATIO_NORM,), 10, ExperimentConfig(), index)
+        methods = (WeightingMethod.SCORE_RATIO_NORM,)
+        weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(10, index))
         assert calls == [("b",), ("c",), ("a",)]
 
     def test_one_term_query_reads_its_own_ratio_off_the_base_list(self, monkeypatch):
@@ -132,7 +133,7 @@ class TestWeighQueries:
         methods = (WeightingMethod.NWIG, WeightingMethod.SCORE_RATIO_NORM)
         pairs = [(Query("q1", ("a",)), ["b", "a"]), (Query("q2", ("c", "c")), ["c"])]
         config = ExperimentConfig()
-        got = weigh_queries(pairs, methods, 10, config, index)
+        got = weigh_queries(pairs, methods, config, LogProbMemo(10, index))
         # q1's base list is its single-term "a" list; q2's bag, c twice, is
         # not the single-term "c" bag
         assert calls == [("a",), ("b",), ("c", "c"), ("c",)]
@@ -145,17 +146,18 @@ class TestWeighQueries:
         method = WeightingMethod.SCORE_RATIO_NORM
         pairs = [(Query("q", ("apple",)), ["zzz", "yyy"])]
         with pytest.warns(UserWarning, match="all candidate retrievals empty") as record:
-            got = weigh_queries(pairs, (method,), 10.0, ExperimentConfig(), fruit_index)
+            memo = LogProbMemo(10.0, fruit_index)
+            got = weigh_queries(pairs, (method,), ExperimentConfig(), memo)
         assert got[0][method].weights == {"zzz": 0.0, "yyy": 0.0}
         assert [w.filename for w in record] == [__file__]
 
     def test_empty_vocabulary_rejected_unless_only_sror(self, fruit_index):
         q = Query("q", ("apple", "banana"))
-        config = ExperimentConfig()
+        config, memo = ExperimentConfig(), LogProbMemo(10.0, fruit_index)
         with pytest.raises(ValueError, match="vocabulary is empty"):
             methods = (WeightingMethod.SROR, WeightingMethod.NWIG)
-            weigh_queries([(q, [])], methods, 10.0, config, fruit_index)
-        tables = weigh_queries([(q, [])], (WeightingMethod.SROR,), 10.0, config, fruit_index)
+            weigh_queries([(q, [])], methods, config, memo)
+        tables = weigh_queries([(q, [])], (WeightingMethod.SROR,), config, memo)
         assert list(tables[0][WeightingMethod.SROR].weights) == ["apple", "banana"]
 
 
@@ -202,16 +204,17 @@ class TestRerankMany:
         )
         if maps and data.draw(st.booleans()):
             maps[0] = {**maps[0], UNINDEXED: 0.0}  # a zero weight is skipped
-        got = rerank_many(initial, maps, mu, config, index)
+        got = rerank_many(initial, maps, config, LogProbMemo(mu, index))
         assert len(got) == len(maps)
         for weights_map, run in zip(maps, got):
-            assert run == rerank_many(initial, [weights_map], mu, config, index)[0]
+            assert run == rerank_many(initial, [weights_map], config, LogProbMemo(mu, index))[0]
 
     def test_unindexed_weighted_term_rejected(self, fruit_index):
         initial = retrieve_topk(Query("q", ("apple",)), 10, 10.0, fruit_index)
         config = ExperimentConfig(k=10, rerank_depth=2)
         with pytest.raises(ValueError, match="'zz' has zero smoothed probability"):
-            rerank_many(initial, [{"apple": 1.0}, {"zz": 0.5}], 10.0, config, fruit_index)
+            memo = LogProbMemo(10.0, fruit_index)
+            rerank_many(initial, [{"apple": 1.0}, {"zz": 0.5}], config, memo)
 
 
 class TestNwigWeights:
@@ -224,13 +227,9 @@ class TestNwigWeights:
         terms = data.draw(st.lists(st.sampled_from(VOCAB + (UNINDEXED,)), max_size=7))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = nwig_weights(terms, lst, m, mu, index)
+            got = nwig_weights(terms, lst, m, LogProbMemo(mu, index))
         expected = {w: scalar_nwig(w, lst, m, mu, index) for w in terms}
         assert list(got.items()) == list(expected.items())
-
-    def test_mu_zero_absent_term_gives_minus_inf(self, fruit_index):
-        lst = retrieve_topk(Query("q", ("banana",)), 10, 0.0, fruit_index)
-        assert nwig_weights(["apple", "banana"], lst, 5, 0.0, fruit_index)["apple"] == -math.inf
 
 
 class TestTopNTerms:

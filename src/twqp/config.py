@@ -75,7 +75,7 @@ def _checked(parse, ok, rule: str):
 
 
 _count = _checked(int, lambda v: v >= 1, "must be >= 1")
-_mu = _checked(float, lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
+_positive_mu = _checked(float, lambda v: 0 < v < math.inf, "must be > 0 and finite")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "must be in [0,1]")
 _mu_grid = _checked(_parse_grid, lambda g: min(g) >= 0, "values must be >= 0")
 _m_grid = _checked(_parse_grid, lambda g: min(g) >= 1, "values must be >= 1")
@@ -97,7 +97,7 @@ _KEYS = (
     ("retrieval", "k", "k", _count, str),
     ("retrieval", "rerank_depth", "rerank_depth", _count, str),
     ("retrieval", "mu_grid", "mu_grid", _mu_grid, _format_grid),
-    ("rm3", "mu", "rm3_mu", _mu, repr),
+    ("rm3", "mu", "rm3_mu", _positive_mu, repr),
     ("rm3", "lambda", "rm3_lambda", _fraction, repr),
     ("rm3", "n", "rm3_n", _count, str),
     ("rm3", "m_grid", "rm3_m_grid", _m_grid, _format_grid),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .relevance import build_rm3_grid, restrict_top_n
+from .relevance import build_rm3_grid
 from .rerank import rerank_many
 from .retrieval import LogProbMemo, Query, RankedList, retrieve_grid
 
@@ -300,11 +300,11 @@ def tune_rm3_m(
     already-tuned retrieval smoothing; queries with an empty list are
     skipped.  The relevance model is the one the experiment weighs with:
     document weights at config.rm3_mu, interpolation config.rm3_lambda,
-    clipped to its top config.rm3_n terms.  An m past a list's length
-    feeds back the whole list, so per query each distinct clamped depth
-    min(m, len) is modelled, clipped, re-ranked and scored once, and every
-    m reads its depth's AP.  The memo supplies the re-ranks' log
-    probabilities.
+    clipped to its top config.rm3_n terms where build_rm3_grid builds it.
+    An m past a list's length feeds back the whole list, so per query each
+    distinct clamped depth min(m, len) is modelled, re-ranked and scored
+    once, and every m reads its depth's AP.  The memo supplies the
+    re-ranks' log probabilities.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
@@ -314,9 +314,10 @@ def tune_rm3_m(
         if not base:
             continue
         depths = sorted({min(m, len(base)) for m in ms})
-        models = build_rm3_grid(q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index)
-        weight_maps = [restrict_top_n(rm, config.rm3_n).term_probs for rm in models]
-        runs = rerank_many(base, weight_maps, config, memo)
+        models = build_rm3_grid(
+            q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index, config.rm3_n
+        )
+        runs = rerank_many(base, [rm.term_probs for rm in models], config, memo)
         if qrels.relevant_count(base.query_id) == 0:
             continue
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}

@@ -43,7 +43,7 @@ from .evaluation import (
     tune_rm3_m,
 )
 from .index import Index, build_index, read_corpus
-from .relevance import build_rm3, restrict_top_n, top_n_terms
+from .relevance import build_rm3, check_rm3
 from .rerank import check_rerank, rerank_many
 from .retrieval import LogProbMemo, Query, RankedList, format_run, retrieve_topk
 from .weighting import TermWeightTable, WeightingMethod, weigh_queries
@@ -122,18 +122,20 @@ def expand_and_weigh(
     """(RM3 weight map, {method: weight table}) for each (query, list) pair.
 
     Each list is the query's non-empty depth-k retrieval at the memo's mu.
-    RM3 is built from its top min(m, len) documents; the candidate
-    vocabulary is the model's top rm3_n terms in rank order (ScoreRatio
-    normalizes in that order), and the weight map is the model clipped to
-    those terms.  The weighing reads its log probabilities from the memo.
+    RM3 is built from its top min(m, len) documents and clipped to its top
+    rm3_n terms as it is built; that clipped model is the weight map, and
+    its terms in rank order are the candidate vocabulary (ScoreRatio
+    normalizes in that order).  The weighing reads its log probabilities
+    from the memo.
     """
-    models, pairs = [], []
-    for q, initial in lists:
-        rm = build_rm3(
-            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, memo.index
-        )
-        models.append(restrict_top_n(rm, config.rm3_n).term_probs)
-        pairs.append((q, top_n_terms(rm, config.rm3_n)))
+    models = [
+        build_rm3(
+            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, memo.index,
+            config.rm3_n,
+        ).term_probs
+        for q, initial in lists
+    ]
+    pairs = [(q, list(model)) for (q, _), model in zip(lists, models)]
     return list(zip(models, weigh_queries(pairs, methods, config, memo)))
 
 
@@ -185,6 +187,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (config.corpus and config.topics and config.qrels):
         raise ValueError("experiment needs corpus, topics and qrels paths")
     check_rerank(None, config)
+    check_rm3(config.rm3_mu)
     index = build_index(read_corpus(config.corpus), config.analyzer)
     topics = load_topics(config.topics)
     qrels = load_qrels(config.qrels)

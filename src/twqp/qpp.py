@@ -97,8 +97,9 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
 
         sigma(top-m log scores) / |sum_i log p_D(q_i)|
 
-    sigma is the population standard deviation.  Any out-of-vocabulary query
-    term leaves the collection likelihood undefined and is an error.
+    sigma is the population standard deviation (population_std, equal to
+    np.std bit for bit).  Any out-of-vocabulary query term leaves the
+    collection likelihood undefined and is an error.
     """
     terms, counts = _bag(q)
     if not lst:
@@ -112,8 +113,17 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
         denom += count * math.log(p)
     if denom == 0.0:
         raise ValueError("NQC: degenerate collection likelihood (log = 0)")
-    sigma = float(np.std(lst.score_array()[:m]))
-    return sigma / abs(denom)
+    return population_std(lst.score_array()[:m]) / abs(denom)
+
+
+def population_std(x: np.ndarray) -> float:
+    """float(np.std(x)) bit for bit, without np.std's Python wrapper.
+
+    np.std takes the mean with np.add.reduce and a division by the count,
+    the squared deviations' np.add.reduce over the count, and a correctly
+    rounded square root; so does this, with the same floats."""
+    deviations = x - np.add.reduce(x) / x.size
+    return math.sqrt(np.add.reduce(deviations * deviations) / x.size)
 
 
 def score_gap(lst: RankedList) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +35,14 @@ class RelevanceModel:
     lam: float
 
 
+def check_rm3(mu: float) -> None:
+    """Reject a document-weight mu no relevance model can use: at mu = 0 a
+    feedback document lacking a query term scores -inf, and when every one
+    does, the weights' normalizer is 0/0 and every probability NaN."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"RM3 requires mu > 0 and finite, got {mu}")
+
+
 def build_rm3(
     q: Query,
     initial: RankedList,
@@ -43,14 +50,17 @@ def build_rm3(
     mu: float,
     lam: float,
     index: Index,
+    n: int | None = None,
 ) -> RelevanceModel:
     """Estimate the RM3 distribution from the top-m docs of the initial list.
 
     m larger than the list is clamped with a warning; lambda outside [0,1]
-    is an error.  Document weights are query likelihoods at this mu, which
-    need not be the mu the initial list was retrieved with.
+    or mu outside check_rm3 is an error.  Document weights are query
+    likelihoods at this mu, which need not be the mu the initial list was
+    retrieved with.  n, when given, clips the model to its top n terms as
+    build_rm3_grid does.
     """
-    return build_rm3_grid(q, initial, (m,), mu, lam, index)[0]
+    return build_rm3_grid(q, initial, (m,), mu, lam, index, n)[0]
 
 
 def build_rm3_grid(
@@ -60,6 +70,7 @@ def build_rm3_grid(
     mu: float,
     lam: float,
     index: Index,
+    n: int | None = None,
 ) -> list[RelevanceModel]:
     """One RM3 model per feedback depth in ms, each equal to build_rm3's.
 
@@ -67,11 +78,20 @@ def build_rm3_grid(
     gathered once, from the postings arrays; each depth then weighs its first
     m documents by renormalized likelihood and adds them up one document at
     a time in rank order, as a per-document dictionary update would.
+
+    With n = None a model holds its whole support, in name order.  With n,
+    it holds only its top n terms, in rank order: one stable argsort of the
+    probabilities over the name-ordered support, so ties break by name.
+    That is restrict_top_n of the whole model, in top_n_terms order,
+    without building the whole model's dict.
     """
     if not initial:
         raise ValueError("cannot build a relevance model from an empty ranked list")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
+    check_rm3(mu)
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     depths = []
     for m in ms:
         if m < 1:
@@ -102,7 +122,7 @@ def build_rm3_grid(
     # A term is in the depth-m support when one of the first m docs holds it.
     held = doc_probs > 0.0
     first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(nums))
-    query_counts = q.term_counts()
+    query_counts = dict(zip(terms, counts))
     qlen = len(q.terms)
     query_probs = np.array([query_counts.get(w, 0) / qlen for w in vocab])
     is_query_term = query_probs > 0.0
@@ -114,9 +134,11 @@ def build_rm3_grid(
         z = sum(raw)
         feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
         support = first_doc < m
-        keep = support | is_query_term
+        kept = np.flatnonzero(support | is_query_term)  # columns, in name order
         probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
-        term_probs = dict(zip(compress(vocab, keep.tolist()), probs[keep].tolist()))
+        if n is not None:
+            kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
+        term_probs = dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist()))
         models.append(RelevanceModel(q.query_id, term_probs, m, mu, lam))
     return models
 

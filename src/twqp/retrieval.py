@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -54,13 +54,24 @@ from .index import Index, collection_prob
 
 @dataclass(frozen=True)
 class Query:
-    """Bag of analyzed terms with an identifier; terms keep multiplicity."""
+    """Bag of analyzed terms with an identifier; terms keep multiplicity.
+
+    bag, the distinct terms in sorted order and the count of each, is
+    built once, when the query is made; it takes no part in equality,
+    hashing or repr, since the terms fix it.
+    """
 
     query_id: str
     terms: tuple[str, ...]
+    bag: tuple[tuple[str, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
+        object.__setattr__(self, "terms", terms)
+        pairs = sorted(Counter(terms).items())
+        object.__setattr__(self, "bag", tuple(map(tuple, zip(*pairs))) or ((), ()))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -327,11 +338,11 @@ def _check_depth_and_mu(k: int, mu: float) -> None:
 
 
 def _bag(q: Query) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The query's distinct terms, sorted, and the count of each; none is an error."""
+    """The query's distinct terms, sorted, and the count of each (q.bag);
+    none is an error."""
     if not q.terms:
         raise ValueError(f"cannot score the empty query {q.query_id!r}")
-    terms, counts = zip(*sorted(q.term_counts().items()))
-    return terms, counts
+    return q.bag
 
 
 def retrieve_topk(

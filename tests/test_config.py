@@ -124,6 +124,7 @@ class TestRoundTrip:
             ("rm3", "n", "0"),
             ("qpp", "m", "0"),
             ("rm3", "mu", "-1"),
+            ("rm3", "mu", "0"),
             ("rm3", "mu", "nan"),
             ("rm3", "mu", "inf"),
             ("retrieval", "mu_grid", "100,-1"),

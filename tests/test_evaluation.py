@@ -554,26 +554,31 @@ class TestTuneRM3M:
             tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=()), memo)
 
     def test_model_comes_from_the_config(self, monkeypatch):
-        # the tuned depth fits the RM3 model the experiment then weighs with
+        # the tuned depth fits the RM3 model the experiment then weighs with,
+        # clipped to config.rm3_n where the grid builds it
         memo, lists, qrels = self._corpus()
-        seen = []
-        real_grid, real_clip = twqp.evaluation.build_rm3_grid, twqp.evaluation.restrict_top_n
+        seen, maps_seen = [], []
+        real_grid, real_rerank = twqp.evaluation.build_rm3_grid, twqp.evaluation.rerank_many
 
-        def grid(q, base, depths, mu, lam, index):
-            seen.append(("build", mu, lam))
-            return real_grid(q, base, depths, mu, lam, index)
+        def grid(q, base, depths, mu, lam, index, n=None):
+            seen.append((tuple(depths), mu, lam, n))
+            return real_grid(q, base, depths, mu, lam, index, n)
 
-        def clip(model, n):
-            seen.append(("clip", n))
-            return real_clip(model, n)
+        def rerank(initial, weight_maps, config, memo):
+            maps_seen.append(weight_maps)
+            return real_rerank(initial, weight_maps, config, memo)
 
         monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", grid)
-        monkeypatch.setattr(twqp.evaluation, "restrict_top_n", clip)
+        monkeypatch.setattr(twqp.evaluation, "rerank_many", rerank)
         config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
         assert tune_rm3_m(lists, qrels, config, memo) == 5
         # the list holds 2 documents, so m = 5 and m = 10 both feed back
-        # depth 2: one model, clipped once
-        assert seen == [("build", 250.0, 0.3), ("clip", 2)]
+        # depth 2: one grid call for the query, one model
+        assert seen == [((2,), 250.0, 0.3, 2)]
+        q, base = lists[0]
+        full = build_rm3(q, base, 2, 250.0, 0.3, memo.index)
+        assert len(full.term_probs) == 3  # w, a and b: the clip drops one
+        assert maps_seen == [[restrict_top_n(full, 2).term_probs]]
 
     def test_each_clamped_depth_is_reranked_once(self, monkeypatch):
         # d1-d4 hold w, so every m >= 4 feeds back the whole list: m = 4, 5,

@@ -12,13 +12,16 @@ from twqp.experiment import (
     METHOD_ORDER,
     QL_LABEL,
     RM3_LABEL,
+    expand_and_weigh,
     make_queries,
     run_experiment,
     run_label_slug,
+    tune,
 )
 from twqp.index import build_index, read_corpus
 from twqp.retrieval import format_run, read_run, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
+from twqp.weighting import WeightingMethod
 
 from conftest import PLAIN
 from oracle import index_from_postings
@@ -165,6 +168,20 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_rm3_mu_zero_stops_before_reading_the_corpus(
+        self, small_experiment, tmp_path, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read the corpus before checking the RM3 mu")
+
+        monkeypatch.setattr(twqp.experiment, "read_corpus", unreachable)
+        monkeypatch.setattr(twqp.experiment, "build_index", unreachable)
+        config, _, _ = small_experiment
+        cfg = replace(config, output_dir=str(tmp_path / "out"), rm3_mu=0.0)
+        with pytest.raises(ValueError, match="RM3 requires mu > 0 and finite, got 0.0"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError, match="needs corpus"):
             run_experiment(ExperimentConfig())
@@ -236,3 +253,26 @@ class TestRunLabelSlug:
     def test_all_method_labels_are_distinct_slugs(self):
         slugs = [run_label_slug(label) for label in METHOD_ORDER]
         assert len(set(slugs)) == len(slugs)
+
+
+def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
+    # Today's raw predictor deltas put TWQP(ScoreRatio) and TWQP(NQC)
+    # weights in a narrow band around 1 and 0.5 on the 1000-document
+    # synthetic set (seed 32) at its tuned mu and m; a change of the
+    # delta's scale shows up here first.
+    paths = write_collection(make_synthetic(32, 1000, 800, 20), tmp_path / "data")
+    config = ExperimentConfig()
+    index = build_index(read_corpus(paths["corpus"]), config.analyzer)
+    queries, _ = make_queries(load_topics(paths["topics"]), index)
+    lists, m, memo = tune(queries, load_qrels(paths["qrels"]), config, index)
+    assert (memo.mu, m) == (100, 5)
+    methods = (WeightingMethod.TWQP_SCORE_RATIO, WeightingMethod.TWQP_NQC)
+    weighed = expand_and_weigh(lists, m, methods, config, memo)
+    spread = {}
+    for method in methods:
+        weights = [w for _, tables in weighed for w in tables[method].weights.values()]
+        spread[method] = (round(min(weights), 4), round(max(weights), 4))
+    assert spread == {
+        WeightingMethod.TWQP_SCORE_RATIO: (0.9999, 1.0),
+        WeightingMethod.TWQP_NQC: (0.4898, 0.5211),
+    }

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twqp.index import Document, build_index, collection_prob
 from twqp.qpp import (
@@ -17,6 +19,7 @@ from twqp.qpp import (
     predict_quality,
     predict_score_ratio,
     predict_wig,
+    population_std,
     sror_term,
 )
 from twqp.relevance import build_rm3, build_rm3_grid
@@ -136,6 +139,27 @@ class TestNQC:
             a = predict_nqc(_list(scores), q, 6, fruit_index)
             b = predict_nqc(_list(shifted), q, 6, fruit_index)
             assert abs(a - b) < 1e-9
+
+    # Lengths drawn evenly over 1-300, so that most arrays are long enough
+    # for np.add.reduce's pairwise sum to differ from a running sum.
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.floats(-1e3, 1e3),
+                    st.floats(-1e-6, 1e-6),
+                    st.floats(-1e12, -1e6),
+                    st.sampled_from([-7.25, 0.0, 1e-300, -123456.789]),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_sigma_is_np_std_bit_for_bit(self, values):
+        x = np.array(values)
+        assert population_std(x) == float(np.std(x))
 
     def test_oov_term_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="out of vocabulary"):

@@ -118,6 +118,19 @@ class TestBuildRM3:
             with pytest.raises(ValueError, match="lambda"):
                 build_rm3(q, initial, 1, 10.0, lam, fruit_index)
 
+    def test_zero_mu_rejected_before_scoring(self):
+        # every feedback document lacks a query term, so at mu = 0 every
+        # log score is -inf and the document weights' normalizer 0/0: the
+        # model came out all NaN
+        docs = [Document("d1", "a a x"), Document("d2", "a y"), Document("d3", "b z")]
+        index = build_index(docs, PLAIN)
+        q = Query("q1", ("a", "b"))
+        initial = retrieve_topk(q, 10, 100.0, index)
+        with pytest.raises(ValueError, match="RM3 requires mu > 0 and finite, got 0.0"):
+            build_rm3(q, initial, 2, 0.0, 0.5, index)
+        rm = build_rm3(q, initial, 2, 1e-3, 0.5, index)
+        assert not any(map(math.isnan, rm.term_probs.values()))
+
     def test_m_below_one_rejected(self, fruit_index):
         q = Query("q1", ("apple",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)

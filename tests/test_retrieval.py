@@ -7,13 +7,18 @@ library's kernel.
 
 import math
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twqp.index import Document, build_index, collection_prob
 from twqp.retrieval import (
     Query,
     RankedList,
+    _bag,
     expand_query,
     format_run,
     read_run,
@@ -155,6 +160,25 @@ class TestRetrieveTopk:
         got = retrieve_topk(Query("q1", ("apple",)), 10, 50.0, index)
         assert got.doc_ids == ["d1", "d2"]
         assert got.scores[0] > got.scores[1]
+
+
+class TestBag:
+    @given(terms=st.lists(st.text("abcé", min_size=1, max_size=3), min_size=1, max_size=8))
+    def test_is_the_sorted_counter_of_the_terms(self, terms):
+        q = Query("q1", terms)
+        expected = sorted(Counter(q.terms).items())
+        assert _bag(q) == (tuple(w for w, _ in expected), tuple(c for _, c in expected))
+        assert _bag(expand_query(q, "b"))[0] == tuple(sorted(set(q.terms) | {"b"}))
+
+    def test_empty_query_rejected(self):
+        with pytest.raises(ValueError, match="cannot score the empty query 'q1'"):
+            _bag(Query("q1", ()))
+
+    def test_not_part_of_equality_or_repr(self):
+        q = Query("q1", ["b", "a", "b"])
+        assert q == Query("q1", ("b", "a", "b")) and hash(q) == hash(Query("q1", ("b", "a", "b")))
+        assert q != Query("q1", ("a", "b", "b"))  # same bag, other term order
+        assert repr(q) == "Query(query_id='q1', terms=('b', 'a', 'b'))"
 
 
 class TestExpandQuery:

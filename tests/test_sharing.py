@@ -26,7 +26,7 @@ import twqp.weighting
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.qpp import nwig_weights
-from twqp.relevance import RelevanceModel, build_rm3_grid, top_n_terms
+from twqp.relevance import RelevanceModel, build_rm3_grid, restrict_top_n, top_n_terms
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
@@ -169,7 +169,7 @@ class TestBuildRm3Grid:
         initial = retrieve_topk(q, 1000, mu, index)
         n = len(initial.entries)
         ms = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=6))
-        rm3_mu = data.draw(st.one_of(st.just(0.0), POSITIVE_MUS))
+        rm3_mu = data.draw(POSITIVE_MUS)  # mu = 0 is rejected (see below)
         lam = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -189,6 +189,42 @@ class TestBuildRm3Grid:
             build_rm3_grid(q, initial, [1], 10.0, 1.5, fruit_index)
         with pytest.raises(ValueError, match="m must be >= 1"):
             build_rm3_grid(q, initial, [2, 0], 10.0, 0.5, fruit_index)
+        for mu in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="RM3 requires mu > 0 and finite"):
+                build_rm3_grid(q, initial, [1], mu, 0.5, fruit_index)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build_rm3_grid(q, initial, [1], 10.0, 0.5, fruit_index, 0)
+
+    @PROPERTY
+    @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
+    def test_clipped_model_is_the_whole_model_restricted(self, index, mu, data):
+        q = draw_query(data, index)
+        initial = retrieve_topk(q, 1000, mu, index)
+        ms = data.draw(st.lists(st.integers(1, len(initial)), min_size=1, max_size=4))
+        lam = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+        n = data.draw(st.integers(1, len(VOCAB) + 2))  # past the support too
+        whole = build_rm3_grid(q, initial, ms, mu, lam, index)
+        clipped = build_rm3_grid(q, initial, ms, mu, lam, index, n)
+        for full, rm in zip(whole, clipped):
+            assert (rm.query_id, rm.m, rm.mu, rm.lam) == (full.query_id, full.m, mu, lam)
+            assert rm.term_probs == restrict_top_n(full, n).term_probs
+            assert list(rm.term_probs) == top_n_terms(full, n)
+
+    def test_clip_breaks_exact_ties_by_name(self):
+        # at lambda = 1 every feedback term has probability 0 and the one
+        # query term 1: the clip keeps the query term, then zeros by name,
+        # over more columns than a sort's small-array path covers
+        names = [f"t{j:02d}" for j in range(40)]
+        odd, even = " ".join(names[1::2]), " ".join(names[::2])
+        docs = [Document("d1", f"q {odd}"), Document("d2", f"q {even}")]
+        index = build_index(docs, PLAIN)
+        q = Query("q1", ("q",))
+        initial = retrieve_topk(q, 10, 10.0, index)
+        full = build_rm3_grid(q, initial, [2], 10.0, 1.0, index)[0]
+        for n in (1, 3, 25, 41, 99):
+            rm = build_rm3_grid(q, initial, [2], 10.0, 1.0, index, n)[0]
+            assert list(rm.term_probs) == ["q", *names][:n] == top_n_terms(full, n)
+            assert rm.term_probs == restrict_top_n(full, n).term_probs
 
 
 class TestRerankMany:

@@ -2,10 +2,11 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import twqp.qpp
@@ -15,7 +16,7 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio, score_gap
 from twqp.relevance import build_rm3, top_n_terms
-from twqp.retrieval import Query, expand_query, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 from twqp.weighting import (
     TermWeightTable,
     WeightingMethod,
@@ -23,6 +24,7 @@ from twqp.weighting import (
     dump_weight_tables,
     query_indicator_table,
     twqp_weight,
+    weigh_queries,
     weigh_terms,
 )
 
@@ -30,6 +32,11 @@ from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora, make_random
 
 
 CONFIG = ExperimentConfig()
+TWQP_METHODS = (
+    WeightingMethod.TWQP_WIG,
+    WeightingMethod.TWQP_NQC,
+    WeightingMethod.TWQP_SCORE_RATIO,
+)
 
 
 def _unreachable(*args, **kwargs):
@@ -318,6 +325,50 @@ class TestWeighTerms:
             assert set(table.weights) == set(vocabulary)
             for value in table.weights.values():
                 assert 0.0 < value < 1.0
+
+
+class TestWeighQueriesRanges:
+    """Every method's weights stay in its documented range on small random
+    corpora of at least two indexed terms, so that no collection
+    probability is 1 (where NQC's denominator is 0).  An unindexed
+    candidate, which no RM3 model yields, is weighed by the baselines only."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
+    def test_weights_in_range(self, index, mu, data):
+        assume(len(index.vocabulary) >= 2)
+        unindexed = data.draw(st.booleans())
+        candidates = index.vocabulary + [UNINDEXED] * unindexed
+        pairs = []
+        for query_id in ("q1", "q2"):
+            terms = st.lists(st.sampled_from(index.vocabulary), min_size=1, max_size=3)
+            vocabulary = st.lists(st.sampled_from(candidates), min_size=1, max_size=6)
+            pairs.append((Query(query_id, tuple(data.draw(terms))), data.draw(vocabulary)))
+        methods = list(WeightingMethod)
+        if unindexed:
+            methods = [m for m in methods if m not in TWQP_METHODS]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tables = weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(mu, index))
+        zero_tables = sum("all candidate retrievals empty" in str(w.message) for w in caught)
+        for (q, vocabulary), by_method in zip(pairs, tables):
+            for method, table in by_method.items():
+                weights = list(table.weights.values())
+                if method is WeightingMethod.SROR:
+                    assert set(table.weights) == set(q.terms)
+                else:
+                    assert list(table.weights) == list(dict.fromkeys(vocabulary))
+                if method in (WeightingMethod.SROR, *TWQP_METHODS):
+                    assert all(0.0 <= v <= 1.0 for v in weights)  # NaN fails too
+                elif method is WeightingMethod.NWIG:
+                    assert all(math.isfinite(v) for v in weights)
+                elif sum(weights) == 0.0:
+                    assert weights == [0.0] * len(weights)
+                    zero_tables -= 1
+                else:
+                    assert all(v >= 0.0 for v in weights)
+                    assert math.isclose(math.fsum(weights), 1.0, rel_tol=1e-12)
+        assert zero_tables == 0  # one warning per all-zero ScoreRatio table
 
 
 class TestIndicatorTable:

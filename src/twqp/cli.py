@@ -31,7 +31,6 @@ from .experiment import (
     tune,
 )
 from .index import Index, build_index, read_corpus
-from .relevance import check_rm3
 from .rerank import check_rerank
 from .retrieval import LogProbMemo, read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
@@ -220,8 +219,7 @@ def _run(args) -> int:
         return 0
 
     # Reject a missing or unusable mu, a count below 1, a depth no re-rank
-    # can use, a re-ranking method asked to weigh and an RM3 mu no relevance
-    # model can use, before indexing.
+    # can use, and a re-ranking method asked to weigh, before indexing.
     if args.command in ("search", "weigh", "rerank") and args.mu is None:
         raise ValueError("need --mu")
     for name in ("k", "qpp_m", "rm3_m", "rerank_depth"):
@@ -234,8 +232,6 @@ def _run(args) -> int:
         check_weighing(args.mu)
         if args.method == RM3_LABEL:
             raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
-    if args.command in ("tune-rm3", "weigh", "rerank"):
-        check_rm3(config.rm3_mu)
     index = _load_index(args, config)
 
     if args.command == "tune-mu":

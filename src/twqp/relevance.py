@@ -79,11 +79,11 @@ def build_rm3_grid(
     m documents by renormalized likelihood and adds them up one document at
     a time in rank order, as a per-document dictionary update would.
 
-    With n = None a model holds its whole support, in name order.  With n,
-    it holds only its top n terms, in rank order: one stable argsort of the
+    A model's terms come in rank order: one stable argsort of the
     probabilities over the name-ordered support, so ties break by name.
-    That is restrict_top_n of the whole model, in top_n_terms order,
-    without building the whole model's dict.
+    With n it holds only its top n terms; that is restrict_top_n of the
+    whole model, in top_n_terms order, without building the whole model's
+    dict.  With n = None the same step keeps the whole support.
     """
     if not initial:
         raise ValueError("cannot build a relevance model from an empty ranked list")
@@ -136,8 +136,7 @@ def build_rm3_grid(
         support = first_doc < m
         kept = np.flatnonzero(support | is_query_term)  # columns, in name order
         probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
-        if n is not None:
-            kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
+        kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
         term_probs = dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist()))
         models.append(RelevanceModel(q.query_id, term_probs, m, mu, lam))
     return models

@@ -623,21 +623,6 @@ class TestErrors:
         assert message in self._stderr(capsys)
         assert builds == []
 
-    @pytest.mark.parametrize("command", ["tune-rm3", "weigh", "rerank"])
-    def test_rm3_mu_checked_before_indexing(self, workspace, capsys, monkeypatch, command):
-        # a config file cannot set [rm3] mu = 0 (its parse rejects it), so
-        # the config is built in place of the file's
-        def unreachable(*args, **kwargs):
-            raise AssertionError("indexed before checking the RM3 mu")
-
-        config = replace(load_config(workspace / "exp.ini"), rm3_mu=0.0)
-        monkeypatch.setattr(twqp.cli, "load_config", lambda path: config)
-        monkeypatch.setattr(twqp.cli, "_load_index", unreachable)
-        out = [] if command == "tune-rm3" else ["--out", str(workspace / "x.out")]
-        rc = main([command, "--config", str(workspace / "exp.ini"), "--mu", "1000", *out])
-        assert rc == 1
-        assert "RM3 requires mu > 0 and finite, got 0.0" in self._stderr(capsys)
-
     def test_tune_rm3_depth_checked_before_indexing(self, workspace, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("indexed before checking the re-ranking depth")

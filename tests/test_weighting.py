@@ -331,7 +331,9 @@ class TestWeighQueriesRanges:
     """Every method's weights stay in its documented range on small random
     corpora of at least two indexed terms, so that no collection
     probability is 1 (where NQC's denominator is 0).  An unindexed
-    candidate, which no RM3 model yields, is weighed by the baselines only."""
+    candidate, which no RM3 model yields, is weighed by the baselines and
+    TWQP(WIG), which skips it; TWQP(NQC) rejects it as out of vocabulary,
+    and TWQP(ScoreRatio) stops on a NaN delta (every q+w score is -inf)."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
@@ -345,8 +347,16 @@ class TestWeighQueriesRanges:
             vocabulary = st.lists(st.sampled_from(candidates), min_size=1, max_size=6)
             pairs.append((Query(query_id, tuple(data.draw(terms))), data.draw(vocabulary)))
         methods = list(WeightingMethod)
-        if unindexed:
-            methods = [m for m in methods if m not in TWQP_METHODS]
+        if any(UNINDEXED in vocabulary for _, vocabulary in pairs):
+            for method, message in (
+                (WeightingMethod.TWQP_NQC, f"NQC: query term {UNINDEXED!r} out of vocabulary"),
+                (WeightingMethod.TWQP_SCORE_RATIO, "delta is NaN"),
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    with pytest.raises(ValueError, match=message):
+                        weigh_queries(pairs, [method], ExperimentConfig(), LogProbMemo(mu, index))
+                methods.remove(method)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tables = weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(mu, index))

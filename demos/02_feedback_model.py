@@ -5,7 +5,7 @@ Pseudo-relevance feedback with RM3
 """
 
 from twqp import AnalyzerConfig, Document, Query, build_index, retrieve_topk
-from twqp.relevance import build_rm3, restrict_top_n, top_n_terms
+from twqp.relevance import build_rm3
 
 docs = [
     Document("d1", "solar panels convert sunlight into electricity"),
@@ -22,19 +22,22 @@ print("initial ranking:", [doc_id for doc_id, _ in initial.entries])
 
 # The relevance model mixes the original query distribution (weight lam)
 # with a term distribution estimated from the top-m feedback documents.
-rm = build_rm3(q, initial, m=3, mu=1000.0, lam=0.5, index=index)
+# Its terms come in rank order, by probability with ties broken by name,
+# and n keeps only the top n of them.
+rm = build_rm3(q, initial, m=3, mu=1000.0, lam=0.5, index=index, n=6)
 print("\nlam=0.5, m=3")
-for w in top_n_terms(rm, 6):
-    print(f"  {w:10s} {rm.term_probs[w]:.4f}")
+for w, p in rm.term_probs.items():
+    print(f"  {w:10s} {p:.4f}")
 
 # lam=1 keeps only the query; lam=0 keeps only the feedback estimate.
 for lam in (1.0, 0.0):
-    rm_end = build_rm3(q, initial, m=3, mu=1000.0, lam=lam, index=index)
-    print(f"\nlam={lam:g} top terms:", top_n_terms(rm_end, 2))
+    rm_end = build_rm3(q, initial, m=3, mu=1000.0, lam=lam, index=index, n=2)
+    print(f"\nlam={lam:g} top terms:", list(rm_end.term_probs))
 
 # Expansion terms are new vocabulary: high-probability terms that were not
-# in the query already. Candidate induction keeps the top n by probability.
-clipped = restrict_top_n(rm, 4)
+# in the query already. Candidate induction keeps the top n by probability,
+# without renormalizing.
+clipped = build_rm3(q, initial, m=3, mu=1000.0, lam=0.5, index=index, n=4)
 print("\nclipped support:", sorted(clipped.term_probs))
-candidates = [w for w in top_n_terms(rm, 6) if w not in q.term_counts()]
+candidates = [w for w in rm.term_probs if w not in q.terms]
 print("expansion candidates:", candidates)

@@ -16,10 +16,9 @@ from twqp import (
     Query,
     build_index,
     build_rm3,
-    delta_p,
+    expand_query,
     predict_quality,
     retrieve_topk,
-    top_n_terms,
     twqp_weight,
     weigh_terms,
 )
@@ -39,18 +38,23 @@ mu, k = 500.0, 6
 
 # Candidates come from the feedback model: high-probability terms.
 initial = retrieve_topk(q, k, mu, index)
-rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index)
-candidates = top_n_terms(rm, 6)
+rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=6)
+candidates = list(rm.term_probs)
 print("candidates:", candidates)
 
 # Each candidate is scored by how much it moves a quality predictor when
-# added to the query. The base quality is computed once and reused; a
-# predictor takes a memo of the index at mu, which WIG reads its logs from.
+# added to the query: the predicted quality of the q+w list minus that of
+# the initial list. The base quality is computed once and reused; a
+# predictor takes a memo of the index at mu, which WIG reads its logs from,
+# and retrievals at that mu can read from the same memo.
 spec = PredictorSpec(PredictorKind.NQC, m=3)
-base_quality = predict_quality(spec, initial, q, LogProbMemo(mu, index))
+memo = LogProbMemo(mu, index)
+base_quality = predict_quality(spec, initial, q, memo)
 print(f"\nbase NQC = {base_quality:.4f}")
 for w in candidates:
-    d = delta_p(w, q, initial, spec, k, mu, index, base_quality=base_quality)
+    expanded = expand_query(q, w)
+    expanded_list = retrieve_topk(expanded, k, mu, index, memo)
+    d = predict_quality(spec, expanded_list, expanded, memo) - base_quality
     print(f"  {w:10s} delta={d:+.4f}  weight={twqp_weight(d):.4f}")
 
 # The logistic squashes any delta into (0, 1) and is 0.5 at zero.
@@ -65,4 +69,4 @@ config = ExperimentConfig(k=k, qpp_m=3)
 for method in (WeightingMethod.TWQP_NQC, WeightingMethod.NWIG, WeightingMethod.SROR):
     table = weigh_terms(q, candidates, method, mu, config, index)
     pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(table.weights.items()))
-    print(f"\n{table.method_label}: {pairs}")
+    print(f"\n{table.method.value}: {pairs}")

@@ -14,12 +14,10 @@ from twqp import (
     build_rm3,
     rerank_many,
     rerank_twqp,
-    restrict_top_n,
     retrieve_topk,
-    top_n_terms,
     weigh_terms,
 )
-from twqp.weighting import WeightingMethod, query_indicator_table
+from twqp.weighting import WeightingMethod
 
 docs = [
     Document("d1", "training neural networks with gradient descent"),
@@ -39,22 +37,23 @@ print("initial:  ", initial.doc_ids)
 # Sanity anchor: re-scoring with the query's own term counts reproduces the
 # initial ranking exactly, because the weighted sum collapses to plain QL.
 # Weighing and re-ranking read their depths from one experiment config.
+# rerank_many re-ranks with any number of term -> weight maps, reading the
+# log probabilities from a memo of the index at mu.
 config = ExperimentConfig(k=k, rerank_depth=4, qpp_m=3)
-identity = rerank_twqp(initial, query_indicator_table(q), mu, config, index)
+memo = LogProbMemo(mu, index)
+counts = dict(zip(*q.bag))  # each distinct query term and its count
+identity = rerank_many(initial, [counts], config, memo)[0]
 print("indicator:", identity.doc_ids, "(identical)" if identity.entries == initial.entries else "(DIFFERENT)")
 
 # A learned weight table moves documents that match the weighted terms up.
-rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index)
-candidates = top_n_terms(rm, 5)
+rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=5)
+candidates = list(rm.term_probs)
 table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
 reranked = rerank_twqp(initial, table, mu, config, index)
 print("weighted: ", reranked.doc_ids)
 
-# RM3 re-ranking scores against the feedback distribution instead; one call
-# re-ranks with any number of weight maps, reading the log probabilities
-# from a memo of the index at mu.
-memo = LogProbMemo(mu, index)
-by_rm3 = rerank_many(initial, [restrict_top_n(rm, 5).term_probs], config, memo)[0]
+# RM3 re-ranking scores against the clipped feedback distribution instead.
+by_rm3 = rerank_many(initial, [rm.term_probs], config, memo)[0]
 print("rm3:      ", by_rm3.doc_ids)
 
 # Only the head is re-scored; positions past rerank_depth keep their

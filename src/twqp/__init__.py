@@ -35,21 +35,13 @@ from .qpp import (
     predict_wig,
     sror_term,
 )
-from .relevance import (
-    RelevanceModel,
-    build_rm3,
-    build_rm3_grid,
-    restrict_top_n,
-    top_n_terms,
-)
+from .relevance import RelevanceModel, build_rm3, build_rm3_grid
 from .rerank import check_rerank, rerank_many, rerank_twqp
 from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
     TermWeightTable,
     WeightingMethod,
-    delta_p,
-    query_indicator_table,
     twqp_weight,
     weigh_queries,
     weigh_terms,

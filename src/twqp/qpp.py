@@ -127,10 +127,15 @@ def population_std(x: np.ndarray) -> float:
 
 
 def score_gap(lst: RankedList) -> float:
-    """score_1 - score_last: the log of the ScoreRatio, never overflowing."""
+    """score_1 - score_last: the log of the ScoreRatio, never overflowing.
+    A top score of -inf, from a query term in no document, is an error."""
     if not lst:
         raise ValueError("ScoreRatio is undefined on an empty ranked list")
     scores = lst.score_array()
+    if scores[0] == -math.inf:
+        raise ValueError(
+            "ScoreRatio is undefined when the top score is -inf: a query term is in no document"
+        )
     return float(scores[0]) - float(scores[-1])
 
 

@@ -1,4 +1,4 @@
-"""RM3 pseudo-relevance feedback and candidate-vocabulary extraction.
+"""RM3 pseudo-relevance feedback, clipped to the candidate vocabulary.
 
 The relevance model interpolates the query's unsmoothed term distribution
 with a feedback distribution read off the top-m retrieved documents, each
@@ -8,7 +8,8 @@ document weighted by its renormalized query likelihood:
 
 p_q and p_d are maximum-likelihood estimates (no smoothing).  Document
 weights are computed in probability space from log scores, subtracting the
-max log score before exponentiating.
+max log score before exponentiating.  A model clipped to n terms keeps its
+top n by probability, ties broken by name, without renormalizing.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def build_rm3_grid(
 
     A model's terms come in rank order: one stable argsort of the
     probabilities over the name-ordered support, so ties break by name.
-    With n it holds only its top n terms; that is restrict_top_n of the
-    whole model, in top_n_terms order, without building the whole model's
-    dict.  With n = None the same step keeps the whole support.
+    With n it holds only its top n terms, their probabilities as in the
+    whole model and not renormalized, without building the whole model's
+    dict.  With n = None the same step keeps the whole support.  A query
+    term in no document, which scores every document -inf, is an error.
     """
     if not initial:
         raise ValueError("cannot build a relevance model from an empty ranked list")
@@ -105,6 +107,9 @@ def build_rm3_grid(
         depths.append(m)
 
     terms, counts = _bag(q)
+    for w in terms:
+        if not index.collection_tf.get(w):
+            raise ValueError(f"RM3: query term {w!r} is in no document")
     nums = initial.doc_numbers(index)[: max(depths)]
     log_scores = weighted_sum(counts, log_prob_matrix(terms, nums, mu, index)).tolist()
 
@@ -140,22 +145,4 @@ def build_rm3_grid(
         term_probs = dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist()))
         models.append(RelevanceModel(q.query_id, term_probs, m, mu, lam))
     return models
-
-
-def top_n_terms(rm: RelevanceModel, n: int) -> list[str]:
-    """The n highest-probability terms; ties broken lexicographically."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # Python's sort is stable, also in reverse, so sorting the terms by
-    # probability after sorting them by name breaks ties by name.
-    by_name = sorted(rm.term_probs)
-    return sorted(by_name, key=rm.term_probs.__getitem__, reverse=True)[:n]
-
-
-def restrict_top_n(rm: RelevanceModel, n: int) -> RelevanceModel:
-    """Clip the model to its top-n support without renormalizing."""
-    keep = top_n_terms(rm, n)
-    return RelevanceModel(
-        rm.query_id, {w: rm.term_probs[w] for w in sorted(keep)}, rm.m, rm.mu, rm.lam
-    )
 

@@ -76,9 +76,6 @@ class Query:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def term_counts(self) -> Counter[str]:
-        return Counter(self.terms)
-
 
 class RankedList:
     """Scored documents for one query, sorted by (score desc, doc_id asc).

@@ -1,10 +1,10 @@
 """Term weighting: quality-delta sigmoid weights and the baseline weighters.
 
-The central quantity is delta_p(w; q): retrieve once for the query, once for
-the query expanded with w, run the same quality predictor on both lists, and
-take the difference.  The sigmoid of that delta is the term's weight, so
-terms predicted to help get weight > 0.5 and terms predicted to hurt get
-weight < 0.5.
+The central quantity is the delta of a candidate w for a query q: retrieve
+once for the query, once for the query expanded with w, run the same
+quality predictor on both lists, and take the difference.  The sigmoid of
+that delta is the term's weight, so terms predicted to help get weight > 0.5
+and terms predicted to hurt get weight < 0.5.
 
 For a candidate vocabulary V this costs exactly 1 + |V| retrievals per query:
 the base quality is computed once and reused for every w, and the TWQP
@@ -18,8 +18,8 @@ hundred terms, so the call reads its log probabilities from one
 retrieval or predictor needs it, and every later score gathers from it.
 ``weigh_queries`` takes the memo and reads mu and the index from it; an
 experiment passes the one that its tuning and re-ranking at the same mu
-read, so those stages share rows.  The one-shot ``weigh_terms`` and
-``delta_p`` take mu and the index, check them and build a memo.
+read, so those stages share rows.  The one-shot ``weigh_terms`` takes mu
+and the index, checks them and builds a memo.
 
 A call reads its retrieval depth k and the predictors' cutoff qpp_m from an
 ExperimentConfig.
@@ -45,7 +45,7 @@ from .qpp import (
     score_gap,
     sror_term,
 )
-from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk
+from .retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 
 if TYPE_CHECKING:  # config imports WeightingMethod from here
     from .config import ExperimentConfig
@@ -76,63 +76,11 @@ _TWQP_PREDICTOR = {
 
 @dataclass(frozen=True)
 class TermWeightTable:
-    """term -> weight for one query under one method.
-
-    method is None for diagnostic tables (e.g. the query-indicator table).
-    """
+    """term -> weight for one query under one method."""
 
     query_id: str
-    method: WeightingMethod | None
+    method: WeightingMethod
     weights: dict[str, float]
-
-    @property
-    def method_label(self) -> str:
-        return self.method.value if self.method is not None else "indicator"
-
-
-def delta_p(
-    w: str,
-    q: Query,
-    base_list: RankedList,
-    predictor: PredictorSpec,
-    k: int,
-    mu: float,
-    index: Index,
-    base_quality: float | None = None,
-) -> float:
-    """Predicted-quality change from expanding q with w.
-
-    base_list must be the non-empty depth-k retrieval for q at the same mu
-    (the q+w list, a superset of its candidates, is then non-empty too).
-    Passing base_quality skips re-predicting the base list (callers
-    weighting many terms compute it once).  When both ScoreRatios overflow
-    to inf, the delta is +inf, -inf or 0 by the sign of gap_expanded -
-    gap_base, which is the sign of exp(gap_expanded) - exp(gap_base); the
-    weight is then 1.0, 0.0 or 0.5.  mu must pass check_weighing.
-    """
-    check_weighing(mu)
-    memo = LogProbMemo(mu, index)
-    if base_quality is None:
-        base_quality = predict_quality(predictor, base_list, q, memo)
-    expanded = expand_query(q, w)
-    expanded_list = retrieve_topk(expanded, k, mu, index, memo)
-    return _quality_delta(predictor, base_list, base_quality, expanded, expanded_list, memo)
-
-
-def _quality_delta(
-    predictor: PredictorSpec,
-    base_list: RankedList,
-    base_quality: float,
-    expanded: Query,
-    expanded_list: RankedList,
-    memo: LogProbMemo,
-) -> float:
-    """delta_p for an expanded list already retrieved."""
-    expanded_quality = predict_quality(predictor, expanded_list, expanded, memo)
-    if expanded_quality == base_quality == math.inf:
-        gap_change = score_gap(expanded_list) - score_gap(base_list)
-        return gap_change * math.inf if gap_change else 0.0
-    return expanded_quality - base_quality
 
 
 def twqp_weight(delta: float) -> float:
@@ -189,6 +137,10 @@ def weigh_queries(
     predictor of the call runs at the memo's mu over its index and reads
     its log probabilities from the memo.
 
+    A TWQP weight is twqp_weight(quality of q+w - quality of q).  When both
+    ScoreRatios overflow to inf, that delta is +inf, -inf or 0 by the sign
+    of gap_expanded - gap_base, so the weight is 1.0, 0.0 or 0.5.
+
     Every list is retrieved at depth config.k, and config.qpp_m overrides
     the TWQP predictors' default cutoff.
     """
@@ -242,22 +194,15 @@ def weigh_queries(
                 expanded = expand_query(q, w)
                 expanded_list = retrieve_topk(expanded, k, mu, index, memo)
                 for m, predictor in predictors:
-                    delta = _quality_delta(
-                        predictor, base, base_quality[m], expanded, expanded_list, memo
-                    )
+                    quality = predict_quality(predictor, expanded_list, expanded, memo)
+                    if quality == base_quality[m] == math.inf:
+                        change = score_gap(expanded_list) - score_gap(base)
+                        delta = change * math.inf if change else 0.0
+                    else:
+                        delta = quality - base_quality[m]
                     weights[m][w] = twqp_weight(delta)
         tables.append({m: TermWeightTable(q.query_id, m, weights[m]) for m in methods})
     return tables
-
-
-def query_indicator_table(q: Query) -> TermWeightTable:
-    """Each query term weighted by its occurrence count, everything else 0.
-
-    Feeding this table to the weighted re-scorer reproduces plain query
-    likelihood, which is the sanity anchor for the re-ranking math.
-    """
-    weights = {w: float(c) for w, c in sorted(q.term_counts().items())}
-    return TermWeightTable(q.query_id, None, weights)
 
 
 def dump_weight_tables(
@@ -268,7 +213,7 @@ def dump_weight_tables(
     for table in tables:
         for term in sorted(table.weights):
             lines.append(
-                f"{table.query_id} {table.method_label} {term} {table.weights[term]:.8f}"
+                f"{table.query_id} {table.method.value} {term} {table.weights[term]:.8f}"
             )
     text = "\n".join(lines) + ("\n" if lines else "")
     if isinstance(out, (str, Path)):

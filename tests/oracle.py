@@ -11,7 +11,10 @@ document's analyzed tokens into term -> {doc_id: tf} dicts before turning
 those into the index arrays; analyze and build_index must give the same
 tokens and arrays.  The kernel's number-level steps have references here
 too: the candidate mask, the searchsorted tf gather and the np.unique log
-step, each the general path that the kernel's fast paths must equal.
+step, each the general path that the kernel's fast paths must equal.  So
+do the pipeline's per-term quantities, one term at a time: a candidate's
+predicted-quality delta, the top-n cut of a relevance model and the
+query-indicator weights.
 """
 
 import math
@@ -22,7 +25,9 @@ import numpy as np
 
 from twqp.analysis import AnalyzerConfig, porter_stem
 from twqp.index import Index, collection_prob
-from twqp.retrieval import Query
+from twqp.qpp import predict_quality, score_gap
+from twqp.relevance import RelevanceModel
+from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 
 
 def reference_analyze(text: str, config: AnalyzerConfig) -> list[str]:
@@ -103,7 +108,7 @@ def score_ql(q: Query, doc_id: str, mu: float, index: Index) -> float:
     every finite-scored document.
     """
     score = 0.0
-    for w, count in sorted(q.term_counts().items()):
+    for w, count in sorted(Counter(q.terms).items()):
         p = smoothed_prob(w, doc_id, mu, index)
         if p == 0.0:
             return float("-inf")
@@ -202,12 +207,45 @@ def scalar_rm3(q, initial, m, mu, lam, index):
         for w, docs in postings.items():
             if d in docs:
                 feedback[w] = feedback.get(w, 0.0) + (r / z) * (docs[d] / length)
-    counts = q.term_counts()
+    counts = Counter(q.terms)
     qlen = len(q.terms)
     return {
         w: lam * (counts.get(w, 0) / qlen) + (1.0 - lam) * feedback.get(w, 0.0)
         for w in sorted(set(feedback) | set(counts))
     }
+
+
+def delta_p(w, q, base_list, predictor, k, mu, index, base_quality=None):
+    """Predicted-quality change from expanding q with w, on a memo of its
+    own: retrieve q+w, predict its quality, subtract the base quality.
+    When both ScoreRatios overflow to inf, the delta is +inf, -inf or 0 by
+    the sign of the change in score gap."""
+    memo = LogProbMemo(mu, index)
+    if base_quality is None:
+        base_quality = predict_quality(predictor, base_list, q, memo)
+    expanded = expand_query(q, w)
+    expanded_list = retrieve_topk(expanded, k, mu, index, memo)
+    quality = predict_quality(predictor, expanded_list, expanded, memo)
+    if quality == base_quality == math.inf:
+        change = score_gap(expanded_list) - score_gap(base_list)
+        return change * math.inf if change else 0.0
+    return quality - base_quality
+
+
+def top_n_terms(rm: RelevanceModel, n: int) -> list[str]:
+    """The n highest-probability terms; ties broken by name."""
+    return sorted(rm.term_probs, key=lambda w: (-rm.term_probs[w], w))[:n]
+
+
+def restrict_top_n(rm: RelevanceModel, n: int) -> RelevanceModel:
+    """The model clipped to its top-n support, not renormalized."""
+    probs = {w: rm.term_probs[w] for w in sorted(top_n_terms(rm, n))}
+    return RelevanceModel(rm.query_id, probs, rm.m, rm.mu, rm.lam)
+
+
+def indicator_weights(q: Query) -> dict[str, float]:
+    """Each distinct query term weighted by its occurrence count."""
+    return {w: float(c) for w, c in sorted(Counter(q.terms).items())}
 
 
 def judged_relevant(qrels, query_id, doc_id):

@@ -7,6 +7,7 @@ to see them.  Tolerances are part of the contract and must not be loosened.
 import contextlib
 import math
 import time
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -36,18 +37,13 @@ from twqp.qpp import (
     sror_term,
 )
 from twqp.relevance import build_rm3
-from twqp.rerank import rerank_twqp
-from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
+from twqp.rerank import rerank_many
+from twqp.retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
-from twqp.weighting import (
-    WeightingMethod,
-    delta_p,
-    query_indicator_table,
-    twqp_weight,
-    weigh_terms,
-)
+from twqp.weighting import WeightingMethod, twqp_weight, weigh_terms
 
 from conftest import PLAIN, make_random_corpus, random_query
+from oracle import indicator_weights
 
 
 @contextlib.contextmanager
@@ -62,7 +58,7 @@ def _criterion(number, name):
 
 def _exhaustive_topk(q, k, mu, index):
     """Score every matching document directly from the index statistics."""
-    counts = sorted(q.term_counts().items())
+    counts = sorted(Counter(q.terms).items())
     # term -> {doc number: tf}, from each term's postings arrays
     tf = {w: dict(zip(*(a.tolist() for a in index.term(w)))) for w, _ in counts}
     scored = []
@@ -114,7 +110,8 @@ class TestAcceptance:
                     mu = float(rng.integers(50, 2500))
                     base = retrieve_topk(q, 400, mu, index)
                     config = ExperimentConfig(k=400, rerank_depth=400)
-                    rr = rerank_twqp(base, query_indicator_table(q), mu, config, index)
+                    memo = LogProbMemo(mu, index)
+                    rr = rerank_many(base, [indicator_weights(q)], config, memo)[0]
                     assert rr.entries == base.entries
                     checked += 1
 
@@ -302,17 +299,18 @@ class TestAcceptance:
             total = 0
             for qid, title in coll.topics:
                 q = Query(qid, tuple(title.split()))
-                base = retrieve_topk(q, k, mu, index)
-                base_quality = predict_quality(spec, base, q, LogProbMemo(mu, index))
+                memo = LogProbMemo(mu, index)
+                base = retrieve_topk(q, k, mu, index, memo)
+                base_quality = predict_quality(spec, base, q, memo)
+
+                def delta(w):
+                    expanded = expand_query(q, w)
+                    expanded_list = retrieve_topk(expanded, k, mu, index, memo)
+                    return predict_quality(spec, expanded_list, expanded, memo) - base_quality
+
                 plant = coll.plants[qid]
-                on = [
-                    delta_p(w, q, base, spec, k, mu, index, base_quality)
-                    for w in plant.on_topic
-                ]
-                off = [
-                    delta_p(w, q, base, spec, k, mu, index, base_quality)
-                    for w in plant.off_topic
-                ]
+                on = [delta(w) for w in plant.on_topic]
+                off = [delta(w) for w in plant.off_topic]
                 if sum(on) / len(on) > sum(off) / len(off):
                     wins += 1
                 total += 1

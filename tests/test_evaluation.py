@@ -27,12 +27,17 @@ from twqp.evaluation import (
     tune_rm3_m,
 )
 from twqp.index import Document, build_index
-from twqp.relevance import build_rm3, restrict_top_n
+from twqp.relevance import build_rm3
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, read_run, retrieve_topk, write_run
 
 from conftest import PLAIN
-from oracle import scalar_average_precision, scalar_precision_at, scalar_reciprocal_rank
+from oracle import (
+    restrict_top_n,
+    scalar_average_precision,
+    scalar_precision_at,
+    scalar_reciprocal_rank,
+)
 
 
 def _run(query_id, doc_ids, k=1000):

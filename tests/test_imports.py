@@ -1,0 +1,77 @@
+"""Every module-level import in the library is used in its module.
+
+Deleting a function can leave behind the imports only it needed.  No
+linter is required: this walks each module's syntax tree with ast.  The
+package's __init__ is skipped, since its imports are its exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "twqp"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(body):
+    """(bound name, line) of each import in body and in the if/try blocks
+    under it, such as `if TYPE_CHECKING:`; __future__ imports bind nothing."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            blocks = [node.body, node.orelse, getattr(node, "finalbody", [])]
+            blocks += [h.body for h in getattr(node, "handlers", [])]
+            for block in blocks:
+                yield from _imports(block)
+
+
+def _annotations(tree):
+    """Every annotation node: of arguments, returns and annotated names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    """Names the module reads, including those inside string annotations."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _used_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def unused_imports(source):
+    """'name (line n)' for each module-level import never read."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [f"{name} (line {line})" for name, line in _imports(tree.body) if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "import math\nimport os.path\nfrom typing import TYPE_CHECKING, Sequence, TextIO\n"
+        "if TYPE_CHECKING:\n    from .config import Config, Index\n"
+        "def f(x: 'Config') -> Sequence[int]:\n    return math.floor(x)\n"
+    )
+    assert unused_imports(source) == ["os (line 2)", "TextIO (line 3)", "Index (line 5)"]
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -20,7 +20,7 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.rerank import rerank_twqp
 from twqp.retrieval import Query, RankedList, log_prob_matrix, retrieve_topk
-from twqp.weighting import TermWeightTable
+from twqp.weighting import TermWeightTable, WeightingMethod
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import scalar_rescore, scalar_topk, smoothed_prob
@@ -83,7 +83,7 @@ class TestRerankProperty:
 
 
 def _table(weights):
-    return TermWeightTable("q", None, weights)
+    return TermWeightTable("q", WeightingMethod.TWQP_WIG, weights)
 
 
 class TestSnapshotProperty:

@@ -26,10 +26,10 @@ from twqp.index import Document, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, predict_wig
 from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
-from twqp.weighting import WeightingMethod, delta_p, twqp_weight, weigh_queries
+from twqp.weighting import WeightingMethod, twqp_weight, weigh_queries
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
-from oracle import scalar_wig
+from oracle import delta_p, scalar_wig
 
 PROPERTY = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -186,7 +186,8 @@ class TestWeighQueriesWithMemo:
     @PROPERTY
     @given(index=INDEXES, mu=POSITIVE_MUS, data=st.data())
     def test_twqp_tables_equal_delta_p_without_memo(self, index, mu, data):
-        """One memo for the whole call gives what a memo per delta_p does."""
+        """One memo for the whole call gives what the reference delta_p, on
+        a memo per term, does."""
         k = data.draw(st.integers(1, index.doc_count + 1))
         predictor_m = data.draw(st.one_of(st.none(), st.integers(1, index.doc_count + 2)))
         indexed = st.sampled_from(index.vocabulary)

@@ -194,6 +194,13 @@ class TestScoreRatio:
         with pytest.raises(ValueError, match="empty"):
             predict_score_ratio(_list([]))
 
+    def test_top_score_of_minus_inf_rejected(self):
+        # the gap -inf - -inf would be NaN
+        for scores in ([-math.inf], [-math.inf, -math.inf]):
+            with pytest.raises(ValueError, match="top score is -inf"):
+                predict_score_ratio(_list(scores))
+        assert predict_score_ratio(_list([-1.0, -math.inf])) == math.inf
+
 
 class TestPredictQuality:
     def test_dispatch_matches_direct_calls(self, fruit_index):

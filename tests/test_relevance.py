@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import twqp.relevance
 from twqp.index import Document, build_index
-from twqp.relevance import (
-    RelevanceModel,
-    build_rm3,
-    restrict_top_n,
-    top_n_terms,
-)
+from twqp.relevance import build_rm3
 from twqp.retrieval import Query, retrieve_topk
 
 from conftest import PLAIN, make_random_corpus, random_query
@@ -152,27 +148,54 @@ class TestBuildRM3:
         rm_b = build_rm3(q, initial, 2, 1000.0, 0.0, fruit_index)
         assert rm_a.term_probs != rm_b.term_probs
 
+    def test_unindexed_query_term_rejected_before_scoring(self, monkeypatch):
+        docs = [Document("d1", "a a x"), Document("d2", "a y"), Document("d3", "b z")]
+        index = build_index(docs, PLAIN)
+        q = Query("q1", ("a", "zz"))
+        lst = retrieve_topk(q, 1000, 100.0, index)  # every score -inf
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scored before the query terms were checked")
+
+        monkeypatch.setattr(twqp.relevance, "log_prob_matrix", unreachable)
+        with pytest.raises(ValueError, match="RM3: query term 'zz' is in no document"):
+            build_rm3(q, lst, 2, 100.0, 0.5, index)
+
 
 class TestTermExtraction:
-    def _model(self):
-        probs = {"apple": 0.4, "banana": 0.25, "cherry": 0.25, "durian": 0.1}
-        return RelevanceModel("q1", probs, 2, 10.0, 0.5)
+    """The clip n of build_rm3: the top n terms by probability, ties
+    broken by name, in that order.  Over the fruit index with the query
+    (banana,), the whole model at lambda 0.5 is banana 0.71, apple 0.16,
+    cherry 0.13, and at lambda 1 banana 1 and the other two 0."""
 
-    def test_top_n_by_probability(self):
-        assert top_n_terms(self._model(), 1) == ["apple"]
+    def _model(self, fruit_index, lam=0.5, n=None):
+        q = Query("q1", ("banana",))
+        initial = retrieve_topk(q, 10, 10.0, fruit_index)
+        return build_rm3(q, initial, 2, 10.0, lam, fruit_index, n)
 
-    def test_ties_break_lexicographically(self):
-        assert top_n_terms(self._model(), 3) == ["apple", "banana", "cherry"]
+    def test_top_n_by_probability(self, fruit_index):
+        assert list(self._model(fruit_index, n=1).term_probs) == ["banana"]
+        assert list(self._model(fruit_index, n=2).term_probs) == ["banana", "apple"]
 
-    def test_n_beyond_support_returns_all(self):
-        assert len(top_n_terms(self._model(), 99)) == 4
+    def test_ties_break_lexicographically(self, fruit_index):
+        clipped = self._model(fruit_index, lam=1.0, n=2)
+        assert clipped.term_probs == {"banana": 1.0, "apple": 0.0}
+        assert list(clipped.term_probs) == ["banana", "apple"]
 
-    def test_n_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            top_n_terms(self._model(), 0)
+    def test_n_beyond_support_returns_all(self, fruit_index):
+        whole = self._model(fruit_index)
+        assert list(self._model(fruit_index, n=99).term_probs.items()) == list(
+            whole.term_probs.items()
+        )
+        assert len(whole.term_probs) == 3
 
-    def test_restrict_keeps_raw_probabilities(self):
-        clipped = restrict_top_n(self._model(), 2)
-        assert clipped.term_probs == {"apple": 0.4, "banana": 0.25}
+    def test_n_below_one_rejected(self, fruit_index):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            self._model(fruit_index, n=0)
+
+    def test_restrict_keeps_raw_probabilities(self, fruit_index):
+        whole = self._model(fruit_index)
+        clipped = self._model(fruit_index, n=2)
+        assert clipped.term_probs == {w: whole.term_probs[w] for w in ("banana", "apple")}
         assert sum(clipped.term_probs.values()) < 1.0
         assert (clipped.m, clipped.mu, clipped.lam) == (2, 10.0, 0.5)

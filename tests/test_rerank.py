@@ -11,10 +11,10 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, build_index
 from twqp.rerank import check_rerank, rerank_many, rerank_twqp
 from twqp.retrieval import LogProbMemo, Query, retrieve_topk
-from twqp.weighting import TermWeightTable, query_indicator_table
+from twqp.weighting import TermWeightTable, WeightingMethod
 
 from conftest import PLAIN, make_random_corpus, random_query
-from oracle import smoothed_prob
+from oracle import indicator_weights, smoothed_prob
 
 
 CONFIG = ExperimentConfig()
@@ -22,7 +22,7 @@ FULL_DEPTH = ExperimentConfig(rerank_depth=1000)
 
 
 def _table(query_id, weights):
-    return TermWeightTable(query_id=query_id, method=None, weights=weights)
+    return TermWeightTable(query_id=query_id, method=WeightingMethod.TWQP_WIG, weights=weights)
 
 
 def _unreachable(*args, **kwargs):
@@ -88,7 +88,7 @@ class TestIndicatorReduction:
             base = retrieve_topk(q, 1000, mu, index)
             if not base.entries:
                 continue
-            rr = rerank_twqp(base, query_indicator_table(q), mu, FULL_DEPTH, index)
+            rr = rerank_many(base, [indicator_weights(q)], FULL_DEPTH, LogProbMemo(mu, index))[0]
             # ids, order, and scores all identical: same sorted-term summation
             assert rr.entries == base.entries
             assert rr.query_id == base.query_id

@@ -26,14 +26,14 @@ import twqp.weighting
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.qpp import nwig_weights
-from twqp.relevance import RelevanceModel, build_rm3_grid, restrict_top_n, top_n_terms
+from twqp.relevance import build_rm3_grid
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod, weigh_queries, weigh_terms
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
-from oracle import scalar_nwig, scalar_rm3
+from oracle import restrict_top_n, scalar_nwig, scalar_rm3, top_n_terms
 
 ALL_METHODS = tuple(WeightingMethod)
 # Modules, other than the weighters, that bind retrieve_topk.
@@ -270,20 +270,6 @@ class TestNwigWeights:
             got = nwig_weights(terms, lst, m, LogProbMemo(mu, index))
         expected = {w: scalar_nwig(w, lst, m, mu, index) for w in terms}
         assert list(got.items()) == list(expected.items())
-
-
-class TestTopNTerms:
-    @given(
-        probs=st.dictionaries(
-            st.text("abcde", min_size=1, max_size=3),
-            st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0),
-        ),
-        n=st.integers(1, 12),
-    )
-    def test_equals_sort_by_probability_then_name(self, probs, n):
-        rm = RelevanceModel("q", probs, 1, 10.0, 0.5)
-        expected = [w for w, _ in sorted(probs.items(), key=lambda e: (-e[1], e[0]))[:n]]
-        assert top_n_terms(rm, n) == expected
 
 
 class TestWorkCounts:

@@ -15,14 +15,12 @@ import twqp.weighting
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ratio, score_gap
-from twqp.relevance import build_rm3, top_n_terms
+from twqp.relevance import build_rm3
 from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 from twqp.weighting import (
     TermWeightTable,
     WeightingMethod,
-    delta_p,
     dump_weight_tables,
-    query_indicator_table,
     twqp_weight,
     weigh_queries,
     weigh_terms,
@@ -103,12 +101,22 @@ class TestTwqpWeight:
 
 
 class TestDeltaP:
+    """The delta of a TWQP weight: the predicted quality of the q+w list
+    minus that of the base list, computed inside weigh_queries."""
+
     def _setup(self, seed=89):
         rng = np.random.default_rng(seed)
         index = build_index(make_random_corpus(rng, 25), PLAIN)
         q = random_query(rng, index, max_terms=2)
         base = retrieve_topk(q, 1000, 500.0, index)
         return index, q, base
+
+    def _weights(self, index, q, vocabulary):
+        """TWQP(NQC) at depth 1000 and NQC's default cutoff."""
+        method = WeightingMethod.TWQP_NQC
+        memo = LogProbMemo(500.0, index)
+        tables = weigh_queries([(q, vocabulary)], [method], ExperimentConfig(k=1000), memo)
+        return tables[0][method].weights
 
     def test_equals_manual_difference(self):
         index, q, base = self._setup()
@@ -119,16 +127,15 @@ class TestDeltaP:
         expected = predict_nqc(
             expanded_list, expanded, spec.effective_m, index
         ) - predict_nqc(base, q, spec.effective_m, index)
-        assert delta_p(w, q, base, spec, 1000, 500.0, index) == expected
+        assert self._weights(index, q, [w]) == {w: twqp_weight(expected)}
 
     def test_base_quality_shortcut_is_exact(self):
-        index, q, base = self._setup()
-        spec = PredictorSpec(PredictorKind.NQC)
-        base_quality = predict_nqc(base, q, spec.effective_m, index)
-        w = index.vocabulary[1]
-        assert delta_p(w, q, base, spec, 1000, 500.0, index) == delta_p(
-            w, q, base, spec, 1000, 500.0, index, base_quality=base_quality
-        )
+        # the base quality is predicted once per query and reused for every
+        # candidate: a term's weight does not depend on the others weighed
+        index, q, _ = self._setup()
+        vocabulary = index.vocabulary[:6]
+        together = self._weights(index, q, vocabulary)
+        assert together == {w: self._weights(index, q, [w])[w] for w in vocabulary}
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -161,23 +168,34 @@ class TestScoreRatioOverflow:
         for terms in (q.terms, q.terms + ("a",), q.terms + ("z",)):
             assert predict_score_ratio(retrieve_topk(Query("q", terms), 1000, 10, index)) == math.inf
 
+    def _weights(self, index, q):
+        method = WeightingMethod.TWQP_SCORE_RATIO
+        memo = LogProbMemo(10, index)
+        return weigh_queries([(q, ["a", "z"])], [method], CONFIG, memo)[0][method].weights
+
     def test_weights_follow_the_sign_of_the_gap_change(self):
         index, q, base = self._setup()
-        table = weigh_terms(
-            q, ["a", "z"], WeightingMethod.TWQP_SCORE_RATIO, 10, CONFIG, index
-        )
+        weights = self._weights(index, q)
         expected = {}
         for w in ("a", "z"):
             change = score_gap(retrieve_topk(expand_query(q, w), 1000, 10, index)) - score_gap(base)
             expected[w] = 1.0 if change > 0 else 0.0 if change < 0 else 0.5
-        assert table.weights == expected == {"a": 1.0, "z": 0.0}
+        assert weights == expected == {"a": 1.0, "z": 0.0}
 
     def test_equal_gaps_give_half(self, monkeypatch):
+        # every list is the base list, so both gaps are equal: delta 0
         index, q, base = self._setup()
-        spec = PredictorSpec(PredictorKind.SCORE_RATIO)
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", lambda *a, **kw: base)
-        delta = delta_p("a", q, base, spec, 1000, 10, index)
-        assert delta == 0.0 and twqp_weight(delta) == 0.5
+        assert self._weights(index, q) == {"a": 0.5, "z": 0.5}
+
+
+class TestUnindexedCandidate:
+    def test_score_ratio_names_the_cause(self):
+        # every (a,)+b score holds log p(b) = -inf at mu > 0: no gap exists
+        index = build_index([Document("d1", "a c")], PLAIN)
+        method = WeightingMethod.TWQP_SCORE_RATIO
+        with pytest.raises(ValueError, match="top score is -inf: a query term is in no document"):
+            weigh_queries([(Query("q", ("a",)), ["b"])], [method], CONFIG, LogProbMemo(1, index))
 
 
 class TestRetrievalBudget:
@@ -316,8 +334,8 @@ class TestWeighTerms:
         base = retrieve_topk(q, 100, 400.0, index)
         if not base.entries:
             pytest.skip("query matched nothing")
-        rm = build_rm3(q, base, min(5, len(base.entries)), 400.0, 0.9, index)
-        vocabulary = top_n_terms(rm, 15)
+        rm = build_rm3(q, base, min(5, len(base.entries)), 400.0, 0.9, index, n=15)
+        vocabulary = list(rm.term_probs)
         for method in (WeightingMethod.TWQP_WIG, WeightingMethod.TWQP_NQC):
             table = weigh_terms(
                 q, vocabulary, method, 400.0, ExperimentConfig(k=100), index
@@ -333,7 +351,7 @@ class TestWeighQueriesRanges:
     probability is 1 (where NQC's denominator is 0).  An unindexed
     candidate, which no RM3 model yields, is weighed by the baselines and
     TWQP(WIG), which skips it; TWQP(NQC) rejects it as out of vocabulary,
-    and TWQP(ScoreRatio) stops on a NaN delta (every q+w score is -inf)."""
+    and TWQP(ScoreRatio) rejects its q+w list, where every score is -inf."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
@@ -350,7 +368,7 @@ class TestWeighQueriesRanges:
         if any(UNINDEXED in vocabulary for _, vocabulary in pairs):
             for method, message in (
                 (WeightingMethod.TWQP_NQC, f"NQC: query term {UNINDEXED!r} out of vocabulary"),
-                (WeightingMethod.TWQP_SCORE_RATIO, "delta is NaN"),
+                (WeightingMethod.TWQP_SCORE_RATIO, "top score is -inf"),
             ):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -381,28 +399,19 @@ class TestWeighQueriesRanges:
         assert zero_tables == 0  # one warning per all-zero ScoreRatio table
 
 
-class TestIndicatorTable:
-    def test_counts_as_weights(self):
-        q = Query("q1", ("b", "a", "b"))
-        table = query_indicator_table(q)
-        assert table.weights == {"a": 1.0, "b": 2.0}
-        assert table.method is None
-        assert table.method_label == "indicator"
-
-
 class TestDump:
     def test_format(self):
         tables = [
             TermWeightTable("q1", WeightingMethod.SROR, {"b": 0.5, "a": 1.0}),
-            TermWeightTable("q2", None, {"x": 2.0}),
+            TermWeightTable("q2", WeightingMethod.TWQP_NQC, {"x": 2.0}),
         ]
         buf = io.StringIO()
         dump_weight_tables(tables, buf)
         assert buf.getvalue() == (
-            "q1 SROR a 1.00000000\nq1 SROR b 0.50000000\nq2 indicator x 2.00000000\n"
+            "q1 SROR a 1.00000000\nq1 SROR b 0.50000000\nq2 TWQP(NQC) x 2.00000000\n"
         )
 
     def test_to_path(self, tmp_path):
         path = tmp_path / "w.txt"
-        dump_weight_tables([TermWeightTable("q1", None, {"a": 0.25})], path)
-        assert path.read_text(encoding="utf-8") == "q1 indicator a 0.25000000\n"
+        dump_weight_tables([TermWeightTable("q1", WeightingMethod.NWIG, {"a": 0.25})], path)
+        assert path.read_text(encoding="utf-8") == "q1 nWIG a 0.25000000\n"

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -260,11 +260,6 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-def _mean_ap(runs: Iterable[RankedList], qrels: Qrels, depth: int) -> float:
-    scorable = [run for run in runs if qrels.relevant_count(run.query_id) > 0]
-    return _mean([average_precision(run, qrels, depth) for run in scorable])
-
-
 def _mean(values: list[float]) -> float:
     """The mean of the scorable queries' APs, added in query order."""
     if not values:
@@ -277,15 +272,22 @@ def tune_mu(
 ) -> float:
     """Smoothing mass in config.mu_grid maximizing mean AP of the depth-k runs.
 
-    Each query's candidates are gathered once for the whole grid
-    (retrieve_grid); one grid point's lists are alive at a time.
+    Queries with no relevant document are skipped before they are
+    retrieved.  Each other query is scored at every mu of the grid in one
+    pass (retrieve_grid), and each list's AP is appended to its mu's APs
+    in query order; only one query's lists are alive at a time.
     """
     if not config.mu_grid:
         raise ValueError("empty mu grid")
-    k = config.k
-    grid = retrieve_grid(queries, k, sorted(config.mu_grid), index)
-    mean_aps = {mu: _mean_ap(lists, qrels, k) for mu, lists in grid}
-    return max(sorted(config.mu_grid), key=mean_aps.__getitem__)
+    k, mus = config.k, sorted(config.mu_grid)
+    aps: list[list[float]] = [[] for _ in mus]
+    for q in queries:
+        if qrels.relevant_count(q.query_id) == 0:
+            continue
+        for mu_aps, run in zip(aps, retrieve_grid(q, k, mus, index)):
+            mu_aps.append(average_precision(run, qrels, k))
+    mean_aps = {mu: _mean(mu_aps) for mu, mu_aps in zip(mus, aps)}
+    return max(mus, key=mean_aps.__getitem__)
 
 
 def tune_rm3_m(
@@ -297,10 +299,11 @@ def tune_rm3_m(
     """Feedback depth in config.rm3_m_grid maximizing mean AP of the re-ranked runs.
 
     lists pairs each query with its depth-k retrieval at the memo's mu, the
-    already-tuned retrieval smoothing; queries with an empty list are
-    skipped.  The relevance model is the one the experiment weighs with:
-    document weights at config.rm3_mu, interpolation config.rm3_lambda,
-    clipped to its top config.rm3_n terms where build_rm3_grid builds it.
+    already-tuned retrieval smoothing.  Queries with an empty list or with
+    no relevant document are skipped before their models are built.  The
+    relevance model is the one the experiment weighs with: document weights
+    at config.rm3_mu, interpolation config.rm3_lambda, clipped to its top
+    config.rm3_n terms where build_rm3_grid builds it.
     An m past a list's length feeds back the whole list, so per query each
     distinct clamped depth min(m, len) is modelled, re-ranked and scored
     once, and every m reads its depth's AP.  The memo supplies the
@@ -311,15 +314,13 @@ def tune_rm3_m(
     ms = sorted(config.rm3_m_grid)
     aps: list[list[float]] = [[] for _ in ms]
     for q, base in lists:
-        if not base:
+        if not base or qrels.relevant_count(base.query_id) == 0:
             continue
         depths = sorted({min(m, len(base)) for m in ms})
         models = build_rm3_grid(
             q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index, config.rm3_n
         )
         runs = rerank_many(base, [rm.term_probs for rm in models], config, memo)
-        if qrels.relevant_count(base.query_id) == 0:
-            continue
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])

@@ -15,23 +15,25 @@ association order for p, ``math.log`` (not ``np.log``, which differs in the
 last ulp on some inputs) for every log, and one term at a time accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at its own mu over its
 own index from one full-width row per term, for callers that score the
-same terms many times.  It builds a row from the kernel's log step twice,
-once for the tf-0 cells, which depend only on the term's collection
-frequency and the document's length and so are shared by terms of equal
-frequency, and once for the term's postings.  An experiment's stages at
-the tuned mu share one memo, and each takes it in place of mu and the
-index.  ``retrieve_topk`` alone takes a memo optionally, since a plain
-search scores its candidates once; given one, it checks that the memo
-holds its mu and index.
-``retrieve_grid`` gathers each query's candidates and tfs once and takes
-only the log step at each mu of a grid.
+same terms many times.  A call builds the rows of all the terms it lacks
+together, in two log steps: one for the tf-0 cells, which depend only on
+a term's collection frequency and the document's length and so are
+shared by terms of equal frequency, and one for the terms' postings.  An
+experiment's stages at the tuned mu share one memo, and each takes it in
+place of mu and the index.  ``retrieve_topk`` alone takes a memo
+optionally, since a plain search scores its candidates once; given one,
+it checks that the memo holds its mu and index.
+``retrieve_grid`` scores one query at every mu of a grid in one pass: it
+gathers the candidates and tfs once, takes every mu's logs in one log
+step and ranks every mu's candidates with one lexsort.
 
 The candidates of a search are ``Index.matching_docs``: a one-term bag's
 are its postings' doc numbers, as they stand.  ``gather_tf`` copies a
 term's tfs as they stand when the documents are exactly its postings, and
 finds each document in the postings by binary search otherwise.  The log
-step finds the distinct probabilities with one argsort and calls
-``math.log`` once for each.
+step, ``_log_probs``, which the kernel, the grid and the memo all call,
+finds the distinct probabilities with one argsort and calls ``math.log``
+once for each.
 
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
@@ -45,7 +47,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -201,8 +203,7 @@ def log_probs_from(gathered: TfGather, mu: float, index: Index) -> np.ndarray:
     """log p_d(w) for each term (row) and document (column) of a gather.
 
     p_d(w) = (tf(w,d) + mu * p_D(w)) / (|d| + mu), and the log is -inf where
-    p is 0.  mu must be finite and >= 0.  math.log runs once per distinct
-    probability: p repeats across documents with equal tf and length.
+    p is 0.  mu must be finite and >= 0.
     """
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
@@ -211,9 +212,22 @@ def log_probs_from(gathered: TfGather, mu: float, index: Index) -> np.ndarray:
         empty = index.doc_ids[int(gathered.nums[np.argmin(lengths)])]
         raise ValueError(f"doc {empty!r} is empty and mu=0: probability undefined")
     background = np.array([mu * collection_prob(w, index) for w in terms], dtype=float)
-    # The oracle's association, (tf + mu * (cf / T)) / (len + mu); another
-    # order can round to another float.
-    p = (gathered.tf + background[:, None]) / (lengths + mu)
+    return _log_probs(gathered.tf, background[:, None], lengths, mu)
+
+
+def _log_probs(
+    tf: np.ndarray | int, background: np.ndarray, lengths: np.ndarray, mu: np.ndarray | float
+) -> np.ndarray:
+    """log p for p = (tf + background) / (lengths + mu), -inf where p is 0,
+    over arrays that broadcast together; background is mu * p_D(w).
+
+    That is the oracle's association, (tf + mu * (cf / T)) / (len + mu);
+    another order can round to another float.  math.log runs once per
+    distinct p: p repeats across documents with equal tf and length and,
+    off the terms' postings, across terms of equal collection frequency and
+    documents of equal length.
+    """
+    p = (tf + background) / (lengths + mu)
     values, inverse = _distinct(p.ravel())
     logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
     return np.array(logs, dtype=float)[inverse].reshape(p.shape)
@@ -248,17 +262,18 @@ class LogProbMemo:
     """log_prob_matrix at one mu over one index, from one row per term.
 
     A term's row is log_prob_matrix([w], every document number, mu, index),
-    built the first time the term is asked for, in two log_probs_from
-    calls.  Off w's postings tf is 0, so a cell depends only on w's
-    collection frequency and the document's length: one row of logs over a
-    document of each distinct length is built per collection frequency and
-    read at each document's length class.  The postings' own cells are a
-    log_probs_from over gather_tf((w,), postings, index), written in at
-    those documents.  Each cell is the kernel's float for its term and
-    document, so the row, and any gather of its columns, equals
-    log_prob_matrix over those columns bit for bit.  mu must be positive:
-    at mu = 0 a full-width row would raise on an empty document that no
-    candidate set holds.
+    built the first time the term is asked for.  A matrix call builds the
+    rows of every term it lacks together, in two log steps.  Off a term's
+    postings tf is 0, so a cell depends only on the term's collection
+    frequency and the document's length: one row of logs over a document of
+    each distinct length is built per collection frequency, in one log step
+    over the frequencies not seen before, and read at each document's
+    length class.  The postings' own cells, those of all the missing terms
+    concatenated, take the second log step and are written in at their
+    documents.  Each cell is the kernel's float for its term and document,
+    so the row, and any gather of its columns, equals log_prob_matrix over
+    those columns bit for bit.  mu must be positive: at mu = 0 a full-width
+    row is undefined on an empty document that no candidate set holds.
     """
 
     def __init__(self, mu: float, index: Index) -> None:
@@ -266,37 +281,46 @@ class LogProbMemo:
             raise ValueError(f"a log-probability memo requires mu > 0 and finite, got {mu}")
         self.mu = mu
         self.index = index
-        lengths, first, self._length_class = np.unique(
-            index.lengths, return_index=True, return_inverse=True
-        )
-        # One document of each length, holding tf 0: TfGather's fields after terms.
-        self._by_length = (first, np.zeros((1, first.size), dtype=np.int64), lengths)
+        # The distinct document lengths, and each document's among them.
+        self._lengths, self._length_class = np.unique(index.lengths, return_inverse=True)
         self._off_postings: dict[int, np.ndarray] = {}  # collection tf -> logs per length
         self._rows: dict[str, np.ndarray] = {}
 
     def matrix(self, terms: Sequence[str], nums: np.ndarray) -> np.ndarray:
         """log_prob_matrix(terms, nums, self.mu, self.index)."""
+        rows = self._rows
+        missing = [w for w in dict.fromkeys(terms) if w not in rows]
+        if missing:
+            rows.update(zip(missing, self._build_rows(missing)))
         out = np.empty((len(terms), len(nums)))
         for row, w in zip(out, terms):
-            full = self._rows.get(w)
-            if full is None:
-                full = self._rows[w] = self._row(w)
-            full.take(nums, out=row)
+            rows[w].take(nums, out=row)
         return out
 
-    def _row(self, w: str) -> np.ndarray:
-        """log_prob_matrix([w], every document number, mu, index)[0]."""
+    def _build_rows(self, terms: list[str]) -> np.ndarray:
+        """log_prob_matrix(terms, every document number, mu, index) for
+        distinct terms."""
         mu, index = self.mu, self.index
-        cf = index.collection_tf.get(w, 0)
-        off = self._off_postings.get(cf)
-        if off is None:
-            no_tf = TfGather((w,), *self._by_length)
-            off = self._off_postings[cf] = log_probs_from(no_tf, mu, index)[0]
-        row = off[self._length_class]
-        post_nums = index.term(w)[0]
-        if post_nums.size:
-            row[post_nums] = log_probs_from(gather_tf((w,), post_nums, index), mu, index)[0]
-        return row
+        cfs = [index.collection_tf.get(w, 0) for w in terms]
+        # an unseen collection tf -> a term holding it
+        new = {cf: w for cf, w in zip(cfs, terms) if cf not in self._off_postings}
+        if new:
+            background = np.array([mu * collection_prob(w, index) for w in new.values()])
+            off = _log_probs(0, background[:, None], self._lengths, mu)
+            self._off_postings.update(zip(new, off))
+        postings = [index.term(w) for w in terms]
+        sizes = [nums.size for nums, _ in postings]
+        cells = np.concatenate([nums for nums, _ in postings])
+        tfs = np.concatenate([tfs for _, tfs in postings])
+        background = np.repeat([mu * collection_prob(w, index) for w in terms], sizes)
+        logs = _log_probs(tfs, background, index.lengths[cells], mu)
+        rows = np.empty((len(terms), self._length_class.size))
+        start = 0
+        for row, cf, (nums, _), size in zip(rows, cfs, postings, sizes):
+            self._off_postings[cf].take(self._length_class, out=row)
+            row[nums] = logs[start : start + size]
+            start += size
+        return rows
 
 
 def weighted_sum(weights: Sequence[float], log_probs: np.ndarray) -> np.ndarray:
@@ -368,27 +392,34 @@ def retrieve_topk(
     return ranked_list(q.query_id, nums, scores, k, index, top=k)
 
 
-def retrieve_grid(
-    queries: Sequence[Query], k: int, mus: Iterable[float], index: Index
-) -> Iterator[tuple[float, list[RankedList]]]:
-    """(mu, [retrieve_topk(q, k, mu, index) for q in queries]) for each mu
-    of mus, in order, bit for bit.
+def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[RankedList]:
+    """[retrieve_topk(q, k, mu, index) for mu in mus], bit for bit.
 
-    Each query's candidates, tfs and lengths do not depend on mu, so they
-    are gathered once, before the first mu; each mu then runs only the log
-    step.  The lists of one mu are made when the generator reaches it.
+    The query's candidates, tfs and lengths do not depend on mu, so they
+    are gathered once.  p is computed over a (term, mu, document) array in
+    the kernel's association, the logs are taken in one log step, the
+    terms' rows are added one at a time in sorted-term order into a (mu,
+    document) array, and one lexsort ranks every mu's candidates.  k and
+    every mu are checked before anything is scored.
     """
-    gathered = []
-    for q in queries:
-        terms, counts = _bag(q)
-        gathered.append((q.query_id, counts, gather_tf(terms, index.matching_docs(terms), index)))
     for mu in mus:
         _check_depth_and_mu(k, mu)
-        lists = []
-        for query_id, counts, tfs in gathered:
-            scores = weighted_sum(counts, log_probs_from(tfs, mu, index))
-            lists.append(ranked_list(query_id, tfs.nums, scores, k, index, top=k))
-        yield mu, lists
+    terms, counts = _bag(q)
+    gathered = gather_tf(terms, index.matching_docs(terms), index)
+    grid = np.array(mus, dtype=float)
+    background = np.multiply.outer([collection_prob(w, index) for w in terms], grid)
+    log_probs = _log_probs(
+        gathered.tf[:, None, :], background[:, :, None], gathered.lengths, grid[:, None]
+    )
+    # each term's row is its (mu, document) cells laid end to end
+    rows = log_probs.reshape(len(terms), -1)
+    scores = weighted_sum(counts, rows).reshape(log_probs.shape[1:])
+    nums = np.broadcast_to(gathered.nums, scores.shape)
+    order = np.lexsort((nums, -scores), axis=-1)[:, :k]
+    top_nums, top_scores = gathered.nums[order], np.take_along_axis(scores, order, axis=-1)
+    return [
+        RankedList.from_arrays(q.query_id, n, s, k, index) for n, s in zip(top_nums, top_scores)
+    ]
 
 
 def expand_query(q: Query, w: str) -> Query:

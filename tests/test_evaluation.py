@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import twqp.evaluation
@@ -26,12 +26,14 @@ from twqp.evaluation import (
     tune_mu,
     tune_rm3_m,
 )
-from twqp.index import Document, build_index
+from twqp.experiment import make_queries
+from twqp.index import Document, Index, build_index
 from twqp.relevance import build_rm3
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, read_run, retrieve_topk, write_run
+from twqp.synthetic import make_synthetic
 
-from conftest import PLAIN
+from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import (
     restrict_top_n,
     scalar_average_precision,
@@ -492,6 +494,31 @@ class TestBuildReport:
             build_report(runs, qrels, baseline="A")
 
 
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def exhaustive_tune_mu(queries, qrels, config, index):
+    """The mu of config.mu_grid whose retrieve_topk lists have the highest
+    mean AP over the judged queries, added in query order; a tie goes to
+    the smaller mu."""
+    best = None
+    for mu in sorted(config.mu_grid):
+        runs = [retrieve_topk(q, config.k, mu, index) for q in queries]
+        judged = [run for run in runs if qrels.relevant_count(run.query_id)]
+        aps = [average_precision(run, qrels, config.k) for run in judged]
+        if not aps:
+            raise ValueError("no scorable queries (every query has zero relevant docs)")
+        mean = sum(aps) / len(aps)
+        if best is None or mean > best[1]:
+            best = (mu, mean)
+    return best[0]
+
+
 class TestTuneMu:
     def _flip_corpus(self):
         # small mu favors the short non-relevant doc, large mu the long
@@ -521,6 +548,25 @@ class TestTuneMu:
         queries = [Query("q1", ("w",))]
         qrels = Qrels({"q1": {"d1": 1}})
         assert tune_mu(queries, qrels, ExperimentConfig(mu_grid=(2000.0, 1000.0)), index) == 1000.0
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        index=corpora(),
+        grid=st.lists(st.one_of(st.just(0.0), POSITIVE_MUS), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_equals_an_exhaustive_sweep(self, index, grid, data):
+        grid += data.draw(st.lists(st.sampled_from(grid), max_size=2))  # repeated values
+        terms = st.lists(st.sampled_from(VOCAB + (UNINDEXED,)), min_size=1, max_size=3)
+        count = data.draw(st.integers(1, 3))
+        queries = [Query(f"q{i}", tuple(data.draw(terms))) for i in range(count)]
+        relevant = st.lists(st.sampled_from(index.doc_ids), max_size=4)
+        qrels = Qrels({q.query_id: dict.fromkeys(data.draw(relevant), 1) for q in queries})
+        k = data.draw(st.integers(1, index.doc_count + 1))
+        config = ExperimentConfig(mu_grid=tuple(grid), k=k)
+        assert outcome(tune_mu, queries, qrels, config, index) == outcome(
+            exhaustive_tune_mu, queries, qrels, config, index
+        )
 
     def test_empty_grid_rejected(self):
         index, queries, qrels = self._flip_corpus()
@@ -619,3 +665,43 @@ class TestTuneRM3M:
             run = real(base, [weights], config, LogProbMemo(10.0, index))[0]
             ap[m] = average_precision(run, qrels, 1000)
         assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]
+
+
+class TestTuningSkipsUnjudgedQueries:
+    """A query with no relevant document is neither retrieved by tune_mu nor
+    modelled by tune_rm3_m, and leaves the tuned values as they are."""
+
+    def test_only_judged_queries_are_scored(self, monkeypatch):
+        coll = make_synthetic(32)
+        config = ExperimentConfig(mu_grid=(100, 500, 1000, 2000), rm3_m_grid=(5, 10, 20))
+        index = build_index(coll.documents, config.analyzer)
+        queries, _ = make_queries(coll.topics, index)
+        unjudged = queries[1]
+        judgments = coll.qrels.judgments
+        qrels = Qrels({q: grades for q, grades in judgments.items() if q != unjudged.query_id})
+        judged = [q for q in queries if q is not unjudged]
+
+        matched, modelled = [], []
+        real_matching, real_grid = Index.matching_docs, twqp.evaluation.build_rm3_grid
+
+        def matching_docs(index, terms):
+            matched.append(tuple(terms))
+            return real_matching(index, terms)
+
+        def build_rm3_grid(q, *args, **kwargs):
+            modelled.append(q.query_id)
+            return real_grid(q, *args, **kwargs)
+
+        expected_mu = tune_mu(judged, qrels, config, index)
+        with monkeypatch.context() as patch:
+            patch.setattr(Index, "matching_docs", matching_docs)
+            assert tune_mu(queries, qrels, config, index) == expected_mu
+        assert matched == [q.bag[0] for q in judged]
+
+        memo = LogProbMemo(float(expected_mu), index)
+        lists = [(q, retrieve_topk(q, config.k, memo.mu, index, memo)) for q in queries]
+        judged_lists = [(q, lst) for q, lst in lists if q is not unjudged]
+        expected_m = tune_rm3_m(judged_lists, qrels, config, memo)
+        monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", build_rm3_grid)
+        assert tune_rm3_m(lists, qrels, config, memo) == expected_m
+        assert modelled == [q.query_id for q in judged]

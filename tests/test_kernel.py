@@ -12,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,14 @@ from hypothesis import strategies as st
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
 from twqp.rerank import rerank_twqp
-from twqp.retrieval import Query, RankedList, log_prob_matrix, retrieve_topk
+from twqp.retrieval import (
+    LogProbMemo,
+    Query,
+    RankedList,
+    log_prob_matrix,
+    retrieve_grid,
+    retrieve_topk,
+)
 from twqp.weighting import TermWeightTable, WeightingMethod
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
@@ -116,6 +124,18 @@ class TestLogChoice:
         entries = retrieve_topk(Query("q", ("a",)), 10, 2037, index).entries
         assert entries == (("d1", self.MATH_LOG),)
         assert entries[0][1] != -5.880389730186717
+
+    def test_grid_and_memo_in_a_document_holding_the_term(self):
+        docs = [Document("d1", "a " + "b " * 56), Document("d2", "b " * 363)]
+        index = build_index(docs, PLAIN)
+        _, lst = retrieve_grid(Query("q", ("a",)), 10, [100, 2037], index)
+        assert lst.entries == (("d1", self.MATH_LOG),)
+        assert LogProbMemo(2037, index).matrix(["a"], np.array([0]))[0, 0] == self.MATH_LOG
+
+    def test_memo_in_a_document_lacking_the_term(self):
+        mu = 0.005618786918311483
+        index = build_index([Document("d1", "a"), Document("d2", "b")], PLAIN)
+        assert LogProbMemo(mu, index).matrix(["a"], np.array([1]))[0, 0] == self.MATH_LOG
 
     def test_document_lacking_the_term(self):
         # d2 lacks "a": p = mu * (1/2) / (1 + mu).

@@ -121,6 +121,38 @@ class TestRowBuilder:
             expected = log_prob_matrix([w], every, mu, index)
             assert memo.matrix([w], every).tobytes() == expected.tobytes(), w
 
+    @PROPERTY
+    @given(index=st.one_of(INDEXES, st.just(SHARED_CF)), mu=POSITIVE_MUS, data=st.data())
+    def test_batched_rows_equal_one_term_rows_and_the_kernel(self, index, mu, data):
+        every = np.arange(index.doc_count)
+        batched, single = LogProbMemo(mu, index), LogProbMemo(mu, index)
+        for _ in range(data.draw(st.integers(1, 3))):  # later gathers mix known and new terms
+            terms = data.draw(st.lists(TERMS, min_size=1, max_size=8))  # repeats allowed
+            got = batched.matrix(terms, every).tobytes()
+            one_term = b"".join(single.matrix([w], every).tobytes() for w in terms)
+            assert got == one_term == log_prob_matrix(terms, every, mu, index).tobytes()
+
+    def test_one_gather_builds_its_missing_terms_together(self, monkeypatch):
+        # b, c and d share collection frequency 2 and are first met here,
+        # with b repeated and a term no document holds
+        batches = []
+        real = LogProbMemo._build_rows
+
+        def build(memo, terms):
+            batches.append(list(terms))
+            return real(memo, terms)
+
+        monkeypatch.setattr(LogProbMemo, "_build_rows", build)
+        memo = LogProbMemo(10.0, SHARED_CF)
+        every = np.arange(SHARED_CF.doc_count)
+        terms = ["b", "c", UNINDEXED, "b", "d"]
+        got = memo.matrix(terms, every)
+        assert got.tobytes() == log_prob_matrix(terms, every, 10.0, SHARED_CF).tobytes()
+        assert sorted(memo._off_postings) == [0, 2]
+        got = memo.matrix(["d", "a", "b"], every)
+        assert got.tobytes() == log_prob_matrix(["d", "a", "b"], every, 10.0, SHARED_CF).tobytes()
+        assert batches == [["b", "c", UNINDEXED, "d"], ["a"]]
+
     def test_terms_of_one_collection_frequency_share_their_tf0_logs(self):
         assert len(set(SHARED_CF.lengths.tolist())) >= 3
         memo = LogProbMemo(10.0, SHARED_CF)
@@ -225,14 +257,14 @@ class TestLogWorkCounts:
         mu = 1000.0
         lists = [(q, retrieve_topk(q, config.k, mu, index)) for q in queries]
 
-        built = Counter()  # (memo, term) -> rows built
-        real_row = LogProbMemo._row
+        built = Counter()  # (memo, term) -> times handed to the row builder
+        real_build = LogProbMemo._build_rows
 
-        def counted(memo, w):
-            built[memo, w] += 1
-            return real_row(memo, w)
+        def counted(memo, terms):
+            built.update((memo, w) for w in terms)
+            return real_build(memo, terms)
 
-        monkeypatch.setattr(LogProbMemo, "_row", counted)
+        monkeypatch.setattr(LogProbMemo, "_build_rows", counted)
         logged = count_log_prob_matrix(monkeypatch)
         memo = LogProbMemo(mu, index)
         expand_and_weigh(lists, 10, tuple(WeightingMethod), config, memo)
@@ -249,20 +281,20 @@ class TestExperimentMemo:
         self, tmp_path, monkeypatch
     ):
         paths = write_collection(make_synthetic(32), tmp_path / "data")
-        built = Counter()  # term -> rows built
+        built = Counter()  # term -> times handed to the row builder
         memos = []  # weak references to every memo made
         stage = []
         released = []
 
-        real_init, real_row = LogProbMemo.__init__, LogProbMemo._row
+        real_init, real_build = LogProbMemo.__init__, LogProbMemo._build_rows
 
         def init(memo, *args, **kwargs):
             memos.append(weakref.ref(memo))
             real_init(memo, *args, **kwargs)
 
-        def row(memo, w):
-            built[w] += 1
-            return real_row(memo, w)
+        def build(memo, terms):
+            built.update(terms)
+            return real_build(memo, terms)
 
         def staged(name, fn):
             def wrapper(*args, **kwargs):
@@ -279,7 +311,7 @@ class TestExperimentMemo:
             return real_report(*args, **kwargs)
 
         monkeypatch.setattr(LogProbMemo, "__init__", init)
-        monkeypatch.setattr(LogProbMemo, "_row", row)
+        monkeypatch.setattr(LogProbMemo, "_build_rows", build)
         logged = count_log_prob_matrix(monkeypatch, stage)
         for name in ("tune_rm3_m", "expand_and_weigh", "rerank_queries"):
             monkeypatch.setattr(twqp.experiment, name, staged(name, getattr(twqp.experiment, name)))

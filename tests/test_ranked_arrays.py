@@ -4,7 +4,7 @@ Every list holds read-only document-number and score arrays over a doc-id
 table.  retrieve_topk and the re-rankers number into the index's doc ids;
 a list built from (doc_id, score) pairs numbers into its own, so the
 predictors reach its index numbers through index.doc_numbers.  retrieve_grid
-gathers each query's candidates once and scores them at every mu of a grid.
+gathers a query's candidates once and scores them at every mu of a grid.
 Every path must give the same lists and the same floats, compared with ==.
 """
 
@@ -130,6 +130,9 @@ class TestPredictorsReadTheArrays:
 
 
 class TestRetrieveGrid:
+    """retrieve_grid scores one query at every mu of a grid in one pass and
+    gives retrieve_topk's list at each, bit for bit."""
+
     @PROPERTY
     @given(
         index=corpora(),
@@ -137,19 +140,30 @@ class TestRetrieveGrid:
         data=st.data(),
     )
     def test_equals_retrieve_topk_at_every_mu(self, index, grid, data):
-        queries = [
-            Query(f"q{i}", draw_query(data, index, VOCAB + (UNINDEXED,)).terms)
-            for i in range(data.draw(st.integers(1, 3)))
-        ]
+        grid += data.draw(st.lists(st.sampled_from(grid), max_size=2))  # repeated values
+        grid = data.draw(st.permutations(grid))
+        q = draw_query(data, index, VOCAB + (UNINDEXED,))
         k = data.draw(st.integers(1, index.doc_count + 1))
-        seen = []
-        for mu, lists in retrieve_grid(queries, k, grid, index):
-            seen.append(mu)
-            assert len(lists) == len(queries)
-            for q, lst in zip(queries, lists):
-                assert bits(lst) == bits(retrieve_topk(q, k, mu, index))
-                assert lst == retrieve_topk(q, k, mu, index)
-        assert seen == grid
+        lists = retrieve_grid(q, k, grid, index)
+        assert len(lists) == len(grid)
+        for mu, lst in zip(grid, lists):
+            assert bits(lst) == bits(retrieve_topk(q, k, mu, index))
+            assert lst == retrieve_topk(q, k, mu, index)
+
+    def test_k_below_the_candidate_count_cuts_every_list(self, fruit_index):
+        q = Query("q", ("banana", "cherry"))
+        grid = [0.0, 3.0, 3.0, 50.0]
+        for k in (1, 2, 3):
+            lists = retrieve_grid(q, k, grid, fruit_index)
+            assert [len(lst) for lst in lists] == [min(k, 2)] * len(grid)
+            assert [bits(lst) for lst in lists] == [
+                bits(retrieve_topk(q, k, mu, fruit_index)) for mu in grid
+            ]
+
+    def test_repeated_values_give_the_same_list(self, fruit_index):
+        q = Query("q", ("apple", "cherry", "cherry"))
+        first, again = retrieve_grid(q, 5, [7.0, 7.0], fruit_index)
+        assert bits(first) == bits(again) == bits(retrieve_topk(q, 5, 7.0, fruit_index))
 
     def test_mu_zero_with_an_empty_document_as_retrieve_topk(self):
         # An empty document holds no term, so it is never a candidate: at
@@ -157,7 +171,7 @@ class TestRetrieveGrid:
         # query term scores -inf.
         index = build_index([Document("d1", "a b"), Document("d2", ""), Document("d3", "b")], PLAIN)
         q = Query("q", ("a", "b"))
-        ((_, (lst,)),) = retrieve_grid([q], 10, [0.0], index)
+        (lst,) = retrieve_grid(q, 10, [0.0], index)
         assert bits(lst) == bits(retrieve_topk(q, 10, 0.0, index))
         assert lst.scores[-1] == -math.inf
 
@@ -169,22 +183,33 @@ class TestRetrieveGrid:
         with pytest.raises(ValueError) as expected:
             retrieve_topk(q, 10, mu, index)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            list(retrieve_grid([q], 10, [10.0, mu], index))
+            retrieve_grid(q, 10, [10.0, mu], index)
+
+    def test_bad_mu_anywhere_raises_before_any_list_is_made(self, fruit_index, monkeypatch):
+        made = []
+        real = RankedList.from_arrays.__func__
+
+        def from_arrays(cls, *args):
+            made.append(args[0])
+            return real(cls, *args)
+
+        monkeypatch.setattr(RankedList, "from_arrays", classmethod(from_arrays))
+        q = Query("q", ("apple",))
+        assert len(retrieve_grid(q, 5, [1.0, 2.0], fruit_index)) == 2
+        assert made == ["q", "q"]
+        made.clear()
+        for grid in ([-1.0, 1.0, 2.0], [1.0, -1.0, 2.0], [1.0, 2.0, -1.0]):
+            with pytest.raises(ValueError, match="mu must be >= 0"):
+                retrieve_grid(q, 5, grid, fruit_index)
+        assert made == []
 
     def test_no_match_gives_the_same_empty_list(self, fruit_index):
         q = Query("q", (UNINDEXED,))
-        ((_, (lst,)),) = retrieve_grid([q], 5, [10.0], fruit_index)
-        assert lst == retrieve_topk(q, 5, 10.0, fruit_index) == RankedList("q", (), 5)
-        assert len(lst) == 0
+        lists = retrieve_grid(q, 5, [0.0, 10.0], fruit_index)
+        assert lists == [retrieve_topk(q, 5, mu, fruit_index) for mu in (0.0, 10.0)]
+        assert lists == [RankedList("q", (), 5)] * 2
 
     def test_empty_query_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty query"):
-            list(retrieve_grid([Query("q", ())], 5, [10.0], fruit_index))
+            retrieve_grid(Query("q", ()), 5, [10.0], fruit_index)
 
-    def test_grid_points_are_made_one_at_a_time(self, fruit_index):
-        q = Query("q", ("apple",))
-        grid = retrieve_grid([q], 5, [1.0, -1.0], fruit_index)
-        mu, lists = next(grid)  # the bad second mu is not reached yet
-        assert mu == 1.0 and lists == [retrieve_topk(q, 5, 1.0, fruit_index)]
-        with pytest.raises(ValueError, match="mu must be >= 0"):
-            next(grid)

@@ -52,5 +52,5 @@ for q in (focused, diffuse):
 from twqp import predict_nqc
 from twqp.retrieval import RankedList
 
-flat = RankedList("flat", tuple((f"d{i}", -4.0) for i in range(1, 5)), k=4)
+flat = RankedList("flat", tuple((f"d{i}", -4.0) for i in range(1, 5)))
 print("NQC on identical scores:", predict_nqc(flat, Query("flat", ("rain",)), 4, index))

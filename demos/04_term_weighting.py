@@ -39,7 +39,7 @@ mu, k = 500.0, 6
 # Candidates come from the feedback model: high-probability terms.
 initial = retrieve_topk(q, k, mu, index)
 rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=6)
-candidates = list(rm.term_probs)
+candidates = list(rm)
 print("candidates:", candidates)
 
 # Each candidate is scored by how much it moves a quality predictor when

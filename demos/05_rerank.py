@@ -47,13 +47,13 @@ print("indicator:", identity.doc_ids, "(identical)" if identity.entries == initi
 
 # A learned weight table moves documents that match the weighted terms up.
 rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=5)
-candidates = list(rm.term_probs)
+candidates = list(rm)
 table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
 reranked = rerank_twqp(initial, table, mu, config, index)
 print("weighted: ", reranked.doc_ids)
 
 # RM3 re-ranking scores against the clipped feedback distribution instead.
-by_rm3 = rerank_many(initial, [rm.term_probs], config, memo)[0]
+by_rm3 = rerank_many(initial, [rm], config, memo)[0]
 print("rm3:      ", by_rm3.doc_ids)
 
 # Only the head is re-scored; positions past rerank_depth keep their

@@ -35,7 +35,7 @@ from .qpp import (
     predict_wig,
     sror_term,
 )
-from .relevance import RelevanceModel, build_rm3, build_rm3_grid
+from .relevance import build_rm3, build_rm3_grid
 from .rerank import check_rerank, rerank_many, rerank_twqp
 from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -255,16 +255,21 @@ def build_report(
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps (maximize mean AP; ties go to the smaller value, as max
-# over the ascending grid keeps the first)
+# Parameter sweeps
 # ---------------------------------------------------------------------------
 
+T = TypeVar("T", float, int)
 
-def _mean(values: list[float]) -> float:
-    """The mean of the scorable queries' APs, added in query order."""
-    if not values:
+
+def _best(grid: Sequence[T], rows: Sequence[list[float]]) -> T:
+    """The value of an ascending grid whose row of APs has the highest
+    mean.  A row holds one AP per scorable query, in query order, and is
+    added in that order; a tie goes to the smaller value, as max keeps the
+    first."""
+    if not rows[0]:
         raise ValueError("no scorable queries (every query has zero relevant docs)")
-    return sum(values) / len(values)
+    means = [sum(row) / len(row) for row in rows]
+    return max(zip(grid, means), key=lambda pair: pair[1])[0]
 
 
 def tune_mu(
@@ -286,8 +291,7 @@ def tune_mu(
             continue
         for mu_aps, run in zip(aps, retrieve_grid(q, k, mus, index)):
             mu_aps.append(average_precision(run, qrels, k))
-    mean_aps = {mu: _mean(mu_aps) for mu, mu_aps in zip(mus, aps)}
-    return max(mus, key=mean_aps.__getitem__)
+    return _best(mus, aps)
 
 
 def tune_rm3_m(
@@ -320,9 +324,8 @@ def tune_rm3_m(
         models = build_rm3_grid(
             q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index, config.rm3_n
         )
-        runs = rerank_many(base, [rm.term_probs for rm in models], config, memo)
+        runs = rerank_many(base, models, config, memo)
         by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])
-    mean_aps = {m: _mean(m_aps) for m, m_aps in zip(ms, aps)}
-    return max(ms, key=mean_aps.__getitem__)
+    return _best(ms, aps)

@@ -132,7 +132,7 @@ def expand_and_weigh(
         build_rm3(
             q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, memo.index,
             config.rm3_n,
-        ).term_probs
+        )
         for q, initial in lists
     ]
     pairs = [(q, list(model)) for (q, _), model in zip(lists, models)]

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import LogProbMemo, Query, RankedList, _bag, retrieve_topk, weighted_sum
+from .retrieval import LogProbMemo, Query, RankedList, retrieve_topk, weighted_sum
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -70,7 +70,7 @@ def predict_wig(lst: RankedList, q: Query, m: int, memo: LogProbMemo) -> float:
     term by term in bag order.
     """
     index = memo.index
-    terms, _ = _bag(q)
+    terms, _ = q.bag
     if not lst:
         raise ValueError("WIG is undefined on an empty ranked list")
     m = min(m, len(lst))
@@ -101,7 +101,7 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
     np.std bit for bit).  Any out-of-vocabulary query term leaves the
     collection likelihood undefined and is an error.
     """
-    terms, counts = _bag(q)
+    terms, counts = q.bag
     if not lst:
         raise ValueError("NQC is undefined on an empty ranked list")
     m = min(m, len(lst))

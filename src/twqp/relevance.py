@@ -8,32 +8,21 @@ document weighted by its renormalized query likelihood:
 
 p_q and p_d are maximum-likelihood estimates (no smoothing).  Document
 weights are computed in probability space from log scores, subtracting the
-max log score before exponentiating.  A model clipped to n terms keeps its
-top n by probability, ties broken by name, without renormalizing.
+max log score before exponentiating.  A model is a term -> probability
+dict in rank order; one clipped to n terms keeps its top n by probability,
+ties broken by name, without renormalizing.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .index import Index
-from .retrieval import Query, RankedList, _bag, log_prob_matrix, weighted_sum
-
-
-@dataclass(frozen=True)
-class RelevanceModel:
-    """Term distribution over the vocabulary seen in query + feedback docs."""
-
-    query_id: str
-    term_probs: dict[str, float]
-    m: int
-    mu: float
-    lam: float
+from .retrieval import Query, RankedList, log_prob_matrix, weighted_sum
 
 
 def check_rm3(mu: float) -> None:
@@ -52,8 +41,9 @@ def build_rm3(
     lam: float,
     index: Index,
     n: int | None = None,
-) -> RelevanceModel:
-    """Estimate the RM3 distribution from the top-m docs of the initial list.
+) -> dict[str, float]:
+    """Estimate the RM3 distribution from the top-m docs of the initial list:
+    term -> probability over the vocabulary of the query and those docs.
 
     m larger than the list is clamped with a warning; lambda outside [0,1]
     or mu outside check_rm3 is an error.  Document weights are query
@@ -72,7 +62,7 @@ def build_rm3_grid(
     lam: float,
     index: Index,
     n: int | None = None,
-) -> list[RelevanceModel]:
+) -> list[dict[str, float]]:
     """One RM3 model per feedback depth in ms, each equal to build_rm3's.
 
     The top max(ms) documents are scored once and their tf/len vectors are
@@ -106,7 +96,7 @@ def build_rm3_grid(
             m = len(initial)
         depths.append(m)
 
-    terms, counts = _bag(q)
+    terms, counts = q.bag
     for w in terms:
         if not index.collection_tf.get(w):
             raise ValueError(f"RM3: query term {w!r} is in no document")
@@ -142,7 +132,6 @@ def build_rm3_grid(
         kept = np.flatnonzero(support | is_query_term)  # columns, in name order
         probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
         kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
-        term_probs = dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist()))
-        models.append(RelevanceModel(q.query_id, term_probs, m, mu, lam))
+        models.append(dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist())))
     return models
 

@@ -70,7 +70,7 @@ def rerank_many(
     for weights, present in zip(weight_maps, map_terms):
         rows = log_probs[[row[w] for w in present]]
         scores = weighted_sum([weights[w] for w in present], rows)
-        reranked.append(ranked_list(initial.query_id, nums, scores, initial.k, index, tail=tail))
+        reranked.append(ranked_list(initial.query_id, nums, scores, index, tail=tail))
     return reranked
 
 

@@ -1,18 +1,18 @@
 """Dirichlet-smoothed query-likelihood scoring and top-k retrieval.
 
-Scores live in log space.  A query is a bag of analyzed terms: a duplicated
-term contributes one log factor per occurrence.  Summation runs over the
-distinct terms in sorted order (count times the log probability), which fixes
-a canonical floating-point evaluation order; the re-ranking module uses the
-same order so that weighted sums that should equal a query-likelihood score
-do so bit-for-bit.
+Scores live in log space.  A query is a non-empty bag of analyzed terms: a
+duplicated term contributes one log factor per occurrence.  Summation runs
+over the distinct terms in sorted order (count times the log probability),
+which fixes a canonical floating-point evaluation order; the re-ranking
+module uses the same order so that weighted sums that should equal a
+query-likelihood score do so bit-for-bit.
 
-Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``,
-which reads tfs off the index's postings arrays by doc number
-(``gather_tf``) and then takes the logs (``log_probs_from``).  It gives
-the same floats as the tests' one-document oracle: the same
-association order for p, ``math.log`` (not ``np.log``, which differs in the
-last ulp on some inputs) for every log, and one term at a time accumulation.
+Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``.
+``log_prob_matrix`` reads tfs off the index's postings arrays by doc number
+(``gather_tf``) and takes their logs.  It gives the same floats as the
+tests' one-document oracle: the same association order for p, ``math.log``
+(not ``np.log``, which differs in the last ulp on some inputs) for every
+log, and one term at a time accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at its own mu over its
 own index from one full-width row per term, for callers that score the
 same terms many times.  A call builds the rows of all the terms it lacks
@@ -60,7 +60,8 @@ class Query:
 
     bag, the distinct terms in sorted order and the count of each, is
     built once, when the query is made; it takes no part in equality,
-    hashing or repr, since the terms fix it.
+    hashing or repr, since the terms fix it.  A query with no terms is an
+    error: nothing could score it.
     """
 
     query_id: str
@@ -71,12 +72,11 @@ class Query:
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
+        if not terms:
+            raise ValueError(f"cannot score the empty query {self.query_id!r}")
         object.__setattr__(self, "terms", terms)
         pairs = sorted(Counter(terms).items())
-        object.__setattr__(self, "bag", tuple(map(tuple, zip(*pairs))) or ((), ()))
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        object.__setattr__(self, "bag", tuple(map(tuple, zip(*pairs))))
 
 
 class RankedList:
@@ -86,30 +86,30 @@ class RankedList:
     table the numbers index into and the map from each id to its number:
     its index's doc_ids and numbers for a list from retrieval or re-ranking
     (from_arrays), its own distinct ids, numbered in order of first
-    appearance, for RankedList(query_id, entries, k) built from (doc_id,
+    appearance, for RankedList(query_id, entries) built from (doc_id,
     score) pairs.  entries is built on each read.  Lists are equal when
-    their query ids, entries and k are.
+    their query ids and entries are.
     """
 
-    __slots__ = ("query_id", "k", "_nums", "_scores", "_ids", "_numbers")
+    __slots__ = ("query_id", "_nums", "_scores", "_ids", "_numbers")
 
-    def __init__(self, query_id: str, entries: Iterable[tuple[str, float]], k: int) -> None:
+    def __init__(self, query_id: str, entries: Iterable[tuple[str, float]]) -> None:
         pairs = tuple(entries)
         numbers: dict[str, int] = {}
         numbered = (numbers.setdefault(d, len(numbers)) for d, _ in pairs)
         nums = np.fromiter(numbered, dtype=np.int64, count=len(pairs))
         scores = np.array([s for _, s in pairs], dtype=float)
-        self._hold(query_id, nums, scores, k, list(numbers), numbers)
+        self._hold(query_id, nums, scores, list(numbers), numbers)
 
     @classmethod
     def from_arrays(
-        cls, query_id: str, nums: np.ndarray, scores: np.ndarray, k: int, index: Index
+        cls, query_id: str, nums: np.ndarray, scores: np.ndarray, index: Index
     ) -> "RankedList":
         """The documents numbered nums in index, in that order, scoring scores.
 
         The arrays are made read-only: lists built from one share them."""
         lst = cls.__new__(cls)
-        lst._hold(query_id, nums, scores, k, index.doc_ids, index._numbers)
+        lst._hold(query_id, nums, scores, index.doc_ids, index._numbers)
         return lst
 
     def _hold(
@@ -117,12 +117,11 @@ class RankedList:
         query_id: str,
         nums: np.ndarray,
         scores: np.ndarray,
-        k: int,
         ids: list[str],
         numbers: dict[str, int],
     ) -> None:
         nums.flags.writeable = scores.flags.writeable = False
-        self.query_id, self.k, self._nums, self._scores = query_id, k, nums, scores
+        self.query_id, self._nums, self._scores = query_id, nums, scores
         self._ids, self._numbers = ids, numbers
 
     @property
@@ -135,13 +134,13 @@ class RankedList:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
-        return (self.query_id, self.entries, self.k) == (other.query_id, other.entries, other.k)
+        return (self.query_id, self.entries) == (other.query_id, other.entries)
 
     def __hash__(self) -> int:
-        return hash((self.query_id, self.entries, self.k))
+        return hash((self.query_id, self.entries))
 
     def __repr__(self) -> str:
-        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r}, k={self.k!r})"
+        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
     @property
     def doc_ids(self) -> list[str]:
@@ -171,20 +170,9 @@ class RankedList:
         return (np.flatnonzero(wanted[self._nums[:depth]]) + 1).tolist()
 
 
-@dataclass(frozen=True)
-class TfGather:
-    """What log_prob_matrix reads off the index for terms over document
-    numbers nums, none of which depends on mu: one row of tfs per term, and
-    the documents' lengths."""
-
-    terms: tuple[str, ...]
-    nums: np.ndarray
-    tf: np.ndarray
-    lengths: np.ndarray
-
-
-def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> TfGather:
-    """The tfs of terms in the documents nums, from the postings arrays."""
+def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> np.ndarray:
+    """The tfs of terms (rows) in the documents nums (columns), from the
+    postings arrays; none depends on mu."""
     tf = np.zeros((len(terms), len(nums)), dtype=np.int64)
     for row, w in zip(tf, terms):
         post_nums, post_tfs = index.term(w)
@@ -196,23 +184,25 @@ def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> TfGather:
         # Past the last posting, clip to it; the equality test masks it out.
         pos = np.minimum(post_nums.searchsorted(nums), post_nums.size - 1)
         np.multiply(post_tfs[pos], post_nums[pos] == nums, out=row)
-    return TfGather(tuple(terms), nums, tf, index.lengths[nums])
+    return tf
 
 
-def log_probs_from(gathered: TfGather, mu: float, index: Index) -> np.ndarray:
-    """log p_d(w) for each term (row) and document (column) of a gather.
+def log_prob_matrix(
+    terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
+) -> np.ndarray:
+    """log p_d(w) for each term (row) and each document number (column).
 
     p_d(w) = (tf(w,d) + mu * p_D(w)) / (|d| + mu), and the log is -inf where
     p is 0.  mu must be finite and >= 0.
     """
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
-    terms, lengths = gathered.terms, gathered.lengths
+    lengths = index.lengths[nums]
     if terms and mu == 0 and not lengths.all():
-        empty = index.doc_ids[int(gathered.nums[np.argmin(lengths)])]
+        empty = index.doc_ids[int(nums[np.argmin(lengths)])]
         raise ValueError(f"doc {empty!r} is empty and mu=0: probability undefined")
     background = np.array([mu * collection_prob(w, index) for w in terms], dtype=float)
-    return _log_probs(gathered.tf, background[:, None], lengths, mu)
+    return _log_probs(gather_tf(terms, nums, index), background[:, None], lengths, mu)
 
 
 def _log_probs(
@@ -248,14 +238,6 @@ def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(flat.size, dtype=np.intp)
     inverse[order] = starts.cumsum() - 1
     return ordered[starts], inverse
-
-
-def log_prob_matrix(
-    terms: Sequence[str], nums: np.ndarray, mu: float, index: Index
-) -> np.ndarray:
-    """log p_d(w) for each term (row) and each document number (column):
-    log_probs_from a gather_tf."""
-    return log_probs_from(gather_tf(terms, nums, index), mu, index)
 
 
 class LogProbMemo:
@@ -336,7 +318,6 @@ def ranked_list(
     query_id: str,
     nums: np.ndarray,
     scores: np.ndarray,
-    k: int,
     index: Index,
     top: int | None = None,
     tail: tuple[np.ndarray, np.ndarray] | None = None,
@@ -348,7 +329,7 @@ def ranked_list(
     nums, scores = nums[order], scores[order]
     if tail is not None:
         nums, scores = np.concatenate((nums, tail[0])), np.concatenate((scores, tail[1]))
-    return RankedList.from_arrays(query_id, nums, scores, k, index)
+    return RankedList.from_arrays(query_id, nums, scores, index)
 
 
 def _check_depth_and_mu(k: int, mu: float) -> None:
@@ -356,14 +337,6 @@ def _check_depth_and_mu(k: int, mu: float) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
-
-
-def _bag(q: Query) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The query's distinct terms, sorted, and the count of each (q.bag);
-    none is an error."""
-    if not q.terms:
-        raise ValueError(f"cannot score the empty query {q.query_id!r}")
-    return q.bag
 
 
 def retrieve_topk(
@@ -378,7 +351,7 @@ def retrieve_topk(
     without it.
     """
     _check_depth_and_mu(k, mu)
-    terms, counts = _bag(q)
+    terms, counts = q.bag
     nums = index.matching_docs(terms)  # ascending: sorted keys search faster
     if memo is None:
         log_probs = log_prob_matrix(terms, nums, mu, index)
@@ -389,7 +362,7 @@ def retrieve_topk(
     else:
         log_probs = memo.matrix(terms, nums)
     scores = weighted_sum(counts, log_probs)
-    return ranked_list(q.query_id, nums, scores, k, index, top=k)
+    return ranked_list(q.query_id, nums, scores, index, top=k)
 
 
 def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[RankedList]:
@@ -404,21 +377,19 @@ def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[
     """
     for mu in mus:
         _check_depth_and_mu(k, mu)
-    terms, counts = _bag(q)
-    gathered = gather_tf(terms, index.matching_docs(terms), index)
+    terms, counts = q.bag
+    nums = index.matching_docs(terms)
+    tf = gather_tf(terms, nums, index)[:, None, :]
     grid = np.array(mus, dtype=float)
     background = np.multiply.outer([collection_prob(w, index) for w in terms], grid)
-    log_probs = _log_probs(
-        gathered.tf[:, None, :], background[:, :, None], gathered.lengths, grid[:, None]
-    )
+    log_probs = _log_probs(tf, background[:, :, None], index.lengths[nums], grid[:, None])
     # each term's row is its (mu, document) cells laid end to end
     rows = log_probs.reshape(len(terms), -1)
     scores = weighted_sum(counts, rows).reshape(log_probs.shape[1:])
-    nums = np.broadcast_to(gathered.nums, scores.shape)
-    order = np.lexsort((nums, -scores), axis=-1)[:, :k]
-    top_nums, top_scores = gathered.nums[order], np.take_along_axis(scores, order, axis=-1)
+    order = np.lexsort((np.broadcast_to(nums, scores.shape), -scores), axis=-1)[:, :k]
+    top_nums, top_scores = nums[order], np.take_along_axis(scores, order, axis=-1)
     return [
-        RankedList.from_arrays(q.query_id, n, s, k, index) for n, s in zip(top_nums, top_scores)
+        RankedList.from_arrays(q.query_id, n, s, index) for n, s in zip(top_nums, top_scores)
     ]
 
 
@@ -466,7 +437,4 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
                     f"{path}: duplicate document {doc_id} for query {qid} at line {lineno}"
                 )
             entries[doc_id] = value
-    return {
-        qid: RankedList(qid, tuple(entries.items()), len(entries))
-        for qid, entries in per_query.items()
-    }
+    return {qid: RankedList(qid, tuple(entries.items())) for qid, entries in per_query.items()}

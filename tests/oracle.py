@@ -26,7 +26,6 @@ import numpy as np
 from twqp.analysis import AnalyzerConfig, porter_stem
 from twqp.index import Index, collection_prob
 from twqp.qpp import predict_quality, score_gap
-from twqp.relevance import RelevanceModel
 from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 
 
@@ -232,15 +231,15 @@ def delta_p(w, q, base_list, predictor, k, mu, index, base_quality=None):
     return quality - base_quality
 
 
-def top_n_terms(rm: RelevanceModel, n: int) -> list[str]:
-    """The n highest-probability terms; ties broken by name."""
-    return sorted(rm.term_probs, key=lambda w: (-rm.term_probs[w], w))[:n]
+def top_n_terms(rm: dict[str, float], n: int) -> list[str]:
+    """The n highest-probability terms of a term -> probability model;
+    ties broken by name."""
+    return sorted(rm, key=lambda w: (-rm[w], w))[:n]
 
 
-def restrict_top_n(rm: RelevanceModel, n: int) -> RelevanceModel:
+def restrict_top_n(rm: dict[str, float], n: int) -> dict[str, float]:
     """The model clipped to its top-n support, not renormalized."""
-    probs = {w: rm.term_probs[w] for w in sorted(top_n_terms(rm, n))}
-    return RelevanceModel(rm.query_id, probs, rm.m, rm.mu, rm.lam)
+    return {w: rm[w] for w in sorted(top_n_terms(rm, n))}
 
 
 def indicator_weights(q: Query) -> dict[str, float]:

@@ -132,12 +132,12 @@ class TestAcceptance:
                     m = int(rng.integers(1, len(base.entries) + 1))
                     lam = float(rng.uniform(0.0, 1.0))
                     rm = build_rm3(q, base, m, 900.0, lam, index)
-                    assert abs(math.fsum(rm.term_probs.values()) - 1.0) <= 1e-9
+                    assert abs(math.fsum(rm.values()) - 1.0) <= 1e-9
                     ones = build_rm3(q, base, m, 900.0, 1.0, index)
                     zeros = build_rm3(q, base, m, 900.0, 0.0, index)
-                    assert set(rm.term_probs) == set(ones.term_probs) == set(zeros.term_probs)
-                    for w, p in rm.term_probs.items():
-                        mix = lam * ones.term_probs[w] + (1.0 - lam) * zeros.term_probs[w]
+                    assert set(rm) == set(ones) == set(zeros)
+                    for w, p in rm.items():
+                        mix = lam * ones[w] + (1.0 - lam) * zeros[w]
                         assert abs(p - mix) <= 1e-12
                     draws += 1
 
@@ -156,7 +156,7 @@ class TestAcceptance:
                 [Document("d1", "apple banana apple"), Document("d2", "banana cherry")],
                 PLAIN,
             )
-            flat = RankedList("q1", (("d1", -1.25), ("d2", -1.25)), 10)
+            flat = RankedList("q1", (("d1", -1.25), ("d2", -1.25)))
             assert predict_nqc(flat, Query("q1", ("banana",)), 150, fruit) == 0.0
 
             # WIG: document model equal to the collection model; the smoothed
@@ -190,22 +190,18 @@ class TestAcceptance:
     def test_criterion_6_evaluation_fixture(self):
         with _criterion(6, "evaluation fixtures and t-test oracle"):
             qrels = Qrels({"q1": {"d1": 1, "d3": 1}})
-            run = RankedList("q1", (("d1", -1.0), ("d2", -2.0), ("d3", -3.0)), 10)
+            run = RankedList("q1", (("d1", -1.0), ("d2", -2.0), ("d3", -3.0)))
             assert abs(average_precision(run, qrels) - 0.833333) <= 1e-6
 
             ten = Qrels({"q1": {"d1": 1, "d5": 1, "d9": 1}})
-            twelve = RankedList(
-                "q1", tuple((f"d{i}", float(-i)) for i in range(1, 13)), 1000
-            )
+            twelve = RankedList("q1", tuple((f"d{i}", float(-i)) for i in range(1, 13)))
             assert precision_at(twelve, ten, 10) == 0.3
-            short = RankedList("q1", (("d1", -1.0), ("d5", -2.0)), 1000)
+            short = RankedList("q1", (("d1", -1.0), ("d5", -2.0)))
             assert precision_at(short, ten, 10) == 0.2
-            assert precision_at(RankedList("q1", (), 1000), ten, 10) == 0.0
+            assert precision_at(RankedList("q1", ()), ten, 10) == 0.0
 
             fourth = Qrels({"q1": {"d4": 1}})
-            four = RankedList(
-                "q1", tuple((f"d{i}", float(-i)) for i in range(1, 5)), 1000
-            )
+            four = RankedList("q1", tuple((f"d{i}", float(-i)) for i in range(1, 5)))
             assert reciprocal_rank(four, fourth) == 0.25
             assert reciprocal_rank(four, Qrels({"q1": {"d1": 1}})) == 1.0
             assert reciprocal_rank(four, Qrels({"q1": {"d9": 1}})) == 0.0

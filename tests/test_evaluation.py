@@ -42,9 +42,9 @@ from oracle import (
 )
 
 
-def _run(query_id, doc_ids, k=1000):
+def _run(query_id, doc_ids):
     entries = tuple((d, float(-i)) for i, d in enumerate(doc_ids))
-    return RankedList(query_id, entries, k)
+    return RankedList(query_id, entries)
 
 
 class TestLoaders:
@@ -260,7 +260,7 @@ class TestMeasuresOracle:
         if arrays:
             nums = ORACLE_INDEX.doc_numbers(ids)
             scores = -np.arange(length, dtype=float)
-            run = RankedList.from_arrays("q1", nums, scores, 1000, ORACLE_INDEX)
+            run = RankedList.from_arrays("q1", nums, scores, ORACLE_INDEX)
         else:
             run = _run("q1", ids)
         qrels = Qrels({"q1": grades, "q2": {"d00": 1}})
@@ -300,7 +300,7 @@ class TestMeasuresOracle:
 
     def test_repeated_doc_id_counts_at_each_rank(self):
         # a list built from entries may repeat a doc id; each rank counts
-        run = RankedList("q", [("d2", -1.0), ("d1", -2.0), ("d2", -3.0), ("d3", -4.0)], 10)
+        run = RankedList("q", [("d2", -1.0), ("d1", -2.0), ("d2", -3.0), ("d3", -4.0)])
         qrels = Qrels({"q": {"d2": 1, "d3": 0, "x9": 2}})
         for cutoff, depth in [(1, 1), (2, 3), (3, 4), (10, 1000)]:
             assert_measures_equal_the_loops(run, qrels, cutoff, depth)
@@ -574,6 +574,30 @@ class TestTuneMu:
             tune_mu(queries, qrels, ExperimentConfig(mu_grid=()), index)
 
 
+def exhaustive_tune_rm3_m(lists, qrels, config, memo):
+    """The m of config.rm3_m_grid whose re-ranked runs have the highest mean
+    AP over the judged queries with a non-empty list, added in query order;
+    a tie goes to the smaller m.  Each run re-ranks the list under the whole
+    RM3 model at depth min(m, len), cut to its top config.rm3_n terms."""
+    best = None
+    for m in sorted(config.rm3_m_grid):
+        aps = []
+        for q, base in lists:
+            if not base or not qrels.relevant_count(q.query_id):
+                continue
+            depth = min(m, len(base))
+            model = build_rm3(q, base, depth, config.rm3_mu, config.rm3_lambda, memo.index)
+            weights = restrict_top_n(model, config.rm3_n)
+            run = rerank_many(base, [weights], config, memo)[0]
+            aps.append(average_precision(run, qrels, config.k))
+        if not aps:
+            raise ValueError("no scorable queries (every query has zero relevant docs)")
+        mean = sum(aps) / len(aps)
+        if best is None or mean > best[1]:
+            best = (m, mean)
+    return best[0]
+
+
 class TestTuneRM3M:
     def _corpus(self):
         docs = [
@@ -628,8 +652,8 @@ class TestTuneRM3M:
         assert seen == [((2,), 250.0, 0.3, 2)]
         q, base = lists[0]
         full = build_rm3(q, base, 2, 250.0, 0.3, memo.index)
-        assert len(full.term_probs) == 3  # w, a and b: the clip drops one
-        assert maps_seen == [[restrict_top_n(full, 2).term_probs]]
+        assert len(full) == 3  # w, a and b: the clip drops one
+        assert maps_seen == [[restrict_top_n(full, 2)]]
 
     def test_each_clamped_depth_is_reranked_once(self, monkeypatch):
         # d1-d4 hold w, so every m >= 4 feeds back the whole list: m = 4, 5,
@@ -661,10 +685,43 @@ class TestTuneRM3M:
         ap = {}
         for m in grid:
             model = build_rm3(q, base, min(m, 4), config.rm3_mu, config.rm3_lambda, index)
-            weights = restrict_top_n(model, config.rm3_n).term_probs
+            weights = restrict_top_n(model, config.rm3_n)
             run = real(base, [weights], config, LogProbMemo(10.0, index))[0]
             ap[m] = average_precision(run, qrels, 1000)
         assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        index=corpora(max_docs=30),
+        grid=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        mu=POSITIVE_MUS,
+        data=st.data(),
+    )
+    def test_equals_an_exhaustive_sweep(self, index, grid, mu, data):
+        # Depths past a list's length come from lists shorter than 8.  The
+        # whole list is re-ranked, and depths stay small, so that the mean
+        # APs of the grid's depths differ often enough for the sweep to be
+        # told from one that ignores the depth or the clip.
+        grid += data.draw(st.lists(st.sampled_from(grid), max_size=2))  # repeated values
+        k = data.draw(st.integers(1, index.doc_count + 1))
+        config = ExperimentConfig(
+            k=k,
+            rerank_depth=k,
+            rm3_mu=data.draw(POSITIVE_MUS),
+            rm3_lambda=data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+            rm3_n=data.draw(st.integers(1, len(VOCAB) + 2)),
+            rm3_m_grid=tuple(grid),
+        )
+        terms = st.lists(st.sampled_from(index.vocabulary), min_size=1, max_size=3)
+        count = data.draw(st.integers(1, 3))
+        queries = [Query(f"q{i}", tuple(data.draw(terms))) for i in range(count)]
+        relevant = st.lists(st.sampled_from(index.doc_ids), max_size=4)
+        qrels = Qrels({q.query_id: dict.fromkeys(data.draw(relevant), 1) for q in queries})
+        memo = LogProbMemo(mu, index)
+        lists = [(q, retrieve_topk(q, k, mu, index, memo)) for q in queries]
+        assert outcome(tune_rm3_m, lists, qrels, config, memo) == outcome(
+            exhaustive_tune_rm3_m, lists, qrels, config, memo
+        )
 
 
 class TestTuningSkipsUnjudgedQueries:

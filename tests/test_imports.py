@@ -1,8 +1,11 @@
-"""Every module-level import in the library is used in its module.
+"""Every module-level import in the library is used in its module, and no
+library module imports a private name from a sibling.
 
 Deleting a function can leave behind the imports only it needed.  No
 linter is required: this walks each module's syntax tree with ast.  The
-package's __init__ is skipped, since its imports are its exports.
+package's __init__ is skipped by the unused-import check, since its
+imports are its exports.  An underscore name is private to its module: a
+sibling that needs it should get a public name or the value it stands for.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twqp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imports(body):
@@ -59,6 +63,18 @@ def unused_imports(source):
     return [f"{name} (line {line})" for name, line in _imports(tree.body) if name not in used]
 
 
+def private_imports(source):
+    """'name from module (line n)' for each underscore name imported from a
+    sibling module with a relative import, at any depth of the module."""
+    return [
+        f"{alias.name} from {'.' * node.level}{node.module or ''} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_the_check_finds_an_unused_import():
     source = (
         "import math\nimport os.path\nfrom typing import TYPE_CHECKING, Sequence, TextIO\n"
@@ -68,6 +84,16 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 2)", "TextIO (line 3)", "Index (line 5)"]
 
 
+def test_the_check_finds_a_private_import():
+    source = (
+        "from ._x import y\nfrom .a import _b, c\nfrom numpy import _core\n"
+        "def f():\n    from . import _d\n    from .e.f import _g as g\n"
+    )
+    assert private_imports(source) == [
+        "_b from .a (line 2)", "_d from . (line 5)", "_g from .e.f (line 6)"
+    ]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -75,3 +101,8 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_no_private_name_imported_from_a_sibling(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -142,7 +142,7 @@ class TestLogChoice:
         mu = 0.005618786918311483
         index = build_index([Document("d1", "a"), Document("d2", "b")], PLAIN)
         assert smoothed_prob("a", "d2", mu, index) == self.P
-        initial = RankedList("q", (("d2", 0.0),), 1)
+        initial = RankedList("q", (("d2", 0.0),))
         config = ExperimentConfig(k=1, rerank_depth=1)
         out = rerank_twqp(initial, _table({"a": 1.0}), mu, config, index)
         assert out.entries == (("d2", self.MATH_LOG),)
@@ -217,7 +217,7 @@ class TestKernelEdges:
         assert log_prob_matrix([], nums, 0, index).shape == (0, 2)
 
     def test_unknown_head_doc_rejected(self, fruit_index):
-        initial = RankedList("q", (("nope", 0.0),), 1)
+        initial = RankedList("q", (("nope", 0.0),))
         config = ExperimentConfig(k=1, rerank_depth=1)
         with pytest.raises(KeyError, match="unknown doc_id 'nope'"):
             rerank_twqp(initial, _table({"apple": 1.0}), 5.0, config, fruit_index)

@@ -29,8 +29,8 @@ from conftest import PLAIN, make_random_corpus, random_query
 from oracle import smoothed_prob
 
 
-def _list(scores, query_id="q1", k=1000):
-    return RankedList(query_id, tuple((f"d{i}", s) for i, s in enumerate(scores)), k)
+def _list(scores, query_id="q1"):
+    return RankedList(query_id, tuple((f"d{i}", s) for i, s in enumerate(scores)))
 
 
 class TestPredictorSpec:
@@ -231,9 +231,10 @@ EMPTY_QUERY_SCORERS = {
 
 @pytest.mark.parametrize("scorer", EMPTY_QUERY_SCORERS.values(), ids=EMPTY_QUERY_SCORERS)
 def test_empty_query_is_a_named_error(scorer, fruit_index):
-    # The list is a real retrieval; only the query scored against it is empty.
+    # The list is a real retrieval; only the query scored against it is
+    # empty, and it is rejected when it is made, before the scorer runs.
     lst = retrieve_topk(Query("q1", ("banana",)), 10, 10.0, fruit_index)
-    with pytest.raises(ValueError, match="empty query"):
+    with pytest.raises(ValueError, match="cannot score the empty query 'q1'"):
         scorer(lst, Query("q1", ()), fruit_index)
 
 
@@ -323,7 +324,7 @@ class TestSROR:
 
     def test_empty_base_list_warns_zero(self, fruit_index):
         q = Query("q1", ("apple", "banana"))
-        empty = RankedList("q1", (), 10)
+        empty = RankedList("q1", ())
         with pytest.warns(UserWarning, match="empty base"):
             memo = LogProbMemo(10.0, fruit_index)
             assert sror_term("apple", q, 10, memo, base_list=empty) == 0.0

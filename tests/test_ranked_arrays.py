@@ -32,7 +32,7 @@ def draw_query(data, index, terms=None):
 
 def twin(lst):
     """The same list, built from its entries."""
-    return RankedList(lst.query_id, lst.entries, lst.k)
+    return RankedList(lst.query_id, lst.entries)
 
 
 def outcome(fn, *args):
@@ -44,7 +44,7 @@ def outcome(fn, *args):
 
 
 def bits(lst):
-    return lst.doc_ids, lst.score_array().tobytes(), lst.k, lst.query_id
+    return lst.doc_ids, lst.score_array().tobytes(), lst.query_id
 
 
 class TestOneStorageForm:
@@ -58,7 +58,7 @@ class TestOneStorageForm:
         finite = st.floats(allow_nan=False, allow_infinity=False)
         scores = data.draw(st.lists(finite, min_size=len(ids), max_size=len(ids)))
         entries = tuple(zip(ids, scores))
-        lst = RankedList("q", iter(entries), 7)
+        lst = RankedList("q", iter(entries))
         assert lst.entries == entries and lst.doc_ids == ids and lst.scores == scores
         assert len(lst) == len(entries) and bool(lst) is bool(entries)
         assert lst.doc_numbers(index).tolist() == index.doc_numbers(ids).tolist()
@@ -75,7 +75,7 @@ class TestOneStorageForm:
         assert not lst.doc_numbers(index).flags.writeable
 
     def test_unknown_doc_id_is_named(self, fruit_index):
-        lst = RankedList("q", [("d1", -1.0), ("d404", -2.0)], 5)
+        lst = RankedList("q", [("d1", -1.0), ("d404", -2.0)])
         with pytest.raises(KeyError, match="d404"):
             lst.doc_numbers(fruit_index)
 
@@ -98,9 +98,8 @@ class TestArrayBackedList:
 
     def test_repr_and_inequality(self, fruit_index):
         lst = retrieve_topk(Query("q", ("cherry",)), 10, 5.0, fruit_index)
-        assert repr(lst) == f"RankedList(query_id='q', entries={lst.entries!r}, k=10)"
-        assert lst != RankedList("q", lst.entries, 9)
-        assert lst != RankedList("r", lst.entries, 10)
+        assert repr(lst) == f"RankedList(query_id='q', entries={lst.entries!r})"
+        assert lst != RankedList("r", lst.entries)
         assert lst != lst.entries
 
 
@@ -207,9 +206,10 @@ class TestRetrieveGrid:
         q = Query("q", (UNINDEXED,))
         lists = retrieve_grid(q, 5, [0.0, 10.0], fruit_index)
         assert lists == [retrieve_topk(q, 5, mu, fruit_index) for mu in (0.0, 10.0)]
-        assert lists == [RankedList("q", (), 5)] * 2
+        assert lists == [RankedList("q", ())] * 2
 
-    def test_empty_query_rejected(self, fruit_index):
+    def test_empty_query_rejected(self):
+        # rejected when the query is made, so no grid is handed one
         with pytest.raises(ValueError, match="empty query"):
-            retrieve_grid(Query("q", ()), 5, [10.0], fruit_index)
+            Query("q", ())
 

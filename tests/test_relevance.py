@@ -26,24 +26,24 @@ class TestBuildRM3:
         q = Query("q1", ("apple", "apple", "banana"))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         rm = build_rm3(q, initial, 2, 10.0, 1.0, fruit_index)
-        assert rm.term_probs["apple"] == 2 / 3
-        assert rm.term_probs["banana"] == 1 / 3
+        assert rm["apple"] == 2 / 3
+        assert rm["banana"] == 1 / 3
         # feedback-only terms stay in the support at probability zero
-        assert rm.term_probs["cherry"] == 0.0
+        assert rm["cherry"] == 0.0
 
     def test_lambda_zero_is_pure_feedback(self, fruit_index):
         q = Query("q1", ("banana",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         rm = build_rm3(q, initial, 2, 10.0, 0.0, fruit_index)
-        assert abs(sum(rm.term_probs.values()) - 1.0) < 1e-12
+        assert abs(sum(rm.values()) - 1.0) < 1e-12
 
     def test_single_feedback_doc_weight_is_one(self, fruit_index):
         q = Query("q1", ("apple",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         rm = build_rm3(q, initial, 1, 10.0, 0.0, fruit_index)
         # only d1 contributes, so the model is d1's MLE: apple 2/3, banana 1/3
-        assert abs(rm.term_probs["apple"] - 2 / 3) < 1e-12
-        assert abs(rm.term_probs["banana"] - 1 / 3) < 1e-12
+        assert abs(rm["apple"] - 2 / 3) < 1e-12
+        assert abs(rm["banana"] - 1 / 3) < 1e-12
 
     def test_direct_summation_oracle(self, fruit_index):
         """Recompute the two-doc model with explicit arithmetic."""
@@ -64,7 +64,7 @@ class TestBuildRM3:
         }
         for w, fb in feedback.items():
             expected = lam * (1.0 if w == "banana" else 0.0) + (1 - lam) * fb
-            assert abs(rm.term_probs[w] - expected) < 1e-12
+            assert abs(rm[w] - expected) < 1e-12
 
     def test_normalization_random(self):
         rng = np.random.default_rng(53)
@@ -75,7 +75,7 @@ class TestBuildRM3:
             m = int(rng.integers(1, len(initial.entries) + 1))
             lam = float(rng.uniform(0, 1))
             rm = build_rm3(q, initial, m, 800.0, lam, index)
-            assert abs(sum(rm.term_probs.values()) - 1.0) < 1e-9
+            assert abs(sum(rm.values()) - 1.0) < 1e-9
 
     def test_lambda_linearity(self):
         rng = np.random.default_rng(59)
@@ -84,10 +84,10 @@ class TestBuildRM3:
             if not initial.entries:
                 continue
             m = min(5, len(initial.entries))
-            pure_q = build_rm3(q, initial, m, 800.0, 1.0, index).term_probs
-            pure_fb = build_rm3(q, initial, m, 800.0, 0.0, index).term_probs
+            pure_q = build_rm3(q, initial, m, 800.0, 1.0, index)
+            pure_fb = build_rm3(q, initial, m, 800.0, 0.0, index)
             lam = float(rng.uniform(0, 1))
-            mixed = build_rm3(q, initial, m, 800.0, lam, index).term_probs
+            mixed = build_rm3(q, initial, m, 800.0, lam, index)
             assert set(mixed) == set(pure_q) == set(pure_fb)
             for w in mixed:
                 expected = lam * pure_q[w] + (1 - lam) * pure_fb[w]
@@ -98,12 +98,12 @@ class TestBuildRM3:
         q = Query("q1", ("banana",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         rm = build_rm3(q, initial, 2, 10.0, 0.0, fruit_index)
-        assert abs(sum(rm.term_probs.values()) - 1.0) < 1e-12
+        assert abs(sum(rm.values()) - 1.0) < 1e-12
 
     def test_empty_list_rejected(self, fruit_index):
         from twqp.retrieval import RankedList
 
-        empty = RankedList("q1", (), 10)
+        empty = RankedList("q1", ())
         with pytest.raises(ValueError, match="empty"):
             build_rm3(Query("q1", ("apple",)), empty, 5, 10.0, 0.5, fruit_index)
 
@@ -125,7 +125,7 @@ class TestBuildRM3:
         with pytest.raises(ValueError, match="RM3 requires mu > 0 and finite, got 0.0"):
             build_rm3(q, initial, 2, 0.0, 0.5, index)
         rm = build_rm3(q, initial, 2, 1e-3, 0.5, index)
-        assert not any(map(math.isnan, rm.term_probs.values()))
+        assert not any(map(math.isnan, rm.values()))
 
     def test_m_below_one_rejected(self, fruit_index):
         q = Query("q1", ("apple",))
@@ -138,7 +138,8 @@ class TestBuildRM3:
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         with pytest.warns(UserWarning, match="clamping"):
             rm = build_rm3(q, initial, 99, 10.0, 0.5, fruit_index)
-        assert rm.m == len(initial.entries)
+        at_length = build_rm3(q, initial, len(initial), 10.0, 0.5, fruit_index)
+        assert list(rm.items()) == list(at_length.items())
 
     def test_feedback_mu_independent_of_list_mu(self, fruit_index):
         # document weights are recomputed at the model's own mu
@@ -146,7 +147,7 @@ class TestBuildRM3:
         initial = retrieve_topk(q, 10, 500.0, fruit_index)
         rm_a = build_rm3(q, initial, 2, 10.0, 0.0, fruit_index)
         rm_b = build_rm3(q, initial, 2, 1000.0, 0.0, fruit_index)
-        assert rm_a.term_probs != rm_b.term_probs
+        assert rm_a != rm_b
 
     def test_unindexed_query_term_rejected_before_scoring(self, monkeypatch):
         docs = [Document("d1", "a a x"), Document("d2", "a y"), Document("d3", "b z")]
@@ -174,20 +175,20 @@ class TestTermExtraction:
         return build_rm3(q, initial, 2, 10.0, lam, fruit_index, n)
 
     def test_top_n_by_probability(self, fruit_index):
-        assert list(self._model(fruit_index, n=1).term_probs) == ["banana"]
-        assert list(self._model(fruit_index, n=2).term_probs) == ["banana", "apple"]
+        assert list(self._model(fruit_index, n=1)) == ["banana"]
+        assert list(self._model(fruit_index, n=2)) == ["banana", "apple"]
 
     def test_ties_break_lexicographically(self, fruit_index):
         clipped = self._model(fruit_index, lam=1.0, n=2)
-        assert clipped.term_probs == {"banana": 1.0, "apple": 0.0}
-        assert list(clipped.term_probs) == ["banana", "apple"]
+        assert clipped == {"banana": 1.0, "apple": 0.0}
+        assert list(clipped) == ["banana", "apple"]
 
     def test_n_beyond_support_returns_all(self, fruit_index):
         whole = self._model(fruit_index)
-        assert list(self._model(fruit_index, n=99).term_probs.items()) == list(
-            whole.term_probs.items()
+        assert list(self._model(fruit_index, n=99).items()) == list(
+            whole.items()
         )
-        assert len(whole.term_probs) == 3
+        assert len(whole) == 3
 
     def test_n_below_one_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
@@ -196,6 +197,5 @@ class TestTermExtraction:
     def test_restrict_keeps_raw_probabilities(self, fruit_index):
         whole = self._model(fruit_index)
         clipped = self._model(fruit_index, n=2)
-        assert clipped.term_probs == {w: whole.term_probs[w] for w in ("banana", "apple")}
-        assert sum(clipped.term_probs.values()) < 1.0
-        assert (clipped.m, clipped.mu, clipped.lam) == (2, 10.0, 0.5)
+        assert clipped == {w: whole[w] for w in ("banana", "apple")}
+        assert sum(clipped.values()) < 1.0

@@ -18,7 +18,6 @@ from twqp.index import Document, build_index, collection_prob
 from twqp.retrieval import (
     Query,
     RankedList,
-    _bag,
     expand_query,
     format_run,
     read_run,
@@ -124,9 +123,10 @@ class TestRetrieveTopk:
         got = retrieve_topk(Query("q1", ("durian",)), 10, 10.0, fruit_index)
         assert got.entries == ()
 
-    def test_empty_query_rejected(self, fruit_index):
+    def test_empty_query_rejected(self):
+        # rejected when the query is made, so no search is handed one
         with pytest.raises(ValueError, match="empty query"):
-            retrieve_topk(Query("q1", ()), 10, 10.0, fruit_index)
+            Query("q1", ())
 
     def test_k_below_one_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="k"):
@@ -167,12 +167,12 @@ class TestBag:
     def test_is_the_sorted_counter_of_the_terms(self, terms):
         q = Query("q1", terms)
         expected = sorted(Counter(q.terms).items())
-        assert _bag(q) == (tuple(w for w, _ in expected), tuple(c for _, c in expected))
-        assert _bag(expand_query(q, "b"))[0] == tuple(sorted(set(q.terms) | {"b"}))
+        assert q.bag == (tuple(w for w, _ in expected), tuple(c for _, c in expected))
+        assert expand_query(q, "b").bag[0] == tuple(sorted(set(q.terms) | {"b"}))
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError, match="cannot score the empty query 'q1'"):
-            _bag(Query("q1", ()))
+            Query("q1", ())
 
     def test_not_part_of_equality_or_repr(self):
         q = Query("q1", ["b", "a", "b"])
@@ -198,7 +198,7 @@ class TestExpandQuery:
 
 class TestRunFiles:
     def test_format_fixture(self):
-        lists = [RankedList("q1", (("d2", -1.5), ("d1", -2.25)), 10)]
+        lists = [RankedList("q1", (("d2", -1.5), ("d1", -2.25)))]
         assert format_run(lists, "QL") == (
             "q1 Q0 d2 1 -1.500000 QL\nq1 Q0 d1 2 -2.250000 QL\n"
         )
@@ -208,8 +208,8 @@ class TestRunFiles:
 
     def test_write_read_round_trip(self, tmp_path):
         lists = [
-            RankedList("q1", (("d1", -1.0), ("d2", -2.5)), 10),
-            RankedList("q2", (("d3", -0.125),), 10),
+            RankedList("q1", (("d1", -1.0), ("d2", -2.5))),
+            RankedList("q2", (("d3", -0.125),)),
         ]
         path = tmp_path / "out.run"
         write_run(lists, path, "tag")

@@ -177,18 +177,17 @@ class TestBuildRm3Grid:
         assert len(caught) == sum(m > n for m in ms)
         assert len(models) == len(ms)
         for m, rm in zip(ms, models):
-            assert (rm.query_id, rm.m, rm.mu, rm.lam) == (q.query_id, min(m, n), rm3_mu, lam)
             # the scalar model is in name order; the grid's is in rank order,
             # ties by name
             expected = scalar_rm3(q, initial, m, rm3_mu, lam, index)
             by_rank = dict(sorted(expected.items(), key=lambda item: -item[1]))
-            assert same_items(rm.term_probs, by_rank)
+            assert same_items(rm, by_rank)
 
     def test_validation_matches_build_rm3(self, fruit_index):
         q = Query("q", ("apple",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         with pytest.raises(ValueError, match="empty"):
-            build_rm3_grid(q, RankedList("q", (), 10), [1], 10.0, 0.5, fruit_index)
+            build_rm3_grid(q, RankedList("q", ()), [1], 10.0, 0.5, fruit_index)
         with pytest.raises(ValueError, match="lambda"):
             build_rm3_grid(q, initial, [1], 10.0, 1.5, fruit_index)
         with pytest.raises(ValueError, match="m must be >= 1"):
@@ -210,9 +209,8 @@ class TestBuildRm3Grid:
         whole = build_rm3_grid(q, initial, ms, mu, lam, index)
         clipped = build_rm3_grid(q, initial, ms, mu, lam, index, n)
         for full, rm in zip(whole, clipped):
-            assert (rm.query_id, rm.m, rm.mu, rm.lam) == (full.query_id, full.m, mu, lam)
-            assert rm.term_probs == restrict_top_n(full, n).term_probs
-            assert list(rm.term_probs) == top_n_terms(full, n)
+            assert rm == restrict_top_n(full, n)
+            assert list(rm) == top_n_terms(full, n)
 
     def test_clip_breaks_exact_ties_by_name(self):
         # at lambda = 1 every feedback term has probability 0 and the one
@@ -227,8 +225,8 @@ class TestBuildRm3Grid:
         full = build_rm3_grid(q, initial, [2], 10.0, 1.0, index)[0]
         for n in (1, 3, 25, 41, 99):
             rm = build_rm3_grid(q, initial, [2], 10.0, 1.0, index, n)[0]
-            assert list(rm.term_probs) == ["q", *names][:n] == top_n_terms(full, n)
-            assert rm.term_probs == restrict_top_n(full, n).term_probs
+            assert list(rm) == ["q", *names][:n] == top_n_terms(full, n)
+            assert rm == restrict_top_n(full, n)
 
 
 class TestRerankMany:

@@ -335,7 +335,7 @@ class TestWeighTerms:
         if not base.entries:
             pytest.skip("query matched nothing")
         rm = build_rm3(q, base, min(5, len(base.entries)), 400.0, 0.9, index, n=15)
-        vocabulary = list(rm.term_probs)
+        vocabulary = list(rm)
         for method in (WeightingMethod.TWQP_WIG, WeightingMethod.TWQP_NQC):
             table = weigh_terms(
                 q, vocabulary, method, 400.0, ExperimentConfig(k=100), index

@@ -28,12 +28,10 @@ from .index import Document, Index, build_index, collection_prob, read_corpus
 from .qpp import (
     PredictorKind,
     PredictorSpec,
-    nwig_weights,
     predict_nqc,
     predict_quality,
     predict_score_ratio,
     predict_wig,
-    sror_term,
 )
 from .relevance import build_rm3, build_rm3_grid
 from .rerank import check_rerank, rerank_many, rerank_twqp
@@ -42,6 +40,8 @@ from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
     TermWeightTable,
     WeightingMethod,
+    nwig_weights,
+    sror_term,
     twqp_weight,
     weigh_queries,
     weigh_terms,

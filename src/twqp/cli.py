@@ -32,9 +32,9 @@ from .experiment import (
 )
 from .index import Index, build_index, read_corpus
 from .rerank import check_rerank
-from .retrieval import LogProbMemo, read_run, retrieve_topk, write_run
+from .retrieval import LogProbMemo, check_positive_mu, read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
-from .weighting import WeightingMethod, check_weighing, dump_weight_tables
+from .weighting import WeightingMethod, dump_weight_tables
 
 
 def _load_index(args, config: ExperimentConfig) -> Index:
@@ -229,7 +229,7 @@ def _run(args) -> int:
     if args.command in ("tune-rm3", "rerank"):
         check_rerank(args.mu, config)
     elif args.command == "weigh":
-        check_weighing(args.mu)
+        check_positive_mu(args.mu, "weighting")
         if args.method == RM3_LABEL:
             raise ValueError("RM3Opt is a re-ranking method, not a term weighter")
     index = _load_index(args, config)

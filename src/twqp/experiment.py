@@ -43,9 +43,16 @@ from .evaluation import (
     tune_rm3_m,
 )
 from .index import Index, build_index, read_corpus
-from .relevance import build_rm3, check_rm3
+from .relevance import build_rm3
 from .rerank import check_rerank, rerank_many
-from .retrieval import LogProbMemo, Query, RankedList, format_run, retrieve_topk
+from .retrieval import (
+    LogProbMemo,
+    Query,
+    RankedList,
+    check_positive_mu,
+    format_run,
+    retrieve_topk,
+)
 from .weighting import TermWeightTable, WeightingMethod, weigh_queries
 
 QL_LABEL = "QLOpt-init"
@@ -187,7 +194,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (config.corpus and config.topics and config.qrels):
         raise ValueError("experiment needs corpus, topics and qrels paths")
     check_rerank(None, config)
-    check_rm3(config.rm3_mu)
+    check_positive_mu(config.rm3_mu, "RM3")
     index = build_index(read_corpus(config.corpus), config.analyzer)
     topics = load_topics(config.topics)
     qrels = load_qrels(config.qrels)

@@ -1,9 +1,8 @@
-"""Post-retrieval quality predictors and per-term predictor-style signals.
+"""Post-retrieval quality predictors.
 
 The list-level predictors (WIG, NQC, ScoreRatio) estimate how good a ranked
 list is without relevance judgments; they are the P(.) plugged into the
-delta-based term weighting.  The per-term signals (nWIG, SROR) are baseline
-weighters read off a single retrieval.
+delta-based term weighting.
 
 Conventions: retrieval scores are log likelihoods, so ScoreRatio is the
 likelihood ratio exp(first - last) and NQC normalizes by the absolute
@@ -17,16 +16,14 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import LogProbMemo, Query, RankedList, retrieve_topk, weighted_sum
+from .retrieval import LogProbMemo, Query, RankedList
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
-NWIG_DEFAULT_M = 50
 
 
 class PredictorKind(enum.Enum):
@@ -158,70 +155,3 @@ def predict_quality(
     if spec.kind is PredictorKind.NQC:
         return predict_nqc(lst, q, spec.effective_m, memo.index)
     return predict_score_ratio(lst)
-
-
-def nwig_weights(
-    terms: Sequence[str], lst: RankedList, m: int, memo: LogProbMemo
-) -> dict[str, float]:
-    """Per-term information-gain weights over the top-m docs of a list.
-
-        [ (1/m) sum_{d in top-m} log p_d(w)  -  log p_D(w) ] / ( -log p_D(w) )
-
-    Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
-    with a warning, since the denominator is undefined.  The logs come from
-    one memo gather over every term, at the memo's mu over its index, added
-    up one document at a time in rank order by weighted_sum, as the
-    one-term sum does.
-    """
-    index = memo.index
-    if not lst:
-        raise ValueError("nWIG is undefined on an empty ranked list")
-    m = min(m, len(lst))
-    weights: dict[str, float] = {}
-    log_pds: dict[str, float] = {}
-    for w in terms:
-        weights[w] = 0.0
-        p_collection = collection_prob(w, index)
-        if p_collection == 0.0:
-            warnings.warn(f"nWIG: term {w!r} out of vocabulary; weight 0", stacklevel=2)
-            continue
-        log_pd = math.log(p_collection)
-        if log_pd == 0.0:
-            warnings.warn(f"nWIG: term {w!r} has collection probability 1; weight 0", stacklevel=2)
-            continue
-        log_pds[w] = log_pd
-    scored = list(log_pds)
-    totals = weighted_sum([1.0] * m, memo.matrix(scored, lst.doc_numbers(index)[:m]).T)
-    for w, total in zip(scored, totals.tolist()):
-        weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
-    return weights
-
-
-def sror_term(
-    w: str, q: Query, k: int, memo: LogProbMemo, base_list: RankedList | None = None
-) -> float:
-    """Result-list drift when one occurrence of w is dropped from the query.
-
-        1 - |D_q ∩ D_{q-w}| / |D_q|
-
-    Only terms of q itself are valid.  A single-term query gets weight 1
-    (removing the only term destroys the query).  Retrievals run at the
-    memo's mu over its index and read their log probabilities from it;
-    base_list, when given, must be the depth-k retrieval for q there.
-    """
-    mu, index = memo.mu, memo.index
-    if w not in q.terms:
-        raise ValueError(f"SROR: term {w!r} is not a query term")
-    if len(q.terms) == 1:
-        return 1.0
-    if base_list is None:
-        base_list = retrieve_topk(q, k, mu, index, memo)
-    if not base_list:
-        warnings.warn("SROR: empty base retrieval; weight 0", stacklevel=2)
-        return 0.0
-    remaining = list(q.terms)
-    remaining.remove(w)
-    reduced = retrieve_topk(Query(q.query_id, tuple(remaining)), k, mu, index, memo)
-    base_docs = set(base_list.doc_numbers(index).tolist())
-    overlap = len(base_docs.intersection(reduced.doc_numbers(index).tolist()))
-    return 1.0 - overlap / len(base_docs)

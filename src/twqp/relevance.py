@@ -22,15 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index
-from .retrieval import Query, RankedList, log_prob_matrix, weighted_sum
-
-
-def check_rm3(mu: float) -> None:
-    """Reject a document-weight mu no relevance model can use: at mu = 0 a
-    feedback document lacking a query term scores -inf, and when every one
-    does, the weights' normalizer is 0/0 and every probability NaN."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"RM3 requires mu > 0 and finite, got {mu}")
+from .retrieval import Query, RankedList, check_positive_mu, log_prob_matrix, weighted_sum
 
 
 def build_rm3(
@@ -46,10 +38,10 @@ def build_rm3(
     term -> probability over the vocabulary of the query and those docs.
 
     m larger than the list is clamped with a warning; lambda outside [0,1]
-    or mu outside check_rm3 is an error.  Document weights are query
-    likelihoods at this mu, which need not be the mu the initial list was
-    retrieved with.  n, when given, clips the model to its top n terms as
-    build_rm3_grid does.
+    or a mu that fails check_positive_mu is an error.  Document weights are
+    query likelihoods at this mu, which need not be the mu the initial list
+    was retrieved with.  n, when given, clips the model to its top n terms
+    as build_rm3_grid does.
     """
     return build_rm3_grid(q, initial, (m,), mu, lam, index, n)[0]
 
@@ -81,7 +73,7 @@ def build_rm3_grid(
         raise ValueError("cannot build a relevance model from an empty ranked list")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
-    check_rm3(mu)
+    check_positive_mu(mu, "RM3")
     if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     depths = []

@@ -11,14 +11,13 @@ not score, is the authoritative output of a re-ranked list.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .retrieval import LogProbMemo, RankedList, ranked_list, weighted_sum
+from .retrieval import LogProbMemo, RankedList, check_positive_mu, ranked_list, weighted_sum
 from .weighting import TermWeightTable
 
 
@@ -33,8 +32,8 @@ def check_rerank(mu: float | None, config: ExperimentConfig) -> None:
     if mu is None:
         if min(config.mu_grid, default=1) <= 0:
             raise ValueError(f"mu_grid values must be > 0 to re-rank, got {min(config.mu_grid)}")
-    elif not 0 < mu < math.inf:
-        raise ValueError(f"rerank requires mu > 0 and finite, got {mu}")
+    else:
+        check_positive_mu(mu, "rerank")
 
 
 def rerank_many(

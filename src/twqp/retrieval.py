@@ -240,6 +240,13 @@ def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
+def check_positive_mu(mu: float, use: str) -> None:
+    """Reject a mu that is not positive and finite; use names the stage
+    that needs one."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"{use} requires mu > 0 and finite, got {mu}")
+
+
 class LogProbMemo:
     """log_prob_matrix at one mu over one index, from one row per term.
 
@@ -259,8 +266,7 @@ class LogProbMemo:
     """
 
     def __init__(self, mu: float, index: Index) -> None:
-        if not 0 < mu < math.inf:
-            raise ValueError(f"a log-probability memo requires mu > 0 and finite, got {mu}")
+        check_positive_mu(mu, "a log-probability memo")
         self.mu = mu
         self.index = index
         # The distinct document lengths, and each document's among them.

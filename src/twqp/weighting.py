@@ -8,9 +8,9 @@ and terms predicted to hurt get weight < 0.5.
 
 For a candidate vocabulary V this costs exactly 1 + |V| retrievals per query:
 the base quality is computed once and reused for every w, and the TWQP
-predictors weighed together share those retrievals.  Every retrieval goes
-through this module's ``retrieve_topk`` name, except SROR's leave-one-out
-lists, which go through ``twqp.qpp.retrieve_topk``; a count patches both.
+predictors weighed together share those retrievals.  Every weighting
+retrieval, SROR's leave-one-out lists included, goes through this module's
+one ``retrieve_topk`` name, so patching that name counts them all.
 
 Every list a weighting call scores is at one mu and over the same few
 hundred terms, so the call reads its log probabilities from one
@@ -34,21 +34,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from .index import Index
-from .qpp import (
-    NWIG_DEFAULT_M,
-    PredictorKind,
-    PredictorSpec,
-    nwig_weights,
-    predict_quality,
-    predict_score_ratio,
-    score_gap,
-    sror_term,
+from .index import Index, collection_prob
+from .qpp import PredictorKind, PredictorSpec, predict_quality, predict_score_ratio, score_gap
+from .retrieval import (
+    LogProbMemo,
+    Query,
+    RankedList,
+    check_positive_mu,
+    expand_query,
+    retrieve_topk,
+    weighted_sum,
 )
-from .retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 
 if TYPE_CHECKING:  # config imports WeightingMethod from here
     from .config import ExperimentConfig
+
+NWIG_DEFAULT_M = 50
 
 
 class WeightingMethod(enum.Enum):
@@ -93,6 +94,73 @@ def twqp_weight(delta: float) -> float:
     return e / (1.0 + e)
 
 
+def nwig_weights(
+    terms: Sequence[str], lst: RankedList, m: int, memo: LogProbMemo
+) -> dict[str, float]:
+    """Per-term information-gain weights over the top-m docs of a list.
+
+        [ (1/m) sum_{d in top-m} log p_d(w)  -  log p_D(w) ] / ( -log p_D(w) )
+
+    Out-of-vocabulary terms (and the degenerate p_D(w) = 1) get weight 0
+    with a warning, since the denominator is undefined.  The logs come from
+    one memo gather over every term, at the memo's mu over its index, added
+    up one document at a time in rank order by weighted_sum, as the
+    one-term sum does.
+    """
+    index = memo.index
+    if not lst:
+        raise ValueError("nWIG is undefined on an empty ranked list")
+    m = min(m, len(lst))
+    weights: dict[str, float] = {}
+    log_pds: dict[str, float] = {}
+    for w in terms:
+        weights[w] = 0.0
+        p_collection = collection_prob(w, index)
+        if p_collection == 0.0:
+            warnings.warn(f"nWIG: term {w!r} out of vocabulary; weight 0", stacklevel=2)
+            continue
+        log_pd = math.log(p_collection)
+        if log_pd == 0.0:
+            warnings.warn(f"nWIG: term {w!r} has collection probability 1; weight 0", stacklevel=2)
+            continue
+        log_pds[w] = log_pd
+    scored = list(log_pds)
+    totals = weighted_sum([1.0] * m, memo.matrix(scored, lst.doc_numbers(index)[:m]).T)
+    for w, total in zip(scored, totals.tolist()):
+        weights[w] = (total / m - log_pds[w]) / (-log_pds[w])
+    return weights
+
+
+def sror_term(
+    w: str, q: Query, k: int, memo: LogProbMemo, base_list: RankedList | None = None
+) -> float:
+    """Result-list drift when one occurrence of w is dropped from the query.
+
+        1 - |D_q ∩ D_{q-w}| / |D_q|
+
+    Only terms of q itself are valid.  A single-term query gets weight 1
+    (removing the only term destroys the query).  Retrievals run at the
+    memo's mu over its index and read their log probabilities from it;
+    base_list, when given, must be the depth-k retrieval for q there.
+    """
+    mu, index = memo.mu, memo.index
+    if w not in q.terms:
+        raise ValueError(f"SROR: term {w!r} is not a query term")
+    if len(q.terms) == 1:
+        return 1.0
+    if base_list is None:
+        base_list = retrieve_topk(q, k, mu, index, memo)
+    if not base_list:
+        warnings.warn("SROR: empty base retrieval; weight 0", stacklevel=2)
+        return 0.0
+    remaining = list(q.terms)
+    remaining.remove(w)
+    reduced = retrieve_topk(Query(q.query_id, tuple(remaining)), k, mu, index, memo)
+    base_docs = set(base_list.doc_numbers(index).tolist())
+    overlap = len(base_docs.intersection(reduced.doc_numbers(index).tolist()))
+    return 1.0 - overlap / len(base_docs)
+
+
 def weigh_terms(
     q: Query,
     vocabulary: Sequence[str],
@@ -106,18 +174,11 @@ def weigh_terms(
     SROR ignores the vocabulary and weighs the query's own distinct terms.
     ScoreRatio weights come from one single-term retrieval per candidate,
     sum-normalized; an empty single-term retrieval contributes 0.  mu must
-    pass check_weighing.
+    pass check_positive_mu.
     """
-    check_weighing(mu)
+    check_positive_mu(mu, "weighting")
     memo = LogProbMemo(mu, index)
     return weigh_queries([(q, vocabulary)], (method,), config, memo)[0][method]
-
-
-def check_weighing(mu: float) -> None:
-    """Reject a mu no weighting can run at: at mu = 0 a q+w list holds
-    -inf scores, which leave the predictor deltas undefined."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"weighting requires mu > 0 and finite, got {mu}")
 
 
 def weigh_queries(

@@ -13,7 +13,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import twqp.qpp
 import twqp.retrieval
 import twqp.weighting
 from twqp.analysis import AnalyzerConfig
@@ -34,13 +33,12 @@ from twqp.qpp import (
     predict_nqc,
     predict_quality,
     predict_wig,
-    sror_term,
 )
 from twqp.relevance import build_rm3
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
-from twqp.weighting import WeightingMethod, twqp_weight, weigh_terms
+from twqp.weighting import WeightingMethod, sror_term, twqp_weight, weigh_terms
 
 from conftest import PLAIN, make_random_corpus, random_query
 from oracle import indicator_weights
@@ -275,7 +273,6 @@ class TestAcceptance:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
-            monkeypatch.setattr(twqp.qpp, "retrieve_topk", counted)
             for method in (
                 WeightingMethod.TWQP_NQC,
                 WeightingMethod.TWQP_WIG,

@@ -6,12 +6,16 @@ linter is required: this walks each module's syntax tree with ast.  The
 package's __init__ is skipped by the unused-import check, since its
 imports are its exports.  An underscore name is private to its module: a
 sibling that needs it should get a public name or the value it stands for.
+The predictor module binds no retrieval function, so every weighting
+retrieval goes through the one name that a count patches.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import twqp.qpp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twqp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -106,3 +110,11 @@ def test_no_unused_module_level_import(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_no_private_name_imported_from_a_sibling(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_predictors_bind_no_retrieval():
+    assert "retrieve_topk" not in vars(twqp.qpp), (
+        "twqp.qpp binds retrieve_topk: every weighting retrieval must go through "
+        "twqp.weighting.retrieve_topk, the one name the retrieval-budget tests patch, "
+        "or the retrievals made under the other name go uncounted"
+    )

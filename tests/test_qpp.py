@@ -10,20 +10,17 @@ from hypothesis import strategies as st
 from twqp.index import Document, build_index, collection_prob
 from twqp.qpp import (
     NQC_DEFAULT_M,
-    NWIG_DEFAULT_M,
     WIG_DEFAULT_M,
     PredictorKind,
     PredictorSpec,
-    nwig_weights,
     predict_nqc,
     predict_quality,
     predict_score_ratio,
     predict_wig,
     population_std,
-    sror_term,
 )
-from twqp.relevance import build_rm3, build_rm3_grid
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
+from twqp.weighting import NWIG_DEFAULT_M, nwig_weights, sror_term
 
 from conftest import PLAIN, make_random_corpus, random_query
 from oracle import smoothed_prob
@@ -216,26 +213,6 @@ class TestPredictQuality:
         assert predict_quality(
             PredictorSpec(PredictorKind.SCORE_RATIO), lst, q, memo
         ) == predict_score_ratio(lst)
-
-
-EMPTY_QUERY_SCORERS = {
-    "build_rm3": lambda lst, q, ix: build_rm3(q, lst, 2, 10.0, 0.5, ix),
-    "build_rm3_grid": lambda lst, q, ix: build_rm3_grid(q, lst, (1, 2), 10.0, 0.5, ix),
-    "predict_wig": lambda lst, q, ix: predict_wig(lst, q, 5, LogProbMemo(10.0, ix)),
-    "predict_nqc": lambda lst, q, ix: predict_nqc(lst, q, 5, ix),
-    "predict_quality(WIG)": lambda lst, q, ix: predict_quality(
-        PredictorSpec(PredictorKind.WIG), lst, q, LogProbMemo(10.0, ix)
-    ),
-}
-
-
-@pytest.mark.parametrize("scorer", EMPTY_QUERY_SCORERS.values(), ids=EMPTY_QUERY_SCORERS)
-def test_empty_query_is_a_named_error(scorer, fruit_index):
-    # The list is a real retrieval; only the query scored against it is
-    # empty, and it is rejected when it is made, before the scorer runs.
-    lst = retrieve_topk(Query("q1", ("banana",)), 10, 10.0, fruit_index)
-    with pytest.raises(ValueError, match="cannot score the empty query 'q1'"):
-        scorer(lst, Query("q1", ()), fruit_index)
 
 
 class TestNWIG:

@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twqp.index import Document, build_index
-from twqp.qpp import nwig_weights, predict_nqc, predict_wig, score_gap, sror_term
+from twqp.qpp import predict_nqc, predict_wig, score_gap
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_grid, retrieve_topk
+from twqp.weighting import nwig_weights, sror_term
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 

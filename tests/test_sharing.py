@@ -25,12 +25,11 @@ import twqp.rerank
 import twqp.weighting
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
-from twqp.qpp import nwig_weights
 from twqp.relevance import build_rm3_grid
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
-from twqp.weighting import WeightingMethod, weigh_queries, weigh_terms
+from twqp.weighting import WeightingMethod, nwig_weights, weigh_queries, weigh_terms
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import restrict_top_n, scalar_nwig, scalar_rm3, top_n_terms
@@ -288,7 +287,6 @@ class TestWorkCounts:
 
         retrieve = counting("retrievals", twqp.weighting.retrieve_topk)
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", retrieve)
-        monkeypatch.setattr(twqp.qpp, "retrieve_topk", retrieve)
         for module in OTHER_RETRIEVERS:
             real_retrieve = module.retrieve_topk
             monkeypatch.setattr(module, "retrieve_topk", counting("other", real_retrieve))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import twqp.qpp
 import twqp.retrieval
 import twqp.weighting
 from twqp.config import ExperimentConfig
@@ -48,7 +47,6 @@ class TestWeighingSettings:
     @pytest.mark.parametrize("mu", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_mu_rejected(self, fruit_index, monkeypatch, mu):
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", _unreachable)
-        monkeypatch.setattr(twqp.qpp, "retrieve_topk", _unreachable)
         q = Query("q0", ("apple",))
         for method in WeightingMethod:
             with pytest.raises(ValueError, match="weighting requires mu > 0 and finite"):
@@ -202,8 +200,6 @@ class TestRetrievalBudget:
     """Count retrievals through the patchable module-level name."""
 
     def _counting(self, monkeypatch):
-        # SROR issues its reduced-query retrievals from the predictor module,
-        # so both module-level names are wrapped.
         calls = []
         real = twqp.retrieval.retrieve_topk
 
@@ -212,7 +208,6 @@ class TestRetrievalBudget:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(twqp.weighting, "retrieve_topk", counted)
-        monkeypatch.setattr(twqp.qpp, "retrieve_topk", counted)
         return calls
 
     def _setup(self):

@@ -9,8 +9,11 @@ excluded from aggregation (callers flag them).
 All three measures read the ranks of the relevant documents off
 RankedList.ranks_of: the relevant ids are numbered in the list's own id
 table and marked in a mask, which is read at the list's document numbers,
-so no doc id of the list is built.  AP still adds hits / rank one rank at a
-time, in rank order.
+so no doc id of the list is built.  Tuning judges each query once: its
+relevant documents are marked in one mask over the index's document
+numbers, which every mu's or depth's list is read at.  AP, in either
+case, adds hits / rank one rank at a time, in rank order, and divides by
+R (_ap, its one rule).
 """
 
 from __future__ import annotations
@@ -108,10 +111,16 @@ def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float
     relevant = qrels.relevant_docs(run.query_id)
     if not relevant:
         raise ValueError(f"query {run.query_id!r} has no relevant documents")
+    return _ap(run.ranks_of(relevant, depth), len(relevant))
+
+
+def _ap(ranks: list[int], relevant_count: int) -> float:
+    """AP from the ascending 1-based ranks of the relevant retrieved
+    documents: hits / rank added one rank at a time, in rank order, over R."""
     acc = 0.0
-    for hits, rank in enumerate(run.ranks_of(relevant, depth), start=1):
+    for hits, rank in enumerate(ranks, start=1):
         acc += hits / rank
-    return acc / len(relevant)
+    return acc / relevant_count
 
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
@@ -272,6 +281,25 @@ def _best(grid: Sequence[T], rows: Sequence[list[float]]) -> T:
     return max(zip(grid, means), key=lambda pair: pair[1])[0]
 
 
+def _judge(query_id: str, qrels: Qrels, index: Index) -> tuple[np.ndarray, int]:
+    """(mask over the index's document numbers marking the query's
+    relevant documents, R): built once per query, read at every list of it
+    that numbers into the index.  A relevant id outside the index marks
+    nothing but counts in R."""
+    relevant, numbers = qrels.relevant_docs(query_id), index._numbers
+    mask = np.zeros(index.doc_count, dtype=bool)
+    mask[[numbers[d] for d in relevant if d in numbers]] = True
+    return mask, len(relevant)
+
+
+def _judged_ap(run: RankedList, judged: tuple[np.ndarray, int], depth: int, index: Index) -> float:
+    """average_precision(run, qrels, depth) for a run numbered in index,
+    from its query's _judge mask."""
+    mask, relevant_count = judged
+    ranks = np.flatnonzero(mask[run.doc_numbers(index)[:depth]]) + 1
+    return _ap(ranks.tolist(), relevant_count)
+
+
 def tune_mu(
     queries: Sequence[Query], qrels: Qrels, config: ExperimentConfig, index: Index
 ) -> float:
@@ -279,8 +307,10 @@ def tune_mu(
 
     Queries with no relevant document are skipped before they are
     retrieved.  Each other query is scored at every mu of the grid in one
-    pass (retrieve_grid), and each list's AP is appended to its mu's APs
-    in query order; only one query's lists are alive at a time.
+    pass (retrieve_grid) and judged once: its relevant documents are
+    marked in one mask, read at every mu's list.  Each list's AP is
+    appended to its mu's APs in query order; only one query's lists are
+    alive at a time.
     """
     if not config.mu_grid:
         raise ValueError("empty mu grid")
@@ -289,8 +319,9 @@ def tune_mu(
     for q in queries:
         if qrels.relevant_count(q.query_id) == 0:
             continue
+        judged = _judge(q.query_id, qrels, index)
         for mu_aps, run in zip(aps, retrieve_grid(q, k, mus, index)):
-            mu_aps.append(average_precision(run, qrels, k))
+            mu_aps.append(_judged_ap(run, judged, k, index))
     return _best(mus, aps)
 
 
@@ -311,21 +342,24 @@ def tune_rm3_m(
     An m past a list's length feeds back the whole list, so per query each
     distinct clamped depth min(m, len) is modelled, re-ranked and scored
     once, and every m reads its depth's AP.  The memo supplies the
-    re-ranks' log probabilities.
+    re-ranks' log probabilities.  Each query is judged once, as in
+    tune_mu, and every depth's run is read off its mask.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
     ms = sorted(config.rm3_m_grid)
+    index = memo.index
     aps: list[list[float]] = [[] for _ in ms]
     for q, base in lists:
         if not base or qrels.relevant_count(base.query_id) == 0:
             continue
         depths = sorted({min(m, len(base)) for m in ms})
         models = build_rm3_grid(
-            q, base, depths, config.rm3_mu, config.rm3_lambda, memo.index, config.rm3_n
+            q, base, depths, config.rm3_mu, config.rm3_lambda, index, config.rm3_n
         )
         runs = rerank_many(base, models, config, memo)
-        by_depth = {d: average_precision(run, qrels, config.k) for d, run in zip(depths, runs)}
+        judged = _judge(base.query_id, qrels, index)
+        by_depth = {d: _judged_ap(run, judged, config.k, index) for d, run in zip(depths, runs)}
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])
     return _best(ms, aps)

@@ -8,6 +8,12 @@ Conventions: retrieval scores are log likelihoods, so ScoreRatio is the
 likelihood ratio exp(first - last) and NQC normalizes by the absolute
 log-space collection likelihood of the query.  NQC uses the population
 standard deviation.
+
+WIG and NQC have one implementation each, in batch form (wig_batch,
+nqc_batch): a weighting call scores a query's base list and all of its
+q+w lists in one pass, and each list's value is the float the one-list
+computation gives.  predict_wig, predict_nqc and predict_quality are a
+batch of one.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import LogProbMemo, Query, RankedList
+from .retrieval import LogProbMemo, Query, RankedList, weighted_sum
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -62,31 +69,67 @@ def predict_wig(lst: RankedList, q: Query, m: int, memo: LogProbMemo) -> float:
 
     |q| is the bag size of the query actually scored (expanded queries use
     their own size).  Out-of-vocabulary terms are skipped with a warning;
-    they still count toward |q|.  The log p_d come from the memo, at its mu
-    over its index, and are added one at a time, document by document and
-    term by term in bag order.
+    they still count toward |q|.  wig_batch of one list.
     """
+    return wig_batch([lst], [q], m, memo)[0]
+
+
+def wig_batch(
+    lists: Sequence[RankedList], queries: Sequence[Query], m: int, memo: LogProbMemo
+) -> list[float]:
+    """WIG of each list, scored for its query (predict_wig), in one pass.
+
+    The log p_d of every list's in-vocabulary terms at its top-m documents
+    come from one memo gather, at the memo's mu over its index, over the
+    union of the terms and of the documents.  The terms (log p_d(w) -
+    log p_D(w)) are added one step at a time over the whole batch, as
+    vectors, in the one-list loop's order: document by document in rank
+    order, and term by term in bag order within a document.  A list whose
+    top or bag is shorter than another's adds 0.0 at the steps it lacks,
+    which leaves its sum unchanged.  The out-of-vocabulary warning is given
+    for each list.
+    """
+    if not lists:
+        return []
     index = memo.index
-    terms, _ = q.bag
-    if not lst:
-        raise ValueError("WIG is undefined on an empty ranked list")
-    m = min(m, len(lst))
-    log_pd_collection: dict[str, float] = {}
-    for w in terms:
-        p = collection_prob(w, index)
-        if p == 0.0:
-            warnings.warn(f"WIG: query term {w!r} out of vocabulary; skipped", stacklevel=2)
-        else:
-            log_pd_collection[w] = math.log(p)
-    scored = list(log_pd_collection)
-    rows = dict(zip(scored, memo.matrix(scored, lst.doc_numbers(index)[:m]).tolist()))
-    total = 0.0
-    for d in range(m):
-        for w in q.terms:
-            if w not in log_pd_collection:
-                continue
-            total += rows[w][d] - log_pd_collection[w]
-    return total / (m * math.sqrt(len(q.terms)))
+    log_pd: dict[str, float | None] = {}  # term -> log p_D(w), None out of vocabulary
+    positions: list[str] = []  # each list's in-vocabulary terms, in bag order
+    bag_sizes, sizes = [], []
+    for lst, q in zip(lists, queries):
+        if not lst:
+            raise ValueError("WIG is undefined on an empty ranked list")
+        for w in q.bag[0]:
+            if w not in log_pd:
+                p = collection_prob(w, index)
+                log_pd[w] = math.log(p) if p != 0.0 else None
+            if log_pd[w] is None:
+                warnings.warn(f"WIG: query term {w!r} out of vocabulary; skipped", stacklevel=3)
+        scored = [w for w in q.terms if log_pd[w] is not None]
+        positions += scored
+        bag_sizes.append(len(scored))
+        sizes.append(min(m, len(lst)))
+    terms = sorted(w for w, v in log_pd.items() if v is not None)
+    row = {w: i for i, w in enumerate(terms)}
+    tops = [lst.doc_numbers(index)[:size] for lst, size in zip(lists, sizes)]
+    docs, doc_column = np.unique(np.concatenate(tops), return_inverse=True)
+    gains = memo.matrix(terms, docs) - np.array([log_pd[w] for w in terms])[:, None]
+    # Each list's (document, term) steps, padded to the batch's largest
+    # grid.  Read in row-major order, the True cells of in_top and in_bag
+    # are the lists' top documents and in-vocabulary terms, in turn.
+    in_top = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    in_bag = np.arange(max(bag_sizes)) < np.array(bag_sizes)[:, None]
+    doc_cells = np.zeros(in_top.shape, dtype=np.intp)
+    doc_cells[in_top] = doc_column
+    term_cells = np.zeros(in_bag.shape, dtype=np.intp)
+    term_cells[in_bag] = [row[w] for w in positions]
+    steps = np.where(
+        in_top[:, :, None] & in_bag[:, None, :],
+        gains[term_cells[:, None, :], doc_cells[:, :, None]],
+        0.0,
+    ).reshape(len(lists), -1)
+    totals = weighted_sum(np.ones(steps.shape[1]), steps.T)
+    bags = np.array([len(q.terms) for q in queries])
+    return (totals / (np.array(sizes) * np.sqrt(bags))).tolist()
 
 
 def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
@@ -96,31 +139,57 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
 
     sigma is the population standard deviation (population_std, equal to
     np.std bit for bit).  Any out-of-vocabulary query term leaves the
-    collection likelihood undefined and is an error.
+    collection likelihood undefined and is an error.  nqc_batch of one
+    list.
     """
-    terms, counts = q.bag
-    if not lst:
-        raise ValueError("NQC is undefined on an empty ranked list")
-    m = min(m, len(lst))
-    denom = 0.0
-    for w, count in zip(terms, counts):
-        p = collection_prob(w, index)
-        if p == 0.0:
-            raise ValueError(f"NQC: query term {w!r} out of vocabulary")
-        denom += count * math.log(p)
-    if denom == 0.0:
-        raise ValueError("NQC: degenerate collection likelihood (log = 0)")
-    return population_std(lst.score_array()[:m]) / abs(denom)
+    return nqc_batch([lst], [q], m, index)[0]
 
 
-def population_std(x: np.ndarray) -> float:
-    """float(np.std(x)) bit for bit, without np.std's Python wrapper.
+def nqc_batch(
+    lists: Sequence[RankedList], queries: Sequence[Query], m: int, index: Index
+) -> list[float]:
+    """NQC of each list, scored for its query (predict_nqc), in one pass.
+
+    Each list's collection likelihood is its own sequential sum over its
+    bag.  The lists with equal top size are stacked, and population_std
+    takes each one's sigma along the rows.
+    """
+    log_pd: dict[str, float] = {}
+    denominators = []
+    groups: dict[int, list[int]] = {}  # top size -> the lists holding it
+    for i, (lst, q) in enumerate(zip(lists, queries)):
+        if not lst:
+            raise ValueError("NQC is undefined on an empty ranked list")
+        denom = 0.0
+        for w, count in zip(*q.bag):
+            if w not in log_pd:
+                p = collection_prob(w, index)
+                if p == 0.0:
+                    raise ValueError(f"NQC: query term {w!r} out of vocabulary")
+                log_pd[w] = math.log(p)
+            denom += count * log_pd[w]
+        if denom == 0.0:
+            raise ValueError("NQC: degenerate collection likelihood (log = 0)")
+        denominators.append(abs(denom))
+        groups.setdefault(min(m, len(lst)), []).append(i)
+    sigma = np.empty(len(lists))
+    for size, members in groups.items():
+        sigma[members] = population_std(np.stack([lists[i].score_array()[:size] for i in members]))
+    return (sigma / np.array(denominators)).tolist()
+
+
+def population_std(x: np.ndarray) -> np.ndarray:
+    """np.std(x, axis=-1) bit for bit, without np.std's Python wrapper:
+    the population standard deviation of each row, or of a 1-d x.
 
     np.std takes the mean with np.add.reduce and a division by the count,
     the squared deviations' np.add.reduce over the count, and a correctly
-    rounded square root; so does this, with the same floats."""
-    deviations = x - np.add.reduce(x) / x.size
-    return math.sqrt(np.add.reduce(deviations * deviations) / x.size)
+    rounded square root; so does this, with the same floats.  Along the
+    last axis of a C-contiguous array, np.add.reduce sums each row as it
+    sums that row alone."""
+    count = x.shape[-1]
+    deviations = x - np.add.reduce(x, axis=-1, keepdims=True) / count
+    return np.sqrt(np.add.reduce(deviations * deviations, axis=-1) / count)
 
 
 def score_gap(lst: RankedList) -> float:
@@ -149,9 +218,17 @@ def predict_quality(
 ) -> float:
     """Dispatch on predictor kind; the list must be non-empty and scored
     at the memo's mu over its index.  WIG reads its log probabilities from
-    the memo."""
+    the memo.  predict_batch of one list."""
+    return predict_batch(spec, [lst], [q], memo)[0]
+
+
+def predict_batch(
+    spec: PredictorSpec, lists: Sequence[RankedList], queries: Sequence[Query], memo: LogProbMemo
+) -> list[float]:
+    """predict_quality of each (list, query) pair: WIG and NQC score the
+    batch in one pass, ScoreRatio one list at a time."""
     if spec.kind is PredictorKind.WIG:
-        return predict_wig(lst, q, spec.effective_m, memo)
+        return wig_batch(lists, queries, spec.effective_m, memo)
     if spec.kind is PredictorKind.NQC:
-        return predict_nqc(lst, q, spec.effective_m, memo.index)
-    return predict_score_ratio(lst)
+        return nqc_batch(lists, queries, spec.effective_m, memo.index)
+    return [predict_score_ratio(lst) for lst in lists]

@@ -15,6 +15,7 @@ ties broken by name, without renormalizing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from typing import Sequence
@@ -58,17 +59,24 @@ def build_rm3_grid(
     """One RM3 model per feedback depth in ms, each equal to build_rm3's.
 
     The top max(ms) documents are scored once and their tf/len vectors are
-    gathered once, from the postings arrays; each depth then weighs its first
-    m documents by renormalized likelihood and adds them up one document at
-    a time in rank order, as a per-document dictionary update would.
+    gathered once, from the postings arrays, into columns in term-number
+    (so name) order.  Each depth weighs its first m documents by
+    renormalized likelihood, and every depth's feedback comes from one
+    weighted_sum over a document x depth table of those weights, 0.0 past
+    the depth: each column adds its documents one at a time in rank order,
+    as a per-document dictionary update would.
 
-    A model's terms come in rank order: one stable argsort of the
-    probabilities over the name-ordered support, so ties break by name.
-    With n it holds only its top n terms, their probabilities as in the
-    whole model and not renormalized, without building the whole model's
-    dict.  With n = None the same step keeps the whole support.  A query
-    term in no document, which scores every document -inf, is an error.
+    A model's terms come in rank order: one stable row-wise argsort of the
+    negated probabilities over the name-ordered columns, with the columns
+    outside a depth's support keyed +inf, so ties break by name.  With n a
+    model holds only its top n terms, their probabilities as in the whole
+    model and not renormalized, without building the whole model's dict.
+    With n = None the same step keeps the whole support.  An empty ms, or
+    a query term in no document, which scores every document -inf, is an
+    error.
     """
+    if not ms:
+        raise ValueError("RM3: the list of feedback depths ms is empty")
     if not initial:
         raise ValueError("cannot build a relevance model from an empty ranked list")
     if not 0.0 <= lam <= 1.0:
@@ -98,32 +106,37 @@ def build_rm3_grid(
     rank = np.full(index.doc_count, -1)  # document n's row of doc_probs, or -1
     rank[nums] = np.arange(len(nums))
     picked = np.flatnonzero(rank[index.nums] >= 0)  # the feedback documents' postings
-    picked_terms = [index.vocabulary[t] for t in index.starts.searchsorted(picked, "right") - 1]
-    vocab = sorted(set(q.terms).union(picked_terms))
-    column = {w: i for i, w in enumerate(vocab)}
+    # Postings are term-major over the sorted vocabulary: term numbers are
+    # in name order, and so are the columns.
+    picked_terms = index.starts.searchsorted(picked, "right") - 1
+    query_terms = [bisect.bisect_left(index.vocabulary, w) for w in terms]
+    vocab = np.union1d(query_terms, picked_terms)
     doc_rows = rank[index.nums[picked]]
-    doc_probs = np.zeros((len(nums), len(vocab)))
-    doc_probs[doc_rows, [column[w] for w in picked_terms]] = (
+    doc_probs = np.zeros((len(nums), vocab.size))
+    doc_probs[doc_rows, vocab.searchsorted(picked_terms)] = (
         index.tfs[picked] / index.lengths[nums][doc_rows]
     )
     # A term is in the depth-m support when one of the first m docs holds it.
     held = doc_probs > 0.0
     first_doc = np.where(held.any(axis=0), held.argmax(axis=0), len(nums))
-    query_counts = dict(zip(terms, counts))
     qlen = len(q.terms)
-    query_probs = np.array([query_counts.get(w, 0) / qlen for w in vocab])
-    is_query_term = query_probs > 0.0
+    query_probs = np.zeros(vocab.size)
+    query_probs[vocab.searchsorted(query_terms)] = [c / qlen for c in counts]
 
-    models = []
-    for m in depths:
+    doc_weights = np.zeros((len(nums), len(depths)))
+    for column, m in zip(doc_weights.T, depths):
         top = max(log_scores[:m])
         raw = [math.exp(s - top) for s in log_scores[:m]]
         z = sum(raw)
-        feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
-        support = first_doc < m
-        kept = np.flatnonzero(support | is_query_term)  # columns, in name order
-        probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
-        kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
-        models.append(dict(zip(map(vocab.__getitem__, kept.tolist()), probs[kept].tolist())))
+        column[:m] = [r / z for r in raw]
+    feedback = weighted_sum(doc_weights, doc_probs)  # depth x column
+    support = first_doc < np.array(depths)[:, None]
+    probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
+    kept = support | (query_probs > 0.0)
+    order = np.argsort(np.where(kept, -probs, np.inf), axis=1, kind="stable")
+    models = []
+    for row, columns, size in zip(probs, order, np.count_nonzero(kept, axis=1).tolist()):
+        columns = columns[: size if n is None else min(n, size)]
+        names = map(index.vocabulary.__getitem__, vocab[columns].tolist())
+        models.append(dict(zip(names, row[columns].tolist())))
     return models
-

@@ -47,7 +47,10 @@ def rerank_many(
 
     One head x term log matrix over the union of the maps' non-zero terms
     serves every map: each cell depends only on its term and document.  The
-    memo supplies that matrix.
+    memo supplies that matrix.  Every map's scores come from one
+    weighted_sum over a term x map weight table, in which a term that a map
+    lacks, or weighs 0, has weight 0.0; the union's rows are all finite, so
+    each map scores as it would alone.
     """
     index = memo.index
     check_rerank(memo.mu, config)
@@ -56,21 +59,20 @@ def rerank_many(
     depth = config.rerank_depth
     all_nums, all_scores = initial.doc_numbers(index), initial.score_array()
     tail = (all_nums[depth:], all_scores[depth:])
-    map_terms = [[w for w in sorted(weights) if weights[w] != 0.0] for weights in weight_maps]
-    terms = sorted(set().union(*map_terms))
+    terms = sorted({w for weights in weight_maps for w, v in weights.items() if v != 0.0})
     nums = np.sort(all_nums[:depth])
     log_probs = memo.matrix(terms, nums)
     unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
     if unindexed.size:
         w = terms[unindexed[0]]
         raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
-    row = {w: i for i, w in enumerate(terms)}
-    reranked = []
-    for weights, present in zip(weight_maps, map_terms):
-        rows = log_probs[[row[w] for w in present]]
-        scores = weighted_sum([weights[w] for w in present], rows)
-        reranked.append(ranked_list(initial.query_id, nums, scores, index, tail=tail))
-    return reranked
+    table = np.zeros((len(terms), len(weight_maps)))
+    for column, weights in zip(table.T, weight_maps):
+        column[:] = [weights.get(w, 0.0) for w in terms]
+    return [
+        ranked_list(initial.query_id, nums, scores, index, tail=tail)
+        for scores in weighted_sum(table, log_probs)
+    ]
 
 
 def rerank_twqp(

@@ -311,12 +311,33 @@ class LogProbMemo:
         return rows
 
 
-def weighted_sum(weights: Sequence[float], log_probs: np.ndarray) -> np.ndarray:
+# Up to this many products, weighted_sum forms them all in one step;
+# past it, one row's at a time, so that no large temporary is made.
+_ONE_STEP_PRODUCTS = 1 << 18
+
+
+def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     """Sum of weight * row over the rows of log_probs, one row at a time in
-    order, as the scalar loop adds one term at a time."""
-    acc = np.zeros(log_probs.shape[1])
-    for row in np.asarray(weights, dtype=float)[:, None] * log_probs:
-        acc += row
+    order, as the scalar loop adds one term at a time.
+
+    weights is one weight per row, or a rows x batch table of them, which
+    gives one sum per batch column: a batch x columns array.  Every batch
+    column adds the rows in the same order, so its sum equals the sum over
+    its non-zero weights alone, bit for bit, provided every row is finite:
+    0.0 times a finite value is +-0.0, and adding +-0.0 leaves an
+    accumulator that starts at +0.0 unchanged (a round-to-nearest sum that
+    starts at +0.0 is never -0.0).
+    """
+    table = np.asarray(weights, dtype=float)
+    acc = np.zeros(table.shape[1:] + log_probs.shape[1:])
+    columns = table[..., None]
+    rows = log_probs[:, None] if table.ndim == 2 else log_probs
+    if acc.size * len(log_probs) <= _ONE_STEP_PRODUCTS:
+        products = columns * rows
+    else:
+        products = map(np.multiply, columns, rows)
+    for product in products:
+        acc += product
     return acc
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .index import Index, collection_prob
-from .qpp import PredictorKind, PredictorSpec, predict_quality, predict_score_ratio, score_gap
+from .qpp import PredictorKind, PredictorSpec, predict_batch, predict_score_ratio, score_gap
 from .retrieval import (
     LogProbMemo,
     Query,
@@ -191,7 +191,9 @@ def weigh_queries(
 
     Each table equals the one weigh_terms gives for its method alone.  Per
     query, one base retrieval serves nWIG, SROR and every TWQP method, and
-    each q+w list is retrieved once and scored by every TWQP predictor.  A
+    each q+w list is retrieved once, one retrieve_topk call each; each TWQP
+    predictor then scores the base list and all of the query's q+w lists
+    as one batch (predict_batch).  A
     single-term ScoreRatio depends only on (w, mu, k), so each distinct w
     is retrieved once for all the queries of the call; the single-term list
     of a one-term query's own term is its base list.  Every retrieval and
@@ -250,17 +252,18 @@ def weigh_queries(
         if WeightingMethod.NWIG in methods:
             weights[WeightingMethod.NWIG] = nwig_weights(candidates, base, NWIG_DEFAULT_M, memo)
         if predictors:
-            base_quality = {m: predict_quality(p, base, q, memo) for m, p in predictors}
-            for w in candidates:
-                expanded = expand_query(q, w)
-                expanded_list = retrieve_topk(expanded, k, mu, index, memo)
-                for m, predictor in predictors:
-                    quality = predict_quality(predictor, expanded_list, expanded, memo)
-                    if quality == base_quality[m] == math.inf:
+            expanded = [expand_query(q, w) for w in candidates]
+            expanded_lists = [retrieve_topk(e, k, mu, index, memo) for e in expanded]
+            for m, predictor in predictors:
+                base_quality, *qualities = predict_batch(
+                    predictor, [base, *expanded_lists], [q, *expanded], memo
+                )
+                for w, expanded_list, quality in zip(candidates, expanded_lists, qualities):
+                    if quality == base_quality == math.inf:
                         change = score_gap(expanded_list) - score_gap(base)
                         delta = change * math.inf if change else 0.0
                     else:
-                        delta = quality - base_quality[m]
+                        delta = quality - base_quality
                     weights[m][w] = twqp_weight(delta)
         tables.append({m: TermWeightTable(q.query_id, m, weights[m]) for m in methods})
     return tables

@@ -14,7 +14,8 @@ too: the candidate mask, the searchsorted tf gather and the np.unique log
 step, each the general path that the kernel's fast paths must equal.  So
 do the pipeline's per-term quantities, one term at a time: a candidate's
 predicted-quality delta, the top-n cut of a relevance model and the
-query-indicator weights.
+query-indicator weights.  The batched steps (a weight table's sums, WIG
+and NQC over many lists) have one-list, one-column references here.
 """
 
 import math
@@ -178,6 +179,32 @@ def scalar_wig(lst, q, m, mu, index):
             if w in log_pd:
                 total += math.log(smoothed_prob(w, doc_id, mu, index)) - log_pd[w]
     return total / (m * math.sqrt(len(q.terms)))
+
+
+def scalar_nqc(lst, q, m, index):
+    """NQC of one list: np.std of its top-m scores over the absolute
+    collection log likelihood of the bag, added term by term in bag order."""
+    denom = 0.0
+    for w, count in zip(*q.bag):
+        denom += count * math.log(index.collection_tf[w] / index.total_tokens)
+    return float(np.std(lst.score_array()[: min(m, len(lst))])) / abs(denom)
+
+
+def scalar_weighted_sums(table, rows):
+    """One sum per column of a rows x columns weight table, per document:
+    weight * log p added in row order over the column's non-zero weights,
+    one Python float at a time."""
+    sums = []
+    for column in zip(*table):
+        per_doc = []
+        for d in range(len(rows[0]) if rows else 0):
+            acc = 0.0
+            for weight, row in zip(column, rows):
+                if weight != 0.0:
+                    acc += weight * row[d]
+            per_doc.append(acc)
+        sums.append(per_doc)
+    return sums
 
 
 def scalar_nwig(w, lst, m, mu, index):

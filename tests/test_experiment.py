@@ -1,7 +1,10 @@
 """Full pipeline protocol: tuning, per-method runs, reports, determinism."""
 
+import hashlib
 import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +279,74 @@ def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
         WeightingMethod.TWQP_SCORE_RATIO: (0.9999, 1.0),
         WeightingMethod.TWQP_NQC: (0.4898, 0.5211),
     }
+
+
+# A hand-written collection on which every analyzer key bites: titles and
+# documents mix case, hold the Porter pair running/runs (both stem to run)
+# and stopwords.  The synthetic sets hold only lower-case, stem-stable,
+# non-stopword tokens, so no key of the analyzer reaches them.
+ANALYZER_DOCS = {
+    "d1": "Running shoes for the trail. Running is fun, and the runs are long.",
+    "d2": "The runs of the river run into the sea; running water is cold.",
+    "d3": "Apples and pears: the Apple orchard runs along the Road.",
+    "d4": "A road race is running in the city, and the runner runs fast.",
+    "d5": "Pears ripen in the autumn; The orchard is quiet.",
+    "d6": "City traffic on the road is slow in the morning.",
+}
+ANALYZER_TOPICS = {"q1": "Running the Race", "q2": "The Apple Orchard", "q3": "Runs on the Road"}
+ANALYZER_QRELS = {"q1": ("d1", "d4"), "q2": ("d3",), "q3": ("d4", "d6")}
+
+
+def _experiment_digest(config):
+    """sha256 over the experiment's output tree: each file's relative path
+    and bytes, in path order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # title terms dropped under some analyzers
+        run_experiment(config)
+    digest = hashlib.sha256()
+    out = Path(config.output_dir)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def analyzer_experiment(tmp_path_factory):
+    """The default-analyzer config on the hand-written collection, and its
+    output digest."""
+    root = tmp_path_factory.mktemp("analyzer")
+    (root / "corpus.jsonl").write_text(
+        "".join(json.dumps({"doc_id": d, "text": t}) + "\n" for d, t in ANALYZER_DOCS.items())
+    )
+    (root / "topics.tsv").write_text("".join(f"{q}\t{t}\n" for q, t in ANALYZER_TOPICS.items()))
+    (root / "qrels.txt").write_text(
+        "".join(f"{q} 0 {d} 1\n" for q, docs in ANALYZER_QRELS.items() for d in docs)
+    )
+    config = ExperimentConfig(
+        corpus=str(root / "corpus.jsonl"),
+        topics=str(root / "topics.tsv"),
+        qrels=str(root / "qrels.txt"),
+        output_dir=str(root / "default"),
+        k=10,
+        rerank_depth=5,
+        mu_grid=(50, 500),
+        rm3_m_grid=(1, 2),
+    )
+    return config, _experiment_digest(config)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"lowercase": False}, {"stemmer": "none"}, {"stopwords": frozenset()}],
+    ids=["lowercase", "stemmer", "stopwords"],
+)
+def test_each_analyzer_key_reaches_the_experiment(analyzer_experiment, tmp_path, change):
+    config, default_digest = analyzer_experiment
+    changed = replace(config, analyzer=replace(config.analyzer, **change), output_dir=str(tmp_path))
+    assert _experiment_digest(changed) != default_digest
+
+
+def test_the_analyzer_collection_digest_is_reproducible(analyzer_experiment, tmp_path):
+    # so that a changed digest above is the key's doing
+    config, default_digest = analyzer_experiment
+    assert _experiment_digest(replace(config, output_dir=str(tmp_path))) == default_digest

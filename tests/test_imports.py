@@ -8,6 +8,15 @@ imports are its exports.  An underscore name is private to its module: a
 sibling that needs it should get a public name or the value it stands for.
 The predictor module binds no retrieval function, so every weighting
 retrieval goes through the one name that a count patches.
+
+No library module calls a reduction that may add in another order than
+one row at a time: np.dot and its kin, the @ operator and np.sum may sum
+pairwise or blocked, and floating-point addition is not associative.
+Every float sum whose bits matter goes through retrieval.weighted_sum or
+population_std's np.add.reduce (which matches np.std); counts use
+np.count_nonzero.  Two .sum() calls are allowed, by their text: the
+index's integer token total and the synthetic generator's normaliser,
+which fixes make_synthetic's output.
 """
 
 import ast
@@ -79,6 +88,43 @@ def private_imports(source):
     ]
 
 
+REORDERING = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "sum"}
+ALLOWED_SUMS = {("index.py", "self.lengths.sum()"), ("synthetic.py", "zipf.sum()")}
+
+
+def reordering_reductions(source, module):
+    """'what (line n)' for each reduction in source that may reorder its
+    additions, other than the allowed .sum() calls of module (a file name)
+    and np.add.reduce inside population_std."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "population_std"
+        for node in ast.walk(fn)
+    }
+    numpy_names = ("np", "numpy")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in numpy_names and node.attr in REORDERING:
+                found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.Attribute) and node.attr == "reduce":
+            if getattr(node.value, "attr", None) == "add" and id(node) not in allowed:
+                found.append((node.lineno, "add.reduce"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if getattr(node.func.value, "id", None) in numpy_names:
+                continue  # np.<name>(...) is judged by its attribute above
+            method = node.func.attr
+            if method == "dot" or (
+                method == "sum" and (module, ast.unparse(node)) not in ALLOWED_SUMS
+            ):
+                found.append((node.lineno, f".{method}("))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
 def test_the_check_finds_an_unused_import():
     source = (
         "import math\nimport os.path\nfrom typing import TYPE_CHECKING, Sequence, TextIO\n"
@@ -96,6 +142,28 @@ def test_the_check_finds_a_private_import():
     assert private_imports(source) == [
         "_b from .a (line 2)", "_d from . (line 5)", "_g from .e.f (line 6)"
     ]
+
+
+def test_the_check_finds_a_reordering_reduction():
+    source = (
+        "import numpy as np\n"
+        "a = np.dot(x, y) + np.einsum('i,i', x, y)\n"
+        "b = x @ y\nb @= y\n"
+        "c = x.dot(y) + x.sum() + np.sum(x)\n"
+        "d = zipf.sum() + np.count_nonzero(x) + sum(x)\n"
+        "e = np.add.reduce(x)\n"
+        "def population_std(x):\n    return np.add.reduce(x)\n"
+    )
+    assert reordering_reductions(source, "synthetic.py") == [
+        "np.dot (line 2)", "np.einsum (line 2)", "@ (line 3)", "@ (line 4)",
+        ".dot( (line 5)", ".sum( (line 5)", "np.sum (line 5)", "add.reduce (line 7)",
+    ]
+    assert ".sum( (line 6)" in reordering_reductions(source, "index.py")
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_no_reduction_that_may_reorder_its_sum(path):
+    assert reordering_reductions(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_modules_found():

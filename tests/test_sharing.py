@@ -197,6 +197,17 @@ class TestBuildRm3Grid:
         with pytest.raises(ValueError, match="n must be >= 1"):
             build_rm3_grid(q, initial, [1], 10.0, 0.5, fruit_index, 0)
 
+    def test_an_empty_depth_list_is_rejected_before_scoring(self, fruit_index, monkeypatch):
+        q = Query("q", ("apple",))
+        initial = retrieve_topk(q, 10, 10.0, fruit_index)
+
+        def scored(*args):
+            raise AssertionError("scored before the depths were checked")
+
+        monkeypatch.setattr(twqp.relevance, "log_prob_matrix", scored)
+        with pytest.raises(ValueError, match="list of feedback depths ms is empty"):
+            build_rm3_grid(q, initial, [], 1000.0, 0.5, fruit_index)
+
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
     def test_clipped_model_is_the_whole_model_restricted(self, index, mu, data):

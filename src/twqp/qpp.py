@@ -9,11 +9,11 @@ likelihood ratio exp(first - last) and NQC normalizes by the absolute
 log-space collection likelihood of the query.  NQC uses the population
 standard deviation.
 
-WIG and NQC have one implementation each, in batch form (wig_batch,
-nqc_batch): a weighting call scores a query's base list and all of its
-q+w lists in one pass, and each list's value is the float the one-list
-computation gives.  predict_wig, predict_nqc and predict_quality are a
-batch of one.
+WIG has one implementation, in batch form (wig_batch): a weighting call
+scores a query's base list and all of its q+w lists in one pass, and each
+list's value is the float the one-list computation gives.  predict_wig and
+predict_quality are a batch of one; NQC and ScoreRatio score one list at
+a time.
 """
 
 from __future__ import annotations
@@ -139,57 +139,31 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
 
     sigma is the population standard deviation (population_std, equal to
     np.std bit for bit).  Any out-of-vocabulary query term leaves the
-    collection likelihood undefined and is an error.  nqc_batch of one
-    list.
+    collection likelihood undefined and is an error.
     """
-    return nqc_batch([lst], [q], m, index)[0]
+    terms, counts = q.bag
+    if not lst:
+        raise ValueError("NQC is undefined on an empty ranked list")
+    m = min(m, len(lst))
+    denom = 0.0
+    for w, count in zip(terms, counts):
+        p = collection_prob(w, index)
+        if p == 0.0:
+            raise ValueError(f"NQC: query term {w!r} out of vocabulary")
+        denom += count * math.log(p)
+    if denom == 0.0:
+        raise ValueError("NQC: degenerate collection likelihood (log = 0)")
+    return population_std(lst.score_array()[:m]) / abs(denom)
 
 
-def nqc_batch(
-    lists: Sequence[RankedList], queries: Sequence[Query], m: int, index: Index
-) -> list[float]:
-    """NQC of each list, scored for its query (predict_nqc), in one pass.
-
-    Each list's collection likelihood is its own sequential sum over its
-    bag.  The lists with equal top size are stacked, and population_std
-    takes each one's sigma along the rows.
-    """
-    log_pd: dict[str, float] = {}
-    denominators = []
-    groups: dict[int, list[int]] = {}  # top size -> the lists holding it
-    for i, (lst, q) in enumerate(zip(lists, queries)):
-        if not lst:
-            raise ValueError("NQC is undefined on an empty ranked list")
-        denom = 0.0
-        for w, count in zip(*q.bag):
-            if w not in log_pd:
-                p = collection_prob(w, index)
-                if p == 0.0:
-                    raise ValueError(f"NQC: query term {w!r} out of vocabulary")
-                log_pd[w] = math.log(p)
-            denom += count * log_pd[w]
-        if denom == 0.0:
-            raise ValueError("NQC: degenerate collection likelihood (log = 0)")
-        denominators.append(abs(denom))
-        groups.setdefault(min(m, len(lst)), []).append(i)
-    sigma = np.empty(len(lists))
-    for size, members in groups.items():
-        sigma[members] = population_std(np.stack([lists[i].score_array()[:size] for i in members]))
-    return (sigma / np.array(denominators)).tolist()
-
-
-def population_std(x: np.ndarray) -> np.ndarray:
-    """np.std(x, axis=-1) bit for bit, without np.std's Python wrapper:
-    the population standard deviation of each row, or of a 1-d x.
+def population_std(x: np.ndarray) -> float:
+    """float(np.std(x)) bit for bit, without np.std's Python wrapper.
 
     np.std takes the mean with np.add.reduce and a division by the count,
     the squared deviations' np.add.reduce over the count, and a correctly
-    rounded square root; so does this, with the same floats.  Along the
-    last axis of a C-contiguous array, np.add.reduce sums each row as it
-    sums that row alone."""
-    count = x.shape[-1]
-    deviations = x - np.add.reduce(x, axis=-1, keepdims=True) / count
-    return np.sqrt(np.add.reduce(deviations * deviations, axis=-1) / count)
+    rounded square root; so does this, with the same floats."""
+    deviations = x - np.add.reduce(x) / x.size
+    return math.sqrt(np.add.reduce(deviations * deviations) / x.size)
 
 
 def score_gap(lst: RankedList) -> float:
@@ -225,10 +199,10 @@ def predict_quality(
 def predict_batch(
     spec: PredictorSpec, lists: Sequence[RankedList], queries: Sequence[Query], memo: LogProbMemo
 ) -> list[float]:
-    """predict_quality of each (list, query) pair: WIG and NQC score the
-    batch in one pass, ScoreRatio one list at a time."""
+    """predict_quality of each (list, query) pair: WIG scores the batch in
+    one pass, NQC and ScoreRatio one list at a time."""
     if spec.kind is PredictorKind.WIG:
         return wig_batch(lists, queries, spec.effective_m, memo)
     if spec.kind is PredictorKind.NQC:
-        return nqc_batch(lists, queries, spec.effective_m, memo.index)
+        return [predict_nqc(lst, q, spec.effective_m, memo.index) for lst, q in zip(lists, queries)]
     return [predict_score_ratio(lst) for lst in lists]

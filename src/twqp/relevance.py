@@ -60,20 +60,17 @@ def build_rm3_grid(
 
     The top max(ms) documents are scored once and their tf/len vectors are
     gathered once, from the postings arrays, into columns in term-number
-    (so name) order.  Each depth weighs its first m documents by
-    renormalized likelihood, and every depth's feedback comes from one
-    weighted_sum over a document x depth table of those weights, 0.0 past
-    the depth: each column adds its documents one at a time in rank order,
-    as a per-document dictionary update would.
+    (so name) order; each depth then weighs its first m documents by
+    renormalized likelihood and adds them up one document at a time in rank
+    order, as a per-document dictionary update would.
 
-    A model's terms come in rank order: one stable row-wise argsort of the
-    negated probabilities over the name-ordered columns, with the columns
-    outside a depth's support keyed +inf, so ties break by name.  With n a
-    model holds only its top n terms, their probabilities as in the whole
-    model and not renormalized, without building the whole model's dict.
-    With n = None the same step keeps the whole support.  An empty ms, or
-    a query term in no document, which scores every document -inf, is an
-    error.
+    A model's terms come in rank order: one stable argsort of the
+    probabilities over the name-ordered support, so ties break by name.
+    With n it holds only its top n terms, their probabilities as in the
+    whole model and not renormalized, without building the whole model's
+    dict.  With n = None the same step keeps the whole support.  An empty
+    ms, or a query term in no document, which scores every document -inf,
+    is an error.
     """
     if not ms:
         raise ValueError("RM3: the list of feedback depths ms is empty")
@@ -122,21 +119,18 @@ def build_rm3_grid(
     qlen = len(q.terms)
     query_probs = np.zeros(vocab.size)
     query_probs[vocab.searchsorted(query_terms)] = [c / qlen for c in counts]
+    is_query_term = query_probs > 0.0
 
-    doc_weights = np.zeros((len(nums), len(depths)))
-    for column, m in zip(doc_weights.T, depths):
+    models = []
+    for m in depths:
         top = max(log_scores[:m])
         raw = [math.exp(s - top) for s in log_scores[:m]]
         z = sum(raw)
-        column[:m] = [r / z for r in raw]
-    feedback = weighted_sum(doc_weights, doc_probs)  # depth x column
-    support = first_doc < np.array(depths)[:, None]
-    probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
-    kept = support | (query_probs > 0.0)
-    order = np.argsort(np.where(kept, -probs, np.inf), axis=1, kind="stable")
-    models = []
-    for row, columns, size in zip(probs, order, np.count_nonzero(kept, axis=1).tolist()):
-        columns = columns[: size if n is None else min(n, size)]
-        names = map(index.vocabulary.__getitem__, vocab[columns].tolist())
-        models.append(dict(zip(names, row[columns].tolist())))
+        feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
+        support = first_doc < m
+        kept = np.flatnonzero(support | is_query_term)  # columns, in name order
+        probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
+        kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
+        names = map(index.vocabulary.__getitem__, vocab[kept].tolist())
+        models.append(dict(zip(names, probs[kept].tolist())))
     return models

@@ -311,11 +311,6 @@ class LogProbMemo:
         return rows
 
 
-# Up to this many products, weighted_sum forms them all in one step;
-# past it, one row's at a time, so that no large temporary is made.
-_ONE_STEP_PRODUCTS = 1 << 18
-
-
 def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     """Sum of weight * row over the rows of log_probs, one row at a time in
     order, as the scalar loop adds one term at a time.
@@ -330,14 +325,9 @@ def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.nd
     """
     table = np.asarray(weights, dtype=float)
     acc = np.zeros(table.shape[1:] + log_probs.shape[1:])
-    columns = table[..., None]
-    rows = log_probs[:, None] if table.ndim == 2 else log_probs
-    if acc.size * len(log_probs) <= _ONE_STEP_PRODUCTS:
-        products = columns * rows
-    else:
-        products = map(np.multiply, columns, rows)
-    for product in products:
-        acc += product
+    rows = log_probs if table.ndim == 1 else log_probs[:, None]
+    for row in table[..., None] * rows:
+        acc += row
     return acc
 
 

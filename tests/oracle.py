@@ -14,8 +14,8 @@ too: the candidate mask, the searchsorted tf gather and the np.unique log
 step, each the general path that the kernel's fast paths must equal.  So
 do the pipeline's per-term quantities, one term at a time: a candidate's
 predicted-quality delta, the top-n cut of a relevance model and the
-query-indicator weights.  The batched steps (a weight table's sums, WIG
-and NQC over many lists) have one-list, one-column references here.
+query-indicator weights.  The batched steps (a weight table's sums, a
+predictor over many lists) have one-list, one-column references here.
 """
 
 import math

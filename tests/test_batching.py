@@ -1,9 +1,9 @@
 """Batched steps equal their one-at-a-time references bit for bit.
 
 weighted_sum takes a terms x batch weight table and gives one sum per
-column; WIG and NQC score a batch of lists in one pass; population_std
-takes sigma row by row.  Each must give the floats the one-column,
-one-list or one-row computation gives.
+column; WIG scores a batch of lists in one pass, and predict_batch scores
+a batch with any predictor.  Each must give the floats the one-column or
+one-list computation gives.
 """
 
 import warnings
@@ -16,10 +16,7 @@ from hypothesis import strategies as st
 from twqp.qpp import (
     PredictorKind,
     PredictorSpec,
-    nqc_batch,
-    population_std,
     predict_batch,
-    predict_nqc,
     predict_score_ratio,
     predict_wig,
     wig_batch,
@@ -70,15 +67,6 @@ class TestWeightTable:
         got = weighted_sum(weights, rows)
         assert got.tobytes() == weighted_sum(np.array(weights)[:, None], rows)[0].tobytes()
 
-    def test_a_table_past_the_one_step_size_adds_row_by_row(self):
-        # 70 x 20 weights against 200 documents: more products than
-        # weighted_sum forms in one step
-        rng = np.random.default_rng(5)
-        table = rng.uniform(-2.0, 2.0, (70, 20)) * (rng.random((70, 20)) < 0.6)
-        rows = rng.uniform(-30.0, 0.0, (70, 200))
-        expected = scalar_weighted_sums(table.tolist(), rows.tolist())
-        assert weighted_sum(table, rows).tobytes() == np.array(expected).tobytes()
-
 
 def _batch(data, index, mu, oov):
     """A base query of indexed terms (plus the unindexed term when oov)
@@ -116,19 +104,6 @@ class TestPredictorBatches:
 
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
-    def test_nqc_equals_the_one_list_formula(self, index, mu, data):
-        lists, queries, m, memo = _batch(data, index, mu, oov=False)
-        try:
-            expected = [scalar_nqc(lst, q, m, index) for lst, q in zip(lists, queries)]
-        except ZeroDivisionError:  # a one-term corpus: log p_D = 0
-            with pytest.raises(ValueError, match="degenerate"):
-                nqc_batch(lists, queries, m, index)
-            return
-        assert nqc_batch(lists, queries, m, index) == expected
-        assert [predict_nqc(lst, q, m, index) for lst, q in zip(lists, queries)] == expected
-
-    @PROPERTY
-    @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
     def test_predict_batch_dispatches_per_kind(self, index, mu, data):
         lists, queries, m, memo = _batch(data, index, mu, oov=False)
         assert predict_batch(PredictorSpec(PredictorKind.SCORE_RATIO), lists, queries, memo) == [
@@ -137,36 +112,14 @@ class TestPredictorBatches:
         assert predict_batch(PredictorSpec(PredictorKind.WIG, m), lists, queries, memo) == [
             predict_wig(lst, q, m, memo) for lst, q in zip(lists, queries)
         ]
-
-    def test_nqc_batch_names_an_out_of_vocabulary_term(self, fruit_index):
-        memo = LogProbMemo(10.0, fruit_index)
-        q = Query("q", ("apple",))
-        queries = [q, expand_query(q, "zzz")]
-        lists = [retrieve_topk(e, 10, 10.0, fruit_index, memo) for e in queries]
-        with pytest.raises(ValueError, match="'zzz' out of vocabulary"):
-            nqc_batch(lists, queries, 5, fruit_index)
+        nqc = PredictorSpec(PredictorKind.NQC, m)
+        try:
+            expected = [scalar_nqc(lst, q, m, index) for lst, q in zip(lists, queries)]
+        except ZeroDivisionError:  # a one-term corpus: log p_D = 0
+            with pytest.raises(ValueError, match="degenerate"):
+                predict_batch(nqc, lists, queries, memo)
+            return
+        assert predict_batch(nqc, lists, queries, memo) == expected
 
     def test_an_empty_batch_scores_nothing(self, fruit_index):
         assert wig_batch([], [], 5, LogProbMemo(10.0, fruit_index)) == []
-        assert nqc_batch([], [], 5, fruit_index) == []
-
-
-class TestRowwiseSigma:
-    # Row lengths up to 300, so that np.add.reduce sums most rows pairwise
-    # and a running sum would differ.  The values mix four scales, drawn by
-    # a seeded generator: hypothesis draws each float too slowly for 2-d
-    # arrays of this size.
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(1, 6), width=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    def test_each_row_is_its_own_sigma(self, rows, width, seed):
-        rng = np.random.default_rng(seed)
-        scales = np.array([
-            rng.uniform(-1e3, 1e3, (rows, width)),
-            rng.uniform(-1e-6, 1e-6, (rows, width)),
-            rng.uniform(-1e12, -1e6, (rows, width)),
-            rng.choice([-7.25, 0.0, 1e-300, -123456.789], (rows, width)),
-        ])
-        x = np.take_along_axis(scales, rng.integers(0, 4, (1, rows, width)), axis=0)[0]
-        got = population_std(np.ascontiguousarray(x))
-        assert got.tolist() == [population_std(row.copy()) for row in x]
-        assert got.tolist() == [float(np.std(row)) for row in x]

@@ -9,17 +9,19 @@ excluded from aggregation (callers flag them).
 All three measures read the ranks of the relevant documents off
 RankedList.ranks_of: the relevant ids are numbered in the list's own id
 table and marked in a mask, which is read at the list's document numbers,
-so no doc id of the list is built.  Tuning judges each query once: its
-relevant documents are marked in one mask over the index's document
-numbers, which every mu's or depth's list is read at.  AP, in either
-case, adds hits / rank one rank at a time, in rank order, and divides by
-R (_ap, its one rule).
+so no doc id of the list is built; build_report reads each run's ranks
+once and takes all three measures from them.  Tuning judges each query
+once: its relevant documents are marked in one mask over the index's
+document numbers, which every mu's or depth's list is read at.  AP, in
+every case, adds hits / rank one rank at a time, in rank order, and
+divides by R (_ap, its one rule).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
@@ -163,7 +165,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
         warnings.warn("zero-variance nonzero-mean differences; p-value 0", stacklevel=2)
         return 0.0
     t = mean / (sd / math.sqrt(n))
-    # Imported here: index, search, eval and weigh never run a t-test.
+    # Imported here: index and eval never run a t-test, and load no scipy.
     from scipy.special import stdtr
 
     return 2.0 * float(stdtr(n - 1, -abs(t)))
@@ -220,16 +222,21 @@ def build_report(
     if not eligible:
         raise ValueError("every query has zero relevant documents")
 
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     per_query: dict[str, dict[str, QueryMeasures]] = {}
     for method in methods:
         per_query[method] = {}
         for qid in query_ids:
-            run = runs[method][qid]
-            scorable = qrels.relevant_count(qid) > 0
+            # precision_at, average_precision and reciprocal_rank, from one
+            # read of the relevant ranks
+            relevant = qrels.relevant_docs(qid)
+            ranks = runs[method][qid].ranks_of(relevant)
+            scorable = bool(relevant)
             per_query[method][qid] = QueryMeasures(
-                p10=precision_at(run, qrels, 10),
-                ap=average_precision(run, qrels, depth) if scorable else None,
-                rr=reciprocal_rank(run, qrels) if scorable else None,
+                p10=bisect_right(ranks, 10) / 10,
+                ap=_ap(ranks[: bisect_right(ranks, depth)], len(relevant)) if scorable else None,
+                rr=(1.0 / ranks[0] if ranks else 0.0) if scorable else None,
             )
 
     def vector(method: str, measure: str) -> list[float]:

@@ -10,9 +10,10 @@ query-likelihood score do so bit-for-bit.
 Every score comes from one kernel, ``log_prob_matrix`` and ``weighted_sum``.
 ``log_prob_matrix`` reads tfs off the index's postings arrays by doc number
 (``gather_tf``) and takes their logs.  It gives the same floats as the
-tests' one-document oracle: the same association order for p, ``math.log``
-(not ``np.log``, which differs in the last ulp on some inputs) for every
-log, and one term at a time accumulation.
+tests' one-document oracle: the same association order for p, the C
+library's log, which ``math.log`` calls (not ``np.log``, which differs in
+the last ulp on some inputs), for every log, and one term at a time
+accumulation.
 A ``LogProbMemo`` answers ``log_prob_matrix`` calls at its own mu over its
 own index from one full-width row per term, for callers that score the
 same terms many times.  A call builds the rows of all the terms it lacks
@@ -32,8 +33,8 @@ are its postings' doc numbers, as they stand.  ``gather_tf`` copies a
 term's tfs as they stand when the documents are exactly its postings, and
 finds each document in the postings by binary search otherwise.  The log
 step, ``_log_probs``, which the kernel, the grid and the memo all call,
-finds the distinct probabilities with one argsort and calls ``math.log``
-once for each.
+takes every cell's log in one call over the array
+(``scipy.special.xlogy(1.0, p)``).
 
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
@@ -212,32 +213,15 @@ def _log_probs(
     over arrays that broadcast together; background is mu * p_D(w).
 
     That is the oracle's association, (tf + mu * (cf / T)) / (len + mu);
-    another order can round to another float.  math.log runs once per
-    distinct p: p repeats across documents with equal tf and length and,
-    off the terms' postings, across terms of equal collection frequency and
-    documents of equal length.
+    another order can round to another float.  xlogy(1.0, p) is 1.0 times
+    the C library's log of each cell, the function math.log calls, so each
+    log is math.log's float; np.log's own loop differs in the last ulp on
+    some inputs.
     """
-    p = (tf + background) / (lengths + mu)
-    values, inverse = _distinct(p.ravel())
-    logs = [math.log(v) if v != 0.0 else -math.inf for v in values.tolist()]
-    return np.array(logs, dtype=float)[inverse].reshape(p.shape)
+    # Imported here: index and eval score nothing, and start without scipy.
+    from scipy.special import xlogy
 
-
-def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(flat, return_inverse=True) for a 1-d float array with no
-    NaN: the ascending distinct values and, per element, its value's index.
-
-    One argsort; an element starts a new value where it differs from its
-    sorted neighbour, and a running count of the starts numbers the values.
-    """
-    order = flat.argsort()
-    ordered = flat[order]
-    starts = np.empty(flat.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inverse = np.empty(flat.size, dtype=np.intp)
-    inverse[order] = starts.cumsum() - 1
-    return ordered[starts], inverse
+    return xlogy(1.0, (tf + background) / (lengths + mu))
 
 
 def check_positive_mu(mu: float, use: str) -> None:

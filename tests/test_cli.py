@@ -718,8 +718,9 @@ class TestErrors:
 
 
 def test_import_loads_no_scipy():
-    # Only a significance test needs scipy, and it imports scipy.special
-    # when it runs; index, search, eval and weigh start without it.
+    # scipy.special is imported on first use: by the kernel's log step at
+    # the first score and by the t-test.  Importing the command line loads
+    # no scipy, so index and eval, which score nothing, run without it.
     src = Path(twqp.cli.__file__).resolve().parents[1]
     code = (
         "import sys, twqp.cli; "

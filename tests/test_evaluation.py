@@ -15,6 +15,7 @@ import twqp.evaluation
 from twqp.config import ExperimentConfig
 from twqp.evaluation import (
     Qrels,
+    QueryMeasures,
     average_precision,
     build_report,
     load_qrels,
@@ -475,6 +476,37 @@ class TestBuildReport:
         # B ties q1 p@10 (0.2), ties q2 (0.1), ties q3 (0.0)
         assert report.ri["B"] == 0.0
         assert report.baseline == "A"
+
+    @pytest.mark.filterwarnings("ignore:zero-variance nonzero-mean differences")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        orders=st.lists(st.permutations(ORACLE_DOCS), min_size=4, max_size=4),
+        lengths=st.lists(st.integers(0, len(ORACLE_DOCS)), min_size=4, max_size=4),
+        grades=st.dictionaries(st.sampled_from(JUDGED), st.sampled_from([0, 1, 2])),
+        depth=st.integers(1, 15),
+    )
+    def test_measures_equal_the_one_measure_functions(self, orders, lengths, grades, depth):
+        # q1 may have no relevant document; q2 always has one
+        qrels = Qrels({"q1": grades, "q2": {"d00": 1, "x0": 2}})
+        ids = [order[:length] for order, length in zip(orders, lengths)]
+        runs = {
+            "A": {"q1": _run("q1", ids[0]), "q2": _run("q2", ids[1])},
+            "B": {"q1": _run("q1", ids[2]), "q2": _run("q2", ids[3])},
+        }
+        report = build_report(runs, qrels, baseline="A", depth=depth)
+        for method, by_query in runs.items():
+            for qid, run in by_query.items():
+                scorable = qrels.relevant_count(qid) > 0
+                assert report.per_query[method][qid] == QueryMeasures(
+                    p10=precision_at(run, qrels, 10),
+                    ap=average_precision(run, qrels, depth) if scorable else None,
+                    rr=reciprocal_rank(run, qrels) if scorable else None,
+                )
+
+    def test_depth_below_one_rejected(self):
+        runs, qrels = self._fixture()
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            build_report(runs, qrels, baseline="A", depth=0)
 
     def test_missing_baseline_rejected(self):
         runs, qrels = self._fixture()

@@ -17,6 +17,11 @@ population_std's np.add.reduce (which matches np.std); counts use
 np.count_nonzero.  Two .sum() calls are allowed, by their text: the
 index's integer token total and the synthetic generator's normaliser,
 which fixes make_synthetic's output.
+
+Nor does any library module call numpy's log or exp functions: their SIMD
+loops differ from the C library's in the last ulp on some inputs, and
+every log and exp must be math.log's or math.exp's float (the kernel takes
+its logs with scipy.special.xlogy, which calls the C library's log).
 """
 
 import ast
@@ -125,6 +130,22 @@ def reordering_reductions(source, module):
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
+NOT_LIBM = {"log", "log2", "log10", "log1p", "exp", "exp2", "expm1"}
+
+
+def numpy_logs_and_exps(source):
+    """'np.name (line n)' for each numpy log or exp function in source, in
+    source order."""
+    found = sorted(
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) in ("np", "numpy")
+        and node.attr in NOT_LIBM
+    )
+    return [f"np.{name} (line {line})" for line, _, name in found]
+
+
 def test_the_check_finds_an_unused_import():
     source = (
         "import math\nimport os.path\nfrom typing import TYPE_CHECKING, Sequence, TextIO\n"
@@ -164,6 +185,26 @@ def test_the_check_finds_a_reordering_reduction():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_no_reduction_that_may_reorder_its_sum(path):
     assert reordering_reductions(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_check_finds_a_numpy_log_or_exp():
+    source = (
+        "import math\nimport numpy as np\nfrom scipy.special import xlogy\n"
+        "a = np.log(x) + np.log2(x) + numpy.log10(x)\n"
+        "b = np.log1p(x) * np.exp(x) - np.exp2(x) / np.expm1(x)\n"
+        "c = math.log(v) + math.exp(v) + xlogy(1.0, x) + np.logaddexp(x, y)\n"
+        "f = np.log\n"
+    )
+    assert numpy_logs_and_exps(source) == [
+        "np.log (line 4)", "np.log2 (line 4)", "np.log10 (line 4)",
+        "np.log1p (line 5)", "np.exp (line 5)", "np.exp2 (line 5)", "np.expm1 (line 5)",
+        "np.log (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_no_numpy_log_or_exp(path):
+    assert numpy_logs_and_exps(path.read_text(encoding="utf-8")) == []
 
 
 def test_modules_found():

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import twqp.cli
 import twqp.evaluation
 import twqp.experiment
-import twqp.qpp
 import twqp.relevance
 import twqp.rerank
 import twqp.weighting
@@ -395,9 +394,9 @@ class TestWorkCounts:
         for name in ("matching_docs", "doc_numbers"):
             monkeypatch.setattr(Index, name, counting(name, getattr(Index, name)))
         real_retrieve = twqp.retrieval.retrieve_topk
-        for module in OTHER_RETRIEVERS + (twqp.evaluation, twqp.qpp, twqp.weighting):
-            if vars(module).get("retrieve_topk") is real_retrieve:
-                monkeypatch.setattr(module, "retrieve_topk", counting("retrieve_topk", real_retrieve))
+        for module in OTHER_RETRIEVERS + (twqp.weighting,):
+            assert vars(module).get("retrieve_topk") is real_retrieve, module.__name__
+            monkeypatch.setattr(module, "retrieve_topk", counting("retrieve_topk", real_retrieve))
         real_tune_mu = twqp.experiment.tune_mu
 
         def tune_mu(queries, *args, **kwargs):

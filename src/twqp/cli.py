@@ -32,7 +32,7 @@ from .experiment import (
 )
 from .index import Index, build_index, read_corpus
 from .rerank import check_rerank
-from .retrieval import LogProbMemo, check_positive_mu, read_run, retrieve_topk, write_run
+from .retrieval import LogProbMemo, add_up, check_positive_mu, read_run, retrieve_topk, write_run
 from .synthetic import make_synthetic, write_collection
 from .weighting import WeightingMethod, dump_weight_tables
 
@@ -208,13 +208,13 @@ def _run(args) -> int:
                 print(f"{cell}\t(no relevant docs; AP/RR excluded)")
         if precisions:
             n = len(precisions)
-            print(f"mean over {n} queries\tp@{args.cutoff}={sum(precisions)/n:.4f}")
+            print(f"mean over {n} queries\tp@{args.cutoff}={add_up(precisions)/n:.4f}")
         if judged:
             n = len(judged)
             print(
                 f"mean over {n} judged queries\t"
-                f"MAP={sum(ap for ap, _ in judged)/n:.4f}\t"
-                f"MRR={sum(rr for _, rr in judged)/n:.4f}"
+                f"MAP={add_up(ap for ap, _ in judged)/n:.4f}\t"
+                f"MRR={add_up(rr for _, rr in judged)/n:.4f}"
             )
         return 0
 

@@ -32,7 +32,7 @@ from .config import ExperimentConfig
 from .index import Index
 from .relevance import build_rm3_grid
 from .rerank import rerank_many
-from .retrieval import LogProbMemo, Query, RankedList, retrieve_grid
+from .retrieval import LogProbMemo, Query, RankedList, add_up, retrieve_grid
 
 
 class Qrels:
@@ -119,10 +119,7 @@ def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float
 def _ap(ranks: list[int], relevant_count: int) -> float:
     """AP from the ascending 1-based ranks of the relevant retrieved
     documents: hits / rank added one rank at a time, in rank order, over R."""
-    acc = 0.0
-    for hits, rank in enumerate(ranks, start=1):
-        acc += hits / rank
-    return acc / relevant_count
+    return add_up(hits / rank for hits, rank in enumerate(ranks, start=1)) / relevant_count
 
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
@@ -139,9 +136,8 @@ def robustness_index(
         raise ValueError("paired value vectors differ in length")
     if not method_values:
         raise ValueError("empty query set")
-    better = sum(1 for a, b in zip(method_values, baseline_values) if a > b)
-    worse = sum(1 for a, b in zip(method_values, baseline_values) if a < b)
-    return (better - worse) / len(method_values)
+    signs = [(a > b) - (a < b) for a, b in zip(method_values, baseline_values)]
+    return (signs.count(1) - signs.count(-1)) / len(signs)
 
 
 def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
@@ -246,7 +242,7 @@ def build_report(
 
     aggregates = {
         method: {
-            measure: sum(vector(method, measure)) / len(vector(method, measure))
+            measure: add_up(vector(method, measure)) / len(vector(method, measure))
             for measure in ("p10", "ap", "rr")
         }
         for method in methods
@@ -284,7 +280,7 @@ def _best(grid: Sequence[T], rows: Sequence[list[float]]) -> T:
     first."""
     if not rows[0]:
         raise ValueError("no scorable queries (every query has zero relevant docs)")
-    means = [sum(row) / len(row) for row in rows]
+    means = [add_up(row) / len(row) for row in rows]
     return max(zip(grid, means), key=lambda pair: pair[1])[0]
 
 

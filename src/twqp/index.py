@@ -197,17 +197,22 @@ def _consistent(
     tfs: np.ndarray,
 ) -> bool:
     """Whether the arrays form one index: a length per document, a posting
-    span per term ascending from 0 over all of nums and tfs, and every
-    posting on a numbered document."""
-    return (
+    span per term ascending from 0 over all of nums and tfs, every posting
+    on a numbered document with a tf of at least 1, and each term's
+    document numbers strictly ascending."""
+    ok = (
         all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
         and lengths.shape == (n_docs,)
         and starts.shape == (n_terms + 1,)
         and starts[0] == 0
         and bool((starts[1:] >= starts[:-1]).all())
         and nums.shape == tfs.shape == (starts[-1],)
-        and (nums.size == 0 or (nums.min() >= 0 and nums.max() < n_docs))
     )
+    if not ok or nums.size == 0:
+        return bool(ok)
+    rising = nums[1:] > nums[:-1]
+    rising[starts[(starts > 0) & (starts < nums.size)] - 1] = True  # a term's first posting
+    return bool(nums.min() >= 0 and nums.max() < n_docs and tfs.min() >= 1 and rising.all())
 
 
 def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index, collection_prob
-from .retrieval import LogProbMemo, Query, RankedList, weighted_sum
+from .retrieval import LogProbMemo, Query, RankedList, add_up, weighted_sum
 
 WIG_DEFAULT_M = 5
 NQC_DEFAULT_M = 150
@@ -145,12 +145,10 @@ def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
     if not lst:
         raise ValueError("NQC is undefined on an empty ranked list")
     m = min(m, len(lst))
-    denom = 0.0
-    for w, count in zip(terms, counts):
-        p = collection_prob(w, index)
-        if p == 0.0:
-            raise ValueError(f"NQC: query term {w!r} out of vocabulary")
-        denom += count * math.log(p)
+    probs = [collection_prob(w, index) for w in terms]
+    if 0.0 in probs:
+        raise ValueError(f"NQC: query term {terms[probs.index(0.0)]!r} out of vocabulary")
+    denom = add_up(count * math.log(p) for count, p in zip(counts, probs))
     if denom == 0.0:
         raise ValueError("NQC: degenerate collection likelihood (log = 0)")
     return population_std(lst.score_array()[:m]) / abs(denom)

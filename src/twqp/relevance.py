@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import Index
-from .retrieval import Query, RankedList, check_positive_mu, log_prob_matrix, weighted_sum
+from .retrieval import Query, RankedList, add_up, check_positive_mu, log_prob_matrix, weighted_sum
 
 
 def build_rm3(
@@ -125,7 +125,7 @@ def build_rm3_grid(
     for m in depths:
         top = max(log_scores[:m])
         raw = [math.exp(s - top) for s in log_scores[:m]]
-        z = sum(raw)
+        z = add_up(raw)
         feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
         support = first_doc < m
         kept = np.flatnonzero(support | is_query_term)  # columns, in name order

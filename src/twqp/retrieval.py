@@ -36,6 +36,9 @@ step, ``_log_probs``, which the kernel, the grid and the memo all call,
 takes every cell's log in one call over the array
 (``scipy.special.xlogy(1.0, p)``).
 
+Every sum of Python floats in the package is ``add_up``'s, in order from
+0.0 on every interpreter; builtin ``sum`` compensates from CPython 3.12 on.
+
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
 ``RankedList.ranks_of`` finds the ranks at which given doc ids stand by
@@ -293,6 +296,17 @@ class LogProbMemo:
             row[nums] = logs[start : start + size]
             start += size
         return rows
+
+
+def add_up(values: Iterable[float]) -> float:
+    """The values added one at a time, in order, starting from 0.0: the
+    package's one rule for a sum of Python floats.  Builtin sum adds the
+    same way up to CPython 3.11, but from 3.12 on it compensates
+    (Neumaier), so its last digits depend on the interpreter."""
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
 
 
 def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .retrieval import (
     LogProbMemo,
     Query,
     RankedList,
+    add_up,
     check_positive_mu,
     expand_query,
     retrieve_topk,
@@ -193,12 +194,10 @@ def weigh_queries(
     query, one base retrieval serves nWIG, SROR and every TWQP method, and
     each q+w list is retrieved once, one retrieve_topk call each; each TWQP
     predictor then scores the base list and all of the query's q+w lists
-    as one batch (predict_batch).  A
-    single-term ScoreRatio depends only on (w, mu, k), so each distinct w
-    is retrieved once for all the queries of the call; the single-term list
-    of a one-term query's own term is its base list.  Every retrieval and
-    predictor of the call runs at the memo's mu over its index and reads
-    its log probabilities from the memo.
+    as one batch (predict_batch).  A single-term ScoreRatio depends only on
+    (w, mu, k), so each distinct w is retrieved once for all the queries of
+    the call.  Every retrieval and predictor of the call runs at the memo's
+    mu over its index and reads its log probabilities from the memo.
 
     A TWQP weight is twqp_weight(quality of q+w - quality of q).  When both
     ScoreRatios overflow to inf, that delta is +inf, -inf or 0 by the sign
@@ -236,12 +235,9 @@ def weigh_queries(
         if WeightingMethod.SCORE_RATIO_NORM in methods:
             for w in candidates:
                 if w not in single_ratios:
-                    if base is not None and q.terms == (w,):
-                        single = base  # the same bag, k, mu and memo
-                    else:
-                        single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
+                    single = retrieve_topk(Query(q.query_id, (w,)), k, mu, index, memo)
                     single_ratios[w] = predict_score_ratio(single) if single else 0.0
-            total = sum(single_ratios[w] for w in candidates)
+            total = add_up(single_ratios[w] for w in candidates)
             if total == 0.0:
                 warnings.warn(
                     "ScoreRatio: all candidate retrievals empty; zero table", stacklevel=2

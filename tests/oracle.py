@@ -214,7 +214,10 @@ def scalar_nwig(w, lst, m, mu, index):
     if p_collection == 0.0 or math.log(p_collection) == 0.0:
         return 0.0
     log_pd = math.log(p_collection)
-    mean_log = sum(math.log(smoothed_prob(w, d, mu, index)) for d, _ in lst.entries[:m]) / m
+    acc = 0.0
+    for d, _ in lst.entries[:m]:
+        acc += math.log(smoothed_prob(w, d, mu, index))
+    mean_log = acc / m
     return (mean_log - log_pd) / (-log_pd)
 
 
@@ -225,7 +228,9 @@ def scalar_rm3(q, initial, m, mu, lam, index):
     log_scores = [score_ql(q, d, mu, index) for d in feedback_docs]
     top = max(log_scores)
     raw = [math.exp(s - top) for s in log_scores]
-    z = sum(raw)
+    z = 0.0
+    for r in raw:
+        z += r
     postings = index.postings
     feedback = {}
     for d, r in zip(feedback_docs, raw):

@@ -1,5 +1,7 @@
 """Full pipeline protocol: tuning, per-method runs, reports, determinism."""
 
+import builtins
+import configparser
 import hashlib
 import json
 import warnings
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import twqp.experiment
-from twqp.config import ExperimentConfig
+from twqp.cli import main
+from twqp.config import _KEYS, ExperimentConfig, save_config
 from twqp.evaluation import average_precision, build_report, load_qrels, load_topics
 from twqp.experiment import (
     METHOD_ORDER,
@@ -26,6 +29,7 @@ from twqp.retrieval import format_run, read_run, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod
 
+from compensated_sum import cpython312_sum
 from conftest import PLAIN
 from oracle import index_from_postings
 
@@ -297,17 +301,22 @@ ANALYZER_TOPICS = {"q1": "Running the Race", "q2": "The Apple Orchard", "q3": "R
 ANALYZER_QRELS = {"q1": ("d1", "d4"), "q2": ("d3",), "q3": ("d4", "d6")}
 
 
+def _tree_digest(out):
+    """sha256 over the files under out, or out itself when it is a file:
+    each file's path relative to out and its bytes, in path order."""
+    out = Path(out)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()) or [out]:
+        digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _experiment_digest(config):
-    """sha256 over the experiment's output tree: each file's relative path
-    and bytes, in path order."""
+    """sha256 over the experiment's output tree."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # title terms dropped under some analyzers
         run_experiment(config)
-    digest = hashlib.sha256()
-    out = Path(config.output_dir)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+    return _tree_digest(config.output_dir)
 
 
 @pytest.fixture(scope="module")
@@ -328,22 +337,94 @@ def analyzer_experiment(tmp_path_factory):
         qrels=str(root / "qrels.txt"),
         output_dir=str(root / "default"),
         k=10,
-        rerank_depth=5,
+        rerank_depth=3,
         mu_grid=(50, 500),
-        rm3_m_grid=(1, 2),
+        rm3_m_grid=(2, 3),
     )
     return config, _experiment_digest(config)
 
 
+# One row per config key outside [paths]: a value other than the
+# analyzer_experiment config's, as a config file holds it, and the command
+# whose output it must change.  experiment runs all six weighters, so the
+# weighting method is seen in rerank's run.
+KEY_ROWS = {
+    ("analyzer", "lowercase"): ("false", "experiment"),
+    ("analyzer", "stemmer"): ("none", "experiment"),
+    ("analyzer", "token_pattern"): ("[a-z]{4,}", "experiment"),
+    ("analyzer", "stopwords"): ("", "experiment"),
+    ("retrieval", "k"): ("3", "experiment"),
+    ("retrieval", "rerank_depth"): ("2", "experiment"),
+    ("retrieval", "mu_grid"): ("5000", "experiment"),
+    ("rm3", "mu"): ("10.0", "experiment"),
+    ("rm3", "lambda"): ("0.2", "experiment"),
+    ("rm3", "n"): ("2", "experiment"),
+    ("rm3", "m_grid"): ("1", "experiment"),
+    ("qpp", "m"): ("1", "experiment"),
+    ("weighting", "method"): ("nWIG", "rerank"),
+}
+
+
+def _command_digest(command, ini, out):
+    """sha256 of what command writes when run on config file ini: the
+    experiment's output tree, or rerank's run file at mu 50."""
+    if command == "experiment":
+        argv = ["experiment", "--config", str(ini), "--out-dir", str(out)]
+    else:
+        argv = ["rerank", "--config", str(ini), "--mu", "50", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # title terms dropped under some analyzers
+        assert main(argv) == 0
+    return _tree_digest(out)
+
+
+@pytest.fixture(scope="module")
+def default_digests(analyzer_experiment, tmp_path_factory):
+    """The analyzer_experiment config as a file, and each command's digest on it."""
+    root = tmp_path_factory.mktemp("keys")
+    save_config(analyzer_experiment[0], root / "default.ini")
+    return root / "default.ini", {
+        command: _command_digest(command, root / "default.ini", root / command)
+        for command in ("experiment", "rerank")
+    }
+
+
 @pytest.mark.parametrize(
-    "change",
-    [{"lowercase": False}, {"stemmer": "none"}, {"stopwords": frozenset()}],
-    ids=["lowercase", "stemmer", "stopwords"],
+    "section, key",
+    [(section, key) for section, key, *_ in _KEYS if section != "paths"],
+    ids=lambda name: name,
 )
-def test_each_analyzer_key_reaches_the_experiment(analyzer_experiment, tmp_path, change):
-    config, default_digest = analyzer_experiment
-    changed = replace(config, analyzer=replace(config.analyzer, **change), output_dir=str(tmp_path))
-    assert _experiment_digest(changed) != default_digest
+def test_each_config_key_changes_its_command_s_output(default_digests, tmp_path, section, key):
+    assert (section, key) in KEY_ROWS, f"[{section}] {key}: add a KEY_ROWS row"
+    value, command = KEY_ROWS[section, key]
+    default_ini, digests = default_digests
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(default_ini, encoding="utf-8")
+    assert parser.get(section, key) != value
+    parser.set(section, key, value)
+    with open(tmp_path / "changed.ini", "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    changed = _command_digest(command, tmp_path / "changed.ini", tmp_path / "out")
+    assert changed != digests[command]
+
+
+def test_every_key_row_names_a_config_key():
+    assert set(KEY_ROWS) <= {(section, key) for section, key, *_ in _KEYS}
+
+
+def test_the_outputs_do_not_depend_on_the_interpreter_s_sum(tmp_path, monkeypatch):
+    # From CPython 3.12 on builtin sum compensates; the library adds its
+    # floats with add_up, so a 3.12 sum changes no output byte.
+    paths = write_collection(make_synthetic(32, 1000, 800, 20), tmp_path / "data")
+    config = ExperimentConfig(
+        corpus=str(paths["corpus"]),
+        topics=str(paths["topics"]),
+        qrels=str(paths["qrels"]),
+        output_dir=str(tmp_path / "in-order"),
+    )
+    in_order = _experiment_digest(config)
+    monkeypatch.setattr(builtins, "sum", cpython312_sum)
+    assert _experiment_digest(replace(config, output_dir=str(tmp_path / "compensated"))) == in_order
 
 
 def test_the_analyzer_collection_digest_is_reproducible(analyzer_experiment, tmp_path):

@@ -16,7 +16,10 @@ Every float sum whose bits matter goes through retrieval.weighted_sum or
 population_std's np.add.reduce (which matches np.std); counts use
 np.count_nonzero.  Two .sum() calls are allowed, by their text: the
 index's integer token total and the synthetic generator's normaliser,
-which fixes make_synthetic's output.
+which fixes make_synthetic's output.  Nor does any library module call
+builtin sum: from CPython 3.12 on it compensates, so its last digits
+depend on the interpreter; a sum of Python floats goes through
+retrieval.add_up, which adds in order on every interpreter.
 
 Nor does any library module call numpy's log or exp functions: their SIMD
 loops differ from the C library's in the last ulp on some inputs, and
@@ -98,9 +101,9 @@ ALLOWED_SUMS = {("index.py", "self.lengths.sum()"), ("synthetic.py", "zipf.sum()
 
 
 def reordering_reductions(source, module):
-    """'what (line n)' for each reduction in source that may reorder its
-    additions, other than the allowed .sum() calls of module (a file name)
-    and np.add.reduce inside population_std."""
+    """'what (line n)' for each reduction in source that may reorder or
+    compensate its additions, other than the allowed .sum() calls of module
+    (a file name) and np.add.reduce inside population_std."""
     tree = ast.parse(source)
     allowed = {
         id(node)
@@ -119,6 +122,8 @@ def reordering_reductions(source, module):
         elif isinstance(node, ast.Attribute) and node.attr == "reduce":
             if getattr(node.value, "attr", None) == "add" and id(node) not in allowed:
                 found.append((node.lineno, "add.reduce"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+            found.append((node.lineno, "sum("))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if getattr(node.func.value, "id", None) in numpy_names:
                 continue  # np.<name>(...) is judged by its attribute above
@@ -177,7 +182,8 @@ def test_the_check_finds_a_reordering_reduction():
     )
     assert reordering_reductions(source, "synthetic.py") == [
         "np.dot (line 2)", "np.einsum (line 2)", "@ (line 3)", "@ (line 4)",
-        ".dot( (line 5)", ".sum( (line 5)", "np.sum (line 5)", "add.reduce (line 7)",
+        ".dot( (line 5)", ".sum( (line 5)", "np.sum (line 5)", "sum( (line 6)",
+        "add.reduce (line 7)",
     ]
     assert ".sum( (line 6)" in reordering_reductions(source, "index.py")
 

@@ -272,9 +272,9 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*capturing groups"):
             Index.load(path)
 
-    # Each damage leaves a well-formed archive whose arrays disagree.  The
-    # index has 3 documents and the terms one, three and two, so starts is
-    # [0, 2, 3, 5].
+    # Each damage leaves a well-formed archive whose arrays disagree or
+    # break a postings rule.  The index has 3 documents and the terms one,
+    # three and two, so starts is [0, 2, 3, 5] and nums [0, 2, 1, 0, 1].
     DISAGREEING_ARRAYS = {
         "lengths one short": lambda a: {"lengths": a["lengths"][:-1]},
         "lengths one long": lambda a: {"lengths": np.append(a["lengths"], 1)},
@@ -286,6 +286,10 @@ class TestSnapshot:
         "doc number past the last document": lambda a: {"nums": np.where(a["nums"], a["nums"], 7)},
         "negative doc number": lambda a: {"nums": a["nums"] - 1},
         "doc numbers stored as floats": lambda a: {"nums": a["nums"].astype(float)},
+        "tf of -2": lambda a: {"tfs": np.where(np.arange(5) == 3, -2, a["tfs"])},
+        "tf of 0": lambda a: {"tfs": np.where(np.arange(5) == 0, 0, a["tfs"])},
+        "doc numbers falling within a term": lambda a: {"nums": a["nums"][[1, 0, 2, 3, 4]]},
+        "doc number repeated within a term": lambda a: {"nums": a["nums"][[0, 0, 2, 3, 4]]},
     }
 
     @pytest.mark.parametrize("damage", list(DISAGREEING_ARRAYS))

@@ -118,7 +118,7 @@ class TestWeighQueries:
         weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(10, index))
         assert calls == [("b",), ("c",), ("a",)]
 
-    def test_one_term_query_reads_its_own_ratio_off_the_base_list(self, monkeypatch):
+    def test_one_term_query_retrieves_its_own_single_term_list(self, monkeypatch):
         index = build_index([Document("d1", "a b c"), Document("d2", "b c c")], PLAIN)
         calls = []
         real = twqp.weighting.retrieve_topk
@@ -132,9 +132,9 @@ class TestWeighQueries:
         pairs = [(Query("q1", ("a",)), ["b", "a"]), (Query("q2", ("c", "c")), ["c"])]
         config = ExperimentConfig()
         got = weigh_queries(pairs, methods, config, LogProbMemo(10, index))
-        # q1's base list is its single-term "a" list; q2's bag, c twice, is
-        # not the single-term "c" bag
-        assert calls == [("a",), ("b",), ("c", "c"), ("c",)]
+        # q1's own term "a" gets a single-term list of its own, the same bag
+        # as q1's base list; q2's bag, c twice, is not the single-term "c" bag
+        assert calls == [("a",), ("b",), ("a",), ("c", "c"), ("c",)]
         for (q, vocabulary), tables in zip(pairs, got):
             for method in methods:
                 alone = weigh_terms(q, vocabulary, method, 10, config, index)
@@ -349,15 +349,8 @@ class TestWorkCounts:
         pairs, live = seen["pairs"], seen["live"]
         assert pairs and all(len(q.terms) == 1 for q, _ in pairs)  # SROR retrieves nothing
         vocabularies = [v for _, v in pairs]
-        # A single-term ScoreRatio list is retrieved by the first query whose
-        # vocabulary holds its term, unless that query is the term alone:
-        # then the list is that query's base list.
-        first_holder = {}
-        for q, vocabulary in pairs:
-            for w in vocabulary:
-                first_holder.setdefault(w, q)
-        singles = sum(1 for w, q in first_holder.items() if q.terms != (w,))
-        assert singles < len(first_holder)
+        # one single-term ScoreRatio list per distinct candidate of the call
+        singles = len({w for v in vocabularies for w in v})
         expected = sum(1 + len(v) for v in vocabularies) + singles
         assert counts["retrievals", False] + counts["retrievals", True] == expected
         # tuning re-ranks the lists it is given; it retrieves nothing itself

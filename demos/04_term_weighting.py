@@ -62,11 +62,11 @@ print("\nlogistic checkpoints:")
 for x in (-5.0, -1.0, 0.0, math.log(3.0), 5.0):
     print(f"  twqp_weight({x:+.4f}) = {twqp_weight(x):.4f}")
 
-# weigh_terms builds the whole table in one call; baseline weighters share
-# the same interface.  The depth and predictor cutoff come from the
-# experiment config, the same settings run_experiment weighs with.
+# weigh_terms builds the whole term -> weight map in one call; baseline
+# weighters share the same interface.  The depth and predictor cutoff come
+# from the experiment config, the same settings run_experiment weighs with.
 config = ExperimentConfig(k=k, qpp_m=3)
 for method in (WeightingMethod.TWQP_NQC, WeightingMethod.NWIG, WeightingMethod.SROR):
-    table = weigh_terms(q, candidates, method, mu, config, index)
-    pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(table.weights.items()))
-    print(f"\n{table.method.value}: {pairs}")
+    weights = weigh_terms(q, candidates, method, mu, config, index)
+    pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(weights.items()))
+    print(f"\n{method.value}: {pairs}")

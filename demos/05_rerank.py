@@ -45,11 +45,11 @@ counts = dict(zip(*q.bag))  # each distinct query term and its count
 identity = rerank_many(initial, [counts], config, memo)[0]
 print("indicator:", identity.doc_ids, "(identical)" if identity.entries == initial.entries else "(DIFFERENT)")
 
-# A learned weight table moves documents that match the weighted terms up.
+# A learned term -> weight map moves documents that match the weighted terms up.
 rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=5)
 candidates = list(rm)
-table = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
-reranked = rerank_twqp(initial, table, mu, config, index)
+weights = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
+reranked = rerank_twqp(initial, weights, mu, config, index)
 print("weighted: ", reranked.doc_ids)
 
 # RM3 re-ranking scores against the clipped feedback distribution instead.

@@ -38,7 +38,6 @@ from .rerank import check_rerank, rerank_many, rerank_twqp
 from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection
 from .weighting import (
-    TermWeightTable,
     WeightingMethod,
     nwig_weights,
     sror_term,

@@ -256,15 +256,15 @@ def _run(args) -> int:
 
     if args.command in ("weigh", "rerank"):
         queries = _queries_for(config, index)
-        method = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method
-        methods = () if method == RM3_LABEL else (method,)
+        label = RM3_LABEL if args.method == RM3_LABEL else config.weighting_method.value
+        methods = () if label == RM3_LABEL else (config.weighting_method,)
         memo = LogProbMemo(args.mu, index)  # every stage below scores at mu
         lists = [(q, retrieve_topk(q, config.k, args.mu, index, memo)) for q in queries]
         weighed = expand_and_weigh(lists, args.rm3_m, methods, config, memo)
         if args.command == "weigh":
-            dump_weight_tables([tables[method] for _, tables in weighed], args.out)
+            rows = [(q.query_id, label, maps[label]) for (q, _), maps in zip(lists, weighed)]
+            dump_weight_tables(rows, args.out)
         else:
-            label = RM3_LABEL if method == RM3_LABEL else method.value
             runs = rerank_queries(lists, weighed, config, memo)[label]
             write_run(list(runs.values()), args.out, label)
         print(f"wrote {args.out}")

@@ -9,7 +9,7 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
   3. per query, build the relevance model and extract the candidate
      vocabulary V, weigh V under every weighting method in one pass that
      shares the retrievals (expand_and_weigh), and re-rank the head under
-     the model (RM3Opt) and every weight table (rerank_queries);
+     the model (RM3Opt) and every method's term -> weight map (rerank_queries);
   4. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
@@ -53,7 +53,7 @@ from .retrieval import (
     format_run,
     retrieve_topk,
 )
-from .weighting import TermWeightTable, WeightingMethod, weigh_queries
+from .weighting import WeightingMethod, weigh_queries
 
 QL_LABEL = "QLOpt-init"
 RM3_LABEL = "RM3Opt"
@@ -125,12 +125,12 @@ def expand_and_weigh(
     methods: Sequence[WeightingMethod],
     config: ExperimentConfig,
     memo: LogProbMemo,
-) -> list[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]]:
-    """(RM3 weight map, {method: weight table}) for each (query, list) pair.
+) -> list[dict[str, dict[str, float]]]:
+    """One label -> weight map dict per (query, list) pair: RM3Opt's, then each method's.
 
     Each list is the query's non-empty depth-k retrieval at the memo's mu.
     RM3 is built from its top min(m, len) documents and clipped to its top
-    rm3_n terms as it is built; that clipped model is the weight map, and
+    rm3_n terms as it is built; that clipped model is RM3Opt's map, and
     its terms in rank order are the candidate vocabulary (ScoreRatio
     normalizes in that order).  The weighing reads its log probabilities
     from the memo.
@@ -143,25 +143,26 @@ def expand_and_weigh(
         for q, initial in lists
     ]
     pairs = [(q, list(model)) for (q, _), model in zip(lists, models)]
-    return list(zip(models, weigh_queries(pairs, methods, config, memo)))
+    return [
+        {RM3_LABEL: model, **{method.value: weights for method, weights in weighed.items()}}
+        for model, weighed in zip(models, weigh_queries(pairs, methods, config, memo))
+    ]
 
 
 def rerank_queries(
     lists: Sequence[tuple[Query, RankedList]],
-    weighed: Sequence[tuple[dict[str, float], dict[WeightingMethod, TermWeightTable]]],
+    weighed: Sequence[dict[str, dict[str, float]]],
     config: ExperimentConfig,
     memo: LogProbMemo,
 ) -> dict[str, dict[str, RankedList]]:
-    """label -> query id -> re-ranked list, for RM3Opt and each weighed method.
+    """label -> query id -> re-ranked list, for each label expand_and_weigh gave.
 
-    Each query's head is re-ranked under every weight map from one head
-    matrix (rerank_many), gathered from the memo.
+    Each query's head is re-ranked under every map from one head matrix
+    (rerank_many), gathered from the memo.
     """
     runs: dict[str, dict[str, RankedList]] = {}
-    for (q, initial), (model, tables) in zip(lists, weighed):
-        labels = [RM3_LABEL, *(method.value for method in tables)]
-        maps = [model, *(table.weights for table in tables.values())]
-        for label, run in zip(labels, rerank_many(initial, maps, config, memo)):
+    for (q, initial), maps in zip(lists, weighed):
+        for label, run in zip(maps, rerank_many(initial, list(maps.values()), config, memo)):
             runs.setdefault(label, {})[q.query_id] = run
     return runs
 

@@ -198,8 +198,8 @@ def _consistent(
 ) -> bool:
     """Whether the arrays form one index: a length per document, a posting
     span per term ascending from 0 over all of nums and tfs, every posting
-    on a numbered document with a tf of at least 1, and each term's
-    document numbers strictly ascending."""
+    on a numbered document with a tf of at least 1, each term's document
+    numbers strictly ascending, and each length its document's tf sum."""
     ok = (
         all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
         and lengths.shape == (n_docs,)
@@ -212,7 +212,9 @@ def _consistent(
         return bool(ok)
     rising = nums[1:] > nums[:-1]
     rising[starts[(starts > 0) & (starts < nums.size)] - 1] = True  # a term's first posting
-    return bool(nums.min() >= 0 and nums.max() < n_docs and tfs.min() >= 1 and rising.all())
+    if not (nums.min() >= 0 and nums.max() < n_docs and tfs.min() >= 1 and rising.all()):
+        return False
+    return np.array_equal(np.bincount(nums, tfs, minlength=n_docs), lengths)
 
 
 def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:

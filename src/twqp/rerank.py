@@ -1,8 +1,8 @@
 """Re-score and re-order the head of an initial ranked list.
 
 A re-ranked document scores the weighted sum of its log smoothed term
-probabilities, weighted by a term weight table or, for RM3, by the relevance
-model's term distribution as passed.  Only the top config.rerank_depth
+probabilities, weighted by a term -> weight map: a weighter's output or the
+RM3 model's term distribution as passed.  Only the top config.rerank_depth
 documents are re-scored; the rest keep their original relative order
 beneath the re-ranked block, so the emitted ranking stays well-defined to
 full depth.  Scores in the tail keep the initial retrieval's scale: rank,
@@ -18,7 +18,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .index import Index
 from .retrieval import LogProbMemo, RankedList, check_positive_mu, ranked_list, weighted_sum
-from .weighting import TermWeightTable
 
 
 def check_rerank(mu: float | None, config: ExperimentConfig) -> None:
@@ -55,7 +54,7 @@ def rerank_many(
     index = memo.index
     check_rerank(memo.mu, config)
     # Same summation order as query-likelihood scoring (sorted terms), so a
-    # table of term counts reproduces the QL score bit-for-bit.
+    # map of term counts reproduces the QL score bit-for-bit.
     depth = config.rerank_depth
     all_nums, all_scores = initial.doc_numbers(index), initial.score_array()
     tail = (all_nums[depth:], all_scores[depth:])
@@ -76,8 +75,12 @@ def rerank_many(
 
 
 def rerank_twqp(
-    initial: RankedList, table: TermWeightTable, mu: float, config: ExperimentConfig, index: Index
+    initial: RankedList,
+    weights: dict[str, float],
+    mu: float,
+    config: ExperimentConfig,
+    index: Index,
 ) -> RankedList:
-    """Score(d) = sum_w weight(w) * log p_d(w) over the table's terms."""
+    """Score(d) = sum_w weight(w) * log p_d(w) over the map's terms."""
     check_rerank(mu, config)
-    return rerank_many(initial, [table.weights], config, LogProbMemo(mu, index))[0]
+    return rerank_many(initial, [weights], config, LogProbMemo(mu, index))[0]

@@ -22,7 +22,8 @@ read, so those stages share rows.  The one-shot ``weigh_terms`` takes mu
 and the index, checks them and builds a memo.
 
 A call reads its retrieval depth k and the predictors' cutoff qpp_m from an
-ExperimentConfig.
+ExperimentConfig.  Every weighter's output is a plain term -> weight dict,
+the same kind of map as the RM3 model, and re-ranking takes it as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
@@ -74,15 +74,6 @@ _TWQP_PREDICTOR = {
     WeightingMethod.TWQP_NQC: PredictorKind.NQC,
     WeightingMethod.TWQP_SCORE_RATIO: PredictorKind.SCORE_RATIO,
 }
-
-
-@dataclass(frozen=True)
-class TermWeightTable:
-    """term -> weight for one query under one method."""
-
-    query_id: str
-    method: WeightingMethod
-    weights: dict[str, float]
 
 
 def twqp_weight(delta: float) -> float:
@@ -169,8 +160,8 @@ def weigh_terms(
     mu: float,
     config: ExperimentConfig,
     index: Index,
-) -> TermWeightTable:
-    """Weight table over the candidate vocabulary under the chosen method.
+) -> dict[str, float]:
+    """term -> weight over the candidate vocabulary under the chosen method.
 
     SROR ignores the vocabulary and weighs the query's own distinct terms.
     ScoreRatio weights come from one single-term retrieval per candidate,
@@ -187,10 +178,10 @@ def weigh_queries(
     methods: Sequence[WeightingMethod],
     config: ExperimentConfig,
     memo: LogProbMemo,
-) -> list[dict[WeightingMethod, TermWeightTable]]:
-    """One {method: table} per (query, vocabulary) pair, sharing retrievals.
+) -> list[dict[WeightingMethod, dict[str, float]]]:
+    """One {method: weights} per (query, vocabulary) pair, sharing retrievals.
 
-    Each table equals the one weigh_terms gives for its method alone.  Per
+    Each map equals the one weigh_terms gives for its method alone.  Per
     query, one base retrieval serves nWIG, SROR and every TWQP method, and
     each q+w list is retrieved once, one retrieve_topk call each; each TWQP
     predictor then scores the base list and all of the query's q+w lists
@@ -215,7 +206,7 @@ def weigh_queries(
     needs_list = [m for m in methods if m is WeightingMethod.NWIG or m in _TWQP_PREDICTOR]
     sror = WeightingMethod.SROR in methods
     single_ratios: dict[str, float] = {}
-    tables = []
+    weighed = []
     for q, vocabulary in pairs:
         if not vocabulary and any(m is not WeightingMethod.SROR for m in methods):
             raise ValueError("candidate vocabulary is empty")
@@ -261,20 +252,20 @@ def weigh_queries(
                     else:
                         delta = quality - base_quality
                     weights[m][w] = twqp_weight(delta)
-        tables.append({m: TermWeightTable(q.query_id, m, weights[m]) for m in methods})
-    return tables
+        weighed.append(weights)
+    return weighed
 
 
 def dump_weight_tables(
-    tables: Iterable[TermWeightTable], out: TextIO | str | Path
+    rows: Iterable[tuple[str, str, dict[str, float]]], out: TextIO | str | Path
 ) -> None:
-    """Lines of `query_id method term weight`, 8 decimal places, terms sorted."""
-    lines = []
-    for table in tables:
-        for term in sorted(table.weights):
-            lines.append(
-                f"{table.query_id} {table.method.value} {term} {table.weights[term]:.8f}"
-            )
+    """Lines of `query_id label term weight` for each (query id, label,
+    term -> weight) row, 8 decimal places, terms sorted."""
+    lines = [
+        f"{query_id} {label} {term} {weights[term]:.8f}"
+        for query_id, label, weights in rows
+        for term in sorted(weights)
+    ]
     text = "\n".join(lines) + ("\n" if lines else "")
     if isinstance(out, (str, Path)):
         Path(out).write_text(text, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand flows, outputs, and error reporting."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from twqp.evaluation import build_report, load_qrels
 from twqp.experiment import run_label_slug
 from twqp.index import Index
 from twqp.retrieval import read_run
+from twqp.synthetic import make_synthetic, write_collection
 
 
 # `twqp write-config` output for the default config, byte for byte.
@@ -349,6 +351,42 @@ class TestPipelineCommands:
         assert rc == 0
         capsys.readouterr()
         assert (workspace / "k50.txt").read_text()
+
+
+# sha256 of `twqp weigh --mu 1000 --method X` on make_synthetic(32, 200, 800,
+# 20): the weight lines are an output as the run files are, so a refactor of
+# the weighting layer must leave every byte of them as it was
+WEIGH_DIGESTS = {
+    "TWQP(WIG)": "09015e63dec51e841a5009079ff1a983d634d3c9992d0dbc4ae4d855e8536f38",
+    "TWQP(NQC)": "d8a990aeff11f2d852497befdd152a5f4f5f3eb9fad9b257e73aa92902c435af",
+    "TWQP(ScoreRatio)": "c2aa522724b1cbbce3f7cb17f5b9a072802c88cd4e1e4f7d754edb29a7d1701b",
+    "nWIG": "17aa908d725f5b0fd1ee4d956e8f655702ce9faf0b9b43b2275a06cf875297af",
+    "ScoreRatio": "4856ab75be1ba38353b444900e4930090b2d2173a69ae6e0397a2eb3d44a097d",
+    "SROR": "0e135d0f48202cd4c844931f27c41df35480d36e605915bb549f2ef18dba1ce2",
+}
+
+
+@pytest.fixture(scope="module")
+def seed32_collection(tmp_path_factory):
+    return write_collection(make_synthetic(32, 200, 800, 20), tmp_path_factory.mktemp("seed32"))
+
+
+@pytest.mark.parametrize("method", sorted(WEIGH_DIGESTS))
+def test_weigh_output_bytes_are_pinned(seed32_collection, tmp_path, capsys, method):
+    out_path = tmp_path / "weights.txt"
+    rc = main(
+        [
+            "weigh",
+            "--corpus", str(seed32_collection["corpus"]),
+            "--topics", str(seed32_collection["topics"]),
+            "--mu", "1000",
+            "--method", method,
+            "--out", str(out_path),
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == WEIGH_DIGESTS[method]
 
 
 class TestHelp:

@@ -277,7 +277,7 @@ def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
     weighed = expand_and_weigh(lists, m, methods, config, memo)
     spread = {}
     for method in methods:
-        weights = [w for _, tables in weighed for w in tables[method].weights.values()]
+        weights = [w for maps in weighed for w in maps[method.value].values()]
         spread[method] = (round(min(weights), 4), round(max(weights), 4))
     assert spread == {
         WeightingMethod.TWQP_SCORE_RATIO: (0.9999, 1.0),

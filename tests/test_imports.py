@@ -7,7 +7,9 @@ package's __init__ is skipped by the unused-import check, since its
 imports are its exports.  An underscore name is private to its module: a
 sibling that needs it should get a public name or the value it stands for.
 The predictor module binds no retrieval function, so every weighting
-retrieval goes through the one name that a count patches.
+retrieval goes through the one name that a count patches.  The re-ranking
+module binds no name from the weighting module: a re-rank takes plain
+term -> weight maps, whichever weighter or model made them.
 
 No library module calls a reduction that may add in another order than
 one row at a time: np.dot and its kin, the @ operator and np.sum may sum
@@ -33,6 +35,8 @@ from pathlib import Path
 import pytest
 
 import twqp.qpp
+import twqp.rerank
+import twqp.weighting
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twqp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -232,4 +236,16 @@ def test_predictors_bind_no_retrieval():
         "twqp.qpp binds retrieve_topk: every weighting retrieval must go through "
         "twqp.weighting.retrieve_topk, the one name the retrieval-budget tests patch, "
         "or the retrievals made under the other name go uncounted"
+    )
+
+
+def test_rerank_binds_no_weighting_name():
+    taken = sorted(
+        name
+        for name, value in vars(twqp.rerank).items()
+        if value is twqp.weighting or getattr(value, "__module__", None) == "twqp.weighting"
+    )
+    assert taken == [], (
+        f"twqp.rerank binds {taken} from twqp.weighting: a re-rank takes plain "
+        "term -> weight maps and needs nothing of the weighting layer"
     )

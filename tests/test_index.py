@@ -290,6 +290,9 @@ class TestSnapshot:
         "tf of 0": lambda a: {"tfs": np.where(np.arange(5) == 0, 0, a["tfs"])},
         "doc numbers falling within a term": lambda a: {"nums": a["nums"][[1, 0, 2, 3, 4]]},
         "doc number repeated within a term": lambda a: {"nums": a["nums"][[0, 0, 2, 3, 4]]},
+        "length of -2": lambda a: {"lengths": np.where(np.arange(3) == 1, -2, a["lengths"])},
+        "length of 0": lambda a: {"lengths": np.where(np.arange(3) == 1, 0, a["lengths"])},
+        "length of 9": lambda a: {"lengths": np.where(np.arange(3) == 1, 9, a["lengths"])},
     }
 
     @pytest.mark.parametrize("damage", list(DISAGREEING_ARRAYS))

@@ -28,7 +28,6 @@ from twqp.retrieval import (
     retrieve_grid,
     retrieve_topk,
 )
-from twqp.weighting import TermWeightTable, WeightingMethod
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
 from oracle import scalar_rescore, scalar_topk, smoothed_prob
@@ -80,18 +79,14 @@ class TestRerankProperty:
         head, tail = initial.entries[:depth], initial.entries[depth:]
         if any(w not in index.postings for w, v in weights.items() if v != 0.0):
             with pytest.raises(ValueError, match="zero smoothed probability"):
-                rerank_twqp(initial, _table(weights), mu, config, index)
+                rerank_twqp(initial, weights, mu, config, index)
             return
-        got = rerank_twqp(initial, _table(weights), mu, config, index).entries
+        got = rerank_twqp(initial, weights, mu, config, index).entries
         expected = sorted(
             ((d, scalar_rescore(d, weights, mu, index)) for d, _ in head),
             key=lambda e: (-e[1], e[0]),
         )
         assert got == tuple(expected) + tail
-
-
-def _table(weights):
-    return TermWeightTable("q", WeightingMethod.TWQP_WIG, weights)
 
 
 class TestSnapshotProperty:
@@ -144,7 +139,7 @@ class TestLogChoice:
         assert smoothed_prob("a", "d2", mu, index) == self.P
         initial = RankedList("q", (("d2", 0.0),))
         config = ExperimentConfig(k=1, rerank_depth=1)
-        out = rerank_twqp(initial, _table({"a": 1.0}), mu, config, index)
+        out = rerank_twqp(initial, {"a": 1.0}, mu, config, index)
         assert out.entries == (("d2", self.MATH_LOG),)
 
 
@@ -220,4 +215,4 @@ class TestKernelEdges:
         initial = RankedList("q", (("nope", 0.0),))
         config = ExperimentConfig(k=1, rerank_depth=1)
         with pytest.raises(KeyError, match="unknown doc_id 'nope'"):
-            rerank_twqp(initial, _table({"apple": 1.0}), 5.0, config, fruit_index)
+            rerank_twqp(initial, {"apple": 1.0}, 5.0, config, fruit_index)

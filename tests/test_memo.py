@@ -231,7 +231,7 @@ class TestWeighQueriesWithMemo:
             spec = PredictorSpec(kind, predictor_m)
             memo = LogProbMemo(mu, index)
             try:
-                table = weigh_queries([(q, vocabulary)], (method,), config, memo)[0][method]
+                weights = weigh_queries([(q, vocabulary)], (method,), config, memo)[0][method]
             except ValueError as exc:  # e.g. NQC on a one-term corpus
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     predict_quality(spec, base, q, LogProbMemo(mu, index))
@@ -241,7 +241,7 @@ class TestWeighQueriesWithMemo:
                 w: twqp_weight(delta_p(w, q, base, spec, k, mu, index, base_quality))
                 for w in dict.fromkeys(vocabulary)
             }
-            assert list(table.weights.items()) == list(expected.items())
+            assert list(weights.items()) == list(expected.items())
 
 
 class TestLogWorkCounts:

@@ -11,7 +11,6 @@ from twqp.config import ExperimentConfig
 from twqp.index import Document, build_index
 from twqp.rerank import check_rerank, rerank_many, rerank_twqp
 from twqp.retrieval import LogProbMemo, Query, retrieve_topk
-from twqp.weighting import TermWeightTable, WeightingMethod
 
 from conftest import PLAIN, make_random_corpus, random_query
 from oracle import indicator_weights, smoothed_prob
@@ -19,10 +18,6 @@ from oracle import indicator_weights, smoothed_prob
 
 CONFIG = ExperimentConfig()
 FULL_DEPTH = ExperimentConfig(rerank_depth=1000)
-
-
-def _table(query_id, weights):
-    return TermWeightTable(query_id=query_id, method=WeightingMethod.TWQP_WIG, weights=weights)
 
 
 def _unreachable(*args, **kwargs):
@@ -42,7 +37,7 @@ class TestRerankRule:
         with pytest.raises(ValueError, match=re.escape(message)):
             check_rerank(mu, config)
         with pytest.raises(ValueError, match=re.escape(message)):
-            rerank_twqp(initial, _table("q", {"apple": 1.0}), mu, config, index)
+            rerank_twqp(initial, {"apple": 1.0}, mu, config, index)
         if memo is not None:  # a memo holds only a positive, finite mu
             with pytest.raises(ValueError, match=re.escape(message)):
                 rerank_many(initial, [{"apple": 1.0}], config, memo)
@@ -111,7 +106,7 @@ class TestRescoring:
             vocab = index.vocabulary
             terms = rng.choice(len(vocab), size=min(5, len(vocab)), replace=False)
             weights = {vocab[i]: float(rng.uniform(0.05, 1.0)) for i in terms}
-            rr = rerank_twqp(base, _table(q.query_id, weights), 800.0, FULL_DEPTH, index)
+            rr = rerank_twqp(base, weights, 800.0, FULL_DEPTH, index)
             expected = {}
             for doc_id, _ in base.entries:
                 expected[doc_id] = math.fsum(
@@ -134,10 +129,8 @@ class TestRescoring:
         index = build_index(docs, PLAIN)
         base = retrieve_topk(Query("q1", ("apple", "cherry")), 10, 100.0, index)
         config = ExperimentConfig(k=10, rerank_depth=10)
-        with_zero = rerank_twqp(
-            base, _table("q1", {"apple": 0.7, "cherry": 0.0}), 100.0, config, index
-        )
-        without = rerank_twqp(base, _table("q1", {"apple": 0.7}), 100.0, config, index)
+        with_zero = rerank_twqp(base, {"apple": 0.7, "cherry": 0.0}, 100.0, config, index)
+        without = rerank_twqp(base, {"apple": 0.7}, 100.0, config, index)
         assert with_zero.entries == without.entries
 
     def test_zero_weight_unindexed_term_skipped(self):
@@ -145,7 +138,7 @@ class TestRescoring:
         index = build_index(docs, PLAIN)
         base = retrieve_topk(Query("q1", ("banana",)), 10, 50.0, index)
         config = ExperimentConfig(k=10, rerank_depth=10)
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0, "zzz": 0.0}), 50.0, config, index)
+        rr = rerank_twqp(base, {"banana": 1.0, "zzz": 0.0}, 50.0, config, index)
         assert [doc_id for doc_id, _ in rr.entries] == ["d2", "d1"]
 
     def test_unindexed_term_with_weight_rejected(self):
@@ -154,7 +147,7 @@ class TestRescoring:
         base = retrieve_topk(Query("q1", ("apple",)), 10, 50.0, index)
         config = ExperimentConfig(k=10, rerank_depth=10)
         with pytest.raises(ValueError, match="zero smoothed probability"):
-            rerank_twqp(base, _table("q1", {"zzz": 0.5}), 50.0, config, index)
+            rerank_twqp(base, {"zzz": 0.5}, 50.0, config, index)
 
     def test_scaled_weights_preserve_order(self):
         rng = np.random.default_rng(31)
@@ -168,16 +161,16 @@ class TestRescoring:
                 for i in rng.choice(len(vocab), size=4, replace=False)
             }
             scaled = {w: 3.7 * v for w, v in weights.items()}
-            a = rerank_twqp(base, _table(q.query_id, weights), 600.0, FULL_DEPTH, index)
-            b = rerank_twqp(base, _table(q.query_id, scaled), 600.0, FULL_DEPTH, index)
+            a = rerank_twqp(base, weights, 600.0, FULL_DEPTH, index)
+            b = rerank_twqp(base, scaled, 600.0, FULL_DEPTH, index)
             assert [d for d, _ in a.entries] == [d for d, _ in b.entries]
 
     def test_rerank_is_deterministic(self):
         rng = np.random.default_rng(37)
         index, q, base = self._random_setup(rng)
         weights = {w: 0.5 for w in q.terms}
-        a = rerank_twqp(base, _table(q.query_id, weights), 1000.0, FULL_DEPTH, index)
-        b = rerank_twqp(base, _table(q.query_id, weights), 1000.0, FULL_DEPTH, index)
+        a = rerank_twqp(base, weights, 1000.0, FULL_DEPTH, index)
+        b = rerank_twqp(base, weights, 1000.0, FULL_DEPTH, index)
         assert a == b
 
 
@@ -199,7 +192,7 @@ class TestHeadTail:
         assert len(base.entries) == 6
         config = ExperimentConfig(k=10, rerank_depth=3)
         # weight only banana so the head order flips
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), 200.0, config, index)
+        rr = rerank_twqp(base, {"banana": 1.0}, 200.0, config, index)
         assert rr.entries[3:] == base.entries[3:]
         assert {d for d, _ in rr.entries[:3]} == {d for d, _ in base.entries[:3]}
 
@@ -207,7 +200,7 @@ class TestHeadTail:
         index = self._six_doc_index()
         base = retrieve_topk(Query("q1", ("apple", "banana")), 10, 200.0, index)
         config = ExperimentConfig(k=10, rerank_depth=3)
-        rr = rerank_twqp(base, _table("q1", {"banana": 1.0}), 200.0, config, index)
+        rr = rerank_twqp(base, {"banana": 1.0}, 200.0, config, index)
         head_ids = [d for d, _ in rr.entries[:3]]
         # among the original top 3, d3 has the most banana mass
         assert head_ids[0] == "d3"
@@ -217,7 +210,7 @@ class TestHeadTail:
     def test_depth_beyond_list_length_rescans_everything(self):
         index = self._six_doc_index()
         base = retrieve_topk(Query("q1", ("cherry",)), 10, 200.0, index)
-        rr = rerank_twqp(base, _table("q1", {"cherry": 1.0}), 200.0, CONFIG, index)
+        rr = rerank_twqp(base, {"cherry": 1.0}, 200.0, CONFIG, index)
         assert len(rr.entries) == len(base.entries)
         assert {d for d, _ in rr.entries} == {d for d, _ in base.entries}
 
@@ -232,7 +225,7 @@ class TestHeadTail:
             depth = int(rng.integers(1, len(base.entries) + 1))
             config = ExperimentConfig(rerank_depth=depth)
             weights = {w: float(rng.uniform(0.1, 1.0)) for w in set(q.terms)}
-            rr = rerank_twqp(base, _table(q.query_id, weights), 900.0, config, index)
+            rr = rerank_twqp(base, weights, 900.0, config, index)
             assert sorted(d for d, _ in rr.entries) == sorted(d for d, _ in base.entries)
             assert rr.query_id == base.query_id
 

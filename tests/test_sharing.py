@@ -81,13 +81,11 @@ class TestWeighQueries:
                         weigh_terms(q, vocabulary, method, mu, config, index)
             return
         assert len(got) == len(pairs)
-        for (q, vocabulary), tables in zip(pairs, got):
-            assert list(tables) == list(ALL_METHODS)
+        for (q, vocabulary), by_method in zip(pairs, got):
+            assert list(by_method) == list(ALL_METHODS)
             for method in ALL_METHODS:
                 alone = weigh_terms(q, vocabulary, method, mu, config, index)
-                assert tables[method].query_id == q.query_id
-                assert tables[method].method is method
-                assert same_items(tables[method].weights, alone.weights)
+                assert same_items(by_method[method], alone)
 
     def test_overflowing_score_ratios(self):
         # d2 is long and holds "a" once: every ScoreRatio here reads inf.
@@ -97,11 +95,11 @@ class TestWeighQueries:
         config = ExperimentConfig()
         pairs = [(q, ["a", "z"]), (Query("q2", ("z", "a")), ["z", "a"])]
         got = weigh_queries(pairs, ALL_METHODS, config, LogProbMemo(10, index))
-        for (q, vocabulary), tables in zip(pairs, got):
+        for (q, vocabulary), by_method in zip(pairs, got):
             for method in ALL_METHODS:
                 alone = weigh_terms(q, vocabulary, method, 10, config, index)
-                assert list(tables[method].weights.items()) == list(alone.weights.items())
-        assert got[0][WeightingMethod.TWQP_SCORE_RATIO].weights == {"a": 1.0, "z": 0.0}
+                assert list(by_method[method].items()) == list(alone.items())
+        assert got[0][WeightingMethod.TWQP_SCORE_RATIO] == {"a": 1.0, "z": 0.0}
 
     def test_single_term_ratios_are_retrieved_once_per_call(self, monkeypatch):
         index = build_index([Document("d1", "a b c"), Document("d2", "b c c")], PLAIN)
@@ -135,10 +133,10 @@ class TestWeighQueries:
         # q1's own term "a" gets a single-term list of its own, the same bag
         # as q1's base list; q2's bag, c twice, is not the single-term "c" bag
         assert calls == [("a",), ("b",), ("a",), ("c", "c"), ("c",)]
-        for (q, vocabulary), tables in zip(pairs, got):
+        for (q, vocabulary), by_method in zip(pairs, got):
             for method in methods:
                 alone = weigh_terms(q, vocabulary, method, 10, config, index)
-                assert list(tables[method].weights.items()) == list(alone.weights.items())
+                assert list(by_method[method].items()) == list(alone.items())
 
     def test_all_empty_score_ratio_warning_names_the_caller(self, fruit_index):
         method = WeightingMethod.SCORE_RATIO_NORM
@@ -146,7 +144,7 @@ class TestWeighQueries:
         with pytest.warns(UserWarning, match="all candidate retrievals empty") as record:
             memo = LogProbMemo(10.0, fruit_index)
             got = weigh_queries(pairs, (method,), ExperimentConfig(), memo)
-        assert got[0][method].weights == {"zzz": 0.0, "yyy": 0.0}
+        assert got[0][method] == {"zzz": 0.0, "yyy": 0.0}
         assert [w.filename for w in record] == [__file__]
 
     def test_empty_vocabulary_rejected_unless_only_sror(self, fruit_index):
@@ -155,8 +153,8 @@ class TestWeighQueries:
         with pytest.raises(ValueError, match="vocabulary is empty"):
             methods = (WeightingMethod.SROR, WeightingMethod.NWIG)
             weigh_queries([(q, [])], methods, config, memo)
-        tables = weigh_queries([(q, [])], (WeightingMethod.SROR,), config, memo)
-        assert list(tables[0][WeightingMethod.SROR].weights) == ["apple", "banana"]
+        got = weigh_queries([(q, [])], (WeightingMethod.SROR,), config, memo)
+        assert list(got[0][WeightingMethod.SROR]) == ["apple", "banana"]
 
 
 class TestBuildRm3Grid:

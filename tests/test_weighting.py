@@ -17,7 +17,6 @@ from twqp.qpp import PredictorKind, PredictorSpec, predict_nqc, predict_score_ra
 from twqp.relevance import build_rm3
 from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk
 from twqp.weighting import (
-    TermWeightTable,
     WeightingMethod,
     dump_weight_tables,
     twqp_weight,
@@ -62,10 +61,10 @@ class TestWeighingSettings:
 
     def test_smallest_valid_values_accepted(self, fruit_index):
         q = Query("q0", ("apple",))
-        table = weigh_terms(
+        weights = weigh_terms(
             q, ["banana"], WeightingMethod.TWQP_NQC, 1e-9, ExperimentConfig(k=1), fruit_index
         )
-        assert set(table.weights) == {"banana"}
+        assert set(weights) == {"banana"}
 
 
 class TestTwqpWeight:
@@ -113,8 +112,8 @@ class TestDeltaP:
         """TWQP(NQC) at depth 1000 and NQC's default cutoff."""
         method = WeightingMethod.TWQP_NQC
         memo = LogProbMemo(500.0, index)
-        tables = weigh_queries([(q, vocabulary)], [method], ExperimentConfig(k=1000), memo)
-        return tables[0][method].weights
+        weighed = weigh_queries([(q, vocabulary)], [method], ExperimentConfig(k=1000), memo)
+        return weighed[0][method]
 
     def test_equals_manual_difference(self):
         index, q, base = self._setup()
@@ -169,7 +168,7 @@ class TestScoreRatioOverflow:
     def _weights(self, index, q):
         method = WeightingMethod.TWQP_SCORE_RATIO
         memo = LogProbMemo(10, index)
-        return weigh_queries([(q, ["a", "z"])], [method], CONFIG, memo)[0][method].weights
+        return weigh_queries([(q, ["a", "z"])], [method], CONFIG, memo)[0][method]
 
     def test_weights_follow_the_sign_of_the_gap_change(self):
         index, q, base = self._setup()
@@ -267,13 +266,11 @@ class TestWeighTerms:
         )
         expected = 1.0 / (1.0 + math.exp(-delta))
 
-        table = weigh_terms(
+        weights = weigh_terms(
             q, [w], WeightingMethod.TWQP_NQC,
             mu, ExperimentConfig(k=k, qpp_m=m), index,
         )
-        assert abs(table.weights[w] - expected) < 1e-12
-        assert table.method is WeightingMethod.TWQP_NQC
-        assert table.query_id == "q0"
+        assert abs(weights[w] - expected) < 1e-12
 
     def test_score_ratio_weights_sum_normalized(self):
         rng = np.random.default_rng(103)
@@ -281,27 +278,27 @@ class TestWeighTerms:
         q = Query("q0", (index.vocabulary[0],))
         vocabulary = index.vocabulary[1:5]
         config = ExperimentConfig(k=50)
-        table = weigh_terms(q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, 200.0, config, index)
+        weights = weigh_terms(q, vocabulary, WeightingMethod.SCORE_RATIO_NORM, 200.0, config, index)
         raw = {
             w: predict_score_ratio(retrieve_topk(Query("q0", (w,)), 50, 200.0, index))
             for w in vocabulary
         }
         total = sum(raw.values())
-        assert abs(sum(table.weights.values()) - 1.0) < 1e-12
+        assert abs(sum(weights.values()) - 1.0) < 1e-12
         for w in vocabulary:
-            assert abs(table.weights[w] - raw[w] / total) < 1e-12
+            assert abs(weights[w] - raw[w] / total) < 1e-12
 
     def test_sror_ignores_vocabulary(self, fruit_index):
         q = Query("q0", ("apple", "banana"))
-        table = weigh_terms(
+        weights = weigh_terms(
             q, ["cherry"], WeightingMethod.SROR, 10.0, CONFIG, fruit_index
         )
-        assert set(table.weights) == {"apple", "banana"}
+        assert set(weights) == {"apple", "banana"}
 
     def test_sror_single_term_query(self, fruit_index):
         q = Query("q0", ("apple",))
-        table = weigh_terms(q, [], WeightingMethod.SROR, 10.0, CONFIG, fruit_index)
-        assert table.weights == {"apple": 1.0}
+        weights = weigh_terms(q, [], WeightingMethod.SROR, 10.0, CONFIG, fruit_index)
+        assert weights == {"apple": 1.0}
 
     def test_empty_vocabulary_rejected(self, fruit_index):
         q = Query("q0", ("apple",))
@@ -332,11 +329,11 @@ class TestWeighTerms:
         rm = build_rm3(q, base, min(5, len(base.entries)), 400.0, 0.9, index, n=15)
         vocabulary = list(rm)
         for method in (WeightingMethod.TWQP_WIG, WeightingMethod.TWQP_NQC):
-            table = weigh_terms(
+            weights = weigh_terms(
                 q, vocabulary, method, 400.0, ExperimentConfig(k=100), index
             )
-            assert set(table.weights) == set(vocabulary)
-            for value in table.weights.values():
+            assert set(weights) == set(vocabulary)
+            for value in weights.values():
                 assert 0.0 < value < 1.0
 
 
@@ -372,15 +369,15 @@ class TestWeighQueriesRanges:
                 methods.remove(method)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tables = weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(mu, index))
+            weighed = weigh_queries(pairs, methods, ExperimentConfig(), LogProbMemo(mu, index))
         zero_tables = sum("all candidate retrievals empty" in str(w.message) for w in caught)
-        for (q, vocabulary), by_method in zip(pairs, tables):
-            for method, table in by_method.items():
-                weights = list(table.weights.values())
+        for (q, vocabulary), by_method in zip(pairs, weighed):
+            for method, term_weights in by_method.items():
+                weights = list(term_weights.values())
                 if method is WeightingMethod.SROR:
-                    assert set(table.weights) == set(q.terms)
+                    assert set(term_weights) == set(q.terms)
                 else:
-                    assert list(table.weights) == list(dict.fromkeys(vocabulary))
+                    assert list(term_weights) == list(dict.fromkeys(vocabulary))
                 if method in (WeightingMethod.SROR, *TWQP_METHODS):
                     assert all(0.0 <= v <= 1.0 for v in weights)  # NaN fails too
                 elif method is WeightingMethod.NWIG:
@@ -396,17 +393,14 @@ class TestWeighQueriesRanges:
 
 class TestDump:
     def test_format(self):
-        tables = [
-            TermWeightTable("q1", WeightingMethod.SROR, {"b": 0.5, "a": 1.0}),
-            TermWeightTable("q2", WeightingMethod.TWQP_NQC, {"x": 2.0}),
-        ]
+        rows = [("q1", "SROR", {"b": 0.5, "a": 1.0}), ("q2", "TWQP(NQC)", {"x": 2.0})]
         buf = io.StringIO()
-        dump_weight_tables(tables, buf)
+        dump_weight_tables(rows, buf)
         assert buf.getvalue() == (
             "q1 SROR a 1.00000000\nq1 SROR b 0.50000000\nq2 TWQP(NQC) x 2.00000000\n"
         )
 
     def test_to_path(self, tmp_path):
         path = tmp_path / "w.txt"
-        dump_weight_tables([TermWeightTable("q1", WeightingMethod.NWIG, {"a": 0.25})], path)
+        dump_weight_tables([("q1", "nWIG", {"a": 0.25})], path)
         assert path.read_text(encoding="utf-8") == "q1 nWIG a 0.25000000\n"

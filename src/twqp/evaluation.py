@@ -6,22 +6,23 @@ number of judged-relevant documents, reciprocal rank reads the full list.
 Queries with no relevant documents cannot be scored by AP/RR and are
 excluded from aggregation (callers flag them).
 
-All three measures read the ranks of the relevant documents off
-RankedList.ranks_of: the relevant ids are numbered in the list's own id
-table and marked in a mask, which is read at the list's document numbers,
-so no doc id of the list is built; build_report reads each run's ranks
-once and takes all three measures from them.  Tuning judges each query
-once: its relevant documents are marked in one mask over the index's
-document numbers, which every mu's or depth's list is read at.  AP, in
-every case, adds hits / rank one rank at a time, in rank order, and
-divides by R (_ap, its one rule).
+All three measures read where the relevant documents stand off
+RankedList.hits (or ranks_of): the relevant ids are numbered in the
+list's own id table and marked in a mask, which is read at the list's
+document numbers, so no doc id of the list is built; build_report reads
+each run's hits once and takes all three measures from them.  Tuning
+judges each query's whole grid at once: its relevant documents are marked
+in one mask over the index's document numbers, which is read at the
+(grid value, rank) array of every mu's or depth's document numbers; no
+ranked list is built.  AP, in every case, adds hits / rank one rank at a
+time, in rank order, from 0.0, and divides by R: average_precisions, its
+one rule, takes every row of a hit matrix at once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
@@ -30,9 +31,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .relevance import build_rm3_grid
-from .rerank import rerank_many
-from .retrieval import LogProbMemo, Query, RankedList, add_up, retrieve_grid
+from .relevance import rm3_table
+from .rerank import rerank_table
+from .retrieval import LogProbMemo, Query, RankedList, add_up, rank_grid
 
 
 class Qrels:
@@ -113,13 +114,25 @@ def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float
     relevant = qrels.relevant_docs(run.query_id)
     if not relevant:
         raise ValueError(f"query {run.query_id!r} has no relevant documents")
-    return _ap(run.ranks_of(relevant, depth), len(relevant))
+    return float(average_precisions(run.hits(relevant, depth), len(relevant)))
 
 
-def _ap(ranks: list[int], relevant_count: int) -> float:
-    """AP from the ascending 1-based ranks of the relevant retrieved
-    documents: hits / rank added one rank at a time, in rank order, over R."""
-    return add_up(hits / rank for hits, rank in enumerate(ranks, start=1)) / relevant_count
+def average_precisions(hits: np.ndarray, relevant_count: int) -> np.ndarray:
+    """The AP of each list in hits, a boolean array whose last axis runs
+    over a list's ranks, True where a relevant document stands: hits / rank
+    at each such rank, added from 0.0 one rank at a time in rank order,
+    over R.
+
+    Each list's terms go into one row of a (list, hit) table, padded with
+    +0.0, which changes no sum, and a sequential np.cumsum adds each row.
+    So a list's AP equals add_up over its hit ranks, bit for bit."""
+    lists = hits.reshape(math.prod(hits.shape[:-1]), hits.shape[-1])
+    rows, ranks = lists.nonzero()
+    # each hit's count of hits up to and including it in its list
+    nth = np.arange(1, rows.size + 1) - rows.searchsorted(rows)
+    terms = np.zeros((len(lists), nth.max(initial=0) + 1))
+    terms[rows, nth] = nth / (ranks + 1)
+    return (np.cumsum(terms, axis=1)[:, -1] / relevant_count).reshape(hits.shape[:-1])
 
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
@@ -220,19 +233,24 @@ def build_report(
 
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    per_query: dict[str, dict[str, QueryMeasures]] = {}
-    for method in methods:
-        per_query[method] = {}
-        for qid in query_ids:
-            # precision_at, average_precision and reciprocal_rank, from one
-            # read of the relevant ranks
-            relevant = qrels.relevant_docs(qid)
-            ranks = runs[method][qid].ranks_of(relevant)
-            scorable = bool(relevant)
+    per_query: dict[str, dict[str, QueryMeasures]] = {method: {} for method in methods}
+    for qid in query_ids:
+        # precision_at, average_precision and reciprocal_rank of every
+        # method, from one read of each run's relevant ranks: a (method,
+        # rank) hit matrix, padded with misses to the longest run
+        relevant = qrels.relevant_docs(qid)
+        rows = [runs[method][qid].hits(relevant) for method in methods]
+        hits = np.zeros((len(rows), max(1, *(row.size for row in rows))), dtype=bool)
+        for padded, row in zip(hits, rows):
+            padded[: row.size] = row
+        p10 = (np.count_nonzero(hits[:, :10], axis=1) / 10).tolist()
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0).tolist()
+        aps = average_precisions(hits[:, :depth], len(relevant)).tolist() if relevant else None
+        for i, method in enumerate(methods):
             per_query[method][qid] = QueryMeasures(
-                p10=bisect_right(ranks, 10) / 10,
-                ap=_ap(ranks[: bisect_right(ranks, depth)], len(relevant)) if scorable else None,
-                rr=(1.0 / ranks[0] if ranks else 0.0) if scorable else None,
+                p10=p10[i],
+                ap=aps[i] if relevant else None,
+                rr=(1.0 / first[i] if first[i] else 0.0) if relevant else None,
             )
 
     def vector(method: str, measure: str) -> list[float]:
@@ -286,21 +304,14 @@ def _best(grid: Sequence[T], rows: Sequence[list[float]]) -> T:
 
 def _judge(query_id: str, qrels: Qrels, index: Index) -> tuple[np.ndarray, int]:
     """(mask over the index's document numbers marking the query's
-    relevant documents, R): built once per query, read at every list of it
-    that numbers into the index.  A relevant id outside the index marks
-    nothing but counts in R."""
+    relevant documents, R): built once per query and read at the (grid
+    value, rank) document numbers of all its lists at once, which gives
+    their hit matrix.  A relevant id outside the index marks nothing but
+    counts in R."""
     relevant, numbers = qrels.relevant_docs(query_id), index._numbers
     mask = np.zeros(index.doc_count, dtype=bool)
     mask[[numbers[d] for d in relevant if d in numbers]] = True
     return mask, len(relevant)
-
-
-def _judged_ap(run: RankedList, judged: tuple[np.ndarray, int], depth: int, index: Index) -> float:
-    """average_precision(run, qrels, depth) for a run numbered in index,
-    from its query's _judge mask."""
-    mask, relevant_count = judged
-    ranks = np.flatnonzero(mask[run.doc_numbers(index)[:depth]]) + 1
-    return _ap(ranks.tolist(), relevant_count)
 
 
 def tune_mu(
@@ -309,11 +320,11 @@ def tune_mu(
     """Smoothing mass in config.mu_grid maximizing mean AP of the depth-k runs.
 
     Queries with no relevant document are skipped before they are
-    retrieved.  Each other query is scored at every mu of the grid in one
-    pass (retrieve_grid) and judged once: its relevant documents are
-    marked in one mask, read at every mu's list.  Each list's AP is
-    appended to its mu's APs in query order; only one query's lists are
-    alive at a time.
+    retrieved.  Each other query is ranked at every mu of the grid in one
+    pass (rank_grid), which gives a (mu, rank) array of document numbers;
+    its _judge mask, read at that array, gives the hit matrix, and
+    average_precisions reads every mu's AP off it.  No ranked list is
+    built.  Each AP is appended to its mu's APs in query order.
     """
     if not config.mu_grid:
         raise ValueError("empty mu grid")
@@ -322,9 +333,10 @@ def tune_mu(
     for q in queries:
         if qrels.relevant_count(q.query_id) == 0:
             continue
-        judged = _judge(q.query_id, qrels, index)
-        for mu_aps, run in zip(aps, retrieve_grid(q, k, mus, index)):
-            mu_aps.append(_judged_ap(run, judged, k, index))
+        mask, relevant_count = _judge(q.query_id, qrels, index)
+        nums, _ = rank_grid(q, k, mus, index)
+        for mu_aps, ap in zip(aps, average_precisions(mask[nums], relevant_count).tolist()):
+            mu_aps.append(ap)
     return _best(mus, aps)
 
 
@@ -341,12 +353,16 @@ def tune_rm3_m(
     no relevant document are skipped before their models are built.  The
     relevance model is the one the experiment weighs with: document weights
     at config.rm3_mu, interpolation config.rm3_lambda, clipped to its top
-    config.rm3_n terms where build_rm3_grid builds it.
-    An m past a list's length feeds back the whole list, so per query each
-    distinct clamped depth min(m, len) is modelled, re-ranked and scored
-    once, and every m reads its depth's AP.  The memo supplies the
-    re-ranks' log probabilities.  Each query is judged once, as in
-    tune_mu, and every depth's run is read off its mask.
+    config.rm3_n terms.  An m past a list's length feeds back the whole
+    list, so per query each distinct clamped depth min(m, len) is modelled
+    and scored once, and every m reads its depth's AP.
+
+    Per query, rm3_table builds every depth's model as one depth x term
+    table, and one rerank_table call re-ranks the head under every depth's
+    model at once, from the memo's log probabilities.  The query's _judge
+    mask, read at the (depth, rank) document numbers, gives the hit matrix
+    that average_precisions reads every depth's AP off.  No ranked list or
+    model dict is built.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
@@ -357,12 +373,14 @@ def tune_rm3_m(
         if not base or qrels.relevant_count(base.query_id) == 0:
             continue
         depths = sorted({min(m, len(base)) for m in ms})
-        models = build_rm3_grid(
-            q, base, depths, config.rm3_mu, config.rm3_lambda, index, config.rm3_n
-        )
-        runs = rerank_many(base, models, config, memo)
-        judged = _judge(base.query_id, qrels, index)
-        by_depth = {d: _judged_ap(run, judged, config.k, index) for d, run in zip(depths, runs)}
+        table = rm3_table(q, base, depths, config.rm3_mu, config.rm3_lambda, index, config.rm3_n)
+        # the terms some depth's model weighs: rerank_many's table for the models
+        used = np.flatnonzero((table.probs != 0.0).any(axis=0))
+        terms = [table.terms[j] for j in used.tolist()]
+        nums, _ = rerank_table(base, terms, table.probs[:, used].T, config, memo)
+        mask, relevant_count = _judge(base.query_id, qrels, index)
+        hits = mask[nums[:, : config.k]]
+        by_depth = dict(zip(depths, average_precisions(hits, relevant_count).tolist()))
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])
     return _best(ms, aps)

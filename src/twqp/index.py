@@ -178,13 +178,19 @@ class Index:
             nums, tfs = arrays["nums"], arrays["tfs"]
         except KeyError as exc:
             raise ValueError(f"{path}: damaged index snapshot (no array {exc})") from exc
-        if not _consistent(len(doc_ids), len(vocabulary), lengths, starts, nums, tfs):
+        # Converted once, and checked as converted: a float array would
+        # truncate, so the kinds are checked first.
+        integral = all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
+        if integral:
+            nums, tfs = nums.astype(np.int64), tfs.astype(np.int64)
+        if not integral or not _consistent(
+            len(doc_ids), len(vocabulary), lengths, starts, nums, tfs
+        ):
             raise ValueError(f"{path}: damaged index snapshot (arrays disagree)")
         try:
             analyzer = AnalyzerConfig(lowercase, frozenset(stopwords), stemmer, token_pattern)
         except (ValueError, re.error) as exc:
             raise ValueError(f"{path}: stored analyzer rejected: {exc}") from exc
-        nums, tfs = nums.astype(np.int64), tfs.astype(np.int64)
         return cls(doc_ids, lengths, vocabulary, starts, nums, tfs, analyzer)
 
 
@@ -196,13 +202,13 @@ def _consistent(
     nums: np.ndarray,
     tfs: np.ndarray,
 ) -> bool:
-    """Whether the arrays form one index: a length per document, a posting
-    span per term ascending from 0 over all of nums and tfs, every posting
-    on a numbered document with a tf of at least 1, each term's document
-    numbers strictly ascending, and each length its document's tf sum."""
+    """Whether the integer arrays form one index: a length per document, a
+    posting span per term ascending from 0 over all of nums and tfs, every
+    posting on a numbered document with a tf of at least 1, each term's
+    document numbers strictly ascending, and each length its document's tf
+    sum."""
     ok = (
-        all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
-        and lengths.shape == (n_docs,)
+        lengths.shape == (n_docs,)
         and starts.shape == (n_terms + 1,)
         and starts[0] == 0
         and bool((starts[1:] >= starts[:-1]).all())

@@ -11,6 +11,11 @@ weights are computed in probability space from log scores, subtracting the
 max log score before exponentiating.  A model is a term -> probability
 dict in rank order; one clipped to n terms keeps its top n by probability,
 ties broken by name, without renormalizing.
+
+rm3_table builds the models of several feedback depths at once, as one
+depth x term table over their common support; build_rm3_grid and
+build_rm3 read their dicts off it, and tuning re-ranks with the table
+itself.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +48,7 @@ def build_rm3(
     or a mu that fails check_positive_mu is an error.  Document weights are
     query likelihoods at this mu, which need not be the mu the initial list
     was retrieved with.  n, when given, clips the model to its top n terms
-    as build_rm3_grid does.
+    as rm3_table does.
     """
     return build_rm3_grid(q, initial, (m,), mu, lam, index, n)[0]
 
@@ -56,21 +62,59 @@ def build_rm3_grid(
     index: Index,
     n: int | None = None,
 ) -> list[dict[str, float]]:
-    """One RM3 model per feedback depth in ms, each equal to build_rm3's.
+    """One RM3 model per feedback depth in ms, each equal to build_rm3's:
+    read off rm3_table, each model's terms in rank order."""
+    table = rm3_table(q, initial, ms, mu, lam, index, n)
+    names = table.terms.__getitem__
+    return [
+        dict(zip(map(names, columns.tolist()), row[columns].tolist()))
+        for row, columns in zip(table.probs, table.ranked)
+    ]
+
+
+@dataclass(frozen=True)
+class RM3Table:
+    """Every feedback depth's RM3 model over one support.
+
+    terms are the support's terms in name order, the columns of probs.
+    probs holds one row per depth: each term's probability in that depth's
+    model, 0.0 for a term outside it.  ranked holds each depth's model's
+    columns in rank order (by probability, ties by name).
+    """
+
+    terms: list[str]
+    probs: np.ndarray
+    ranked: list[np.ndarray]
+
+
+def rm3_table(
+    q: Query,
+    initial: RankedList,
+    ms: Sequence[int],
+    mu: float,
+    lam: float,
+    index: Index,
+    n: int | None = None,
+) -> RM3Table:
+    """The RM3 model at each feedback depth in ms, one row each.
 
     The top max(ms) documents are scored once and their tf/len vectors are
     gathered once, from the postings arrays, into columns in term-number
-    (so name) order; each depth then weighs its first m documents by
-    renormalized likelihood and adds them up one document at a time in rank
-    order, as a per-document dictionary update would.
+    (so name) order.  Each depth weighs its first m documents by
+    renormalized likelihood.  The documents are then added one at a time in
+    rank order, each into the rows of the depths that hold it (m above its
+    rank: a suffix of the ascending distinct depths), so every row sums its
+    documents in rank order, as a per-document dictionary update would.
 
-    A model's terms come in rank order: one stable argsort of the
-    probabilities over the name-ordered support, so ties break by name.
-    With n it holds only its top n terms, their probabilities as in the
-    whole model and not renormalized, without building the whole model's
-    dict.  With n = None the same step keeps the whole support.  An empty
-    ms, or a query term in no document, which scores every document -inf,
-    is an error.
+    Each depth's terms are ranked by one stable argsort of the
+    probabilities over the name-ordered support, the columns outside its
+    support keyed +inf, so ties break by name.  With n its model holds only
+    its top n terms, their probabilities as in the whole model and not
+    renormalized.  With n = None it keeps the whole support.  m larger than
+    the list is clamped with a warning; an empty ms, an m below 1, lambda
+    outside [0,1], a mu that fails check_positive_mu, an n below 1, or a
+    query term in no document, which scores every document -inf, is an
+    error.
     """
     if not ms:
         raise ValueError("RM3: the list of feedback depths ms is empty")
@@ -88,7 +132,7 @@ def build_rm3_grid(
         if m > len(initial):
             warnings.warn(
                 f"feedback depth {m} exceeds list length {len(initial)}; clamping",
-                stacklevel=2,
+                stacklevel=3,
             )
             m = len(initial)
         depths.append(m)
@@ -119,18 +163,36 @@ def build_rm3_grid(
     qlen = len(q.terms)
     query_probs = np.zeros(vocab.size)
     query_probs[vocab.searchsorted(query_terms)] = [c / qlen for c in counts]
-    is_query_term = query_probs > 0.0
 
-    models = []
-    for m in depths:
+    grid = sorted(set(depths))
+    weights = np.zeros((len(grid), len(nums)))  # depth x document
+    for row, m in zip(weights, grid):
         top = max(log_scores[:m])
         raw = [math.exp(s - top) for s in log_scores[:m]]
         z = add_up(raw)
-        feedback = weighted_sum([r / z for r in raw], doc_probs[:m])
-        support = first_doc < m
-        kept = np.flatnonzero(support | is_query_term)  # columns, in name order
-        probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
-        kept = kept[np.argsort(-probs[kept], kind="stable")[:n]]
-        names = map(index.vocabulary.__getitem__, vocab[kept].tolist())
-        models.append(dict(zip(names, probs[kept].tolist())))
-    return models
+        row[:m] = [r / z for r in raw]
+    feedback = np.zeros((len(grid), vocab.size))
+    for doc, start in enumerate(np.searchsorted(grid, np.arange(len(nums)), "right").tolist()):
+        feedback[start:] += weights[start:, doc, None] * doc_probs[doc]
+    support = first_doc < np.array(grid)[:, None]
+    probs = lam * query_probs + (1.0 - lam) * np.where(support, feedback, 0.0)
+    kept = support | (query_probs > 0.0)
+    keys = np.where(kept, -probs, np.inf)
+    columns = np.arange(vocab.size)
+    if n is not None and n < vocab.size:
+        # Only a column within some depth's first n keys, ties included,
+        # can rank among its first n: the others need no sorting.
+        nth = np.partition(keys, n - 1, axis=1)[:, n - 1, None]
+        columns = np.flatnonzero((keys <= nth).any(axis=0))
+    order = columns[np.argsort(keys[:, columns], axis=1, kind="stable")]
+    sizes = np.minimum(np.count_nonzero(kept, axis=1), vocab.size if n is None else n)
+    ranked = [row[:size] for row, size in zip(order, sizes.tolist())]
+    in_model = np.zeros(probs.shape, dtype=bool)
+    in_model[np.repeat(np.arange(len(grid)), sizes), np.concatenate(ranked)] = True
+
+    rows = np.searchsorted(grid, depths)
+    return RM3Table(
+        list(map(index.vocabulary.__getitem__, vocab.tolist())),
+        np.where(in_model, probs, 0.0)[rows],
+        [ranked[row] for row in rows.tolist()],
+    )

@@ -7,6 +7,11 @@ documents are re-scored; the rest keep their original relative order
 beneath the re-ranked block, so the emitted ranking stays well-defined to
 full depth.  Scores in the tail keep the initial retrieval's scale: rank,
 not score, is the authoritative output of a re-ranked list.
+
+rerank_table re-ranks one list under every column of a term x map weight
+table at once and returns (map, rank) arrays; rerank_many builds that
+table from term -> weight maps and wraps the rows as ranked lists, and
+tuning passes the RM3 depth table straight in.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .retrieval import LogProbMemo, RankedList, check_positive_mu, ranked_list, weighted_sum
+from .retrieval import LogProbMemo, RankedList, check_positive_mu, rank_by_score, weighted_sum
 
 
 def check_rerank(mu: float | None, config: ExperimentConfig) -> None:
@@ -35,6 +40,45 @@ def check_rerank(mu: float | None, config: ExperimentConfig) -> None:
         check_positive_mu(mu, "rerank")
 
 
+def rerank_table(
+    initial: RankedList,
+    terms: Sequence[str],
+    table: np.ndarray,
+    config: ExperimentConfig,
+    memo: LogProbMemo,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(numbers, scores), each a (map, rank) array: the initial list
+    re-ranked once per column of table, at the memo's mu over its index.
+
+    table is a term x map weight table over terms, which are distinct and
+    in sorted order: the same summation order as query-likelihood scoring,
+    so a map of term counts reproduces the QL score bit for bit.  One head
+    x term log matrix, gathered from the memo, serves every map: each cell
+    depends only on its term and document.  Every map's scores come from
+    one weighted_sum; a term a map weighs 0.0 adds nothing to its scores,
+    as the rows are all finite.  One lexsort ranks every map's head, and
+    the tail, shared by all, follows in its own order.
+    """
+    index = memo.index
+    check_rerank(memo.mu, config)
+    depth = config.rerank_depth
+    all_nums, all_scores = initial.doc_numbers(index), initial.score_array()
+    nums = np.sort(all_nums[:depth])
+    log_probs = memo.matrix(terms, nums)
+    unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
+    if unindexed.size:
+        w = terms[unindexed[0]]
+        raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
+    head_nums, head_scores = rank_by_score(nums, weighted_sum(table, log_probs))
+    maps = head_scores.shape[0]
+    tail_nums = np.broadcast_to(all_nums[depth:], (maps, all_nums.size - nums.size))
+    tail_scores = np.broadcast_to(all_scores[depth:], tail_nums.shape)
+    return (
+        np.concatenate((head_nums, tail_nums), axis=1),
+        np.concatenate((head_scores, tail_scores), axis=1),
+    )
+
+
 def rerank_many(
     initial: RankedList,
     weight_maps: Sequence[dict[str, float]],
@@ -42,35 +86,19 @@ def rerank_many(
     memo: LogProbMemo,
 ) -> list[RankedList]:
     """The initial list re-ranked once per term -> weight map, at the
-    memo's mu over its index.
+    memo's mu over its index (rerank_table).
 
-    One head x term log matrix over the union of the maps' non-zero terms
-    serves every map: each cell depends only on its term and document.  The
-    memo supplies that matrix.  Every map's scores come from one
-    weighted_sum over a term x map weight table, in which a term that a map
-    lacks, or weighs 0, has weight 0.0; the union's rows are all finite, so
-    each map scores as it would alone.
+    The table's terms are the union of the maps' non-zero terms; a term
+    that a map lacks, or weighs 0, has weight 0.0 in its column, so each
+    map scores as it would alone.
     """
-    index = memo.index
-    check_rerank(memo.mu, config)
-    # Same summation order as query-likelihood scoring (sorted terms), so a
-    # map of term counts reproduces the QL score bit-for-bit.
-    depth = config.rerank_depth
-    all_nums, all_scores = initial.doc_numbers(index), initial.score_array()
-    tail = (all_nums[depth:], all_scores[depth:])
     terms = sorted({w for weights in weight_maps for w, v in weights.items() if v != 0.0})
-    nums = np.sort(all_nums[:depth])
-    log_probs = memo.matrix(terms, nums)
-    unindexed = np.flatnonzero(np.isneginf(log_probs).any(axis=1))
-    if unindexed.size:
-        w = terms[unindexed[0]]
-        raise ValueError(f"term {w!r} has zero smoothed probability; is it indexed?")
     table = np.zeros((len(terms), len(weight_maps)))
     for column, weights in zip(table.T, weight_maps):
         column[:] = [weights.get(w, 0.0) for w in terms]
+    nums, scores = rerank_table(initial, terms, table, config, memo)
     return [
-        ranked_list(initial.query_id, nums, scores, index, tail=tail)
-        for scores in weighted_sum(table, log_probs)
+        RankedList.from_arrays(initial.query_id, n, s, memo.index) for n, s in zip(nums, scores)
     ]
 
 

@@ -24,9 +24,12 @@ experiment's stages at the tuned mu share one memo, and each takes it in
 place of mu and the index.  ``retrieve_topk`` alone takes a memo
 optionally, since a plain search scores its candidates once; given one,
 it checks that the memo holds its mu and index.
-``retrieve_grid`` scores one query at every mu of a grid in one pass: it
+``rank_grid`` scores one query at every mu of a grid in one pass: it
 gathers the candidates and tfs once, takes every mu's logs in one log
-step and ranks every mu's candidates with one lexsort.
+step and ranks every mu's candidates with one lexsort, into (mu, rank)
+arrays; ``retrieve_grid`` wraps their rows as ranked lists.  Every
+ranking, of a search, a grid or a re-ranked head, is ``rank_by_score``'s:
+by descending score, then ascending document number.
 
 The candidates of a search are ``Index.matching_docs``: a one-term bag's
 are its postings' doc numbers, as they stand.  ``gather_tf`` copies a
@@ -41,8 +44,8 @@ Every sum of Python floats in the package is ``add_up``'s, in order from
 
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
-``RankedList.ranks_of`` finds the ranks at which given doc ids stand by
-numbers alone, without building the ids.
+``RankedList.hits`` marks the ranks at which given doc ids stand by
+numbers alone, without building the ids, and ``ranks_of`` lists them.
 """
 
 from __future__ import annotations
@@ -163,15 +166,19 @@ class RankedList:
         """The scores, in rank order, as a read-only float array."""
         return self._scores
 
-    def ranks_of(self, doc_ids: Iterable[str], depth: int | None = None) -> list[int]:
-        """The 1-based ranks, ascending, at which the first depth documents
-        (all, for None) have an id in doc_ids; an id outside the list's
+    def hits(self, doc_ids: Iterable[str], depth: int | None = None) -> np.ndarray:
+        """A boolean array over the first depth ranks (all, for None), True
+        where the document's id is in doc_ids; an id outside the list's
         table matches nothing.  The ids' numbers go into a mask over the
         table, which is read at the list's numbers."""
         numbers = self._numbers
         wanted = np.zeros(len(self._ids), dtype=bool)
         wanted[[numbers[d] for d in doc_ids if d in numbers]] = True
-        return (np.flatnonzero(wanted[self._nums[:depth]]) + 1).tolist()
+        return wanted[self._nums[:depth]]
+
+    def ranks_of(self, doc_ids: Iterable[str], depth: int | None = None) -> list[int]:
+        """The 1-based ranks, ascending, that hits marks."""
+        return (np.flatnonzero(self.hits(doc_ids, depth)) + 1).tolist()
 
 
 def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> np.ndarray:
@@ -329,22 +336,18 @@ def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.nd
     return acc
 
 
-def ranked_list(
-    query_id: str,
-    nums: np.ndarray,
-    scores: np.ndarray,
-    index: Index,
-    top: int | None = None,
-    tail: tuple[np.ndarray, np.ndarray] | None = None,
-) -> RankedList:
-    """The documents nums of index, scoring scores, by descending score and
-    then ascending number (doc id), cut to the first top and followed by
-    tail, a (nums, scores) pair kept in its own order."""
-    order = np.lexsort((nums, -scores))[:top]
-    nums, scores = nums[order], scores[order]
-    if tail is not None:
-        nums, scores = np.concatenate((nums, tail[0])), np.concatenate((scores, tail[1]))
-    return RankedList.from_arrays(query_id, nums, scores, index)
+def rank_by_score(
+    nums: np.ndarray, scores: np.ndarray, top: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending document numbers nums ranked under each row of scores
+    (one score per number) by descending score and then ascending number
+    (doc id), cut to the first top: (numbers, scores) arrays shaped like
+    scores, but for the cut.  A 2-D scores ranks its rows in one lexsort."""
+    if scores.ndim == 1:  # a search's one row: the broadcast would cost more than the sort
+        order = np.lexsort((nums, -scores))[:top]
+        return nums[order], scores[order]
+    order = np.lexsort((np.broadcast_to(nums, scores.shape), -scores), axis=-1)[:, :top]
+    return nums[order], np.take_along_axis(scores, order, axis=-1)
 
 
 def _check_depth_and_mu(k: int, mu: float) -> None:
@@ -376,12 +379,15 @@ def retrieve_topk(
         )
     else:
         log_probs = memo.matrix(terms, nums)
-    scores = weighted_sum(counts, log_probs)
-    return ranked_list(q.query_id, nums, scores, index, top=k)
+    ranked = rank_by_score(nums, weighted_sum(counts, log_probs), k)
+    return RankedList.from_arrays(q.query_id, *ranked, index)
 
 
-def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[RankedList]:
-    """[retrieve_topk(q, k, mu, index) for mu in mus], bit for bit.
+def rank_grid(
+    q: Query, k: int, mus: Sequence[float], index: Index
+) -> tuple[np.ndarray, np.ndarray]:
+    """(numbers, scores), each a (mu, rank) array: row i holds
+    retrieve_topk(q, k, mus[i], index)'s documents and scores, bit for bit.
 
     The query's candidates, tfs and lengths do not depend on mu, so they
     are gathered once.  p is computed over a (term, mu, document) array in
@@ -401,11 +407,14 @@ def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[
     # each term's row is its (mu, document) cells laid end to end
     rows = log_probs.reshape(len(terms), -1)
     scores = weighted_sum(counts, rows).reshape(log_probs.shape[1:])
-    order = np.lexsort((np.broadcast_to(nums, scores.shape), -scores), axis=-1)[:, :k]
-    top_nums, top_scores = nums[order], np.take_along_axis(scores, order, axis=-1)
-    return [
-        RankedList.from_arrays(q.query_id, n, s, index) for n, s in zip(top_nums, top_scores)
-    ]
+    return rank_by_score(nums, scores, k)
+
+
+def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[RankedList]:
+    """[retrieve_topk(q, k, mu, index) for mu in mus], bit for bit: the
+    rows of rank_grid."""
+    nums, scores = rank_grid(q, k, mus, index)
+    return [RankedList.from_arrays(q.query_id, n, s, index) for n, s in zip(nums, scores)]
 
 
 def expand_query(q: Query, w: str) -> Query:

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import twqp.evaluation
@@ -17,6 +17,7 @@ from twqp.evaluation import (
     Qrels,
     QueryMeasures,
     average_precision,
+    average_precisions,
     build_report,
     load_qrels,
     load_topics,
@@ -244,7 +245,8 @@ def assert_measures_equal_the_loops(run, qrels, cutoff, depth):
 class TestMeasuresOracle:
     """The measures against tests/oracle.py's entry-by-entry loops, with ==,
     for lists built from entries, from arrays, by retrieval and re-ranking,
-    and read back from a run file."""
+    and read back from a run file, and the AP of each row of a hit matrix,
+    as tuning reads it."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -298,6 +300,34 @@ class TestMeasuresOracle:
                 runs += read_run(path).values()
         for run in runs:
             assert_measures_equal_the_loops(run, qrels, cutoff, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        orders=st.lists(st.permutations(ORACLE_DOCS), min_size=1, max_size=4),
+        length=st.integers(0, len(ORACLE_DOCS)),
+        scores=st.lists(
+            st.sampled_from([0.0, -1.0, -2.0]), min_size=len(ORACLE_DOCS), max_size=len(ORACLE_DOCS)
+        ),
+        relevant=st.sets(st.sampled_from(JUDGED), min_size=1),
+        k=st.integers(1, 15),
+    )
+    @example(  # no row holds a relevant document; x0 is in no list or index
+        orders=[ORACLE_DOCS, ORACLE_DOCS[::-1]], length=5, scores=[0.0] * len(ORACLE_DOCS),
+        relevant={"x0"}, k=10,
+    )
+    def test_hit_matrix_rows_equal_the_entry_loop(self, orders, length, scores, relevant, k):
+        # One row per list, read off the _judge mask at the lists' document
+        # numbers, as the tuners read their grids: the rows share a length,
+        # which may be below k, the lists hold tied scores in the order
+        # given, and a relevant id outside the index counts in R alone.
+        qrels = Qrels({"q1": dict.fromkeys(relevant, 1)})
+        tied = sorted(scores[:length], reverse=True)
+        runs = [RankedList("q1", list(zip(order[:length], tied))) for order in orders]
+        mask, relevant_count = twqp.evaluation._judge("q1", qrels, ORACLE_INDEX)
+        nums = np.array([run.doc_numbers(ORACLE_INDEX) for run in runs], dtype=np.int64)
+        hits = mask[nums.reshape(len(runs), length)[:, :k]]
+        got = average_precisions(hits, relevant_count).tolist()
+        assert got == [scalar_average_precision(run, qrels, k) for run in runs]
 
     def test_repeated_doc_id_counts_at_each_rank(self):
         # a list built from entries may repeat a doc id; each rank counts
@@ -662,25 +692,26 @@ class TestTuneRM3M:
 
     def test_model_comes_from_the_config(self, monkeypatch):
         # the tuned depth fits the RM3 model the experiment then weighs with,
-        # clipped to config.rm3_n where the grid builds it
+        # clipped to config.rm3_n where the table builds it
         memo, lists, qrels = self._corpus()
         seen, maps_seen = [], []
-        real_grid, real_rerank = twqp.evaluation.build_rm3_grid, twqp.evaluation.rerank_many
+        real_table, real_rerank = twqp.evaluation.rm3_table, twqp.evaluation.rerank_table
 
-        def grid(q, base, depths, mu, lam, index, n=None):
+        def table(q, base, depths, mu, lam, index, n=None):
             seen.append((tuple(depths), mu, lam, n))
-            return real_grid(q, base, depths, mu, lam, index, n)
+            return real_table(q, base, depths, mu, lam, index, n)
 
-        def rerank(initial, weight_maps, config, memo):
-            maps_seen.append(weight_maps)
-            return real_rerank(initial, weight_maps, config, memo)
+        def rerank(initial, terms, weights, config, memo):
+            # each column of the weight table is one depth's term -> weight map
+            maps_seen.append([dict(zip(terms, column.tolist())) for column in weights.T])
+            return real_rerank(initial, terms, weights, config, memo)
 
-        monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", grid)
-        monkeypatch.setattr(twqp.evaluation, "rerank_many", rerank)
+        monkeypatch.setattr(twqp.evaluation, "rm3_table", table)
+        monkeypatch.setattr(twqp.evaluation, "rerank_table", rerank)
         config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
         assert tune_rm3_m(lists, qrels, config, memo) == 5
         # the list holds 2 documents, so m = 5 and m = 10 both feed back
-        # depth 2: one grid call for the query, one model
+        # depth 2: one table for the query, one model
         assert seen == [((2,), 250.0, 0.3, 2)]
         q, base = lists[0]
         full = build_rm3(q, base, 2, 250.0, 0.3, memo.index)
@@ -702,23 +733,23 @@ class TestTuneRM3M:
         base = retrieve_topk(q, 1000, 10.0, index)
         qrels = Qrels({"q1": {"d1": 1}})
         maps_seen = []
-        real = twqp.evaluation.rerank_many
+        real = twqp.evaluation.rerank_table
 
-        def counted(initial, weight_maps, config, memo):
-            maps_seen.append(len(weight_maps))
-            return real(initial, weight_maps, config, memo)
+        def counted(initial, terms, weights, config, memo):
+            maps_seen.append(weights.shape[1])
+            return real(initial, terms, weights, config, memo)
 
-        monkeypatch.setattr(twqp.evaluation, "rerank_many", counted)
+        monkeypatch.setattr(twqp.evaluation, "rerank_table", counted)
         grid = (6, 4, 9, 5, 2)
         config = ExperimentConfig(rm3_m_grid=grid, rerank_depth=4, rm3_mu=10.0, rm3_lambda=0.1)
         assert tune_rm3_m([(q, base)], qrels, config, LogProbMemo(10.0, index)) == 4
-        assert maps_seen == [2]  # depths 2 and 4
+        assert maps_seen == [2]  # depths 2 and 4, in one call
         # against one model and re-rank per grid point
         ap = {}
         for m in grid:
             model = build_rm3(q, base, min(m, 4), config.rm3_mu, config.rm3_lambda, index)
             weights = restrict_top_n(model, config.rm3_n)
-            run = real(base, [weights], config, LogProbMemo(10.0, index))[0]
+            run = rerank_many(base, [weights], config, LogProbMemo(10.0, index))[0]
             ap[m] = average_precision(run, qrels, 1000)
         assert ap[2] < ap[4] == ap[5] == ap[6] == ap[9]
 
@@ -771,15 +802,15 @@ class TestTuningSkipsUnjudgedQueries:
         judged = [q for q in queries if q is not unjudged]
 
         matched, modelled = [], []
-        real_matching, real_grid = Index.matching_docs, twqp.evaluation.build_rm3_grid
+        real_matching, real_table = Index.matching_docs, twqp.evaluation.rm3_table
 
         def matching_docs(index, terms):
             matched.append(tuple(terms))
             return real_matching(index, terms)
 
-        def build_rm3_grid(q, *args, **kwargs):
+        def rm3_table(q, *args, **kwargs):
             modelled.append(q.query_id)
-            return real_grid(q, *args, **kwargs)
+            return real_table(q, *args, **kwargs)
 
         expected_mu = tune_mu(judged, qrels, config, index)
         with monkeypatch.context() as patch:
@@ -791,6 +822,24 @@ class TestTuningSkipsUnjudgedQueries:
         lists = [(q, retrieve_topk(q, config.k, memo.mu, index, memo)) for q in queries]
         judged_lists = [(q, lst) for q, lst in lists if q is not unjudged]
         expected_m = tune_rm3_m(judged_lists, qrels, config, memo)
-        monkeypatch.setattr(twqp.evaluation, "build_rm3_grid", build_rm3_grid)
+        monkeypatch.setattr(twqp.evaluation, "rm3_table", rm3_table)
         assert tune_rm3_m(lists, qrels, config, memo) == expected_m
         assert modelled == [q.query_id for q in judged]
+
+
+def test_tuning_builds_no_ranked_list(monkeypatch):
+    # Both tuners read every grid point's AP off arrays: no list is made
+    # for a mu or a feedback depth, whatever the grids hold.
+    coll = make_synthetic(32)
+    config = ExperimentConfig(mu_grid=(100, 1000, 2000), rm3_m_grid=(5, 10, 10, 5000))
+    index = build_index(coll.documents, config.analyzer)
+    queries, _ = make_queries(coll.topics, index)
+    memo = LogProbMemo(1000.0, index)
+    lists = [(q, retrieve_topk(q, config.k, memo.mu, index, memo)) for q in queries]
+
+    def made(*args):
+        raise AssertionError("tuning built a ranked list")
+
+    monkeypatch.setattr(RankedList, "_hold", made)
+    assert tune_mu(queries, coll.qrels, config, index) in config.mu_grid
+    assert tune_rm3_m(lists, coll.qrels, config, memo) in config.rm3_m_grid

@@ -14,8 +14,10 @@ term -> weight maps, whichever weighter or model made them.
 No library module calls a reduction that may add in another order than
 one row at a time: np.dot and its kin, the @ operator and np.sum may sum
 pairwise or blocked, and floating-point addition is not associative.
-Every float sum whose bits matter goes through retrieval.weighted_sum or
-population_std's np.add.reduce (which matches np.std); counts use
+Every float sum whose bits matter adds one row or value at a time:
+retrieval.weighted_sum, relevance.rm3_table's per-document update, and
+the sequential np.cumsum of evaluation.average_precisions; or it is
+population_std's np.add.reduce (which matches np.std).  Counts use
 np.count_nonzero.  Two .sum() calls are allowed, by their text: the
 index's integer token total and the synthetic generator's normaliser,
 which fixes make_synthetic's output.  Nor does any library module call

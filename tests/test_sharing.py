@@ -302,7 +302,7 @@ class TestWorkCounts:
         monkeypatch.setattr(twqp.relevance, "log_prob_matrix", relevance_logs)
         reranking = []
         head_memos = set()  # the memos heads are gathered from
-        real_gather, real_rerank = LogProbMemo.matrix, twqp.rerank.rerank_many
+        real_gather, real_rerank = LogProbMemo.matrix, twqp.rerank.rerank_table
 
         def gather(memo, *args, **kwargs):
             if reranking:
@@ -318,8 +318,9 @@ class TestWorkCounts:
                 reranking.clear()
 
         monkeypatch.setattr(LogProbMemo, "matrix", gather)
-        for module in (twqp.evaluation, twqp.experiment):
-            monkeypatch.setattr(module, "rerank_many", rerank)
+        # tuning calls the re-rank core directly, rerank_many through twqp.rerank
+        for module in (twqp.evaluation, twqp.rerank):
+            monkeypatch.setattr(module, "rerank_table", rerank)
         real_tune, real_weigh = twqp.experiment.tune_rm3_m, twqp.experiment.weigh_queries
 
         def tune(lists, *args, **kwargs):

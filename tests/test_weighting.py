@@ -288,6 +288,32 @@ class TestWeighTerms:
         for w in vocabulary:
             assert abs(weights[w] - raw[w] / total) < 1e-12
 
+    def test_score_ratio_normaliser_adds_in_rank_order(self):
+        # The normaliser adds the candidates' ratios one at a time from 0.0
+        # in the order given, the RM3 model's rank order.  On this reversed
+        # vocabulary that sum and the sum by name differ in the last bit,
+        # so every weight is pinned bit for bit.
+        rng = np.random.default_rng(103)
+        index = build_index(make_random_corpus(rng, 20), PLAIN)
+        q = Query("q0", (index.vocabulary[0],))
+        vocabulary = index.vocabulary[1:][::-1]
+        config, memo = ExperimentConfig(k=50), LogProbMemo(200.0, index)
+        raw = [
+            predict_score_ratio(retrieve_topk(Query("q0", (w,)), 50, 200.0, index))
+            for w in vocabulary
+        ]
+        in_order, by_name = 0.0, 0.0
+        for ratio in raw:
+            in_order += ratio
+        for _, ratio in sorted(zip(vocabulary, raw)):
+            by_name += ratio
+        assert in_order != by_name
+        method = WeightingMethod.SCORE_RATIO_NORM
+        (weighed,) = weigh_queries([(q, vocabulary)], (method,), config, memo)
+        assert list(weighed[method].items()) == [
+            (w, ratio / in_order) for w, ratio in zip(vocabulary, raw)
+        ]
+
     def test_sror_ignores_vocabulary(self, fruit_index):
         q = Query("q0", ("apple", "banana"))
         weights = weigh_terms(

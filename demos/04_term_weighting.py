@@ -20,7 +20,7 @@ from twqp import (
     predict_quality,
     retrieve_topk,
     twqp_weight,
-    weigh_terms,
+    weigh_queries,
 )
 from twqp.weighting import WeightingMethod
 
@@ -62,11 +62,14 @@ print("\nlogistic checkpoints:")
 for x in (-5.0, -1.0, 0.0, math.log(3.0), 5.0):
     print(f"  twqp_weight({x:+.4f}) = {twqp_weight(x):.4f}")
 
-# weigh_terms builds the whole term -> weight map in one call; baseline
-# weighters share the same interface.  The depth and predictor cutoff come
-# from the experiment config, the same settings run_experiment weighs with.
+# weigh_queries builds each method's whole term -> weight map in one call,
+# for any number of (query, candidates) pairs; baseline weighters share the
+# same interface, and the methods share the call's retrievals and memo.
+# The depth and predictor cutoff come from the experiment config, the same
+# settings run_experiment weighs with.
 config = ExperimentConfig(k=k, qpp_m=3)
-for method in (WeightingMethod.TWQP_NQC, WeightingMethod.NWIG, WeightingMethod.SROR):
-    weights = weigh_terms(q, candidates, method, mu, config, index)
-    pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(weights.items()))
+methods = (WeightingMethod.TWQP_NQC, WeightingMethod.NWIG, WeightingMethod.SROR)
+(weighed,) = weigh_queries([(q, candidates)], methods, config, memo)
+for method in methods:
+    pairs = ", ".join(f"{w}={x:.3f}" for w, x in sorted(weighed[method].items()))
     print(f"\n{method.value}: {pairs}")

@@ -13,9 +13,8 @@ from twqp import (
     build_index,
     build_rm3,
     rerank_many,
-    rerank_twqp,
     retrieve_topk,
-    weigh_terms,
+    weigh_queries,
 )
 from twqp.weighting import WeightingMethod
 
@@ -46,10 +45,12 @@ identity = rerank_many(initial, [counts], config, memo)[0]
 print("indicator:", identity.doc_ids, "(identical)" if identity.entries == initial.entries else "(DIFFERENT)")
 
 # A learned term -> weight map moves documents that match the weighted terms up.
+# weigh_queries weighs the candidates from the same memo.
 rm = build_rm3(q, initial, m=3, mu=mu, lam=0.5, index=index, n=5)
 candidates = list(rm)
-weights = weigh_terms(q, candidates, WeightingMethod.TWQP_NQC, mu, config, index)
-reranked = rerank_twqp(initial, weights, mu, config, index)
+method = WeightingMethod.TWQP_NQC
+weights = weigh_queries([(q, candidates)], [method], config, memo)[0][method]
+reranked = rerank_many(initial, [weights], config, memo)[0]
 print("weighted: ", reranked.doc_ids)
 
 # RM3 re-ranking scores against the clipped feedback distribution instead.

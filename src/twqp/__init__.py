@@ -31,9 +31,8 @@ from .qpp import (
     predict_nqc,
     predict_quality,
     predict_score_ratio,
-    predict_wig,
 )
-from .relevance import build_rm3, build_rm3_grid
+from .relevance import build_rm3
 from .rerank import check_rerank, rerank_many, rerank_twqp
 from .retrieval import LogProbMemo, Query, RankedList, expand_query, retrieve_topk, write_run
 from .synthetic import SyntheticCollection, make_synthetic, write_collection

@@ -7,16 +7,16 @@ Queries with no relevant documents cannot be scored by AP/RR and are
 excluded from aggregation (callers flag them).
 
 All three measures read where the relevant documents stand off
-RankedList.hits (or ranks_of): the relevant ids are numbered in the
-list's own id table and marked in a mask, which is read at the list's
-document numbers, so no doc id of the list is built; build_report reads
-each run's hits once and takes all three measures from them.  Tuning
-judges each query's whole grid at once: its relevant documents are marked
-in one mask over the index's document numbers, which is read at the
-(grid value, rank) array of every mu's or depth's document numbers; no
-ranked list is built.  AP, in every case, adds hits / rank one rank at a
-time, in rank order, from 0.0, and divides by R: average_precisions, its
-one rule, takes every row of a hit matrix at once.
+RankedList.hits: the relevant ids are numbered in the list's own id table
+and marked in a mask, which is read at the list's document numbers, so no
+doc id of the list is built; build_report reads each run's hits once and
+takes all three measures from them.  Tuning judges each query's whole
+grid at once: its relevant documents are marked in one mask over the
+index's document numbers, which is read at the (grid value, rank) array
+of every mu's or depth's document numbers; no ranked list is built.
+Each measure has one rule, which takes every row of a hit matrix at once:
+precisions, average_precisions and reciprocal_ranks.  AP adds hits / rank
+one rank at a time, in rank order, from 0.0, and divides by R.
 """
 
 from __future__ import annotations
@@ -102,9 +102,16 @@ def load_topics(path: str | Path) -> list[tuple[str, str]]:
 
 def precision_at(run: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
     """Relevant fraction of the top-cutoff; denominator is always cutoff."""
+    return float(precisions(run.hits(qrels.relevant_docs(run.query_id), cutoff), cutoff))
+
+
+def precisions(hits: np.ndarray, cutoff: int) -> np.ndarray:
+    """precision_at of each list in hits, a boolean array whose last axis
+    runs over a list's ranks, True where a relevant document stands: its
+    hits among the first cutoff ranks, over cutoff."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    return len(run.ranks_of(qrels.relevant_docs(run.query_id), cutoff)) / cutoff
+    return np.count_nonzero(hits[..., :cutoff], axis=-1) / cutoff
 
 
 def average_precision(run: RankedList, qrels: Qrels, depth: int = 1000) -> float:
@@ -137,8 +144,14 @@ def average_precisions(hits: np.ndarray, relevant_count: int) -> np.ndarray:
 
 def reciprocal_rank(run: RankedList, qrels: Qrels) -> float:
     """1 / rank of the first relevant document; 0 when none is retrieved."""
-    ranks = run.ranks_of(qrels.relevant_docs(run.query_id))
-    return 1.0 / ranks[0] if ranks else 0.0
+    return float(reciprocal_ranks(run.hits(qrels.relevant_docs(run.query_id))))
+
+
+def reciprocal_ranks(hits: np.ndarray) -> np.ndarray:
+    """reciprocal_rank of each list in hits (as in precisions): 1 over the
+    rank of its first hit, or over inf, giving 0.0, when it has none."""
+    ranks = np.arange(1, hits.shape[-1] + 1)
+    return 1.0 / np.where(hits, ranks, np.inf).min(axis=-1, initial=np.inf)
 
 
 def robustness_index(
@@ -240,17 +253,17 @@ def build_report(
         # rank) hit matrix, padded with misses to the longest run
         relevant = qrels.relevant_docs(qid)
         rows = [runs[method][qid].hits(relevant) for method in methods]
-        hits = np.zeros((len(rows), max(1, *(row.size for row in rows))), dtype=bool)
+        hits = np.zeros((len(rows), max(row.size for row in rows)), dtype=bool)
         for padded, row in zip(hits, rows):
             padded[: row.size] = row
-        p10 = (np.count_nonzero(hits[:, :10], axis=1) / 10).tolist()
-        first = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0).tolist()
+        p10 = precisions(hits, 10).tolist()
         aps = average_precisions(hits[:, :depth], len(relevant)).tolist() if relevant else None
+        rrs = reciprocal_ranks(hits).tolist()
         for i, method in enumerate(methods):
             per_query[method][qid] = QueryMeasures(
                 p10=p10[i],
                 ap=aps[i] if relevant else None,
-                rr=(1.0 / first[i] if first[i] else 0.0) if relevant else None,
+                rr=rrs[i] if relevant else None,
             )
 
     def vector(method: str, measure: str) -> list[float]:

@@ -11,8 +11,9 @@ standard deviation.
 
 WIG has one implementation, in batch form (wig_batch): a weighting call
 scores a query's base list and all of its q+w lists in one pass, and each
-list's value is the float the one-list computation gives.  predict_wig and
-predict_quality are a batch of one; NQC and ScoreRatio score one list at
+list's value is the float the one-list computation gives; one list's WIG
+is a batch of one.  predict_batch dispatches on a PredictorSpec, and
+predict_quality is its batch of one; NQC and ScoreRatio score one list at
 a time.
 """
 
@@ -62,22 +63,17 @@ class PredictorSpec:
         return self.m if self.m is not None else _DEFAULT_M[self.kind]
 
 
-def predict_wig(lst: RankedList, q: Query, m: int, memo: LogProbMemo) -> float:
-    """Mean log-ratio of document to collection term likelihood over top-m docs.
+def wig_batch(
+    lists: Sequence[RankedList], queries: Sequence[Query], m: int, memo: LogProbMemo
+) -> list[float]:
+    """WIG of each list, scored for its query, in one pass: the mean
+    log-ratio of document to collection term likelihood over its top-m docs,
 
         (1 / (m * sqrt(|q|))) * sum_{d in top-m} sum_{q_i} log(p_d(q_i) / p_D(q_i))
 
     |q| is the bag size of the query actually scored (expanded queries use
     their own size).  Out-of-vocabulary terms are skipped with a warning;
-    they still count toward |q|.  wig_batch of one list.
-    """
-    return wig_batch([lst], [q], m, memo)[0]
-
-
-def wig_batch(
-    lists: Sequence[RankedList], queries: Sequence[Query], m: int, memo: LogProbMemo
-) -> list[float]:
-    """WIG of each list, scored for its query (predict_wig), in one pass.
+    they still count toward |q|.
 
     The log p_d of every list's in-vocabulary terms at its top-m documents
     come from one memo gather, at the memo's mu over its index, over the

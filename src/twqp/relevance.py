@@ -13,9 +13,8 @@ dict in rank order; one clipped to n terms keeps its top n by probability,
 ties broken by name, without renormalizing.
 
 rm3_table builds the models of several feedback depths at once, as one
-depth x term table over their common support; build_rm3_grid and
-build_rm3 read their dicts off it, and tuning re-ranks with the table
-itself.
+depth x term table over their common support; build_rm3 reads its one
+depth's dict off it, and tuning re-ranks with the table itself.
 """
 
 from __future__ import annotations
@@ -48,28 +47,12 @@ def build_rm3(
     or a mu that fails check_positive_mu is an error.  Document weights are
     query likelihoods at this mu, which need not be the mu the initial list
     was retrieved with.  n, when given, clips the model to its top n terms
-    as rm3_table does.
+    as rm3_table does.  The dict is rm3_table's one row, its terms in rank
+    order.
     """
-    return build_rm3_grid(q, initial, (m,), mu, lam, index, n)[0]
-
-
-def build_rm3_grid(
-    q: Query,
-    initial: RankedList,
-    ms: Sequence[int],
-    mu: float,
-    lam: float,
-    index: Index,
-    n: int | None = None,
-) -> list[dict[str, float]]:
-    """One RM3 model per feedback depth in ms, each equal to build_rm3's:
-    read off rm3_table, each model's terms in rank order."""
-    table = rm3_table(q, initial, ms, mu, lam, index, n)
-    names = table.terms.__getitem__
-    return [
-        dict(zip(map(names, columns.tolist()), row[columns].tolist()))
-        for row, columns in zip(table.probs, table.ranked)
-    ]
+    table = rm3_table(q, initial, (m,), mu, lam, index, n)
+    (row,), (columns,) = table.probs, table.ranked
+    return dict(zip(map(table.terms.__getitem__, columns.tolist()), row[columns].tolist()))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ def rerank_twqp(
     config: ExperimentConfig,
     index: Index,
 ) -> RankedList:
-    """Score(d) = sum_w weight(w) * log p_d(w) over the map's terms."""
+    """Score(d) = sum_w weight(w) * log p_d(w) over the map's terms:
+    rerank_many of one map, with a memo of its own.  It stays while the
+    benchmark's tracer spans it by this name."""
     check_rerank(mu, config)
     return rerank_many(initial, [weights], config, LogProbMemo(mu, index))[0]

@@ -27,9 +27,10 @@ it checks that the memo holds its mu and index.
 ``rank_grid`` scores one query at every mu of a grid in one pass: it
 gathers the candidates and tfs once, takes every mu's logs in one log
 step and ranks every mu's candidates with one lexsort, into (mu, rank)
-arrays; ``retrieve_grid`` wraps their rows as ranked lists.  Every
+arrays, row i equal to ``retrieve_topk``'s arrays at the i-th mu.  Every
 ranking, of a search, a grid or a re-ranked head, is ``rank_by_score``'s:
-by descending score, then ascending document number.
+by descending score, then ascending document number.  One rule,
+``_check_mu``, admits a mu: >= 0 and finite.
 
 The candidates of a search are ``Index.matching_docs``: a one-term bag's
 are its postings' doc numbers, as they stand.  ``gather_tf`` copies a
@@ -45,7 +46,7 @@ Every sum of Python floats in the package is ``add_up``'s, in order from
 A ranked list holds read-only document-number and score arrays over a
 doc-id table; its (doc_id, score) entries are built each time they are read.
 ``RankedList.hits`` marks the ranks at which given doc ids stand by
-numbers alone, without building the ids, and ``ranks_of`` lists them.
+numbers alone, without building the ids.
 """
 
 from __future__ import annotations
@@ -176,10 +177,6 @@ class RankedList:
         wanted[[numbers[d] for d in doc_ids if d in numbers]] = True
         return wanted[self._nums[:depth]]
 
-    def ranks_of(self, doc_ids: Iterable[str], depth: int | None = None) -> list[int]:
-        """The 1-based ranks, ascending, that hits marks."""
-        return (np.flatnonzero(self.hits(doc_ids, depth)) + 1).tolist()
-
 
 def gather_tf(terms: Sequence[str], nums: np.ndarray, index: Index) -> np.ndarray:
     """The tfs of terms (rows) in the documents nums (columns), from the
@@ -204,10 +201,9 @@ def log_prob_matrix(
     """log p_d(w) for each term (row) and each document number (column).
 
     p_d(w) = (tf(w,d) + mu * p_D(w)) / (|d| + mu), and the log is -inf where
-    p is 0.  mu must be finite and >= 0.
+    p is 0.  mu must be finite and >= 0 (_check_mu).
     """
-    if not 0 <= mu < math.inf:
-        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
+    _check_mu(mu)
     lengths = index.lengths[nums]
     if terms and mu == 0 and not lengths.all():
         empty = index.doc_ids[int(nums[np.argmin(lengths)])]
@@ -232,6 +228,12 @@ def _log_probs(
     from scipy.special import xlogy
 
     return xlogy(1.0, (tf + background) / (lengths + mu))
+
+
+def _check_mu(mu: float) -> None:
+    """Reject a mu no score is defined at: one below 0 or not finite."""
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
 
 
 def check_positive_mu(mu: float, use: str) -> None:
@@ -353,8 +355,7 @@ def rank_by_score(
 def _check_depth_and_mu(k: int, mu: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= mu < math.inf:
-        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
+    _check_mu(mu)
 
 
 def retrieve_topk(
@@ -408,13 +409,6 @@ def rank_grid(
     rows = log_probs.reshape(len(terms), -1)
     scores = weighted_sum(counts, rows).reshape(log_probs.shape[1:])
     return rank_by_score(nums, scores, k)
-
-
-def retrieve_grid(q: Query, k: int, mus: Sequence[float], index: Index) -> list[RankedList]:
-    """[retrieve_topk(q, k, mu, index) for mu in mus], bit for bit: the
-    rows of rank_grid."""
-    nums, scores = rank_grid(q, k, mus, index)
-    return [RankedList.from_arrays(q.query_id, n, s, index) for n, s in zip(nums, scores)]
 
 
 def expand_query(q: Query, w: str) -> Query:

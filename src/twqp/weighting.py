@@ -123,25 +123,21 @@ def nwig_weights(
     return weights
 
 
-def sror_term(
-    w: str, q: Query, k: int, memo: LogProbMemo, base_list: RankedList | None = None
-) -> float:
+def sror_term(w: str, q: Query, k: int, memo: LogProbMemo, base_list: RankedList) -> float:
     """Result-list drift when one occurrence of w is dropped from the query.
 
         1 - |D_q ∩ D_{q-w}| / |D_q|
 
     Only terms of q itself are valid.  A single-term query gets weight 1
-    (removing the only term destroys the query).  Retrievals run at the
-    memo's mu over its index and read their log probabilities from it;
-    base_list, when given, must be the depth-k retrieval for q there.
+    (removing the only term destroys the query).  base_list is the depth-k
+    retrieval for q at the memo's mu over its index; the reduced query is
+    retrieved there, reading its log probabilities from the memo.
     """
     mu, index = memo.mu, memo.index
     if w not in q.terms:
         raise ValueError(f"SROR: term {w!r} is not a query term")
     if len(q.terms) == 1:
         return 1.0
-    if base_list is None:
-        base_list = retrieve_topk(q, k, mu, index, memo)
     if not base_list:
         warnings.warn("SROR: empty base retrieval; weight 0", stacklevel=2)
         return 0.0
@@ -166,7 +162,8 @@ def weigh_terms(
     SROR ignores the vocabulary and weighs the query's own distinct terms.
     ScoreRatio weights come from one single-term retrieval per candidate,
     sum-normalized; an empty single-term retrieval contributes 0.  mu must
-    pass check_positive_mu.
+    pass check_positive_mu.  weigh_queries with a memo of its own; it stays
+    while the benchmark's tracer spans it by this name.
     """
     check_positive_mu(mu, "weighting")
     memo = LogProbMemo(mu, index)

@@ -32,7 +32,7 @@ from twqp.qpp import (
     PredictorSpec,
     predict_nqc,
     predict_quality,
-    predict_wig,
+    wig_batch,
 )
 from twqp.relevance import build_rm3
 from twqp.rerank import rerank_many
@@ -162,17 +162,19 @@ class TestAcceptance:
             uniform = build_index([Document("d1", "apple banana")], PLAIN)
             q = Query("q1", ("apple",))
             lst = retrieve_topk(q, 10, 100.0, uniform)
-            assert predict_wig(lst, q, 5, LogProbMemo(100.0, uniform)) == 0.0
+            assert wig_batch([lst], [q], 5, LogProbMemo(100.0, uniform))[0] == 0.0
             clones = build_index(
                 [Document(f"d{i}", "apple banana") for i in range(4)], PLAIN
             )
             lst4 = retrieve_topk(q, 10, 200.0, clones)
-            assert predict_wig(lst4, q, 5, LogProbMemo(200.0, clones)) == 0.0
+            assert wig_batch([lst4], [q], 5, LogProbMemo(200.0, clones))[0] == 0.0
 
             # SROR: dropping a duplicate occurrence keeps the list identical;
             # at depth 2 the reduced query's matches are disjoint
             twice = Query("q1", ("banana", "banana"))
-            assert sror_term("banana", twice, 10, LogProbMemo(10.0, fruit)) == 0.0
+            memo = LogProbMemo(10.0, fruit)
+            base = retrieve_topk(twice, 10, 10.0, fruit, memo)
+            assert sror_term("banana", twice, 10, memo, base) == 0.0
             ab = build_index(
                 [
                     Document("a1", "alpha alpha alpha alpha alpha"),
@@ -183,7 +185,9 @@ class TestAcceptance:
                 PLAIN,
             )
             ab_query = Query("q1", ("alpha", "beta"))
-            assert sror_term("alpha", ab_query, 2, LogProbMemo(100.0, ab)) == 1.0
+            memo = LogProbMemo(100.0, ab)
+            base = retrieve_topk(ab_query, 2, 100.0, ab, memo)
+            assert sror_term("alpha", ab_query, 2, memo, base) == 1.0
 
     def test_criterion_6_evaluation_fixture(self):
         with _criterion(6, "evaluation fixtures and t-test oracle"):

@@ -18,7 +18,6 @@ from twqp.qpp import (
     PredictorSpec,
     predict_batch,
     predict_score_ratio,
-    predict_wig,
     wig_batch,
 )
 from twqp.retrieval import LogProbMemo, Query, expand_query, retrieve_topk, weighted_sum
@@ -100,7 +99,7 @@ class TestPredictorBatches:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert got == [scalar_wig(lst, q, m, mu, index) for lst, q in zip(lists, queries)]
-            assert got == [predict_wig(lst, q, m, memo) for lst, q in zip(lists, queries)]
+            assert got == [wig_batch([lst], [q], m, memo)[0] for lst, q in zip(lists, queries)]
 
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
@@ -109,9 +108,8 @@ class TestPredictorBatches:
         assert predict_batch(PredictorSpec(PredictorKind.SCORE_RATIO), lists, queries, memo) == [
             predict_score_ratio(lst) for lst in lists
         ]
-        assert predict_batch(PredictorSpec(PredictorKind.WIG, m), lists, queries, memo) == [
-            predict_wig(lst, q, m, memo) for lst, q in zip(lists, queries)
-        ]
+        wig = PredictorSpec(PredictorKind.WIG, m)
+        assert predict_batch(wig, lists, queries, memo) == wig_batch(lists, queries, m, memo)
         nqc = PredictorSpec(PredictorKind.NQC, m)
         try:
             expected = [scalar_nqc(lst, q, m, index) for lst, q in zip(lists, queries)]

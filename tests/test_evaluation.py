@@ -23,7 +23,9 @@ from twqp.evaluation import (
     load_topics,
     paired_ttest,
     precision_at,
+    precisions,
     reciprocal_rank,
+    reciprocal_ranks,
     robustness_index,
     tune_mu,
     tune_rm3_m,
@@ -245,8 +247,8 @@ def assert_measures_equal_the_loops(run, qrels, cutoff, depth):
 class TestMeasuresOracle:
     """The measures against tests/oracle.py's entry-by-entry loops, with ==,
     for lists built from entries, from arrays, by retrieval and re-ranking,
-    and read back from a run file, and the AP of each row of a hit matrix,
-    as tuning reads it."""
+    and read back from a run file, and the p@k, AP and RR of each row of a
+    hit matrix, as tuning and build_report read them."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -315,6 +317,10 @@ class TestMeasuresOracle:
         orders=[ORACLE_DOCS, ORACLE_DOCS[::-1]], length=5, scores=[0.0] * len(ORACLE_DOCS),
         relevant={"x0"}, k=10,
     )
+    @example(  # zero-length rows: no first hit, so RR is 0.0
+        orders=[ORACLE_DOCS, ORACLE_DOCS[::-1]], length=0, scores=[0.0] * len(ORACLE_DOCS),
+        relevant={"d00"}, k=1,
+    )
     def test_hit_matrix_rows_equal_the_entry_loop(self, orders, length, scores, relevant, k):
         # One row per list, read off the _judge mask at the lists' document
         # numbers, as the tuners read their grids: the rows share a length,
@@ -325,9 +331,13 @@ class TestMeasuresOracle:
         runs = [RankedList("q1", list(zip(order[:length], tied))) for order in orders]
         mask, relevant_count = twqp.evaluation._judge("q1", qrels, ORACLE_INDEX)
         nums = np.array([run.doc_numbers(ORACLE_INDEX) for run in runs], dtype=np.int64)
-        hits = mask[nums.reshape(len(runs), length)[:, :k]]
-        got = average_precisions(hits, relevant_count).tolist()
+        hits = mask[nums.reshape(len(runs), length)]
+        got = average_precisions(hits[:, :k], relevant_count).tolist()
         assert got == [scalar_average_precision(run, qrels, k) for run in runs]
+        got = precisions(hits, k).tolist()
+        assert got == [scalar_precision_at(run, qrels, k) for run in runs]
+        got = reciprocal_ranks(hits).tolist()
+        assert got == [scalar_reciprocal_rank(run, qrels) for run in runs]
 
     def test_repeated_doc_id_counts_at_each_rank(self):
         # a list built from entries may repeat a doc id; each rank counts
@@ -335,14 +345,14 @@ class TestMeasuresOracle:
         qrels = Qrels({"q": {"d2": 1, "d3": 0, "x9": 2}})
         for cutoff, depth in [(1, 1), (2, 3), (3, 4), (10, 1000)]:
             assert_measures_equal_the_loops(run, qrels, cutoff, depth)
-        assert run.ranks_of(["d2", "x9"]) == [1, 3]
+        assert run.hits(["d2", "x9"]).tolist() == [True, False, True, False]
 
-    def test_ranks_of_ignores_ids_outside_the_table(self, fruit_index):
+    def test_hits_ignore_ids_outside_the_table(self, fruit_index):
         run = retrieve_topk(Query("q", ("banana",)), 10, 5.0, fruit_index)
         assert run.doc_ids == ["d2", "d1"]
-        assert run.ranks_of(["d1", "nope"]) == [2]
-        assert run.ranks_of(["d1", "d2"], depth=1) == [1]
-        assert run.ranks_of([]) == []
+        assert run.hits(["d1", "nope"]).tolist() == [False, True]
+        assert run.hits(["d1", "d2"], depth=1).tolist() == [True]
+        assert run.hits([]).tolist() == [False, False]
 
 
 class TestRobustnessIndex:

@@ -29,6 +29,13 @@ Nor does any library module call numpy's log or exp functions: their SIMD
 loops differ from the C library's in the last ulp on some inputs, and
 every log and exp must be math.log's or math.exp's float (the kernel takes
 its logs with scipy.special.xlogy, which calls the C library's log).
+
+No library name lives only for the tests: every top-level function and
+class of a library module, and each of its classes' non-dunder methods,
+is named in a library module other than __init__, in a demo, or in the
+benchmark harness, whose string constants count too, since its tracer
+reaches its targets by name.  A name only tests call is a wrapper to
+delete; the tests then call what it wrapped.
 """
 
 import ast
@@ -40,9 +47,12 @@ import twqp.qpp
 import twqp.rerank
 import twqp.weighting
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twqp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twqp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imports(body):
@@ -155,6 +165,73 @@ def numpy_logs_and_exps(source):
         and node.attr in NOT_LIBM
     )
     return [f"np.{name} (line {line})" for line, _, name in found]
+
+
+def definitions(source):
+    """Each top-level function and class of source, and each non-dunder
+    method of its classes as 'Class.method'."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}"
+
+
+def names_in(source, strings=False):
+    """Every name source reads, imports or takes as an attribute; with
+    strings, also each dot-separated part of its string constants."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def names_no_caller_reaches(library, users, harness):
+    """'module.name' for each definition of the library modules (file name
+    -> source) that no library module, user source or harness source
+    names; the harness's string constants count."""
+    named = set().union(*(names_in(source) for source in [*library.values(), *users]))
+    named = named.union(*(names_in(source, strings=True) for source in harness))
+    return [
+        f"{Path(module).stem}.{name}"
+        for module, source in library.items()
+        for name in definitions(source)
+        if name.split(".")[-1] not in named
+    ]
+
+
+def test_the_check_finds_a_name_only_tests_call():
+    library = (
+        "def used():\n    pass\n"
+        "def traced():\n    return used()\n"
+        "class K:\n    def __eq__(self, other): ...\n    def m(self): ...\n"
+        "    @property\n    def n(self): ...\n"
+        "def unused():\n    return 'K.m unused: a library string names nothing'\n"
+    )
+    users = ["from lib import K\nK().n\n"]
+    harness = ['SPANS = (("lib.traced", "lib", "traced"),)\n']
+    assert names_no_caller_reaches({"lib.py": library}, users, harness) == [
+        "lib.K.m", "lib.unused"
+    ]
+
+
+def test_no_library_name_lives_only_for_tests():
+    library = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8") for p in DEMOS]
+    harness = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert DEMOS and PERFBENCH
+    assert names_no_caller_reaches(library, users, harness) == []
 
 
 def test_the_check_finds_an_unused_import():

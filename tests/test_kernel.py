@@ -25,7 +25,7 @@ from twqp.retrieval import (
     Query,
     RankedList,
     log_prob_matrix,
-    retrieve_grid,
+    rank_grid,
     retrieve_topk,
 )
 
@@ -123,8 +123,8 @@ class TestLogChoice:
     def test_grid_and_memo_in_a_document_holding_the_term(self):
         docs = [Document("d1", "a " + "b " * 56), Document("d2", "b " * 363)]
         index = build_index(docs, PLAIN)
-        _, lst = retrieve_grid(Query("q", ("a",)), 10, [100, 2037], index)
-        assert lst.entries == (("d1", self.MATH_LOG),)
+        nums, scores = rank_grid(Query("q", ("a",)), 10, [100, 2037], index)
+        assert (nums[1].tolist(), scores[1].tolist()) == ([0], [self.MATH_LOG])
         assert LogProbMemo(2037, index).matrix(["a"], np.array([0]))[0, 0] == self.MATH_LOG
 
     def test_memo_in_a_document_lacking_the_term(self):

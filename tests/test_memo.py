@@ -23,7 +23,7 @@ import twqp.experiment
 from twqp.config import ExperimentConfig
 from twqp.experiment import expand_and_weigh, make_queries
 from twqp.index import Document, build_index
-from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, predict_wig
+from twqp.qpp import PredictorKind, PredictorSpec, predict_quality, wig_batch
 from twqp.retrieval import LogProbMemo, Query, log_prob_matrix, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod, twqp_weight, weigh_queries
@@ -198,7 +198,7 @@ class TestWig:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = scalar_wig(lst, q, m, mu, index)
-            assert predict_wig(lst, q, m, LogProbMemo(mu, index)) == expected
+            assert wig_batch([lst], [q], m, LogProbMemo(mu, index))[0] == expected
 
     def test_adds_in_bag_order(self):
         # here adding the terms in sorted order gives another float
@@ -210,7 +210,7 @@ class TestWig:
         lst = retrieve_topk(q, 10, 1.0, index)
         expected = scalar_wig(lst, q, 1, 1.0, index)
         assert scalar_wig(lst, Query("q", tuple(sorted(q.terms))), 1, 1.0, index) != expected
-        assert predict_wig(lst, q, 1, LogProbMemo(1.0, index)) == expected
+        assert wig_batch([lst], [q], 1, LogProbMemo(1.0, index))[0] == expected
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

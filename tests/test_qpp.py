@@ -16,8 +16,8 @@ from twqp.qpp import (
     predict_nqc,
     predict_quality,
     predict_score_ratio,
-    predict_wig,
     population_std,
+    wig_batch,
 )
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.weighting import NWIG_DEFAULT_M, nwig_weights, sror_term
@@ -28,6 +28,11 @@ from oracle import smoothed_prob
 
 def _list(scores, query_id="q1"):
     return RankedList(query_id, tuple((f"d{i}", s) for i, s in enumerate(scores)))
+
+
+def _sror(w, q, k, memo):
+    """sror_term with q's depth-k base list, retrieved from the memo."""
+    return sror_term(w, q, k, memo, retrieve_topk(q, k, memo.mu, memo.index, memo))
 
 
 class TestPredictorSpec:
@@ -45,14 +50,14 @@ class TestWIG:
         index = build_index([Document("d1", "apple banana")], PLAIN)
         q = Query("q1", ("apple", "banana"))
         lst = retrieve_topk(q, 10, 100.0, index)
-        assert predict_wig(lst, q, 5, LogProbMemo(100.0, index)) == 0.0
+        assert wig_batch([lst], [q], 5, LogProbMemo(100.0, index))[0] == 0.0
 
     def test_zero_on_identical_copies(self):
         docs = [Document(f"d{i}", "apple banana") for i in range(4)]
         index = build_index(docs, PLAIN)
         q = Query("q1", ("apple",))
         lst = retrieve_topk(q, 10, 50.0, index)
-        assert predict_wig(lst, q, 4, LogProbMemo(50.0, index)) == 0.0
+        assert wig_batch([lst], [q], 4, LogProbMemo(50.0, index))[0] == 0.0
 
     def test_direct_double_sum_oracle(self):
         rng = np.random.default_rng(61)
@@ -71,13 +76,13 @@ class TestWIG:
                         smoothed_prob(w, doc_id, mu, index) / collection_prob(w, index)
                     )
             expected = total / (m * math.sqrt(len(q.terms)))
-            assert abs(predict_wig(lst, q, m, LogProbMemo(mu, index)) - expected) < 1e-9
+            assert abs(wig_batch([lst], [q], m, LogProbMemo(mu, index))[0] - expected) < 1e-9
 
     def test_oov_terms_skipped_but_counted_in_size(self, fruit_index):
         q = Query("q1", ("apple", "zzz"))
         lst = retrieve_topk(q, 10, 10.0, fruit_index)
         with pytest.warns(UserWarning, match="out of vocabulary"):
-            got = predict_wig(lst, q, 5, LogProbMemo(10.0, fruit_index))
+            got = wig_batch([lst], [q], 5, LogProbMemo(10.0, fruit_index))[0]
         contrib = math.log(
             smoothed_prob("apple", "d1", 10.0, fruit_index)
             / collection_prob("apple", fruit_index)
@@ -88,11 +93,11 @@ class TestWIG:
         q = Query("q1", ("banana",))
         lst = retrieve_topk(q, 10, 10.0, fruit_index)
         memo = LogProbMemo(10.0, fruit_index)
-        assert predict_wig(lst, q, 500, memo) == predict_wig(lst, q, len(lst.entries), memo)
+        assert wig_batch([lst], [q], 500, memo) == wig_batch([lst], [q], len(lst.entries), memo)
 
     def test_empty_list_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty"):
-            predict_wig(_list([]), Query("q1", ("apple",)), 5, LogProbMemo(10.0, fruit_index))
+            wig_batch([_list([])], [Query("q1", ("apple",))], 5, LogProbMemo(10.0, fruit_index))
 
     def test_shift_of_all_tfs_changes_value(self, fruit_index):
         # sanity: WIG is not constant across queries
@@ -101,7 +106,7 @@ class TestWIG:
         la = retrieve_topk(qa, 10, 10.0, fruit_index)
         lb = retrieve_topk(qb, 10, 10.0, fruit_index)
         memo = LogProbMemo(10.0, fruit_index)
-        assert predict_wig(la, qa, 5, memo) != predict_wig(lb, qb, 5, memo)
+        assert wig_batch([la], [qa], 5, memo) != wig_batch([lb], [qb], 5, memo)
 
 
 class TestNQC:
@@ -206,7 +211,7 @@ class TestPredictQuality:
         memo = LogProbMemo(10.0, fruit_index)
         assert predict_quality(
             PredictorSpec(PredictorKind.WIG), lst, q, memo
-        ) == predict_wig(lst, q, WIG_DEFAULT_M, memo)
+        ) == wig_batch([lst], [q], WIG_DEFAULT_M, memo)[0]
         assert predict_quality(
             PredictorSpec(PredictorKind.NQC), lst, q, memo
         ) == predict_nqc(lst, q, NQC_DEFAULT_M, fruit_index)
@@ -273,35 +278,35 @@ class TestSROR:
 
     def test_non_query_term_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="not a query term"):
-            sror_term("cherry", Query("q1", ("apple",)), 10, LogProbMemo(10.0, fruit_index))
+            _sror("cherry", Query("q1", ("apple",)), 10, LogProbMemo(10.0, fruit_index))
 
     def test_single_term_query_gets_one(self, fruit_index):
         memo = LogProbMemo(10.0, fruit_index)
-        assert sror_term("apple", Query("q1", ("apple",)), 10, memo) == 1.0
+        assert _sror("apple", Query("q1", ("apple",)), 10, memo) == 1.0
 
     def test_duplicate_removal_keeps_list_identical(self, fruit_index):
         # dropping one of two occurrences leaves the same match set, and at
         # this depth the same documents, so the overlap is total
         q = Query("q1", ("banana", "banana"))
-        assert sror_term("banana", q, 10, LogProbMemo(10.0, fruit_index)) == 0.0
+        assert _sror("banana", q, 10, LogProbMemo(10.0, fruit_index)) == 0.0
 
     def test_disjoint_lists_give_one(self):
         index = self._ab_index()
         q = Query("q1", ("alpha", "beta"))
         # k=2 keeps only the alpha docs for q (tie on score, id order), and
         # only the beta docs once alpha is removed
-        assert sror_term("alpha", q, 2, LogProbMemo(100.0, index)) == 1.0
+        assert _sror("alpha", q, 2, LogProbMemo(100.0, index)) == 1.0
 
     def test_half_overlap(self):
         index = self._ab_index()
         q = Query("q1", ("alpha", "beta"))
         # depth 4: base holds all four docs, the reduced query only matches
         # the two beta docs -> overlap 2 of 4
-        assert sror_term("alpha", q, 4, LogProbMemo(100.0, index)) == 0.5
+        assert _sror("alpha", q, 4, LogProbMemo(100.0, index)) == 0.5
 
     def test_empty_base_list_warns_zero(self, fruit_index):
         q = Query("q1", ("apple", "banana"))
         empty = RankedList("q1", ())
         with pytest.warns(UserWarning, match="empty base"):
             memo = LogProbMemo(10.0, fruit_index)
-            assert sror_term("apple", q, 10, memo, base_list=empty) == 0.0
+            assert sror_term("apple", q, 10, memo, empty) == 0.0

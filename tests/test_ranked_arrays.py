@@ -3,8 +3,8 @@
 Every list holds read-only document-number and score arrays over a doc-id
 table.  retrieve_topk and the re-rankers number into the index's doc ids;
 a list built from (doc_id, score) pairs numbers into its own, so the
-predictors reach its index numbers through index.doc_numbers.  retrieve_grid
-gathers a query's candidates once and scores them at every mu of a grid.
+predictors reach its index numbers through index.doc_numbers.  rank_grid
+gathers a query's candidates once and ranks them at every mu of a grid.
 Every path must give the same lists and the same floats, compared with ==.
 """
 
@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twqp.index import Document, build_index
-from twqp.qpp import predict_nqc, predict_wig, score_gap
-from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_grid, retrieve_topk
+from twqp import retrieval
+from twqp.qpp import predict_nqc, score_gap, wig_batch
+from twqp.retrieval import LogProbMemo, Query, RankedList, rank_grid, retrieve_topk
 from twqp.weighting import nwig_weights, sror_term
 
 from conftest import PLAIN, POSITIVE_MUS, UNINDEXED, VOCAB, corpora
@@ -44,8 +45,15 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def bits(lst):
-    return lst.doc_ids, lst.score_array().tobytes(), lst.query_id
+def list_bits(lst, index):
+    """A list's document numbers in index and the bytes of its scores."""
+    return lst.doc_numbers(index).tolist(), lst.score_array().tobytes()
+
+
+def grid_bits(q, k, grid, index):
+    """list_bits of each row of rank_grid's (mu, rank) arrays."""
+    nums, scores = rank_grid(q, k, grid, index)
+    return [(n.tolist(), s.tobytes()) for n, s in zip(nums, scores)]
 
 
 class TestOneStorageForm:
@@ -120,7 +128,7 @@ class TestPredictorsReadTheArrays:
             return LogProbMemo(mu, index)
 
         for a, b in [(lst, other), (other, lst)]:
-            assert predict_wig(a, q, m, memo()) == predict_wig(b, q, m, memo())
+            assert wig_batch([a], [q], m, memo()) == wig_batch([b], [q], m, memo())
             assert outcome(predict_nqc, a, q, m, index) == outcome(predict_nqc, b, q, m, index)
             assert score_gap(a) == score_gap(b)
             got = nwig_weights(terms, a, m, memo())
@@ -130,8 +138,9 @@ class TestPredictorsReadTheArrays:
 
 
 class TestRetrieveGrid:
-    """retrieve_grid scores one query at every mu of a grid in one pass and
-    gives retrieve_topk's list at each, bit for bit."""
+    """rank_grid scores one query at every mu of a grid in one pass; row i
+    of its (mu, rank) arrays is retrieve_topk's list at the i-th mu, its
+    document numbers and scores bit for bit."""
 
     @PROPERTY
     @given(
@@ -144,26 +153,24 @@ class TestRetrieveGrid:
         grid = data.draw(st.permutations(grid))
         q = draw_query(data, index, VOCAB + (UNINDEXED,))
         k = data.draw(st.integers(1, index.doc_count + 1))
-        lists = retrieve_grid(q, k, grid, index)
-        assert len(lists) == len(grid)
-        for mu, lst in zip(grid, lists):
-            assert bits(lst) == bits(retrieve_topk(q, k, mu, index))
-            assert lst == retrieve_topk(q, k, mu, index)
+        assert grid_bits(q, k, grid, index) == [
+            list_bits(retrieve_topk(q, k, mu, index), index) for mu in grid
+        ]
 
     def test_k_below_the_candidate_count_cuts_every_list(self, fruit_index):
         q = Query("q", ("banana", "cherry"))
         grid = [0.0, 3.0, 3.0, 50.0]
         for k in (1, 2, 3):
-            lists = retrieve_grid(q, k, grid, fruit_index)
-            assert [len(lst) for lst in lists] == [min(k, 2)] * len(grid)
-            assert [bits(lst) for lst in lists] == [
-                bits(retrieve_topk(q, k, mu, fruit_index)) for mu in grid
+            nums, _ = rank_grid(q, k, grid, fruit_index)
+            assert nums.shape == (len(grid), min(k, 2))
+            assert grid_bits(q, k, grid, fruit_index) == [
+                list_bits(retrieve_topk(q, k, mu, fruit_index), fruit_index) for mu in grid
             ]
 
     def test_repeated_values_give_the_same_list(self, fruit_index):
         q = Query("q", ("apple", "cherry", "cherry"))
-        first, again = retrieve_grid(q, 5, [7.0, 7.0], fruit_index)
-        assert bits(first) == bits(again) == bits(retrieve_topk(q, 5, 7.0, fruit_index))
+        first, again = grid_bits(q, 5, [7.0, 7.0], fruit_index)
+        assert first == again == list_bits(retrieve_topk(q, 5, 7.0, fruit_index), fruit_index)
 
     def test_mu_zero_with_an_empty_document_as_retrieve_topk(self):
         # An empty document holds no term, so it is never a candidate: at
@@ -171,9 +178,9 @@ class TestRetrieveGrid:
         # query term scores -inf.
         index = build_index([Document("d1", "a b"), Document("d2", ""), Document("d3", "b")], PLAIN)
         q = Query("q", ("a", "b"))
-        (lst,) = retrieve_grid(q, 10, [0.0], index)
-        assert bits(lst) == bits(retrieve_topk(q, 10, 0.0, index))
-        assert lst.scores[-1] == -math.inf
+        (row,) = grid_bits(q, 10, [0.0], index)
+        assert row == list_bits(retrieve_topk(q, 10, 0.0, index), index)
+        assert rank_grid(q, 10, [0.0], index)[1][0, -1] == -math.inf
 
     @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("terms", [("a",), (UNINDEXED,)])
@@ -183,31 +190,33 @@ class TestRetrieveGrid:
         with pytest.raises(ValueError) as expected:
             retrieve_topk(q, 10, mu, index)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            retrieve_grid(q, 10, [10.0, mu], index)
+            rank_grid(q, 10, [10.0, mu], index)
 
     def test_bad_mu_anywhere_raises_before_any_list_is_made(self, fruit_index, monkeypatch):
-        made = []
-        real = RankedList.from_arrays.__func__
+        gathered = []
+        real = retrieval.gather_tf
 
-        def from_arrays(cls, *args):
-            made.append(args[0])
-            return real(cls, *args)
+        def gather_tf(terms, *args):
+            gathered.append(tuple(terms))
+            return real(terms, *args)
 
-        monkeypatch.setattr(RankedList, "from_arrays", classmethod(from_arrays))
+        monkeypatch.setattr(retrieval, "gather_tf", gather_tf)
         q = Query("q", ("apple",))
-        assert len(retrieve_grid(q, 5, [1.0, 2.0], fruit_index)) == 2
-        assert made == ["q", "q"]
-        made.clear()
+        assert rank_grid(q, 5, [1.0, 2.0], fruit_index)[0].shape[0] == 2
+        assert gathered == [("apple",)]
+        gathered.clear()
         for grid in ([-1.0, 1.0, 2.0], [1.0, -1.0, 2.0], [1.0, 2.0, -1.0]):
             with pytest.raises(ValueError, match="mu must be >= 0"):
-                retrieve_grid(q, 5, grid, fruit_index)
-        assert made == []
+                rank_grid(q, 5, grid, fruit_index)
+        assert gathered == []
 
     def test_no_match_gives_the_same_empty_list(self, fruit_index):
         q = Query("q", (UNINDEXED,))
-        lists = retrieve_grid(q, 5, [0.0, 10.0], fruit_index)
-        assert lists == [retrieve_topk(q, 5, mu, fruit_index) for mu in (0.0, 10.0)]
-        assert lists == [RankedList("q", ())] * 2
+        nums, scores = rank_grid(q, 5, [0.0, 10.0], fruit_index)
+        assert nums.shape == scores.shape == (2, 0)
+        assert grid_bits(q, 5, [0.0, 10.0], fruit_index) == [
+            list_bits(retrieve_topk(q, 5, mu, fruit_index), fruit_index) for mu in (0.0, 10.0)
+        ]
 
     def test_empty_query_rejected(self):
         # rejected when the query is made, so no grid is handed one

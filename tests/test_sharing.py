@@ -1,6 +1,6 @@
 """Shared per-query work against one call per consumer, bit for bit.
 
-weigh_queries weighs every method from shared retrievals, build_rm3_grid
+weigh_queries weighs every method from shared retrievals, rm3_table
 builds every feedback depth from one scoring pass, rerank_many re-ranks
 with every weight map from one head matrix, and nwig_weights weighs every
 term from one log matrix.  Each must give what the one-at-a-time path
@@ -24,7 +24,7 @@ import twqp.rerank
 import twqp.weighting
 from twqp.config import ExperimentConfig
 from twqp.index import Document, Index, build_index
-from twqp.relevance import build_rm3_grid
+from twqp.relevance import build_rm3, rm3_table
 from twqp.rerank import rerank_many
 from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
@@ -53,6 +53,16 @@ def same(a, b):
 
 def same_items(got: dict, expected: dict) -> bool:
     return list(got) == list(expected) and all(same(got[k], expected[k]) for k in got)
+
+
+def table_models(*args):
+    """rm3_table(*args)'s models, one term -> probability dict per depth,
+    each read off its row in ranked order."""
+    table = rm3_table(*args)
+    return [
+        {table.terms[j]: row[j] for j in columns.tolist()}
+        for row, columns in zip(table.probs.tolist(), table.ranked)
+    ]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -158,6 +168,9 @@ class TestWeighQueries:
 
 
 class TestBuildRm3Grid:
+    """rm3_table's rows, read as dicts in ranked order, against the scalar
+    model of each depth."""
+
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
     def test_each_depth_equals_the_scalar_model(self, index, mu, data):
@@ -169,7 +182,7 @@ class TestBuildRm3Grid:
         lam = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            models = build_rm3_grid(q, initial, ms, rm3_mu, lam, index)
+            models = table_models(q, initial, ms, rm3_mu, lam, index)
         assert len(caught) == sum(m > n for m in ms)
         assert len(models) == len(ms)
         for m, rm in zip(ms, models):
@@ -183,16 +196,16 @@ class TestBuildRm3Grid:
         q = Query("q", ("apple",))
         initial = retrieve_topk(q, 10, 10.0, fruit_index)
         with pytest.raises(ValueError, match="empty"):
-            build_rm3_grid(q, RankedList("q", ()), [1], 10.0, 0.5, fruit_index)
+            rm3_table(q, RankedList("q", ()), [1], 10.0, 0.5, fruit_index)
         with pytest.raises(ValueError, match="lambda"):
-            build_rm3_grid(q, initial, [1], 10.0, 1.5, fruit_index)
+            rm3_table(q, initial, [1], 10.0, 1.5, fruit_index)
         with pytest.raises(ValueError, match="m must be >= 1"):
-            build_rm3_grid(q, initial, [2, 0], 10.0, 0.5, fruit_index)
+            rm3_table(q, initial, [2, 0], 10.0, 0.5, fruit_index)
         for mu in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="RM3 requires mu > 0 and finite"):
-                build_rm3_grid(q, initial, [1], mu, 0.5, fruit_index)
+                rm3_table(q, initial, [1], mu, 0.5, fruit_index)
         with pytest.raises(ValueError, match="n must be >= 1"):
-            build_rm3_grid(q, initial, [1], 10.0, 0.5, fruit_index, 0)
+            rm3_table(q, initial, [1], 10.0, 0.5, fruit_index, 0)
 
     def test_an_empty_depth_list_is_rejected_before_scoring(self, fruit_index, monkeypatch):
         q = Query("q", ("apple",))
@@ -203,7 +216,7 @@ class TestBuildRm3Grid:
 
         monkeypatch.setattr(twqp.relevance, "log_prob_matrix", scored)
         with pytest.raises(ValueError, match="list of feedback depths ms is empty"):
-            build_rm3_grid(q, initial, [], 1000.0, 0.5, fruit_index)
+            rm3_table(q, initial, [], 1000.0, 0.5, fruit_index)
 
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
@@ -213,8 +226,8 @@ class TestBuildRm3Grid:
         ms = data.draw(st.lists(st.integers(1, len(initial)), min_size=1, max_size=4))
         lam = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
         n = data.draw(st.integers(1, len(VOCAB) + 2))  # past the support too
-        whole = build_rm3_grid(q, initial, ms, mu, lam, index)
-        clipped = build_rm3_grid(q, initial, ms, mu, lam, index, n)
+        whole = table_models(q, initial, ms, mu, lam, index)
+        clipped = table_models(q, initial, ms, mu, lam, index, n)
         for full, rm in zip(whole, clipped):
             assert rm == restrict_top_n(full, n)
             assert list(rm) == top_n_terms(full, n)
@@ -229,9 +242,9 @@ class TestBuildRm3Grid:
         index = build_index(docs, PLAIN)
         q = Query("q1", ("q",))
         initial = retrieve_topk(q, 10, 10.0, index)
-        full = build_rm3_grid(q, initial, [2], 10.0, 1.0, index)[0]
+        full = build_rm3(q, initial, 2, 10.0, 1.0, index)
         for n in (1, 3, 25, 41, 99):
-            rm = build_rm3_grid(q, initial, [2], 10.0, 1.0, index, n)[0]
+            rm = build_rm3(q, initial, 2, 10.0, 1.0, index, n)
             assert list(rm) == ["q", *names][:n] == top_n_terms(full, n)
             assert rm == restrict_top_n(full, n)
 

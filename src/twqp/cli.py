@@ -243,7 +243,7 @@ def _run(args) -> int:
 
     if args.command == "tune-rm3":
         qrels = _qrels_for(config)
-        _, best, memo = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
+        _, best, memo, _ = tune(_queries_for(config, index), qrels, config, index, mu=args.mu)
         print(f"best rm3 m: {best} (at mu={memo.mu:g})")
         return 0
 

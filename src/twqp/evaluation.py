@@ -358,32 +358,39 @@ def tune_rm3_m(
     qrels: Qrels,
     config: ExperimentConfig,
     memo: LogProbMemo,
-) -> int:
-    """Feedback depth in config.rm3_m_grid maximizing mean AP of the re-ranked runs.
+) -> tuple[int, list[dict[str, float] | None]]:
+    """(feedback depth m in config.rm3_m_grid maximizing mean AP of the
+    re-ranked runs, each list's RM3 model at that m).
 
     lists pairs each query with its depth-k retrieval at the memo's mu, the
     already-tuned retrieval smoothing.  Queries with an empty list or with
-    no relevant document are skipped before their models are built.  The
-    relevance model is the one the experiment weighs with: document weights
-    at config.rm3_mu, interpolation config.rm3_lambda, clipped to its top
-    config.rm3_n terms.  An m past a list's length feeds back the whole
-    list, so per query each distinct clamped depth min(m, len) is modelled
-    and scored once, and every m reads its depth's AP.
+    no relevant document are skipped before their models are built, and
+    their model is None.  The relevance model is the one the experiment
+    weighs with: document weights at config.rm3_mu, interpolation
+    config.rm3_lambda, clipped to its top config.rm3_n terms.  An m past a
+    list's length feeds back the whole list, so per query each distinct
+    clamped depth min(m, len) is modelled and scored once, and every m
+    reads its depth's AP.
 
     Per query, rm3_table builds every depth's model as one depth x term
     table, and one rerank_table call re-ranks the head under every depth's
     model at once, from the memo's log probabilities.  The query's _judge
     mask, read at the (depth, rank) document numbers, gives the hit matrix
-    that average_precisions reads every depth's AP off.  No ranked list or
-    model dict is built.
+    that average_precisions reads every depth's AP off.  Only each depth's
+    clipped columns are kept until m is picked; then each judged query's
+    model at min(m, len) is read off them as build_rm3's term ->
+    probability dict, its terms in rank order.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
     ms = sorted(config.rm3_m_grid)
     index = memo.index
     aps: list[list[float]] = [[] for _ in ms]
+    # per list: its model's terms, and each depth's (their positions, probabilities)
+    clipped: list[tuple[list[str], dict[int, tuple[np.ndarray, np.ndarray]]] | None] = []
     for q, base in lists:
         if not base or qrels.relevant_count(base.query_id) == 0:
+            clipped.append(None)
             continue
         depths = sorted({min(m, len(base)) for m in ms})
         table = rm3_table(q, base, depths, config.rm3_mu, config.rm3_lambda, index, config.rm3_n)
@@ -396,4 +403,17 @@ def tune_rm3_m(
         by_depth = dict(zip(depths, average_precisions(hits, relevant_count).tolist()))
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])
-    return _best(ms, aps)
+        # the columns some depth's model holds (a model term may weigh 0.0)
+        held = np.unique(np.concatenate(table.ranked))
+        kept = [(held.searchsorted(cols), row[cols]) for row, cols in zip(table.probs, table.ranked)]
+        clipped.append(([table.terms[j] for j in held.tolist()], dict(zip(depths, kept))))
+    best = _best(ms, aps)
+    models: list[dict[str, float] | None] = []
+    for (_, base), entry in zip(lists, clipped):
+        if entry is None:
+            models.append(None)
+            continue
+        names, by_depth = entry
+        positions, probs = by_depth[min(best, len(base))]
+        models.append(dict(zip(map(names.__getitem__, positions.tolist()), probs.tolist())))
+    return best, models

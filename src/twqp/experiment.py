@@ -4,12 +4,14 @@ One call runs the whole pipeline on a corpus + topics + qrels triple:
 
   1. build the index and analyze the topic titles into queries;
   2. tune the smoothing mass over the mu grid (best mean AP), retrieve the
-     initial lists (QLOpt-init) and tune the feedback depth over the m grid
+     initial lists (QLOpt-init) and tune the feedback depth over the m grid,
+     which keeps each judged query's relevance model at the tuned depth
      (tune);
-  3. per query, build the relevance model and extract the candidate
-     vocabulary V, weigh V under every weighting method in one pass that
-     shares the retrievals (expand_and_weigh), and re-rank the head under
-     the model (RM3Opt) and every method's term -> weight map (rerank_queries);
+  3. per query, take that model, or build it for a query without relevant
+     documents, and extract the candidate vocabulary V, weigh V under every
+     weighting method in one pass that shares the retrievals
+     (expand_and_weigh), and re-rank the head under the model (RM3Opt) and
+     every method's term -> weight map (rerank_queries);
   4. evaluate everything and emit run files plus a plain-text and a JSON
      report.
 
@@ -125,22 +127,27 @@ def expand_and_weigh(
     methods: Sequence[WeightingMethod],
     config: ExperimentConfig,
     memo: LogProbMemo,
+    models: Sequence[dict[str, float] | None] | None = None,
 ) -> list[dict[str, dict[str, float]]]:
     """One label -> weight map dict per (query, list) pair: RM3Opt's, then each method's.
 
     Each list is the query's non-empty depth-k retrieval at the memo's mu.
-    RM3 is built from its top min(m, len) documents and clipped to its top
-    rm3_n terms as it is built; that clipped model is RM3Opt's map, and
-    its terms in rank order are the candidate vocabulary (ScoreRatio
-    normalizes in that order).  The weighing reads its log probabilities
-    from the memo.
+    Its RM3 model is built from its top min(m, len) documents and clipped
+    to its top rm3_n terms as it is built; that clipped model is RM3Opt's
+    map, and its terms in rank order are the candidate vocabulary
+    (ScoreRatio normalizes in that order).  models, when given, holds one
+    model per pair, tune's: a pair whose model is None (a query tuning
+    skipped) builds its own, and so does every pair without models.  The
+    weighing reads its log probabilities from the memo.
     """
     models = [
-        build_rm3(
+        model
+        if model is not None
+        else build_rm3(
             q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, memo.index,
             config.rm3_n,
         )
-        for q, initial in lists
+        for (q, initial), model in zip(lists, models or [None] * len(lists), strict=True)
     ]
     pairs = [(q, list(model)) for (q, _), model in zip(lists, models)]
     return [
@@ -173,22 +180,28 @@ def tune(
     config: ExperimentConfig,
     index: Index,
     mu: float | None = None,
-) -> tuple[list[tuple[Query, RankedList]], int, LogProbMemo]:
-    """((query, initial list) pairs, feedback depth m, memo) by best mean AP.
+) -> tuple[
+    list[tuple[Query, RankedList]], int, LogProbMemo, list[dict[str, float] | None]
+]:
+    """((query, initial list) pairs, feedback depth m, memo, RM3 models) by
+    best mean AP.
 
     mu is tuned over config.mu_grid unless given.  The memo is a
     LogProbMemo at that mu, so memo.mu is the tuned mu: each query's
     depth-k list is retrieved through it, and m is tuned over
     config.rm3_m_grid by re-ranking those lists under RM3 from it.  Both
     need mu > 0; callers check the re-ranking settings (check_rerank)
-    before they load anything.  Later stages take the memo and read its
-    rows instead of taking the logs again.
+    before they load anything.  The models are tune_rm3_m's, one per pair
+    at min(m, len), None for a query without relevant documents; handed to
+    expand_and_weigh, they spare it a second build.  Later stages take the
+    memo and read its rows instead of taking the logs again.
     """
     if mu is None:
         mu = tune_mu(queries, qrels, config, index)
     memo = LogProbMemo(mu, index)
     lists = [(q, retrieve_topk(q, config.k, mu, index, memo)) for q in queries]
-    return lists, tune_rm3_m(lists, qrels, config, memo), memo
+    m, models = tune_rm3_m(lists, qrels, config, memo)
+    return lists, m, memo, models
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -203,9 +216,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if all(qrels.relevant_count(q.query_id) == 0 for q in queries):
         raise ValueError("no query has relevance judgments; nothing to evaluate")
 
-    lists, best_m, memo = tune(queries, qrels, config, index)
+    lists, best_m, memo, models = tune(queries, qrels, config, index)
     best_mu = memo.mu
-    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, config, memo)
+    weighed = expand_and_weigh(lists, best_m, _WEIGHTING_METHODS, config, memo, models)
     reranked = rerank_queries(lists, weighed, config, memo)
     del memo  # no later stage scores; its rows need not outlive the re-ranks
     reranked[QL_LABEL] = {q.query_id: initial for q, initial in lists}

@@ -106,10 +106,13 @@ class Index:
             nums = self.term(*distinct)[0]
             nums.flags.writeable = False  # a view: writing would corrupt the index
             return nums
+        nums, spans = self.nums, self._spans
         held = np.zeros(self.doc_count, dtype=bool)
         for w in distinct:
-            held[self.term(w)[0]] = True
-        return np.flatnonzero(held)
+            span = spans.get(w)
+            if span is not None:
+                held[nums[span]] = True
+        return held.nonzero()[0]
 
     @property
     def postings(self) -> dict[str, dict[str, int]]:

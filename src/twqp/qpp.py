@@ -9,18 +9,20 @@ likelihood ratio exp(first - last) and NQC normalizes by the absolute
 log-space collection likelihood of the query.  NQC uses the population
 standard deviation.
 
-WIG has one implementation, in batch form (wig_batch): a weighting call
-scores a query's base list and all of its q+w lists in one pass, and each
+WIG and NQC each have one implementation, in batch form (wig_batch,
+nqc_batch): a weighting call scores a query's base list and all of its q+w
+lists in one pass, taking each distinct term's log p_D once, and each
 list's value is the float the one-list computation gives; one list's WIG
-is a batch of one.  predict_batch dispatches on a PredictorSpec, and
-predict_quality is its batch of one; NQC and ScoreRatio score one list at
-a time.
+or NQC is a batch of one (predict_nqc).  predict_batch dispatches on a
+PredictorSpec, and predict_quality is its batch of one; ScoreRatio scores
+one list at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,40 +77,44 @@ def wig_batch(
     their own size).  Out-of-vocabulary terms are skipped with a warning;
     they still count toward |q|.
 
-    The log p_d of every list's in-vocabulary terms at its top-m documents
-    come from one memo gather, at the memo's mu over its index, over the
-    union of the terms and of the documents.  The terms (log p_d(w) -
-    log p_D(w)) are added one step at a time over the whole batch, as
-    vectors, in the one-list loop's order: document by document in rank
-    order, and term by term in bag order within a document.  A list whose
-    top or bag is shorter than another's adds 0.0 at the steps it lacks,
-    which leaves its sum unchanged.  The out-of-vocabulary warning is given
-    for each list.
+    Each distinct term's log p_D is taken once per batch, and each list's
+    top document numbers are read once.  The log p_d of every list's
+    in-vocabulary terms at its top-m documents come from one memo gather,
+    at the memo's mu over its index, over the union of the terms and of the
+    documents.  The terms (log p_d(w) - log p_D(w)) are added one step at a
+    time over the whole batch, as vectors, in the one-list loop's order:
+    document by document in rank order, and term by term in query order
+    within a document.  A list whose top or bag is shorter than another's
+    adds 0.0 at the steps it lacks, which leaves its sum unchanged.  The
+    out-of-vocabulary warning is given for each list.
     """
     if not lists:
         return []
     index = memo.index
-    log_pd: dict[str, float | None] = {}  # term -> log p_D(w), None out of vocabulary
-    positions: list[str] = []  # each list's in-vocabulary terms, in bag order
-    bag_sizes, sizes = [], []
+    row_of: dict[str, int | None] = {}  # term -> its row of the gather, None out of vocabulary
+    log_pds: list[float] = []  # log p_D of each row's term
+    tops, positions, bag_sizes = [], [], []  # positions: each list's rows, in query order
     for lst, q in zip(lists, queries):
         if not lst:
             raise ValueError("WIG is undefined on an empty ranked list")
         for w in q.bag[0]:
-            if w not in log_pd:
+            if w not in row_of:
                 p = collection_prob(w, index)
-                log_pd[w] = math.log(p) if p != 0.0 else None
-            if log_pd[w] is None:
+                row_of[w] = len(log_pds) if p != 0.0 else None
+                if p != 0.0:
+                    log_pds.append(math.log(p))
+            if row_of[w] is None:
                 warnings.warn(f"WIG: query term {w!r} out of vocabulary; skipped", stacklevel=3)
-        scored = [w for w in q.terms if log_pd[w] is not None]
-        positions += scored
-        bag_sizes.append(len(scored))
-        sizes.append(min(m, len(lst)))
-    terms = sorted(w for w, v in log_pd.items() if v is not None)
-    row = {w: i for i, w in enumerate(terms)}
-    tops = [lst.doc_numbers(index)[:size] for lst, size in zip(lists, sizes)]
+        rows = list(map(row_of.__getitem__, q.terms))
+        if None in rows:
+            rows = [r for r in rows if r is not None]
+        positions += rows
+        bag_sizes.append(len(rows))
+        tops.append(lst.doc_numbers(index)[:m])
+    sizes = [top.size for top in tops]
     docs, doc_column = np.unique(np.concatenate(tops), return_inverse=True)
-    gains = memo.matrix(terms, docs) - np.array([log_pd[w] for w in terms])[:, None]
+    terms = [w for w, r in row_of.items() if r is not None]  # in row order
+    gains = memo.matrix(terms, docs) - np.array(log_pds)[:, None]
     # Each list's (document, term) steps, padded to the batch's largest
     # grid.  Read in row-major order, the True cells of in_top and in_bag
     # are the lists' top documents and in-vocabulary terms, in turn.
@@ -117,7 +123,7 @@ def wig_batch(
     doc_cells = np.zeros(in_top.shape, dtype=np.intp)
     doc_cells[in_top] = doc_column
     term_cells = np.zeros(in_bag.shape, dtype=np.intp)
-    term_cells[in_bag] = [row[w] for w in positions]
+    term_cells[in_bag] = positions
     steps = np.where(
         in_top[:, :, None] & in_bag[:, None, :],
         gains[term_cells[:, None, :], doc_cells[:, :, None]],
@@ -128,26 +134,43 @@ def wig_batch(
     return (totals / (np.array(sizes) * np.sqrt(bags))).tolist()
 
 
-def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
-    """Spread of the top-m scores over the collection likelihood of the query.
+def nqc_batch(
+    lists: Sequence[RankedList], queries: Sequence[Query], m: int, index: Index
+) -> list[float]:
+    """NQC of each list, scored for its query: the spread of the top-m
+    scores over the collection likelihood of the query,
 
         sigma(top-m log scores) / |sum_i log p_D(q_i)|
 
     sigma is the population standard deviation (population_std, equal to
-    np.std bit for bit).  Any out-of-vocabulary query term leaves the
-    collection likelihood undefined and is an error.
+    np.std bit for bit).  Each distinct term's log p_D is taken once per
+    batch, and each list's sum adds count * log p_D over its bag in order
+    from 0.0 (add_up).  An empty list, an out-of-vocabulary query term,
+    which leaves the collection likelihood undefined, or a sum of 0.0 is
+    an error, checked in that order list by list.
     """
-    terms, counts = q.bag
-    if not lst:
-        raise ValueError("NQC is undefined on an empty ranked list")
-    m = min(m, len(lst))
-    probs = [collection_prob(w, index) for w in terms]
-    if 0.0 in probs:
-        raise ValueError(f"NQC: query term {terms[probs.index(0.0)]!r} out of vocabulary")
-    denom = add_up(count * math.log(p) for count, p in zip(counts, probs))
-    if denom == 0.0:
-        raise ValueError("NQC: degenerate collection likelihood (log = 0)")
-    return population_std(lst.score_array()[:m]) / abs(denom)
+    log_pd: dict[str, float | None] = {}  # term -> log p_D(w), None out of vocabulary
+    out = []
+    for lst, q in zip(lists, queries):
+        if not lst:
+            raise ValueError("NQC is undefined on an empty ranked list")
+        terms, counts = q.bag
+        for w in terms:
+            if w not in log_pd:
+                p = collection_prob(w, index)
+                log_pd[w] = math.log(p) if p != 0.0 else None
+            if log_pd[w] is None:
+                raise ValueError(f"NQC: query term {w!r} out of vocabulary")
+        denom = add_up(map(operator.mul, counts, map(log_pd.__getitem__, terms)))
+        if denom == 0.0:
+            raise ValueError("NQC: degenerate collection likelihood (log = 0)")
+        out.append(population_std(lst.score_array()[:m]) / abs(denom))
+    return out
+
+
+def predict_nqc(lst: RankedList, q: Query, m: int, index: Index) -> float:
+    """NQC of one list: nqc_batch of one."""
+    return nqc_batch([lst], [q], m, index)[0]
 
 
 def population_std(x: np.ndarray) -> float:
@@ -193,10 +216,10 @@ def predict_quality(
 def predict_batch(
     spec: PredictorSpec, lists: Sequence[RankedList], queries: Sequence[Query], memo: LogProbMemo
 ) -> list[float]:
-    """predict_quality of each (list, query) pair: WIG scores the batch in
-    one pass, NQC and ScoreRatio one list at a time."""
+    """predict_quality of each (list, query) pair: WIG and NQC score the
+    batch in one pass, ScoreRatio one list at a time."""
     if spec.kind is PredictorKind.WIG:
         return wig_batch(lists, queries, spec.effective_m, memo)
     if spec.kind is PredictorKind.NQC:
-        return [predict_nqc(lst, q, spec.effective_m, memo.index) for lst, q in zip(lists, queries)]
+        return nqc_batch(lists, queries, spec.effective_m, memo.index)
     return [predict_score_ratio(lst) for lst in lists]

@@ -14,7 +14,8 @@ ties broken by name, without renormalizing.
 
 rm3_table builds the models of several feedback depths at once, as one
 depth x term table over their common support; build_rm3 reads its one
-depth's dict off it, and tuning re-ranks with the table itself.
+depth's dict off it, and tuning re-ranks with the table itself, then
+reads the picked depth's dict off its clipped columns.
 """
 
 from __future__ import annotations

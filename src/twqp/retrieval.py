@@ -52,7 +52,6 @@ numbers alone, without building the ids.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -83,8 +82,12 @@ class Query:
         if not terms:
             raise ValueError(f"cannot score the empty query {self.query_id!r}")
         object.__setattr__(self, "terms", terms)
-        pairs = sorted(Counter(terms).items())
-        object.__setattr__(self, "bag", tuple(map(tuple, zip(*pairs))))
+        distinct = tuple(sorted(set(terms)))
+        if len(distinct) == len(terms):
+            counts = (1,) * len(terms)
+        else:
+            counts = tuple(map(terms.count, distinct))
+        object.__setattr__(self, "bag", (distinct, counts))
 
 
 class RankedList:
@@ -273,8 +276,8 @@ class LogProbMemo:
     def matrix(self, terms: Sequence[str], nums: np.ndarray) -> np.ndarray:
         """log_prob_matrix(terms, nums, self.mu, self.index)."""
         rows = self._rows
-        missing = [w for w in dict.fromkeys(terms) if w not in rows]
-        if missing:
+        if not all(map(rows.__contains__, terms)):
+            missing = [w for w in dict.fromkeys(terms) if w not in rows]
             rows.update(zip(missing, self._build_rows(missing)))
         out = np.empty((len(terms), len(nums)))
         for row, w in zip(out, terms):
@@ -322,19 +325,23 @@ def weighted_sum(weights: Sequence | np.ndarray, log_probs: np.ndarray) -> np.nd
     """Sum of weight * row over the rows of log_probs, one row at a time in
     order, as the scalar loop adds one term at a time.
 
-    weights is one weight per row, or a rows x batch table of them, which
-    gives one sum per batch column: a batch x columns array.  Every batch
-    column adds the rows in the same order, so its sum equals the sum over
-    its non-zero weights alone, bit for bit, provided every row is finite:
-    0.0 times a finite value is +-0.0, and adding +-0.0 leaves an
-    accumulator that starts at +0.0 unchanged (a round-to-nearest sum that
-    starts at +0.0 is never -0.0).
+    weights is one weight per row, each row's products formed as it is
+    added, or a rows x batch array of them, which gives one sum per batch
+    column: a batch x columns array, all its products formed at once.
+    Every batch column adds the rows in the same order, so its sum equals
+    the sum over its non-zero weights alone, bit for bit, provided every
+    row is finite: 0.0 times a finite value is +-0.0, and adding +-0.0
+    leaves an accumulator that starts at +0.0 unchanged (a round-to-nearest
+    sum that starts at +0.0 is never -0.0).
     """
-    table = np.asarray(weights, dtype=float)
-    acc = np.zeros(table.shape[1:] + log_probs.shape[1:])
-    rows = log_probs if table.ndim == 1 else log_probs[:, None]
-    for row in table[..., None] * rows:
-        acc += row
+    if isinstance(weights, np.ndarray) and weights.ndim == 2:
+        acc = np.zeros(weights.shape[1:] + log_probs.shape[1:])
+        for row in weights[..., None] * log_probs[:, None]:
+            acc += row
+        return acc
+    acc = np.zeros(log_probs.shape[1:])
+    for c, row in zip(weights, log_probs):
+        acc += float(c) * row
     return acc
 
 

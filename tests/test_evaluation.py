@@ -650,7 +650,10 @@ def exhaustive_tune_rm3_m(lists, qrels, config, memo):
     """The m of config.rm3_m_grid whose re-ranked runs have the highest mean
     AP over the judged queries with a non-empty list, added in query order;
     a tie goes to the smaller m.  Each run re-ranks the list under the whole
-    RM3 model at depth min(m, len), cut to its top config.rm3_n terms."""
+    RM3 model at depth min(m, len), cut to its top config.rm3_n terms.
+    With it, each list's build_rm3 model at min(m, len), clipped to
+    config.rm3_n terms, as (term, probability) items in rank order, or None
+    for a list the sweep skips."""
     best = None
     for m in sorted(config.rm3_m_grid):
         aps = []
@@ -667,7 +670,24 @@ def exhaustive_tune_rm3_m(lists, qrels, config, memo):
         mean = sum(aps) / len(aps)
         if best is None or mean > best[1]:
             best = (m, mean)
-    return best[0]
+    m = best[0]
+    return m, [
+        list(
+            build_rm3(
+                q, base, min(m, len(base)), config.rm3_mu, config.rm3_lambda, memo.index,
+                config.rm3_n,
+            ).items()
+        )
+        if base and qrels.relevant_count(q.query_id)
+        else None
+        for q, base in lists
+    ]
+
+
+def tune_rm3_m_items(lists, qrels, config, memo):
+    """tune_rm3_m's m, and each model as (term, probability) items in order."""
+    m, models = tune_rm3_m(lists, qrels, config, memo)
+    return m, [None if model is None else list(model.items()) for model in models]
 
 
 class TestTuneRM3M:
@@ -684,16 +704,16 @@ class TestTuneRM3M:
 
     def test_singleton_grid(self):
         memo, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5,)), memo) == 5
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5,)), memo)[0] == 5
 
     def test_tie_takes_smaller_value(self):
         # both docs are relevant, so every feedback depth gives AP 1.0
         memo, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5, 10)), memo) == 5
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(5, 10)), memo)[0] == 5
 
     def test_grid_order_does_not_matter(self):
         memo, lists, qrels = self._corpus()
-        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(10, 5)), memo) == 5
+        assert tune_rm3_m(lists, qrels, ExperimentConfig(rm3_m_grid=(10, 5)), memo)[0] == 5
 
     def test_empty_grid_rejected(self):
         memo, lists, qrels = self._corpus()
@@ -719,7 +739,7 @@ class TestTuneRM3M:
         monkeypatch.setattr(twqp.evaluation, "rm3_table", table)
         monkeypatch.setattr(twqp.evaluation, "rerank_table", rerank)
         config = ExperimentConfig(rm3_m_grid=(5, 10), rm3_mu=250.0, rm3_lambda=0.3, rm3_n=2)
-        assert tune_rm3_m(lists, qrels, config, memo) == 5
+        assert tune_rm3_m(lists, qrels, config, memo)[0] == 5
         # the list holds 2 documents, so m = 5 and m = 10 both feed back
         # depth 2: one table for the query, one model
         assert seen == [((2,), 250.0, 0.3, 2)]
@@ -752,7 +772,7 @@ class TestTuneRM3M:
         monkeypatch.setattr(twqp.evaluation, "rerank_table", counted)
         grid = (6, 4, 9, 5, 2)
         config = ExperimentConfig(rm3_m_grid=grid, rerank_depth=4, rm3_mu=10.0, rm3_lambda=0.1)
-        assert tune_rm3_m([(q, base)], qrels, config, LogProbMemo(10.0, index)) == 4
+        assert tune_rm3_m([(q, base)], qrels, config, LogProbMemo(10.0, index))[0] == 4
         assert maps_seen == [2]  # depths 2 and 4, in one call
         # against one model and re-rank per grid point
         ap = {}
@@ -792,7 +812,7 @@ class TestTuneRM3M:
         qrels = Qrels({q.query_id: dict.fromkeys(data.draw(relevant), 1) for q in queries})
         memo = LogProbMemo(mu, index)
         lists = [(q, retrieve_topk(q, k, mu, index, memo)) for q in queries]
-        assert outcome(tune_rm3_m, lists, qrels, config, memo) == outcome(
+        assert outcome(tune_rm3_m_items, lists, qrels, config, memo) == outcome(
             exhaustive_tune_rm3_m, lists, qrels, config, memo
         )
 
@@ -831,10 +851,12 @@ class TestTuningSkipsUnjudgedQueries:
         memo = LogProbMemo(float(expected_mu), index)
         lists = [(q, retrieve_topk(q, config.k, memo.mu, index, memo)) for q in queries]
         judged_lists = [(q, lst) for q, lst in lists if q is not unjudged]
-        expected_m = tune_rm3_m(judged_lists, qrels, config, memo)
+        expected_m, _ = tune_rm3_m(judged_lists, qrels, config, memo)
         monkeypatch.setattr(twqp.evaluation, "rm3_table", rm3_table)
-        assert tune_rm3_m(lists, qrels, config, memo) == expected_m
+        m, models = tune_rm3_m(lists, qrels, config, memo)
+        assert m == expected_m
         assert modelled == [q.query_id for q in judged]
+        assert [model is None for model in models] == [q is unjudged for q, _ in lists]
 
 
 def test_tuning_builds_no_ranked_list(monkeypatch):
@@ -852,4 +874,4 @@ def test_tuning_builds_no_ranked_list(monkeypatch):
 
     monkeypatch.setattr(RankedList, "_hold", made)
     assert tune_mu(queries, coll.qrels, config, index) in config.mu_grid
-    assert tune_rm3_m(lists, coll.qrels, config, memo) in config.rm3_m_grid
+    assert tune_rm3_m(lists, coll.qrels, config, memo)[0] in config.rm3_m_grid

@@ -5,12 +5,15 @@ import configparser
 import hashlib
 import json
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import twqp.evaluation
 import twqp.experiment
+import twqp.relevance
 from twqp.cli import main
 from twqp.config import _KEYS, ExperimentConfig, save_config
 from twqp.evaluation import average_precision, build_report, load_qrels, load_topics
@@ -25,6 +28,7 @@ from twqp.experiment import (
     tune,
 )
 from twqp.index import build_index, read_corpus
+from twqp.relevance import build_rm3
 from twqp.retrieval import format_run, read_run, retrieve_topk
 from twqp.synthetic import make_synthetic, write_collection
 from twqp.weighting import WeightingMethod
@@ -262,6 +266,54 @@ class TestRunLabelSlug:
         assert len(set(slugs)) == len(slugs)
 
 
+@pytest.mark.parametrize("m_grid", [None, (5, 5, 5000)], ids=["default-grid", "repeat-and-past"])
+def test_expansion_takes_the_tuned_models(tmp_path, monkeypatch, m_grid):
+    # Tuning builds each judged query's RM3 model; the expansion weighs
+    # with that model and builds only the unjudged query's own.  The
+    # (5, 5, 5000) grid repeats a depth and reaches past every list.
+    paths = write_collection(make_synthetic(32), tmp_path / "data")
+    with open(paths["topics"], "a", encoding="utf-8") as fh:
+        fh.write("q900\tt00a t01a\n")  # indexed terms, no qrels line
+    config = ExperimentConfig(
+        corpus=str(paths["corpus"]),
+        topics=str(paths["topics"]),
+        qrels=str(paths["qrels"]),
+        output_dir=str(tmp_path / "out"),
+    )
+    if m_grid is not None:
+        config = replace(config, rm3_m_grid=m_grid)
+    modelled = Counter()  # query id -> rm3_table calls
+    real_table = twqp.relevance.rm3_table
+
+    def table(q, *args, **kwargs):
+        modelled[q.query_id] += 1
+        return real_table(q, *args, **kwargs)
+
+    for module in (twqp.relevance, twqp.evaluation):
+        monkeypatch.setattr(module, "rm3_table", table)
+    seen = {}
+    real_expand = twqp.experiment.expand_and_weigh
+
+    def expand(lists, m, methods, config, memo, *args):
+        seen.update(lists=lists, m=m, memo=memo)
+        seen["weighed"] = real_expand(lists, m, methods, config, memo, *args)
+        return seen["weighed"]
+
+    monkeypatch.setattr(twqp.experiment, "expand_and_weigh", expand)
+    result = run_experiment(config)
+    lists, m, index = seen["lists"], seen["m"], seen["memo"].index
+    assert m == result.best_m
+    assert "q900" in result.report.excluded
+    # one model build per query per run
+    assert modelled == Counter({q.query_id: 1 for q, _ in lists})
+    for (q, initial), maps in zip(lists, seen["weighed"]):
+        expected = build_rm3(
+            q, initial, min(m, len(initial)), config.rm3_mu, config.rm3_lambda, index,
+            config.rm3_n,
+        )
+        assert list(maps[RM3_LABEL].items()) == list(expected.items())
+
+
 def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
     # Today's raw predictor deltas put TWQP(ScoreRatio) and TWQP(NQC)
     # weights in a narrow band around 1 and 0.5 on the 1000-document
@@ -271,10 +323,10 @@ def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
     config = ExperimentConfig()
     index = build_index(read_corpus(paths["corpus"]), config.analyzer)
     queries, _ = make_queries(load_topics(paths["topics"]), index)
-    lists, m, memo = tune(queries, load_qrels(paths["qrels"]), config, index)
+    lists, m, memo, models = tune(queries, load_qrels(paths["qrels"]), config, index)
     assert (memo.mu, m) == (100, 5)
     methods = (WeightingMethod.TWQP_SCORE_RATIO, WeightingMethod.TWQP_NQC)
-    weighed = expand_and_weigh(lists, m, methods, config, memo)
+    weighed = expand_and_weigh(lists, m, methods, config, memo, models)
     spread = {}
     for method in methods:
         weights = [w for maps in weighed for w in maps[method.value].values()]

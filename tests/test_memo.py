@@ -327,11 +327,10 @@ class TestExperimentMemo:
         )
         assert len(memos) == 1
         assert built and max(built.values()) == 1
-        # the RM3 document weights (at rm3_mu) of tuning and of the expansion
-        # are their only logs; the retrievals, predictors and re-ranks read
-        # the memo's rows
+        # the RM3 document weights (at rm3_mu) of tuning are the only logs:
+        # every query is judged, so the expansion takes tuning's models, and
+        # the retrievals, predictors and re-ranks read the memo's rows
         assert {key for key in logged if key[0] is not None} == {
             ("tune_rm3_m", "twqp.relevance"),
-            ("expand_and_weigh", "twqp.relevance"),
         }
         assert released == [True]

@@ -13,13 +13,14 @@ from twqp.qpp import (
     WIG_DEFAULT_M,
     PredictorKind,
     PredictorSpec,
+    predict_batch,
     predict_nqc,
     predict_quality,
     predict_score_ratio,
     population_std,
     wig_batch,
 )
-from twqp.retrieval import LogProbMemo, Query, RankedList, retrieve_topk
+from twqp.retrieval import LogProbMemo, Query, RankedList, add_up, expand_query, retrieve_topk
 from twqp.weighting import NWIG_DEFAULT_M, nwig_weights, sror_term
 
 from conftest import PLAIN, make_random_corpus, random_query
@@ -166,6 +167,42 @@ class TestNQC:
     def test_oov_term_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="out of vocabulary"):
             predict_nqc(_list([-1.0, -2.0]), Query("q1", ("zzz",)), 2, fruit_index)
+
+    def test_batch_equals_the_formula_per_list(self):
+        # r is held by 40 documents, s by 200 and t by 5, padded with 1-7
+        # p's, so the base list and q+t are shorter than the cutoff 150 and
+        # q+s is longer; the base query repeats r, and q+r repeats it again.
+        docs = []
+        for i in range(300):
+            held = ["r"] * (i < 40) + ["s"] * (i % 3 < 2) + ["t"] * (i < 5)
+            docs.append(Document(f"d{i:03d}", " ".join(held + ["p"] * (i % 7 + 1))))
+        index = build_index(docs, PLAIN)
+        q = Query("q1", ("r", "r"))
+        queries = [q] + [expand_query(q, w) for w in ("s", "r", "t")]
+        memo = LogProbMemo(100.0, index)
+        lists = [retrieve_topk(e, 1000, memo.mu, index, memo) for e in queries]
+        assert [len(lst) < NQC_DEFAULT_M for lst in lists] == [True, False, True, True]
+        got = predict_batch(PredictorSpec(PredictorKind.NQC), lists, queries, memo)
+        expected = []
+        for lst, e in zip(lists, queries):
+            terms, counts = e.bag
+            denom = add_up(c * math.log(collection_prob(w, index)) for w, c in zip(terms, counts))
+            expected.append(population_std(lst.score_array()[:NQC_DEFAULT_M]) / abs(denom))
+        assert got == expected
+
+    def test_batch_messages_follow_the_first_failing_list(self, fruit_index):
+        nqc, memo = PredictorSpec(PredictorKind.NQC, 2), LogProbMemo(10.0, fruit_index)
+        scored, empty = _list([-1.0, -2.0]), _list([])
+        known, unknown = Query("q1", ("apple",)), Query("q1", ("apple", "zzz"))
+        with pytest.raises(ValueError, match="^NQC: query term 'zzz' out of vocabulary$"):
+            predict_batch(nqc, [scored, scored, empty], [known, unknown, known], memo)
+        with pytest.raises(ValueError, match="^NQC is undefined on an empty ranked list$"):
+            predict_batch(nqc, [scored, empty, scored], [known, known, unknown], memo)
+        one_term = build_index([Document("d1", "a a"), Document("d2", "a")], PLAIN)
+        with pytest.raises(
+            ValueError, match=r"^NQC: degenerate collection likelihood \(log = 0\)$"
+        ):
+            predict_batch(nqc, [scored], [Query("q1", ("a",))], LogProbMemo(10.0, one_term))
 
     def test_empty_list_rejected(self, fruit_index):
         with pytest.raises(ValueError, match="empty"):

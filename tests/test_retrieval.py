@@ -163,12 +163,20 @@ class TestRetrieveTopk:
 
 
 class TestBag:
-    @given(terms=st.lists(st.text("abcé", min_size=1, max_size=3), min_size=1, max_size=8))
-    def test_is_the_sorted_counter_of_the_terms(self, terms):
+    @given(
+        terms=st.lists(st.text("abcé", min_size=1, max_size=3), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_is_the_sorted_counter_of_the_terms(self, terms, data):
+        def counter_bag(terms):
+            return tuple(map(tuple, zip(*sorted(Counter(terms).items()))))
+
         q = Query("q1", terms)
-        expected = sorted(Counter(q.terms).items())
-        assert q.bag == (tuple(w for w, _ in expected), tuple(c for _, c in expected))
-        assert expand_query(q, "b").bag[0] == tuple(sorted(set(q.terms) | {"b"}))
+        assert q.bag == counter_bag(q.terms)
+        # w already in q, sorting before its terms ("!"), among them, or after them ("ü")
+        among = st.text("abcé", min_size=1, max_size=3)
+        w = data.draw(st.sampled_from(q.terms) | st.just("!") | among | st.just("ü"))
+        assert expand_query(q, w).bag == counter_bag(q.terms + (w,))
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError, match="cannot score the empty query 'q1'"):

@@ -368,8 +368,10 @@ class TestWorkCounts:
         # tuning re-ranks the lists it is given; it retrieves nothing itself
         assert counts["other", True] == 0
         assert counts["relevance", True] == counts["head gathers", True] == live > 0
-        # outside tuning: one RM3 scoring and one head gather per live query
-        assert counts["relevance", False] == counts["head gathers", False] == live
+        # outside tuning: one head gather per live query, and no RM3
+        # scoring, since every query is judged and tuning hands its models on
+        assert counts["head gathers", False] == live
+        assert counts["relevance", False] == 0
         # every head is gathered from the experiment's one memo
         assert len(head_memos) == 1
 

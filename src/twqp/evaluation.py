@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .index import Index
-from .relevance import rm3_table
+from .relevance import RM3Table, rm3_table
 from .rerank import rerank_table
 from .retrieval import LogProbMemo, Query, RankedList, add_up, rank_grid
 
@@ -376,44 +376,32 @@ def tune_rm3_m(
     table, and one rerank_table call re-ranks the head under every depth's
     model at once, from the memo's log probabilities.  The query's _judge
     mask, read at the (depth, rank) document numbers, gives the hit matrix
-    that average_precisions reads every depth's AP off.  Only each depth's
-    clipped columns are kept until m is picked; then each judged query's
-    model at min(m, len) is read off them as build_rm3's term ->
-    probability dict, its terms in rank order.
+    that average_precisions reads every depth's AP off.  Each judged
+    query's table is kept until m is picked; then its model at min(m, len)
+    is read off it (RM3Table.model) as build_rm3's term -> probability
+    dict, its terms in rank order.
     """
     if not config.rm3_m_grid:
         raise ValueError("empty m grid")
     ms = sorted(config.rm3_m_grid)
     index = memo.index
     aps: list[list[float]] = [[] for _ in ms]
-    # per list: its model's terms, and each depth's (their positions, probabilities)
-    clipped: list[tuple[list[str], dict[int, tuple[np.ndarray, np.ndarray]]] | None] = []
+    tables: list[tuple[list[int], RM3Table] | None] = []  # per list: (its depths, their table)
     for q, base in lists:
         if not base or qrels.relevant_count(base.query_id) == 0:
-            clipped.append(None)
+            tables.append(None)
             continue
         depths = sorted({min(m, len(base)) for m in ms})
         table = rm3_table(q, base, depths, config.rm3_mu, config.rm3_lambda, index, config.rm3_n)
-        # the terms some depth's model weighs: rerank_many's table for the models
-        used = np.flatnonzero((table.probs != 0.0).any(axis=0))
-        terms = [table.terms[j] for j in used.tolist()]
-        nums, _ = rerank_table(base, terms, table.probs[:, used].T, config, memo)
+        nums, _ = rerank_table(base, table.terms, table.probs.T, config, memo)
         mask, relevant_count = _judge(base.query_id, qrels, index)
         hits = mask[nums[:, : config.k]]
         by_depth = dict(zip(depths, average_precisions(hits, relevant_count).tolist()))
         for m, m_aps in zip(ms, aps):
             m_aps.append(by_depth[min(m, len(base))])
-        # the columns some depth's model holds (a model term may weigh 0.0)
-        held = np.unique(np.concatenate(table.ranked))
-        kept = [(held.searchsorted(cols), row[cols]) for row, cols in zip(table.probs, table.ranked)]
-        clipped.append(([table.terms[j] for j in held.tolist()], dict(zip(depths, kept))))
+        tables.append((depths, table))
     best = _best(ms, aps)
-    models: list[dict[str, float] | None] = []
-    for (_, base), entry in zip(lists, clipped):
-        if entry is None:
-            models.append(None)
-            continue
-        names, by_depth = entry
-        positions, probs = by_depth[min(best, len(base))]
-        models.append(dict(zip(map(names.__getitem__, positions.tolist()), probs.tolist())))
-    return best, models
+    return best, [
+        None if kept is None else kept[1].model(kept[0].index(min(best, len(base))))
+        for (_, base), kept in zip(lists, tables)
+    ]

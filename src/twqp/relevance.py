@@ -13,9 +13,10 @@ dict in rank order; one clipped to n terms keeps its top n by probability,
 ties broken by name, without renormalizing.
 
 rm3_table builds the models of several feedback depths at once, as one
-depth x term table over their common support; build_rm3 reads its one
-depth's dict off it, and tuning re-ranks with the table itself, then
-reads the picked depth's dict off its clipped columns.
+depth x term table whose columns are the terms some depth's model holds.
+RM3Table.model reads one depth's dict off it: build_rm3 is rm3_table at
+one depth, and tuning re-ranks with the whole table, then reads the picked
+depth's model off it.
 """
 
 from __future__ import annotations
@@ -48,20 +49,17 @@ def build_rm3(
     or a mu that fails check_positive_mu is an error.  Document weights are
     query likelihoods at this mu, which need not be the mu the initial list
     was retrieved with.  n, when given, clips the model to its top n terms
-    as rm3_table does.  The dict is rm3_table's one row, its terms in rank
-    order.
+    as rm3_table does.  The dict is rm3_table's one model.
     """
-    table = rm3_table(q, initial, (m,), mu, lam, index, n)
-    (row,), (columns,) = table.probs, table.ranked
-    return dict(zip(map(table.terms.__getitem__, columns.tolist()), row[columns].tolist()))
+    return rm3_table(q, initial, (m,), mu, lam, index, n).model(0)
 
 
 @dataclass(frozen=True)
 class RM3Table:
-    """Every feedback depth's RM3 model over one support.
+    """Every feedback depth's RM3 model, one row each.
 
-    terms are the support's terms in name order, the columns of probs.
-    probs holds one row per depth: each term's probability in that depth's
+    terms are the terms some depth's model holds, in name order: the
+    columns of probs.  probs holds each term's probability in that depth's
     model, 0.0 for a term outside it.  ranked holds each depth's model's
     columns in rank order (by probability, ties by name).
     """
@@ -69,6 +67,12 @@ class RM3Table:
     terms: list[str]
     probs: np.ndarray
     ranked: list[np.ndarray]
+
+    def model(self, row: int) -> dict[str, float]:
+        """Depth row's model: term -> probability, in rank order."""
+        columns = self.ranked[row]
+        terms = map(self.terms.__getitem__, columns.tolist())
+        return dict(zip(terms, self.probs[row, columns].tolist()))
 
 
 def rm3_table(
@@ -94,7 +98,9 @@ def rm3_table(
     probabilities over the name-ordered support, the columns outside its
     support keyed +inf, so ties break by name.  With n its model holds only
     its top n terms, their probabilities as in the whole model and not
-    renormalized.  With n = None it keeps the whole support.  m larger than
+    renormalized.  With n = None it keeps the whole support.  The table
+    keeps only the columns some depth's model holds, still in name order,
+    and each row is 0.0 outside its own model.  m larger than
     the list is clamped with a warning; an empty ms, an m below 1, lambda
     outside [0,1], a mu that fails check_positive_mu, an n below 1, or a
     query term in no document, which scores every document -inf, is an
@@ -171,12 +177,15 @@ def rm3_table(
     order = columns[np.argsort(keys[:, columns], axis=1, kind="stable")]
     sizes = np.minimum(np.count_nonzero(kept, axis=1), vocab.size if n is None else n)
     ranked = [row[:size] for row, size in zip(order, sizes.tolist())]
-    in_model = np.zeros(probs.shape, dtype=bool)
-    in_model[np.repeat(np.arange(len(grid)), sizes), np.concatenate(ranked)] = True
+    held = np.unique(np.concatenate(ranked))  # the support columns some model holds
+    positions = [held.searchsorted(columns) for columns in ranked]
+    table = np.zeros((len(grid), held.size))
+    for row, p, columns, at in zip(table, probs, ranked, positions):
+        row[at] = p[columns]
 
-    rows = np.searchsorted(grid, depths)
+    rows = np.searchsorted(grid, depths).tolist()
     return RM3Table(
-        list(map(index.vocabulary.__getitem__, vocab.tolist())),
-        np.where(in_model, probs, 0.0)[rows],
-        [ranked[row] for row in rows.tolist()],
+        list(map(index.vocabulary.__getitem__, vocab[held].tolist())),
+        table[rows],
+        [positions[row] for row in rows],
     )

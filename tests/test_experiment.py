@@ -314,6 +314,32 @@ def test_expansion_takes_the_tuned_models(tmp_path, monkeypatch, m_grid):
         assert list(maps[RM3_LABEL].items()) == list(expected.items())
 
 
+def test_query_only_feedback_reranks_as_the_initial_list(tmp_path):
+    # At rm3_lambda = 1.0 the RM3 model is the query's own term
+    # distribution, and every feedback term in it weighs 0.0: tuning
+    # re-ranks with those columns at weight 0, and on single-term topics
+    # each RM3Opt run must be its initial list, scores and all.
+    paths = write_collection(make_synthetic(32), tmp_path / "data")
+    config = ExperimentConfig(
+        corpus=str(paths["corpus"]),
+        topics=str(paths["topics"]),
+        qrels=str(paths["qrels"]),
+        output_dir=str(tmp_path / "out"),
+        rm3_lambda=1.0,
+    )
+    index = build_index(read_corpus(paths["corpus"]), config.analyzer)
+    queries, _ = make_queries(load_topics(paths["topics"]), index)
+    assert all(len(q.terms) == 1 for q in queries)
+    _, m, _, models = tune(queries, load_qrels(paths["qrels"]), config, index)
+    assert all(0.0 in model.values() for model in models)
+    result = run_experiment(config)
+    assert result.best_m == m
+    initial, expanded = result.runs[QL_LABEL], result.runs[RM3_LABEL]
+    assert list(expanded) == list(initial)
+    for qid, run in initial.items():
+        assert expanded[qid].entries == run.entries
+
+
 def test_twqp_weight_spread_at_the_default_protocol(tmp_path):
     # Today's raw predictor deltas put TWQP(ScoreRatio) and TWQP(NQC)
     # weights in a narrow band around 1 and 0.5 on the 1000-document

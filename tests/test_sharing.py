@@ -55,16 +55,6 @@ def same_items(got: dict, expected: dict) -> bool:
     return list(got) == list(expected) and all(same(got[k], expected[k]) for k in got)
 
 
-def table_models(*args):
-    """rm3_table(*args)'s models, one term -> probability dict per depth,
-    each read off its row in ranked order."""
-    table = rm3_table(*args)
-    return [
-        {table.terms[j]: row[j] for j in columns.tolist()}
-        for row, columns in zip(table.probs.tolist(), table.ranked)
-    ]
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestWeighQueries:
     @PROPERTY
@@ -168,29 +158,35 @@ class TestWeighQueries:
 
 
 class TestBuildRm3Grid:
-    """rm3_table's rows, read as dicts in ranked order, against the scalar
-    model of each depth."""
+    """rm3_table's rows, read as dicts in ranked order (RM3Table.model),
+    against the scalar model of each depth."""
 
     @PROPERTY
     @given(index=corpora(), mu=POSITIVE_MUS, data=st.data())
     def test_each_depth_equals_the_scalar_model(self, index, mu, data):
         q = draw_query(data, index)
         initial = retrieve_topk(q, 1000, mu, index)
-        n = len(initial.entries)
-        ms = data.draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=6))
+        length = len(initial.entries)
+        ms = data.draw(st.lists(st.integers(1, length + 3), min_size=1, max_size=6))
         rm3_mu = data.draw(POSITIVE_MUS)  # mu = 0 is rejected (see below)
         lam = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        n = data.draw(st.one_of(st.none(), st.integers(1, len(VOCAB) + 2)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            models = table_models(q, initial, ms, rm3_mu, lam, index)
-        assert len(caught) == sum(m > n for m in ms)
+            table = rm3_table(q, initial, ms, rm3_mu, lam, index, n)
+        assert len(caught) == sum(m > length for m in ms)
+        models = [table.model(i) for i in range(len(table.ranked))]
         assert len(models) == len(ms)
         for m, rm in zip(ms, models):
             # the scalar model is in name order; the grid's is in rank order,
-            # ties by name
+            # ties by name, and clipped to its top n
             expected = scalar_rm3(q, initial, m, rm3_mu, lam, index)
-            by_rank = dict(sorted(expected.items(), key=lambda item: -item[1]))
-            assert same_items(rm, by_rank)
+            assert same_items(rm, {w: expected[w] for w in top_n_terms(expected, n)})
+        # the columns are the terms some model holds, and a row weighs
+        # 0.0 outside its own model
+        assert table.terms == sorted(set().union(*models))
+        for row, rm in zip(table.probs.tolist(), models):
+            assert all(p == 0.0 for w, p in zip(table.terms, row) if w not in rm)
 
     def test_validation_matches_build_rm3(self, fruit_index):
         q = Query("q", ("apple",))
@@ -226,9 +222,10 @@ class TestBuildRm3Grid:
         ms = data.draw(st.lists(st.integers(1, len(initial)), min_size=1, max_size=4))
         lam = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
         n = data.draw(st.integers(1, len(VOCAB) + 2))  # past the support too
-        whole = table_models(q, initial, ms, mu, lam, index)
-        clipped = table_models(q, initial, ms, mu, lam, index, n)
-        for full, rm in zip(whole, clipped):
+        whole = rm3_table(q, initial, ms, mu, lam, index)
+        clipped = rm3_table(q, initial, ms, mu, lam, index, n)
+        for i in range(len(ms)):
+            full, rm = whole.model(i), clipped.model(i)
             assert rm == restrict_top_n(full, n)
             assert list(rm) == top_n_terms(full, n)
 

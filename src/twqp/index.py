@@ -7,7 +7,9 @@ is the retrieval tie-break.  Postings are one term-major CSR over the sorted
 vocabulary: term i's doc numbers (ascending) and tfs are nums and tfs over
 starts[i]:starts[i + 1].  Per-document lengths are token counts after
 analysis, so they match the tf accounting used by the scoring formulas
-exactly.  A snapshot is an .npz of the same arrays.
+exactly.  A snapshot is an .npz of the same arrays, each integer array
+stored in the narrowest unsigned dtype that holds its largest value and
+widened back to int64 on load.
 
 build_index reads the corpus once.  Each text is split into raw tokens by
 analysis.tokenizer, the one tokenizer analyze also calls: str.translate +
@@ -73,8 +75,12 @@ class Index:
         self._numbers = {d: n for n, d in enumerate(self.doc_ids)}
         starts = self.starts.tolist()
         self._spans = {w: slice(s, e) for w, s, e in zip(self.vocabulary, starts, starts[1:])}
-        cumulative = np.concatenate(([0], np.cumsum(self.tfs)))[self.starts]
-        self.collection_tf = dict(zip(self.vocabulary, np.diff(cumulative).tolist()))
+        # One reduceat over the nonempty spans: each runs to the next
+        # nonempty span's start, the last to the end of tfs.
+        held = self.starts[1:] > self.starts[:-1]
+        totals = np.zeros(len(self.vocabulary), dtype=np.int64)
+        totals[held] = np.add.reduceat(self.tfs, self.starts[:-1][held])
+        self.collection_tf = dict(zip(self.vocabulary, totals.tolist()))
         self.total_tokens = int(self.lengths.sum())
 
     @property
@@ -137,14 +143,16 @@ class Index:
     def save(self, path: str | Path) -> None:
         a = self.analyzer
         # A file object, so that numpy does not append ".npz" to the path.
+        # Each integer array is stored in the narrowest unsigned dtype that
+        # holds its largest value; load widens them back to int64.
         with open(path, "wb") as fh:
             np.savez(
                 fh,
                 twqp_index_version=np.array(SNAPSHOT_VERSION),
-                lengths=self.lengths,
-                starts=self.starts,
-                nums=self.nums.astype(np.int32),
-                tfs=self.tfs.astype(np.int32),
+                lengths=_narrow(self.lengths),
+                starts=_narrow(self.starts),
+                nums=_narrow(self.nums),
+                tfs=_narrow(self.tfs),
                 lowercase=np.array(a.lowercase),
                 **_pack("doc_ids", self.doc_ids),
                 **_pack("vocabulary", self.vocabulary),
@@ -177,15 +185,17 @@ class Index:
             stemmer, token_pattern, *stopwords = _unpack("analyzer", arrays)
             lowercase = bool(arrays["lowercase"])
             doc_ids, vocabulary = _unpack("doc_ids", arrays), _unpack("vocabulary", arrays)
-            lengths, starts = arrays["lengths"], arrays["starts"]
-            nums, tfs = arrays["nums"], arrays["tfs"]
+            stored = [arrays[name] for name in ("lengths", "starts", "nums", "tfs")]
         except KeyError as exc:
             raise ValueError(f"{path}: damaged index snapshot (no array {exc})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: damaged index snapshot ({exc})") from exc
         # Converted once, and checked as converted: a float array would
-        # truncate, so the kinds are checked first.
-        integral = all(a.dtype.kind in "iu" for a in (lengths, starts, nums, tfs))
+        # truncate, so the kinds are checked first.  A uint64 value past the
+        # int64 range converts negative, which the checks reject.
+        integral = all(a.dtype.kind in "iu" for a in stored)
         if integral:
-            nums, tfs = nums.astype(np.int64), tfs.astype(np.int64)
+            lengths, starts, nums, tfs = (a.astype(np.int64) for a in stored)
         if not integral or not _consistent(
             len(doc_ids), len(vocabulary), lengths, starts, nums, tfs
         ):
@@ -226,19 +236,39 @@ def _consistent(
     return np.array_equal(np.bincount(nums, tfs, minlength=n_docs), lengths)
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The nonnegative integer array a in the narrowest unsigned dtype that
+    holds its largest value."""
+    return a.astype(np.min_scalar_type(int(a.max(initial=0))), copy=False)
+
+
 def _pack(name: str, strings: Sequence[str]) -> dict[str, np.ndarray]:
     """The strings as one UTF-8 byte array and the end offset of each."""
     encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
     return {
         f"{name}_utf8": np.frombuffer(b"".join(encoded), dtype=np.uint8),
-        f"{name}_ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
+        f"{name}_ends": _narrow(np.cumsum([len(b) for b in encoded], dtype=np.int64)),
     }
 
 
 def _unpack(name: str, arrays: Mapping[str, np.ndarray]) -> list[str]:
+    """The strings _pack stored under name; a ValueError naming the array
+    when the offsets do not cut the bytes into UTF-8 strings."""
     data = arrays[f"{name}_utf8"].tobytes()
-    ends = arrays[f"{name}_ends"].tolist()
-    return [data[s:e].decode("utf-8", "surrogatepass") for s, e in zip([0] + ends, ends)]
+    ends = arrays[f"{name}_ends"]
+    if ends.dtype.kind not in "iu" or ends.ndim != 1:
+        raise ValueError(f"{name}_ends is not a 1-D integer array")
+    ends = ends.astype(np.int64)  # a uint64 past the int64 range converts negative
+    if (np.diff(ends, prepend=0) < 0).any():
+        raise ValueError(f"{name}_ends falls")
+    end = int(ends[-1]) if ends.size else 0
+    if end != len(data):
+        raise ValueError(f"{name}_ends ends at {end}, {name}_utf8 holds {len(data)} bytes")
+    ends = ends.tolist()
+    try:
+        return [data[s:e].decode("utf-8", "surrogatepass") for s, e in zip([0] + ends, ends)]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name}_utf8 is not UTF-8 between its ends ({exc.reason})") from exc
 
 
 class _TermIds(dict):

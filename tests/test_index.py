@@ -1,11 +1,13 @@
 """Index construction, statistics conservation, snapshots, corpus readers."""
 
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from twqp.analysis import AnalyzerConfig, analyze
 from twqp.index import (
@@ -20,7 +22,7 @@ from twqp.index import (
 )
 from twqp.retrieval import Query
 
-from conftest import ANALYZER_CONFIGS, PLAIN, make_random_corpus, raw_corpora
+from conftest import ANALYZER_CONFIGS, PLAIN, corpora, make_random_corpus, raw_corpora
 from oracle import doc_length, index_from_postings, reference_build_index, score_ql, term_tf
 
 
@@ -31,6 +33,34 @@ def assert_same_arrays(built, reference):
         got, want = getattr(built, name), getattr(reference, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+
+
+def read_arrays(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def write_arrays(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+# The dtypes snapshots were written in before each integer array was stored
+# narrow; such files must still load.
+WIDE_DTYPES = {"nums": np.int32, "tfs": np.int32, "lengths": np.int64, "starts": np.int64}
+
+
+def wide(a):
+    return a.astype(np.int64)
+
+
+def rewrite_wide(path, wide_path):
+    arrays = read_arrays(path)
+    for name, a in arrays.items():
+        dtype = np.int64 if name.endswith("_ends") else WIDE_DTYPES.get(name)
+        if dtype is not None:
+            arrays[name] = a.astype(dtype)
+    write_arrays(wide_path, arrays)
 
 
 class TestBuildIndex:
@@ -204,12 +234,47 @@ class TestSnapshot:
         assert loaded.analyzer == config
         assert doc_length("naïve ∂oc", loaded) == 0
 
-    def test_saved_arrays_are_int32_and_unpickled(self, tmp_path, fruit_index):
+    def test_saved_arrays_are_narrowest_and_unpickled(self, tmp_path, fruit_index):
         path = tmp_path / "idx.snap"
         fruit_index.save(path)
-        with np.load(path, allow_pickle=False) as npz:
-            assert npz["nums"].dtype == npz["tfs"].dtype == np.int32
-            assert all(npz[name].dtype != object for name in npz.files)
+        arrays = read_arrays(path)
+        assert all(a.dtype != object for a in arrays.values())
+        narrowed = [n for n in arrays if n in WIDE_DTYPES or n.endswith("_ends")]
+        assert len(narrowed) == 7
+        for name in narrowed:
+            a = arrays[name]
+            assert a.dtype == np.min_scalar_type(int(a.max(initial=0))), name
+
+        # tfs past 8 and 31 bits store as uint32 and load back as int64
+        postings = {"a": {"d1": 300, "d2": 2**31 + 7}, "b": {"d1": 1}}
+        index = index_from_postings(postings, {"d1": 301, "d2": 2**31 + 7}, PLAIN)
+        index.save(path)
+        assert read_arrays(path)["tfs"].dtype == np.uint32
+        loaded = Index.load(path)
+        assert_same_arrays(loaded, index)
+        assert loaded.collection_tf == {"a": 2**31 + 307, "b": 1}
+
+    @given(index=corpora())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_wide_and_narrow_snapshots_load_to_the_built_arrays(self, index):
+        with tempfile.TemporaryDirectory() as tmp:
+            narrow, wide = Path(tmp) / "narrow.snap", Path(tmp) / "wide.snap"
+            index.save(narrow)
+            rewrite_wide(narrow, wide)
+            assert read_arrays(wide)["nums"].dtype == np.int32
+            for path in (narrow, wide):
+                loaded = Index.load(path)
+                assert_same_arrays(loaded, index)
+                assert loaded.lengths.dtype == loaded.nums.dtype == np.int64
+                assert loaded.analyzer == index.analyzer
+
+    def test_empty_terms_have_no_collection_tf(self):
+        # empty spans first, between and last: each must count 0, and the
+        # span before each must still run to its own end
+        postings = {"a": {}, "b": {"d1": 2, "d2": 3}, "c": {}, "d": {"d2": 4}, "e": {}}
+        index = index_from_postings(postings, {"d1": 2, "d2": 7}, PLAIN)
+        assert index.collection_tf == {"a": 0, "b": 5, "c": 0, "d": 4, "e": 0}
+        assert index_from_postings({"a": {}}, {"d1": 0}, PLAIN).collection_tf == {"a": 0}
 
     def test_bad_header_rejected(self, tmp_path):
         for content in (b"not a snapshot\n{}\n", b""):
@@ -224,11 +289,9 @@ class TestSnapshot:
     def test_unsupported_version_rejected(self, tmp_path, fruit_index):
         path = tmp_path / "v9.snap"
         fruit_index.save(path)
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        arrays = read_arrays(path)
         arrays["twqp_index_version"] = np.array(9)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        write_arrays(path, arrays)
         with pytest.raises(ValueError, match="unsupported snapshot version 9"):
             Index.load(path)
 
@@ -263,33 +326,33 @@ class TestSnapshot:
     def test_rejected_stored_pattern_names_the_path(self, tmp_path, fruit_index):
         path = tmp_path / "idx.snap"
         fruit_index.save(path)
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        arrays = read_arrays(path)
         a = fruit_index.analyzer
         arrays.update(_pack("analyzer", [a.stemmer, "(a)(b)", *sorted(a.stopwords)]))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        write_arrays(path, arrays)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*capturing groups"):
             Index.load(path)
 
     # Each damage leaves a well-formed archive whose arrays disagree or
     # break a postings rule.  The index has 3 documents and the terms one,
     # three and two, so starts is [0, 2, 3, 5] and nums [0, 2, 1, 0, 1].
+    # The arrays are stored as uint8, so the rows that subtract or reorder
+    # widen first: 0 - 1 must stay -1, not wrap to 255.
     DISAGREEING_ARRAYS = {
         "lengths one short": lambda a: {"lengths": a["lengths"][:-1]},
         "lengths one long": lambda a: {"lengths": np.append(a["lengths"], 1)},
         "starts one short": lambda a: {"starts": a["starts"][:-1]},
         "starts not from 0": lambda a: {"starts": a["starts"] + 1},
-        "starts descending": lambda a: {"starts": a["starts"][[0, 2, 1, 3]]},
+        "starts descending": lambda a: {"starts": wide(a["starts"])[[0, 2, 1, 3]]},
         "starts past the postings": lambda a: {"starts": np.append(a["starts"][:-1], 99)},
         "tfs one short": lambda a: {"tfs": a["tfs"][:-1]},
         "doc number past the last document": lambda a: {"nums": np.where(a["nums"], a["nums"], 7)},
-        "negative doc number": lambda a: {"nums": a["nums"] - 1},
+        "negative doc number": lambda a: {"nums": wide(a["nums"]) - 1},
         "doc numbers stored as floats": lambda a: {"nums": a["nums"].astype(float)},
         "tf of -2": lambda a: {"tfs": np.where(np.arange(5) == 3, -2, a["tfs"])},
         "tf of 0": lambda a: {"tfs": np.where(np.arange(5) == 0, 0, a["tfs"])},
-        "doc numbers falling within a term": lambda a: {"nums": a["nums"][[1, 0, 2, 3, 4]]},
-        "doc number repeated within a term": lambda a: {"nums": a["nums"][[0, 0, 2, 3, 4]]},
+        "doc numbers falling within a term": lambda a: {"nums": wide(a["nums"])[[1, 0, 2, 3, 4]]},
+        "doc number repeated within a term": lambda a: {"nums": wide(a["nums"])[[0, 0, 2, 3, 4]]},
         "length of -2": lambda a: {"lengths": np.where(np.arange(3) == 1, -2, a["lengths"])},
         "length of 0": lambda a: {"lengths": np.where(np.arange(3) == 1, 0, a["lengths"])},
         "length of 9": lambda a: {"lengths": np.where(np.arange(3) == 1, 9, a["lengths"])},
@@ -300,12 +363,42 @@ class TestSnapshot:
         docs = [Document("a", "one two two"), Document("b", "two three"), Document("c", "one")]
         path = tmp_path / "small.snap"
         build_index(docs, PLAIN).save(path)
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        arrays = read_arrays(path)
         arrays.update(self.DISAGREEING_ARRAYS[damage](arrays))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        write_arrays(path, arrays)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: damaged index snapshot"):
+            Index.load(path)
+
+    # Each damage cuts a string table wrong.  Doc ids d1 and d2 are stored as
+    # the bytes d1d2 with ends [2, 4]; the terms naïve and tea as naïvetea,
+    # ï two bytes long, with ends [6, 9].
+    DAMAGED_STRING_TABLES = {
+        "ends falling": ({"doc_ids_ends": [3, 1]}, "doc_ids_ends falls"),
+        "ends stored as floats": (
+            {"doc_ids_ends": np.array([2.0, 4.0])},
+            "doc_ids_ends is not a 1-D integer array",
+        ),
+        "ends short of the bytes": ({"doc_ids_ends": [2, 3]}, "doc_ids_ends ends at 3, "),
+        "ends past the bytes": ({"doc_ids_ends": [2, 5]}, "doc_ids_ends ends at 5, "),
+        "end inside a character": ({"vocabulary_ends": [3, 9]}, "vocabulary_utf8 is not UTF-8"),
+        "bytes not UTF-8": (
+            {"doc_ids_utf8": np.frombuffer(b"d1\xff2", dtype=np.uint8)},
+            "doc_ids_utf8 is not UTF-8",
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_STRING_TABLES))
+    def test_damaged_string_table_names_the_path(self, tmp_path, damage):
+        path = tmp_path / "two.snap"
+        build_index([Document("d1", "naïve tea"), Document("d2", "tea")], PLAIN).save(path)
+        arrays = read_arrays(path)
+        assert arrays["doc_ids_ends"].tolist() == [2, 4]
+        assert arrays["vocabulary_ends"].tolist() == [6, 9]
+        edits, reason = self.DAMAGED_STRING_TABLES[damage]
+        arrays.update({name: np.asarray(a) for name, a in edits.items()})
+        write_arrays(path, arrays)
+        prefix = f"{path}: damaged index snapshot ({reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
             Index.load(path)
 
     def test_json_snapshot_rejected(self, tmp_path):
